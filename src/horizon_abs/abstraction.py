@@ -14,9 +14,6 @@ planning only ever touches reachable configurations.
 """
 
 import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +31,6 @@ class Action:
     target: tuple
     point: np.ndarray
     w: np.ndarray
-
-
-def _thread_count():
-    raw = os.environ.get("HORIZON_ABS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class Abstraction:
@@ -62,8 +51,6 @@ class Abstraction:
         self.integ_tol = integ_tol
         self._post_cache = {}
         self._endpoint_cache = {}
-        self._lock = threading.Lock()
-        self._threads = _thread_count()
 
     def radius(self, agent_id):
         agent = self.model.agent(agent_id)
@@ -143,27 +130,15 @@ class Abstraction:
                     f"agent {agent_id}: endpoint ball of configuration {config} leaves "
                     "the reachable region; declared bounds and discretization disagree"
                 )
-
-            def intersect(endpoint):
-                return tuple(
-                    grid.cells_intersecting_ball(dec, reach.Ball(endpoint, radius))
-                )
-
-            if self._threads > 1 and len(missing) > 8:
-                with ThreadPoolExecutor(max_workers=self._threads) as pool:
-                    results = list(pool.map(intersect, endpoints))
-            else:
-                results = [intersect(
-                    endpoints[row]) for row in range(len(missing))]
-            with self._lock:
-                for config, endpoint, cells in zip(missing, endpoints, results):
-                    if not cells:
-                        raise InfeasibleError(
-                            f"agent {agent_id}: empty Post for configuration {config} "
-                            "contradicts well-posedness"
-                        )
-                    self._endpoint_cache[(agent_id, config)] = endpoint
-                    self._post_cache[(agent_id, config)] = cells
+            for config, endpoint in zip(missing, endpoints):
+                cells = tuple(grid.cells_intersecting_ball(dec, reach.Ball(endpoint, radius)))
+                if not cells:
+                    raise InfeasibleError(
+                        f"agent {agent_id}: empty Post for configuration {config} "
+                        "contradicts well-posedness"
+                    )
+                self._endpoint_cache[(agent_id, config)] = endpoint
+                self._post_cache[(agent_id, config)] = cells
         return [self._post_cache[(agent_id, config)] for config in configs]
 
     def reference_for(self, agent_id, config):
@@ -206,29 +181,6 @@ class Abstraction:
             posts.append(self.post(i, config))
         for combo in itertools.product(*posts):
             yield dict(zip(ids, combo))
-
-    def enumerate_paths(self, start, m, visitor):
-        """Depth-bounded product traversal; the visitor sees complete paths only.
-
-        Branches reaching a non-initiating cell before step m are
-        abandoned, mirroring the dead-end treatment in planning.
-        """
-        ids = self.model.agent_ids
-
-        def rec(assignment, path):
-            if len(path) == m + 1:
-                visitor(list(path))
-                return
-            if any(
-                assignment[i] not in self.decs[i].initiating_set for i in ids
-            ):
-                return
-            for nxt in self.product_post(assignment):
-                path.append(nxt)
-                rec(nxt, path)
-                path.pop()
-
-        rec(start, [start])
 
     def summary(self):
         per_agent = {}

@@ -110,12 +110,6 @@ def reference_point(dec, lattice):
     return dec.anchor + dec.side * (np.asarray(lattice, dtype=float) + 0.5)
 
 
-def initiating(dec, lattice):
-    if lattice not in dec.index_set:
-        raise ModelError(f"invalid cell index {lattice}")
-    return lattice in dec.initiating_set
-
-
 def cell_contains(dec, lattice, x, slack=0.0):
     """Half-open box membership, intersected with the region ball."""
     lo, hi = dec.box(lattice)

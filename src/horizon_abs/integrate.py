@@ -14,18 +14,21 @@ DEFAULT_SUBSTEPS = 100
 DEFAULT_INTEG_TOL = 1e-8
 
 
+def _rk4_step(rhs, t, y, h):
+    """One classical RK4 step: the stage-1 slope and the state at t + h."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + h / 2, y + (h / 2) * k1)
+    k3 = rhs(t + h / 2, y + (h / 2) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return k1, y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def rk4_endpoint(rhs, y0, dt, substeps):
     """Endpoint of y' = rhs(t, y) on [0, dt]; y0 may carry leading batch axes."""
     y = np.array(y0, dtype=float)
     h = dt / substeps
-    t = 0.0
     for k in range(substeps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (k + 1) * h
+        _, y = _rk4_step(rhs, k * h, y, h)
     return y
 
 
@@ -70,35 +73,28 @@ def rk4_dense(rhs, y0, dt, substeps):
     ds = np.empty_like(ys)
     ys[0] = y
     for k in range(substeps):
-        t = ts[k]
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2, y + (h / 2) * k1)
-        k3 = rhs(t + h / 2, y + (h / 2) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        ds[k] = k1
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ds[k], y = _rk4_step(rhs, ts[k], y, h)
         ys[k + 1] = y
     ds[substeps] = rhs(ts[-1], y)
     return DenseTrajectory(ts, ys, ds)
 
 
-def audit_endpoint_error(rhs, y0, dt, substeps):
-    """Richardson estimate of the endpoint error of the substeps-step run.
+def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=None):
+    """Step-halving Richardson estimate of the substeps-step endpoint error.
 
     Halving the step scales the RK4 global error roughly 16-fold, so the
     error of the run we actually return (the coarse one) is about 16/15
-    of the coarse-fine endpoint gap.
+    of the coarse-fine endpoint gap.  Pass ``coarse`` when the caller
+    already holds the substeps-step endpoint; raises IntegrationError
+    when the estimate exceeds ``integ_tol``.
     """
-    coarse = rk4_endpoint(rhs, y0, dt, substeps)
+    if coarse is None:
+        coarse = rk4_endpoint(rhs, y0, dt, substeps)
     fine = rk4_endpoint(rhs, y0, dt, 2 * substeps)
-    return float(np.max(np.abs(coarse - fine))) * (16.0 / 15.0)
-
-
-def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration"):
-    err = audit_endpoint_error(rhs, y0, dt, substeps)
+    err = float(np.max(np.abs(coarse - fine))) * (16.0 / 15.0)
     if err > integ_tol:
         raise IntegrationError(
-            f"{what}: step-halving audit estimate {err:.3e} exceeds "
+            f"{what} audit: step-halving estimate {err:.3e} exceeds "
             f"tolerance {integ_tol:.3e}; raise substeps"
         )
     return err

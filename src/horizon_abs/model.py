@@ -175,6 +175,15 @@ def eval_f(agent, x_i, x_j):
     return np.asarray(agent.dynamics.eval(x_i, blocks), dtype=float)
 
 
+def saturate(v, bound):
+    """Radial projection onto the closed ball of the given radius (bound >= 0)."""
+    v = np.asarray(v, dtype=float)
+    norms = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    over = norms > bound
+    # rows at or under the bound never divide, so no zero norm reaches bound / norms
+    return v * np.where(over, bound / np.where(over, norms, 1.0), 1.0)
+
+
 def split_neighbor_block(agent, x_j):
     n = agent.dim
     count = len(agent.neighbors)
@@ -219,35 +228,58 @@ def _floats(values, name, length=None):
         raise ModelError(f"{name} must be a numeric array: {e}") from None
     if length is not None and arr.shape != (length,):
         raise ModelError(f"{name} must have length {length}, got shape {arr.shape}")
+    _require(np.all(np.isfinite(arr)), f"{name} must be finite, got {arr.tolist()}")
     return arr
 
 
-def _parse_dynamics(entry, n, neighbor_count, agent_id):
+def _scalar(value, name):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{name} must be a number, got {value!r}") from None
+    _require(math.isfinite(x), f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _consensus_weights(weights, neighbors, agent_id):
+    """Weights as a list in neighbor order or an object keyed by neighbor id."""
+    if isinstance(weights, dict):
+        _require(
+            set(weights) == {str(j) for j in neighbors},
+            f"agent {agent_id}: consensus weights must be keyed by the neighbor ids "
+            f"{list(neighbors)}, got {sorted(weights)}",
+        )
+        weights = [weights[str(j)] for j in neighbors]
+    return _floats(weights, f"agent {agent_id} consensus weights", len(neighbors))
+
+
+def _parse_dynamics(entry, n, neighbors, agent_id):
     _require(isinstance(entry, dict), f"agent {agent_id}: dynamics must be an object")
+    neighbor_count = len(neighbors)
     variant = entry.get("type", entry.get("variant"))
     if variant == "zero":
         return ZeroDynamics()
     if variant == "linear-consensus":
         weights = entry.get("weights", [1.0] * neighbor_count)
-        _require(
-            len(weights) == neighbor_count,
-            f"agent {agent_id}: one consensus weight per neighbor",
-        )
-        return ConsensusDynamics(weights)
+        return ConsensusDynamics(_consensus_weights(weights, neighbors, agent_id))
     if variant == "gradient-hill":
         _require(
             "C" in entry and "R" in entry,
             f"agent {agent_id}: gradient-hill needs C and R",
         )
-        return HillDynamics(entry["C"], entry["R"])
+        return HillDynamics(
+            _scalar(entry["C"], f"agent {agent_id}: C"),
+            _scalar(entry["R"], f"agent {agent_id}: R"),
+        )
     if variant == "affine":
-        A = entry.get("A", np.zeros((n, n)))
+        A = _floats(entry.get("A", np.zeros((n, n))), f"agent {agent_id} affine A")
         B_blocks = entry.get("B", [np.zeros((n, n))] * neighbor_count)
-        b = entry.get("b", np.zeros(n))
+        b = _floats(entry.get("b", np.zeros(n)), f"agent {agent_id} affine b")
         _require(
-            len(B_blocks) == neighbor_count,
+            isinstance(B_blocks, list) and len(B_blocks) == neighbor_count,
             f"agent {agent_id}: one B block per neighbor",
         )
+        B_blocks = [_floats(B, f"agent {agent_id} affine B") for B in B_blocks]
         dyn = AffineDynamics(A, B_blocks, b)
         _require(dyn.A.shape == (n, n), f"agent {agent_id}: A must be {n}x{n}")
         for B in dyn.B_blocks:
@@ -260,7 +292,10 @@ def _parse_dynamics(entry, n, neighbor_count, agent_id):
             isinstance(exprs, list) and len(exprs) == n,
             f"agent {agent_id}: expression dynamics needs {n} coordinate expressions",
         )
-        dyn = ExpressionDynamics(exprs, entry.get("params", {}))
+        params = entry.get("params", {})
+        _require(isinstance(params, dict), f"agent {agent_id}: params must be an object")
+        params = {k: _scalar(v, f"agent {agent_id}: param {k}") for k, v in params.items()}
+        dyn = ExpressionDynamics(exprs, params)
         for sym in dyn.symbols:
             if sym != "x_i":
                 k = int(sym[3:])
@@ -290,7 +325,8 @@ def _parse_goals(entries, n, agent_id, horizon):
             isinstance(window, list) and len(window) == 2,
             f"agent {agent_id}: goal window must be [a, b]",
         )
-        a, b = float(window[0]), float(window[1])
+        a = _scalar(window[0], f"agent {agent_id}: goal window start")
+        b = _scalar(window[1], f"agent {agent_id}: goal window end")
         _require(0 <= a <= b, f"agent {agent_id}: goal window needs 0 <= a <= b")
         _require(b <= horizon, f"agent {agent_id}: goal window end {b} exceeds horizon")
         goals.append(Goal(lo=lo, hi=hi, window=(a, b), relative=bool(g.get("relative", True))))
@@ -315,11 +351,11 @@ def parse_model(text):
     _require("agents" in doc, "model document needs an 'agents' array")
     _require("horizon" in doc, "model document needs a 'horizon'")
 
-    T = float(doc["horizon"])
+    T = _scalar(doc["horizon"], "horizon")
     _require(T > 0, f"horizon must be positive, got {T}")
     tau = doc.get("tau")
     if tau is not None:
-        tau = float(tau)
+        tau = _scalar(tau, "tau")
         _require(0 < tau < T, f"tau must lie in (0, horizon); got {tau}")
 
     entries = doc["agents"]
@@ -331,7 +367,7 @@ def parse_model(text):
     _require(len(set(ids)) == len(ids), "duplicate agent ids")
     id_set = set(ids)
 
-    dims = {int(e.get("dim", 0)) for e in entries}
+    dims = {int(_scalar(e.get("dim", 0), "state dimension")) for e in entries}
     _require(len(dims) == 1, "all agents must share one state dimension")
     n = dims.pop()
     _require(n >= 1, "state dimension must be at least 1")
@@ -350,17 +386,17 @@ def parse_model(text):
             len(set(neighbors)) == len(neighbors),
             f"agent {agent_id}: duplicate neighbor ids",
         )
-        v_max = float(e.get("v_max", 0))
+        v_max = _scalar(e.get("v_max", 0), f"agent {agent_id}: v_max")
         _require(v_max > 0, f"agent {agent_id}: v_max must be positive")
-        M = float(e.get("M", 0))
+        M = _scalar(e.get("M", 0), f"agent {agent_id}: M")
         _require(M >= 0, f"agent {agent_id}: M must be nonnegative")
-        L1 = float(e.get("L1", 0))
-        L2 = float(e.get("L2", 0))
+        L1 = _scalar(e.get("L1", 0), f"agent {agent_id}: L1")
+        L2 = _scalar(e.get("L2", 0), f"agent {agent_id}: L2")
         _require(L1 >= 0 and L2 >= 0, f"agent {agent_id}: Lipschitz constants must be nonnegative")
         x0 = _floats(e.get("x0"), f"agent {agent_id} x0", n)
         reach_radius = e.get("reach_radius")
         if reach_radius is not None:
-            reach_radius = float(reach_radius)
+            reach_radius = _scalar(reach_radius, f"agent {agent_id}: reach_radius")
             _require(reach_radius > 0, f"agent {agent_id}: reach_radius must be positive")
         spec_entry = spec_doc.get(str(agent_id), {"goals": []})
         if isinstance(spec_entry, dict):
@@ -375,7 +411,7 @@ def parse_model(text):
                 id=agent_id,
                 dim=n,
                 neighbors=neighbors,
-                dynamics=_parse_dynamics(e.get("dynamics"), n, len(neighbors), agent_id),
+                dynamics=_parse_dynamics(e.get("dynamics"), n, neighbors, agent_id),
                 v_max=v_max,
                 M=M,
                 L1=L1,
@@ -423,23 +459,17 @@ def validate_bounds(model, samples, seed=0):
         sup_f = float(np.max(np.sqrt(np.sum(f * f, axis=-1))))
         ratio_M = sup_f / agent.M if agent.M > 0 else (0.0 if sup_f == 0 else math.inf)
 
+        g = saturate(f, agent.M)
+
         own2 = _ball_samples(rng, regions[agent.id], samples)
-        f2 = eval_f(agent, own2, block)
-        dx = np.sqrt(np.sum((own2 - own) ** 2, axis=-1))
-        df = np.sqrt(np.sum((_sat_rows(f2, agent.M) - _sat_rows(f, agent.M)) ** 2, axis=-1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q2 = np.where(dx > 0, df / dx, 0.0)
-        worst_L2 = float(np.max(q2)) if q2.size else 0.0
+        g2 = saturate(eval_f(agent, own2, block), agent.M)
+        worst_L2 = _worst_quotient(own, own2, g, g2)
 
         if agent.neighbors:
             nbrs2 = [_ball_samples(rng, regions[j], samples) for j in agent.neighbors]
             block2 = np.concatenate(nbrs2, axis=-1)
-            f3 = eval_f(agent, own, block2)
-            dj = np.sqrt(np.sum((block2 - block) ** 2, axis=-1))
-            df3 = np.sqrt(np.sum((_sat_rows(f3, agent.M) - _sat_rows(f, agent.M)) ** 2, axis=-1))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                q1 = np.where(dj > 0, df3 / dj, 0.0)
-            worst_L1 = float(np.max(q1)) if q1.size else 0.0
+            g3 = saturate(eval_f(agent, own, block2), agent.M)
+            worst_L1 = _worst_quotient(block, block2, g, g3)
         else:
             worst_L1 = 0.0
 
@@ -463,11 +493,13 @@ def validate_bounds(model, samples, seed=0):
     return BoundsReport(entries=entries, violations=violations)
 
 
-def _sat_rows(f, bound):
-    norms = np.sqrt(np.sum(f * f, axis=-1, keepdims=True))
+def _worst_quotient(x, x2, g, g2):
+    """Largest sampled difference quotient |g2 - g| / |x2 - x| over the rows."""
+    dx = np.sqrt(np.sum((x2 - x) ** 2, axis=-1))
+    dg = np.sqrt(np.sum((g2 - g) ** 2, axis=-1))
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(norms > bound, bound / norms, 1.0)
-    return f * scale
+        q = np.where(dx > 0, dg / dx, 0.0)
+    return float(np.max(q)) if q.size else 0.0
 
 
 def _ball_samples(rng, ball, count):

@@ -97,14 +97,6 @@ def _alive(progress, step, table, m):
     return step - base <= goal.b and base + goal.a <= m
 
 
-def _parents_initiating(abstraction, agent_id, parent_cells_k):
-    agent = abstraction.model.agent(agent_id)
-    for j, cell in zip(agent.neighbors, parent_cells_k):
-        if cell not in abstraction.decs[j].initiating_set:
-            return False
-    return True
-
-
 def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=None):
     """Per-step sets of (cell, claimed, last-claim-step) reachable states.
 
@@ -122,16 +114,17 @@ def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=Non
         if _alive((g, s), 0, table, m)
     }
     for k in range(m):
+        parents = tuple(parent_cells[k])
         grouped = {}
         for (l, g, s) in layers[k]:
-            if l in dec.initiating_set:
+            if abstraction.is_initiating(agent_id, (l,) + parents):
                 grouped.setdefault(l, set()).add((g, s))
-        if grouped and _parents_initiating(abstraction, agent_id, parent_cells[k]):
-            configs = [(l,) + tuple(parent_cells[k]) for l in sorted(grouped)]
+        if grouped:
+            configs = [(l,) + parents for l in sorted(grouped)]
             abstraction.post_many(agent_id, configs)
             nxt = set()
             for l in sorted(grouped):
-                succ = abstraction.post(agent_id, (l,) + tuple(parent_cells[k]))
+                succ = abstraction.post(agent_id, (l,) + parents)
                 for l2 in succ:
                     for prog in grouped[l]:
                         for prog2 in _advance(l2, prog, k + 1, table):
@@ -143,7 +136,6 @@ def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=Non
 
 def backward_prune(abstraction, agent_id, parent_cells, table, m, layers):
     """States on at least one goal-satisfying path of length m."""
-    dec = abstraction.decs[agent_id]
     G = len(table)
     good = [set() for _ in range(m + 1)]
     good[m] = {(l, g, s) for (l, g, s) in layers[m] if g == G}
@@ -151,13 +143,14 @@ def backward_prune(abstraction, agent_id, parent_cells, table, m, layers):
         by_cell = {}
         for (l2, g2, s2) in good[k + 1]:
             by_cell.setdefault(l2, set()).add((g2, s2))
-        if not by_cell or not _parents_initiating(abstraction, agent_id, parent_cells[k]):
+        if not by_cell:
             continue
+        parents = tuple(parent_cells[k])
         for (l, g, s) in layers[k]:
-            if l not in dec.initiating_set:
+            config = (l,) + parents
+            if not abstraction.is_initiating(agent_id, config):
                 continue
-            succ = abstraction.post(agent_id, (l,) + tuple(parent_cells[k]))
-            for l2 in succ:
+            for l2 in abstraction.post(agent_id, config):
                 progs = by_cell.get(l2)
                 if progs and _advance(l2, (g, s), k + 1, table) & progs:
                     good[k].add((l, g, s))
@@ -336,11 +329,8 @@ def product_synthesize(model, abstraction, cap=10**6):
                 for a, i in enumerate(ids)
             ):
                 continue
-            posts = []
-            for a, i in enumerate(ids):
-                config = grid.pr(model, dict(zip(ids, cells)), i)
-                posts.append(abstraction.post(i, config))
-            for combo in itertools.product(*posts):
+            for successor in abstraction.product_post(dict(zip(ids, cells))):
+                combo = tuple(successor[i] for i in ids)
                 prog_options = []
                 dead = False
                 for a, i in enumerate(ids):
@@ -356,7 +346,7 @@ def product_synthesize(model, abstraction, cap=10**6):
                 if dead:
                     continue
                 for prog_combo in itertools.product(*prog_options):
-                    nxt_node = (tuple(combo), tuple(prog_combo))
+                    nxt_node = (combo, tuple(prog_combo))
                     if nxt_node not in nxt:
                         nxt[nxt_node] = node
                         generated += 1

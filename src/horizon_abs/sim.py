@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller, grid, integrate, model as model_mod
-from .errors import IntegrationError, ModelError
+from .errors import ModelError
 
 MEMBERSHIP_SNAP = 1e-9
 
@@ -86,13 +86,10 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
             return out.reshape(-1)
 
         dense = integrate.rk4_dense(rhs, Y.reshape(-1), dt, substeps)
-        fine = integrate.rk4_endpoint(rhs, Y.reshape(-1), dt, 2 * substeps)
-        err = float(np.max(np.abs(dense.endpoint - fine))) * (16.0 / 15.0)
-        if err > integ_tol:
-            raise IntegrationError(
-                f"closed-loop audit on interval {k}: estimate {err:.3e} exceeds "
-                f"tolerance {integ_tol:.3e}"
-            )
+        integrate.check_audit(
+            rhs, Y.reshape(-1), dt, substeps, integ_tol,
+            what=f"closed-loop interval {k}", coarse=dense.endpoint,
+        )
         base = k * substeps
         for node in range(1 if k else 0, substeps + 1):
             Ynode = dense.ys[node].reshape(N, n)
@@ -271,26 +268,4 @@ def trajectory_from_csv(text):
 
 def final_states_from_csv(text):
     """Last sampled state per agent from a trajectory CSV."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines:
-        raise ModelError("empty trajectory file")
-    header = lines[0].split(",")
-    if header[:2] != ["t", "agent"] or len(header) < 4 or (len(header) - 2) % 2 != 0:
-        raise ModelError("malformed trajectory header")
-    n = (len(header) - 2) // 2
-    finals = {}
-    times = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ModelError(f"malformed trajectory row: {ln!r}")
-        try:
-            t = float(parts[0])
-            agent = int(parts[1])
-            x = np.array([float(v) for v in parts[2 : 2 + n]])
-        except ValueError as e:
-            raise ModelError(f"malformed trajectory row: {e}") from None
-        if agent not in times or t >= times[agent]:
-            times[agent] = t
-            finals[agent] = x
-    return finals
+    return trajectory_from_csv(text).final_states()

@@ -7,8 +7,6 @@ from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, reach
 from horizon_abs.errors import InfeasibleError, ModelError
 
-from conftest import make_model, make_stack, single_doc
-
 
 def pair_config(ab):
     own = grid.locate(ab.decs[2], ab.model.agent(2).x0)
@@ -127,15 +125,6 @@ def test_rebuild_reproduces_posts_and_endpoints(pair_stack):
         assert np.array_equal(fresh.endpoint(2, config), ab.endpoint(2, config))
 
 
-def test_threaded_posts_match_serial(pair_stack, monkeypatch):
-    model, params, ab = pair_stack
-    configs = initiating_configs(ab, 12)  # enough to engage the pool
-    monkeypatch.setenv("HORIZON_ABS_THREADS", "4")
-    threaded = abstraction_mod.build_abstraction(model, params)
-    assert threaded._threads == 4
-    assert threaded.post_many(2, configs) == ab.post_many(2, configs)
-
-
 def test_product_post_synchronizes_agents(pair_stack):
     model, _, ab = pair_stack
     cells = {1: pair_config(ab)[1], 2: pair_config(ab)[0]}
@@ -146,22 +135,6 @@ def test_product_post_synchronizes_agents(pair_stack):
     assert {(c[1], c[2]) for c in combos} == set(
         (a, b) for a in post1 for b in post2
     )
-
-
-def test_enumerate_paths_visits_exactly_the_product_tree():
-    model, params, ab = make_stack(single_doc())
-    start = {1: grid.locate(ab.decs[1], model.agent(1).x0)}
-    seen = []
-    ab.enumerate_paths(start, 2, seen.append)
-
-    expected = []
-    for first in ab.product_post(start):
-        if not ab.is_initiating(1, grid.pr(model, first, 1)):
-            continue
-        for second in ab.product_post(first):
-            expected.append([start, first, second])
-    assert seen == expected
-    assert all(len(p) == 3 for p in seen)
 
 
 def test_summary_counts(pair_stack):

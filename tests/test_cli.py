@@ -219,3 +219,20 @@ def test_chain_requires_a_trajectory(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     res = run_cli(["chain", "--model", model_path, "--out", tmp_path / "empty"])
     assert res.returncode == 1 and "error:" in res.stderr
+
+
+def test_chain_rejects_unbalanced_trajectory_rows(tmp_path):
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trajectory.csv").write_text(
+        "t,agent,x1,x2,v1,v2\n"
+        "0.0,1,0.0,0.0,0.0,0.0\n"
+        "0.0,2,1.0,1.0,0.0,0.0\n"
+        "0.5,1,0.2,0.1,0.0,0.0\n"
+    )
+    res = run_cli(["chain", "--model", model_path, "--out", out])
+    assert res.returncode == 1
+    assert "error:" in res.stderr and "unbalanced" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / "next_model.json").exists()

@@ -2,11 +2,13 @@
 and the exact auxiliary closed form against numerical integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from horizon_abs import controller, grid, integrate, reach
+from horizon_abs import model as model_mod
 from horizon_abs.errors import ModelError
 
 from conftest import DRAW_SUBSTEPS
@@ -45,14 +47,20 @@ def follower_control(ab, config, rng):
 
 
 def test_saturate():
+    saturate = model_mod.saturate
     inside = np.array([0.3, -0.4])
-    assert np.array_equal(controller.saturate(inside, 1.0), inside)
-    out = controller.saturate(np.array([3.0, 4.0]), 1.0)
+    assert np.array_equal(saturate(inside, 1.0), inside)
+    out = saturate(np.array([3.0, 4.0]), 1.0)
     assert np.linalg.norm(out) == pytest.approx(1.0, rel=1e-15)
     assert np.allclose(out, [0.6, 0.8])
-    assert np.array_equal(controller.saturate(np.zeros(3), 2.0), np.zeros(3))
-    batch = controller.saturate(np.array([[3.0, 4.0], [0.1, 0.0]]), 1.0)
+    assert np.array_equal(saturate(np.zeros(3), 2.0), np.zeros(3))
+    batch = saturate(np.array([[3.0, 4.0], [0.1, 0.0]]), 1.0)
     assert np.allclose(batch, [[0.6, 0.8], [0.1, 0.0]])
+    # a zero bound (M = 0) maps every row, the zero row included, to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = saturate(np.array([[3.0, 4.0], [0.0, 0.0]]), 0.0)
+    assert np.array_equal(zero, np.zeros((2, 2)))
 
 
 def test_eval_g_saturates_the_raw_field(pair_stack):

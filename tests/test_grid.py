@@ -112,7 +112,7 @@ def test_initiating_cells_lie_inside_the_inner_ball():
         assert np.all(dec.inner.contains(pts, slack=1e-12))
     # a cell at the region rim cannot initiate
     rim = grid.locate(dec, dec.region.center + np.array([dec.region.radius - 1e-6, 0.0]))
-    assert not grid.initiating(dec, rim)
+    assert rim not in dec.initiating_set
 
 
 def test_zero_radius_ball_hits_exactly_the_containing_cell():

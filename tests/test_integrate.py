@@ -81,7 +81,7 @@ def test_audit_tracks_true_error():
     coarse = integrate.rk4_endpoint(rhs, np.array([0.0]), 1.0, substeps)
     truth = integrate.rk4_endpoint(rhs, np.array([0.0]), 1.0, 4096)
     actual = abs(coarse[0] - truth[0])
-    estimate = integrate.audit_endpoint_error(rhs, np.array([0.0]), 1.0, substeps)
+    estimate = integrate.check_audit(rhs, np.array([0.0]), 1.0, substeps, math.inf)
     assert 0.5 * actual <= estimate <= 2.0 * actual
 
 
@@ -93,6 +93,13 @@ def test_check_audit_raises_and_returns():
     assert err <= 1e-6
     with pytest.raises(IntegrationError, match="probe"):
         integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-12, what="probe")
+    # a caller holding the coarse endpoint (a dense run's last node) gets the same estimate
+    coarse = integrate.rk4_dense(rhs, np.array([0.0]), 1.0, 200).endpoint
+    reused = integrate.check_audit(rhs, np.array([0.0]), 1.0, 200, 1e-6, coarse=coarse)
+    assert reused == err
+    coarse = integrate.rk4_dense(rhs, np.array([0.0]), 1.0, 4).endpoint
+    with pytest.raises(IntegrationError, match="probe"):
+        integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-12, what="probe", coarse=coarse)
 
 
 def test_reproducibility_is_bitwise():

@@ -254,6 +254,89 @@ def test_validate_bounds_report():
     assert any("exceeds M" in v for v in report.violations)
 
 
+def fan_in_doc(weights):
+    """The pair plus a third agent listening to agents 2 and 1, in that order."""
+    doc = pair_doc()
+    doc["agents"].append(
+        {
+            "id": 3,
+            "dim": 2,
+            "neighbors": [2, 1],
+            "dynamics": {"type": "linear-consensus", "weights": weights},
+            "v_max": 4.0,
+            "M": 8.0,
+            "L1": 1.0,
+            "L2": 1.0,
+            "x0": [0.0, 2.0],
+            "reach_radius": 9.0,
+        }
+    )
+    return doc
+
+
+@pytest.mark.parametrize("weights", [{"1": 0.25, "2": 0.5}, [0.5, 0.25]])
+def test_consensus_weights_follow_neighbor_order(weights):
+    agent = make_model(fan_in_doc(weights)).agent(3)
+    assert agent.dynamics.weights == (0.5, 0.25)
+    x = np.array([1.0, -1.0])
+    x2, x1 = np.array([3.0, 1.0]), np.array([-1.0, 5.0])
+    np.testing.assert_allclose(
+        model_mod.eval_f(agent, x, np.concatenate([x2, x1])),
+        0.5 * (x2 - x) + 0.25 * (x1 - x),
+    )
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        "5",
+        "55",
+        0.5,
+        {"1": 0.5},
+        {"1": 0.5, "2": 0.5, "3": 0.5},
+        {"1": "heavy", "2": 0.5},
+        {"1": None, "2": 0.5},
+        [0.5],
+        [[0.5], [0.25]],
+    ],
+)
+def test_consensus_weights_rejections(weights):
+    with pytest.raises(ModelError):
+        make_model(fan_in_doc(weights))
+
+
+NON_FINITE_FIELDS = {
+    "horizon": lambda d, v: d.update(horizon=v),
+    "dim": lambda d, v: [a.update(dim=v) for a in d["agents"]],
+    "tau": lambda d, v: d.update(tau=v),
+    "v_max": lambda d, v: d["agents"][1].update(v_max=v),
+    "M": lambda d, v: d["agents"][1].update(M=v),
+    "L1": lambda d, v: d["agents"][1].update(L1=v),
+    "L2": lambda d, v: d["agents"][1].update(L2=v),
+    "x0": lambda d, v: d["agents"][1].update(x0=[v, 0.0]),
+    "reach_radius": lambda d, v: d["agents"][1].update(reach_radius=v),
+    "goal_box": lambda d, v: d["spec"]["2"]["goals"][0]["box"][1].__setitem__(0, v),
+    "goal_window": lambda d, v: d["spec"]["2"]["goals"][0]["window"].__setitem__(0, v),
+    "weights_object": lambda d, v: d["agents"][1]["dynamics"].update(weights={"1": v}),
+    "weights_list": lambda d, v: d["agents"][1]["dynamics"].update(weights=[v]),
+    "hill_C": lambda d, v: d["agents"][0].update(dynamics={"type": "gradient-hill", "C": v, "R": 1.0}),
+    "affine_A": lambda d, v: d["agents"][0].update(dynamics={"type": "affine", "A": [[v, 0], [0, 0]]}),
+    "expression_param": lambda d, v: d["agents"][0].update(
+        dynamics={"type": "expression", "exprs": ["c", "0"], "params": {"c": v}}
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_non_finite_numbers_rejected_at_parse_time(field, value):
+    doc = pair_doc()
+    NON_FINITE_FIELDS[field](doc, value)
+    text = json.dumps(doc)  # writes NaN / Infinity, which json.loads accepts
+    with pytest.raises(ModelError, match="finite"):
+        model_mod.parse_model(text)
+
+
 def test_raw_document_round_trip():
     doc = pair_doc()
     model = make_model(doc)
