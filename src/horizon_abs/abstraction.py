@@ -71,6 +71,15 @@ class Abstraction:
         nbr = np.concatenate(blocks) if blocks else np.zeros(0)
         return own, nbr
 
+    def _stacked_refs(self, agent_id, configs):
+        """Reference points of many configurations, one row each."""
+        agent = self.model.agent(agent_id)
+        own = np.empty((len(configs), agent.dim))
+        nbr = np.empty((len(configs), len(agent.neighbors) * agent.dim))
+        for row, config in enumerate(configs):
+            own[row], nbr[row] = self.config_refs(agent_id, config)
+        return own, nbr
+
     def is_initiating(self, agent_id, config):
         agent = self.model.agent(agent_id)
         if config[0] not in self.decs[agent_id].initiating_set:
@@ -112,10 +121,7 @@ class Abstraction:
                 missing.append(config)
         missing = sorted(set(missing))
         if missing:
-            own = np.empty((len(missing), agent.dim))
-            nbr = np.empty((len(missing), len(agent.neighbors) * agent.dim))
-            for row, config in enumerate(missing):
-                own[row], nbr[row] = self.config_refs(agent_id, config)
+            own, nbr = self._stacked_refs(agent_id, missing)
             endpoints = controller.reference_endpoints(
                 agent, own, nbr, self.params.dt, self.substeps
             )
@@ -141,12 +147,15 @@ class Abstraction:
                 self._post_cache[(agent_id, config)] = cells
         return [self._post_cache[(agent_id, config)] for config in configs]
 
-    def reference_for(self, agent_id, config):
-        """Dense, audited reference trajectory (recomputed on every call)."""
+    def reference_for(self, agent_id, configs):
+        """Dense, audited reference trajectories, integrated in one batch.
+
+        Row r of the result belongs to ``configs[r]``; nothing is cached.
+        """
         agent = self.model.agent(agent_id)
-        own, nbr = self.config_refs(agent_id, config)
+        own, nbr = self._stacked_refs(agent_id, configs)
         return controller.integrate_reference(
-            agent, own, nbr, self.params.dt, self.substeps, self.integ_tol, config=config
+            agent, own, nbr, self.params.dt, self.substeps, self.integ_tol, config=configs
         )
 
     def successor_action(self, agent_id, config, target):

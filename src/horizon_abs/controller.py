@@ -31,12 +31,14 @@ def r_i(lam, dt, v_max):
 
 @dataclass(frozen=True, eq=False)
 class ReferenceTrajectory:
+    """One reference, or a batch of them along the leading axes of its arrays."""
+
     agent_id: int
-    config: tuple
+    config: object
     own_ref: np.ndarray
     nbr_refs: np.ndarray
     traj: integrate.DenseTrajectory
-    audit_err: float
+    audit_err: object
 
     @property
     def endpoint(self):
@@ -59,7 +61,9 @@ def integrate_reference(
 
     The neighbor block is frozen at the neighbors' reference points for
     the whole interval, so the reference depends only on the cell
-    configuration, never on the continuous state.
+    configuration, never on the continuous state.  ``own_ref`` and
+    ``nbr_refs`` may carry leading batch axes, one reference per row;
+    every row is audited, and ``audit_err`` holds one estimate per row.
     """
     own_ref = np.asarray(own_ref, dtype=float)
     nbr_refs = np.asarray(nbr_refs, dtype=float)
@@ -121,16 +125,27 @@ class TransitionControl:
     lam: float
     dt: float
 
-    def kbar(self, t, x_i, d_j):
-        k1 = eval_g(self.agent, self.reference.eval(t), self.reference.nbr_refs) - eval_g(
-            self.agent, x_i, d_j
-        )
+    def law(self, t, g_x):
+        """(kbar, k) at time t, given the bounded own field g_x = g(x_i, d_j)."""
+        k1 = eval_g(self.agent, self.reference.eval(t), self.reference.nbr_refs) - g_x
         k2 = self.lam * self.w
         k3 = (self.x_G - self.x0) / self.dt
-        return k1 + k2 + k3
+        return feedback(k1, k2, k3, self.agent.v_max)
 
     def k(self, t, x_i, d_j):
-        return model_mod.saturate(self.kbar(t, x_i, d_j), self.agent.v_max)
+        return self.law(t, eval_g(self.agent, x_i, d_j))[1]
+
+
+def feedback(k1, k2, k3, v_max):
+    """The transition feedback kbar = k1 + k2 + k3 and its saturation k.
+
+    k1 = g(reference) - g(x_i, d_j) cancels the own dynamics against the
+    reference, k2 = lambda * w steers, k3 = (x_G - x0) / dt corrects the
+    start offset.  Arguments broadcast, so one call serves a single agent
+    or a whole network with ``v_max`` as a column.
+    """
+    kbar = k1 + k2 + k3
+    return kbar, model_mod.saturate(kbar, v_max)
 
 
 def closed_form_endpoint(ctrl, t):
@@ -163,11 +178,11 @@ def integrate_auxiliary(
     record = {"max": 0.0, "track": True}
 
     def rhs(t, z):
-        d = disturbance(t)
-        u_bar = ctrl.kbar(t, z, d)
+        g_z = eval_g(ctrl.agent, z, disturbance(t))
+        u_bar, u = ctrl.law(t, g_z)
         if record["track"]:
             record["max"] = max(record["max"], float(np.sqrt(np.sum(u_bar * u_bar))))
-        return eval_g(ctrl.agent, z, d) + model_mod.saturate(u_bar, ctrl.agent.v_max)
+        return g_z + u
 
     endpoint = integrate.rk4_endpoint(rhs, ctrl.x0, ctrl.dt, substeps)
     record["track"] = False

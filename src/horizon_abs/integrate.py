@@ -85,16 +85,21 @@ def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=Non
     Halving the step scales the RK4 global error roughly 16-fold, so the
     error of the run we actually return (the coarse one) is about 16/15
     of the coarse-fine endpoint gap.  Pass ``coarse`` when the caller
-    already holds the substeps-step endpoint; raises IntegrationError
-    when the estimate exceeds ``integ_tol``.
+    already holds the substeps-step endpoint.  The estimate is taken per
+    row over the last axis, so a batch of independent states gets one
+    estimate each (a float for a single state).  Raises IntegrationError
+    when an endpoint is not finite or any estimate exceeds ``integ_tol``.
     """
     if coarse is None:
         coarse = rk4_endpoint(rhs, y0, dt, substeps)
     fine = rk4_endpoint(rhs, y0, dt, 2 * substeps)
-    err = float(np.max(np.abs(coarse - fine))) * (16.0 / 15.0)
-    if err > integ_tol:
+    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
+        raise IntegrationError(f"{what} audit: the integrated endpoint is not finite")
+    err = np.max(np.abs(coarse - fine), axis=-1) * (16.0 / 15.0)
+    worst = float(np.max(err))
+    if worst > integ_tol:
         raise IntegrationError(
-            f"{what} audit: step-halving estimate {err:.3e} exceeds "
+            f"{what} audit: step-halving estimate {worst:.3e} exceeds "
             f"tolerance {integ_tol:.3e}; raise substeps"
         )
-    return err
+    return err if err.ndim else float(err)

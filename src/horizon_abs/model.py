@@ -22,6 +22,9 @@ _HILL_SERIES_CUTOFF = 1e-8
 class ZeroDynamics:
     variant = "zero"
 
+    def key(self):
+        return ()
+
     def eval(self, x_i, neighbors):
         return np.zeros_like(np.asarray(x_i, dtype=float))
 
@@ -33,6 +36,9 @@ class ConsensusDynamics:
 
     def __init__(self, weights):
         self.weights = tuple(float(w) for w in weights)
+
+    def key(self):
+        return self.weights
 
     def eval(self, x_i, neighbors):
         x_i = np.asarray(x_i, dtype=float)
@@ -59,12 +65,15 @@ class HillDynamics:
         self.C = float(C)
         self.R = float(R)
 
+    def key(self):
+        return (self.C, self.R)
+
     def eval(self, x_i, neighbors):
         x = np.asarray(x_i, dtype=float)
-        rho = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+        rho = np.sqrt((x * x).sum(axis=-1, keepdims=True))
         coef = self.C * math.pi / self.R
-        with np.errstate(invalid="ignore", divide="ignore"):
-            radial = np.where(rho > 0, coef * np.sin(math.pi * rho / self.R) / rho, 0.0)
+        # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
+        radial = coef * np.sin(math.pi * rho / self.R) / np.where(rho > 0, rho, 1.0)
         series = self.C * (math.pi / self.R) ** 2
         scale = np.where(rho < _HILL_SERIES_CUTOFF, series, radial)
         scale = np.where(rho >= self.R, 0.0, scale)
@@ -72,7 +81,11 @@ class HillDynamics:
 
 
 class AffineDynamics:
-    """f = A x_i + sum_k B_k x_jk + b with per-block matrices."""
+    """f = A x_i + sum_k B_k x_jk + b with per-block matrices.
+
+    The products are row-wise sums rather than matmul, so a row's value
+    does not depend on how many rows are evaluated with it.
+    """
 
     variant = "affine"
 
@@ -81,12 +94,20 @@ class AffineDynamics:
         self.B_blocks = tuple(np.asarray(B, dtype=float) for B in B_blocks)
         self.b = np.asarray(b, dtype=float)
 
+    def key(self):
+        return tuple(m.tobytes() for m in (self.A, *self.B_blocks, self.b))
+
     def eval(self, x_i, neighbors):
-        x_i = np.asarray(x_i, dtype=float)
-        out = x_i @ self.A.T + self.b
+        out = _rowwise_product(self.A, x_i) + self.b
         for B, block in zip(self.B_blocks, neighbors):
-            out = out + np.asarray(block, dtype=float) @ B.T
+            out = out + _rowwise_product(B, block)
         return out
+
+
+def _rowwise_product(A, x):
+    """A @ x for every row x of the batch."""
+    x = np.asarray(x, dtype=float)
+    return np.sum(x[..., None, :] * A, axis=-1)
 
 
 class ExpressionDynamics:
@@ -101,6 +122,9 @@ class ExpressionDynamics:
             ast, used = expr.parse_expression(text, self.params)
             self.asts.append(ast)
             self.symbols |= used
+
+    def key(self):
+        return (self.texts, tuple(sorted(self.params.items())))
 
     def eval(self, x_i, neighbors):
         x_i = np.asarray(x_i, dtype=float)
@@ -178,10 +202,9 @@ def eval_f(agent, x_i, x_j):
 def saturate(v, bound):
     """Radial projection onto the closed ball of the given radius (bound >= 0)."""
     v = np.asarray(v, dtype=float)
-    norms = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    over = norms > bound
-    # rows at or under the bound never divide, so no zero norm reaches bound / norms
-    return v * np.where(over, bound / np.where(over, norms, 1.0), 1.0)
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    # rows at or under the bound keep the factor 1 and never divide, so a zero norm is never read
+    return v * np.divide(bound, norms, out=np.ones_like(norms), where=norms > bound)
 
 
 def split_neighbor_block(agent, x_j):
@@ -360,6 +383,8 @@ def parse_model(text):
 
     entries = doc["agents"]
     _require(isinstance(entries, list) and entries, "'agents' must be a non-empty array")
+    for e in entries:
+        _require(isinstance(e, dict), f"agent entry must be an object, got {e!r}")
 
     ids = [e.get("id") for e in entries]
     for i in ids:
@@ -378,7 +403,12 @@ def parse_model(text):
     agents = []
     for e in entries:
         agent_id = e["id"]
-        neighbors = tuple(e.get("neighbors", ()))
+        neighbors = e.get("neighbors", [])
+        _require(
+            isinstance(neighbors, list) and all(type(j) is int for j in neighbors),
+            f"agent {agent_id}: neighbors must be an array of agent ids, got {neighbors!r}",
+        )
+        neighbors = tuple(neighbors)
         for j in neighbors:
             _require(j in id_set, f"agent {agent_id}: neighbor id {j} does not exist")
             _require(j != agent_id, f"agent {agent_id}: cannot neighbor itself")

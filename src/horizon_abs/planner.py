@@ -429,9 +429,14 @@ def extract_controls(model, abstraction, plan):
             raise PlanConsistencyError(
                 f"agent {i}: plan starts at {cells[0]} but the initial state is in {start}"
             )
+        configs = [
+            (tuple(cells[k]),) + tuple(tuple(plan.cells[j][k]) for j in agent.neighbors)
+            for k in range(plan.m)
+        ]
+        # one batched integration; a non-initiating configuration fails at its step below
+        abstraction.post_many(i, [c for c in configs if abstraction.is_initiating(i, c)])
         steps = []
-        for k in range(plan.m):
-            config = (tuple(cells[k]),) + tuple(tuple(plan.cells[j][k]) for j in agent.neighbors)
+        for k, config in enumerate(configs):
             target = tuple(cells[k + 1])
             succ = abstraction.post(i, config)
             if target not in succ:

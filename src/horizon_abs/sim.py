@@ -34,15 +34,64 @@ class Trajectory:
         return {i: self.states[-1, a] for a, i in enumerate(self.agent_ids)}
 
 
-def _neighbor_block(model, Y, agent):
-    if not agent.neighbors:
-        return np.zeros(0)
-    idx = {i: a for a, i in enumerate(model.agent_ids)}
-    return np.concatenate([Y[idx[j]] for j in agent.neighbors])
+class NetworkField:
+    """Raw fields of many rows at once, one eval_f call per group of rows.
+
+    Row r is ``agents[r]`` evaluated at row r of a stacked state array S,
+    with its neighbor block gathered from the rows ``neighbor_rows[r]`` of
+    S.  Rows share a group when their agents have equal dynamics (same
+    variant, equal parsed parameters) and the same neighbor count; the
+    gather indices are built once, here.
+    """
+
+    def __init__(self, agents, neighbor_rows):
+        groups = {}
+        for r, (agent, nbr) in enumerate(zip(agents, neighbor_rows)):
+            key = (agent.dynamics.variant, agent.dynamics.key(), len(nbr))
+            group = groups.setdefault(key, (agent, [], []))
+            group[1].append(r)
+            group[2].append(nbr)
+        self.rows = len(agents)
+        self.groups = [
+            (agent, np.array(rows), np.array(nbrs, dtype=int))
+            for agent, rows, nbrs in groups.values()
+        ]
+
+    def __call__(self, S):
+        F = np.empty((self.rows, S.shape[-1]))
+        for agent, rows, nbrs in self.groups:
+            F[rows] = model_mod.eval_f(agent, S[rows], S[nbrs].reshape(len(rows), -1))
+        return F
+
+
+def _neighbor_rows(model):
+    pos = {i: a for a, i in enumerate(model.agent_ids)}
+    return [[pos[j] for j in agent.neighbors] for agent in model.agents]
+
+
+def _schedule_references(abstraction, schedule, m):
+    """Every reference the schedule needs: one batched dense run per agent.
+
+    Returns, per agent, the batch and the row of each configuration in it.
+    """
+    refs = {}
+    for i, steps in schedule.items():
+        configs = list(dict.fromkeys(step.config for step in steps[:m]))
+        if configs:
+            rows = {config: r for r, config in enumerate(configs)}
+            refs[i] = (abstraction.reference_for(i, configs), rows)
+    return refs
 
 
 def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_tol=None):
-    """Integrate the coupled network under the plan's feedback schedule."""
+    """Integrate the coupled network under the plan's feedback schedule.
+
+    Each right-hand side evaluation stacks the network state, every
+    agent's reference state and the frozen neighbor reference points into
+    one array S and evaluates the raw field of all of them with one
+    eval_f call per group of equal dynamics, one saturation and one
+    feedback call.
+    """
     substeps = substeps or abstraction.substeps
     integ_tol = integ_tol or abstraction.integ_tol
     dt = abstraction.params.dt
@@ -53,59 +102,57 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     ts = np.empty(total)
     states = np.empty((total, N, n))
     inputs = np.zeros((total, N, n))
-    Y = np.stack([model.agent(i).x0 for i in ids])
+    Y = np.stack([agent.x0 for agent in model.agents])
     states[0] = Y
     ts[0] = 0.0
 
+    # S rows: network state [0, N), reference states [N, 2N), frozen
+    # neighbor reference points from 2N on, agent after agent
+    ref_nbrs, start = [], 2 * N
+    for agent in model.agents:
+        ref_nbrs.append(list(range(start, start + len(agent.neighbors))))
+        start += len(agent.neighbors)
+    field = NetworkField(model.agents * 2, _neighbor_rows(model) + ref_nbrs)
+    M = np.array([[agent.M] for agent in model.agents * 2])
+    v_max = np.array([[agent.v_max] for agent in model.agents])
+    lam = np.array([[abstraction.params.lam[i]] for i in ids])
+    refs = _schedule_references(abstraction, schedule, m)
+
     for k in range(m):
-        controls = []
-        for a, i in enumerate(ids):
-            step = schedule[i][k]
-            ref = abstraction.reference_for(i, step.config)
-            agent = model.agent(i)
-            controls.append(
-                controller.TransitionControl(
-                    agent=agent,
-                    reference=ref,
-                    x_G=ref.own_ref,
-                    x0=Y[a],
-                    w=step.w,
-                    lam=abstraction.params.lam[i],
-                    dt=dt,
-                )
-            )
+        picks = []
+        for i in ids:
+            batch, rows = refs[i]
+            picks.append((batch, rows[schedule[i][k].config]))
+        ref = integrate.DenseTrajectory(
+            picks[0][0].traj.ts,
+            np.stack([b.traj.ys[:, r] for b, r in picks], axis=1),
+            np.stack([b.traj.ds[:, r] for b, r in picks], axis=1),
+        )
+        nbr_refs = np.concatenate([b.nbr_refs[r].reshape(-1, n) for b, r in picks])
+        k2 = lam * np.stack([schedule[i][k].w for i in ids])
+        k3 = (np.stack([b.own_ref[r] for b, r in picks]) - Y) / dt
 
-        def rhs(t, flat):
-            Yk = flat.reshape(N, n)
-            out = np.empty_like(Yk)
-            for a, i in enumerate(ids):
-                agent = model.agent(i)
-                d = _neighbor_block(model, Yk, agent)
-                x = Yk[a]
-                out[a] = model_mod.eval_f(agent, x, d) + controls[a].k(t, x, d)
-            return out.reshape(-1)
+        def field_and_input(t, Yt):
+            F = field(np.concatenate((Yt, ref.eval(t), nbr_refs)))
+            g = model_mod.saturate(F, M)
+            return F[:N], controller.feedback(g[N:] - g[:N], k2, k3, v_max)[1]
 
-        dense = integrate.rk4_dense(rhs, Y.reshape(-1), dt, substeps)
+        def rhs(t, Yt):
+            f, u = field_and_input(t, Yt)
+            return f + u
+
+        dense = integrate.rk4_dense(rhs, Y, dt, substeps)
         integrate.check_audit(
-            rhs, Y.reshape(-1), dt, substeps, integ_tol,
+            rhs, Y, dt, substeps, integ_tol,
             what=f"closed-loop interval {k}", coarse=dense.endpoint,
         )
         base = k * substeps
-        for node in range(1 if k else 0, substeps + 1):
-            Ynode = dense.ys[node].reshape(N, n)
-            ts[base + node] = k * dt + dense.ts[node]
-            states[base + node] = Ynode
-        for node in range(0, substeps + 1):
-            Ynode = dense.ys[node].reshape(N, n)
-            for a, i in enumerate(ids):
-                agent = model.agent(i)
-                d = _neighbor_block(model, Ynode, agent)
-                inputs[base + node, a] = controls[a].k(dense.ts[node], Ynode[a], d)
-        Y = dense.endpoint.reshape(N, n)
+        ts[base + 1 : base + substeps + 1] = k * dt + dense.ts[1:]
+        states[base + 1 : base + substeps + 1] = dense.ys[1:]
+        for node in range(substeps + 1):
+            inputs[base + node] = field_and_input(dense.ts[node], dense.ys[node])[1]
+        Y = dense.endpoint
 
-    if m == 0:
-        for a, i in enumerate(ids):
-            inputs[0, a] = 0.0
     return Trajectory(
         ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
     )
@@ -114,35 +161,26 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
 def simulate_open_loop(model, v_fns, duration, substeps=integrate.DEFAULT_SUBSTEPS):
     """Integrate the coupled network under user-supplied admissible inputs."""
     ids = model.agent_ids
-    N = len(ids)
-    n = model.dim
+    field = NetworkField(model.agents, _neighbor_rows(model))
 
-    def rhs(t, flat):
-        Yk = flat.reshape(N, n)
-        out = np.empty_like(Yk)
-        for a, i in enumerate(ids):
-            agent = model.agent(i)
-            v = np.asarray(v_fns[i](t), dtype=float)
+    def inputs_at(t):
+        return np.stack([np.asarray(v_fns[i](t), dtype=float) for i in ids])
+
+    def rhs(t, Y):
+        V = inputs_at(t)
+        for agent, v in zip(model.agents, V):
             if np.sqrt(np.sum(v * v)) > agent.v_max * (1 + 1e-9):
                 raise ModelError(
-                    f"agent {i}: input magnitude exceeds v_max at t={t}"
+                    f"agent {agent.id}: input magnitude exceeds v_max at t={t}"
                 )
-            out[a] = model_mod.eval_f(agent, Yk[a], _neighbor_block(model, Yk, agent)) + v
-        return out.reshape(-1)
+        return field(Y) + V
 
-    Y0 = np.stack([model.agent(i).x0 for i in ids]).reshape(-1)
+    Y0 = np.stack([agent.x0 for agent in model.agents])
     dense = integrate.rk4_dense(rhs, Y0, duration, substeps)
-    states = dense.ys.reshape(-1, N, n)
-    inputs = np.stack(
-        [
-            np.stack([np.asarray(v_fns[i](t), dtype=float) for i in ids])
-            for t in dense.ts
-        ]
-    )
     return Trajectory(
         ts=dense.ts,
-        states=states,
-        inputs=inputs,
+        states=dense.ys,
+        inputs=np.stack([inputs_at(t) for t in dense.ts]),
         agent_ids=tuple(ids),
         dt=duration,
         substeps=substeps,

@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from horizon_abs import abstraction as abstraction_mod
+from horizon_abs import controller, integrate, planner, wellposed
 from horizon_abs import model as model_mod
-from horizon_abs import planner, wellposed
 
 FIVE_AGENTS = os.path.join(os.path.dirname(__file__), "..", "models", "five_agents.json")
 
@@ -97,6 +97,104 @@ def pair_doc():
             },
         },
     }
+
+
+def heterogeneous_doc():
+    """Every dynamics variant in one coupled network, with no goals.
+
+    Agents 3 and 4 give the same dict weights over the same two neighbors
+    listed in opposite orders, so their parsed weights differ.  Agents 5
+    and 9 share dynamics and neighbor count, and so do agents 1 and 10
+    (with different M).
+    """
+
+    def agent(i, neighbors, dynamics, x0, M=3.0):
+        return {
+            "id": i, "dim": 2, "neighbors": neighbors, "dynamics": dynamics,
+            "v_max": 1.0, "M": M, "L1": 0.1, "L2": 0.1, "x0": x0,
+        }
+
+    consensus = lambda weights: {"type": "linear-consensus", "weights": weights}  # noqa: E731
+    return {
+        "horizon": 1.0,
+        "tau": 0.3,
+        "agents": [
+            agent(1, [], {"type": "zero"}, [0.0, 0.0], M=0.5),
+            agent(2, [], {"type": "gradient-hill", "C": 1.0, "R": 4.0}, [0.7, -0.4]),
+            agent(3, [1, 2], consensus({"1": 0.3, "2": 0.7}), [0.5, 0.5]),
+            agent(4, [2, 1], consensus({"1": 0.3, "2": 0.7}), [-0.5, 0.5]),
+            agent(5, [3], consensus([0.5]), [0.9, 0.1]),
+            agent(6, [3], consensus([0.9]), [-0.3, -0.8]),
+            agent(7, [5], {
+                "type": "affine",
+                "A": [[-0.3, 0.2], [-0.1, -0.4]],
+                "B": [[[0.25, 0.0], [0.1, 0.3]]],
+                "b": [0.05, -0.1],
+            }, [0.2, 0.9]),
+            agent(8, [6], {
+                "type": "expression",
+                "exprs": ["0.6*(x_j1[1]-x_i[1])", "sin(x_i[2])*0.5 + 0.2*x_j1[1]"],
+            }, [-0.9, 0.3]),
+            agent(9, [4], consensus([0.5]), [0.1, -0.6]),
+            agent(10, [], {"type": "zero"}, [-0.6, -0.1], M=0.0),
+        ],
+        "spec": {},
+    }
+
+
+def per_agent_closed_loop(model, ab, schedule, m):
+    """The closed loop agent by agent, as the simulator computed it before
+    it was vectorized: one reference run and one TransitionControl per
+    agent and interval, and per right-hand side evaluation one eval_f and
+    one feedback call per agent.  Returns (ts, states, inputs).
+    """
+    dt, substeps = ab.params.dt, ab.substeps
+    N, n = len(model.agents), model.dim
+    pos = {i: a for a, i in enumerate(model.agent_ids)}
+
+    def block(Y, agent):
+        if not agent.neighbors:
+            return np.zeros(0)
+        return np.concatenate([Y[pos[j]] for j in agent.neighbors])
+
+    total = m * substeps + 1
+    ts = np.empty(total)
+    states = np.empty((total, N, n))
+    inputs = np.zeros((total, N, n))
+    Y = np.stack([agent.x0 for agent in model.agents])
+    states[0] = Y
+    ts[0] = 0.0
+    for k in range(m):
+        controls = []
+        for a, agent in enumerate(model.agents):
+            step = schedule[agent.id][k]
+            own, nbr = ab.config_refs(agent.id, step.config)
+            ref = controller.integrate_reference(agent, own, nbr, dt, substeps, ab.integ_tol)
+            controls.append(controller.TransitionControl(
+                agent=agent, reference=ref, x_G=ref.own_ref, x0=Y[a], w=step.w,
+                lam=ab.params.lam[agent.id], dt=dt,
+            ))
+
+        def rhs(t, flat):
+            Yk = flat.reshape(N, n)
+            out = np.empty_like(Yk)
+            for a, agent in enumerate(model.agents):
+                d = block(Yk, agent)
+                out[a] = model_mod.eval_f(agent, Yk[a], d) + controls[a].k(t, Yk[a], d)
+            return out.reshape(-1)
+
+        dense = integrate.rk4_dense(rhs, Y.reshape(-1), dt, substeps)
+        ys = dense.ys.reshape(-1, N, n)
+        base = k * substeps
+        for node in range(1 if k else 0, substeps + 1):
+            ts[base + node] = k * dt + dense.ts[node]
+            states[base + node] = ys[node]
+        for node in range(substeps + 1):
+            for a, agent in enumerate(model.agents):
+                d = block(ys[node], agent)
+                inputs[base + node, a] = controls[a].k(dense.ts[node], ys[node][a], d)
+        Y = ys[-1]
+    return ts, states, inputs
 
 
 def make_model(doc):

@@ -160,6 +160,22 @@ def test_exit_code_1_on_unreadable_or_invalid_input(tmp_path):
     assert res.returncode == 1 and "unknown agent" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(agents=[1]),
+        lambda d: d["agents"][1].update(neighbors=5),
+    ],
+)
+def test_exit_code_1_on_malformed_agent_entries(tmp_path, mutate):
+    doc = pair_doc()
+    mutate(doc)
+    model_path = write_model(tmp_path / "model.json", doc)
+    res = run_cli(["plan", "--model", model_path, "--out", tmp_path / "out"])
+    assert res.returncode == 1 and "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_exit_code_2_on_unsatisfiable_spec(tmp_path):
     doc = pair_doc()
     doc["spec"]["1"]["goals"][0]["window"] = [0.45, 0.55]  # misses every instant

@@ -28,11 +28,19 @@ def pair_config(ab):
     return (own, nbr)
 
 
+def single_reference(ab, agent_id, config):
+    own, nbr = ab.config_refs(agent_id, config)
+    return controller.integrate_reference(
+        ab.model.agent(agent_id), own, nbr, ab.params.dt, ab.substeps, ab.integ_tol,
+        config=config,
+    )
+
+
 def follower_control(ab, config, rng):
     model = ab.model
     target = ab.post(2, config)[0]
     action = ab.successor_action(2, config, target)
-    ref = ab.reference_for(2, config)
+    ref = single_reference(ab, 2, config)
     x0 = controller.sample_in_cell(ab.decs[2], config[0], rng)
     ctrl = controller.TransitionControl(
         agent=model.agent(2),
@@ -114,32 +122,57 @@ def test_select_w_boundary_and_errors():
     )
 
 
+def batch_configs(ab):
+    """Three configurations of the follower: the initial one and two more own cells."""
+    own, nbr = pair_config(ab)
+    cells = sorted(ab.decs[2].initiating_set)
+    return [(own, nbr), (cells[0], nbr), (cells[-1], nbr)]
+
+
 def test_reference_starts_at_own_point_and_obeys_speed_cap(pair_stack):
     model, params, ab = pair_stack
-    config = pair_config(ab)
-    ref = ab.reference_for(2, config)
-    own, nbr = ab.config_refs(2, config)
-    assert np.array_equal(ref.eval(0.0), own)
-    assert np.array_equal(ref.own_ref, own)
-    assert np.array_equal(ref.nbr_refs, nbr)
+    configs = batch_configs(ab)
+    ref = ab.reference_for(2, configs)
     M = model.agent(2).M
     ts, ys = ref.traj.ts, ref.traj.ys
-    gaps = np.linalg.norm(np.diff(ys, axis=0), axis=-1)
-    assert np.all(gaps <= M * np.diff(ts) * (1 + 1e-9) + 1e-12)
+    assert ys.shape == (ab.substeps + 1, len(configs), 2)
+    assert ref.audit_err.shape == (len(configs),)
+    for r, config in enumerate(configs):
+        own, nbr = ab.config_refs(2, config)
+        assert np.array_equal(ref.eval(0.0)[r], own)
+        assert np.array_equal(ref.own_ref[r], own)
+        assert np.array_equal(ref.nbr_refs[r], nbr)
+        gaps = np.linalg.norm(np.diff(ys[:, r], axis=0), axis=-1)
+        assert np.all(gaps <= M * np.diff(ts) * (1 + 1e-9) + 1e-12)
+        assert ref.audit_err[r] <= ab.integ_tol
     assert np.array_equal(ref.endpoint, ys[-1])
-    assert ref.audit_err <= ab.integ_tol
 
 
 def test_reference_endpoints_match_dense_solution(pair_stack):
+    """A batched dense run gives each row the bits of its single-row run."""
     model, params, ab = pair_stack
-    config = pair_config(ab)
-    ref = ab.reference_for(2, config)
-    own, nbr = ab.config_refs(2, config)
-    batched = controller.reference_endpoints(
-        model.agent(2), own[None], nbr[None], params.dt, ab.substeps
-    )
-    assert np.array_equal(batched[0], ref.endpoint)
-    assert np.array_equal(ab.endpoint(2, config), ref.endpoint)
+    configs = batch_configs(ab)
+    ref = ab.reference_for(2, configs)
+    for r, config in enumerate(configs):
+        single = single_reference(ab, 2, config)
+        assert np.array_equal(ref.traj.ys[:, r], single.traj.ys)
+        assert np.array_equal(ref.traj.ds[:, r], single.traj.ds)
+        assert ref.audit_err[r] == single.audit_err
+        own, nbr = ab.config_refs(2, config)
+        batched = controller.reference_endpoints(
+            model.agent(2), own[None], nbr[None], params.dt, ab.substeps
+        )
+        assert np.array_equal(batched[0], ref.endpoint[r])
+        assert np.array_equal(ab.endpoint(2, config), ref.endpoint[r])
+
+
+def test_batched_reference_audit_names_the_agent(pair_stack):
+    _, params, ab = pair_stack
+    own, nbr = (np.stack(refs) for refs in zip(*(ab.config_refs(2, c) for c in batch_configs(ab))))
+    with pytest.raises(integrate.IntegrationError, match="reference of agent 2 audit"):
+        controller.integrate_reference(
+            ab.model.agent(2), own, nbr, params.dt, substeps=2, integ_tol=1e-16
+        )
 
 
 def test_auxiliary_matches_closed_form(pair_stack):

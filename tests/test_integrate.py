@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,26 @@ def test_check_audit_raises_and_returns():
     coarse = integrate.rk4_dense(rhs, np.array([0.0]), 1.0, 4).endpoint
     with pytest.raises(IntegrationError, match="probe"):
         integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-12, what="probe", coarse=coarse)
+
+
+def test_check_audit_is_per_row():
+    def rhs(t, y):
+        return np.stack([np.exp(t) * np.sin(5 * t) + 0 * y[..., 0], 0 * y[..., 1]], axis=-1)
+
+    err = integrate.check_audit(rhs, np.zeros((3, 2)), 1.0, 200, 1e-6)
+    single = integrate.check_audit(rhs, np.zeros(2), 1.0, 200, 1e-6)
+    assert err.shape == (3,) and np.all(err == single)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_audit_rejects_non_finite_endpoints(bad):
+    def rhs(t, y):
+        return np.full_like(y, bad)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="probe audit: .* not finite"):
+            integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-6, what="probe")
 
 
 def test_reproducibility_is_bitwise():

@@ -58,6 +58,9 @@ def test_goal_forms_and_relative_default():
         lambda d: d.update(spec={"1": {"goals": [{"box": [[0, 0], [1, 1]], "window": [0.9, 0.2]}]}}),
         lambda d: d.update(spec={"1": {"goals": [{"box": [[1, 1], [0, 0]], "window": [0.2, 0.9]}]}}),
         lambda d: d.update(spec={"1": {"goals": [{"box": [[0, 0], [1, 1]], "window": [0.2, 5.0]}]}}),
+        lambda d: d.update(agents=[1]),
+        lambda d: d["agents"][0].update(neighbors=5),
+        lambda d: d["agents"][0].update(neighbors=[[1]]),
     ],
 )
 def test_parse_rejections(mutate):
@@ -180,6 +183,23 @@ def test_affine_dynamics():
         model_mod.eval_f(agent, x, y),
         np.array([2.0 + 2.0 + 0.1, -1.0 + 3.0 - 0.2]),
     )
+
+
+def test_affine_rows_do_not_depend_on_the_batch():
+    doc = pair_doc()
+    doc["agents"][1]["dynamics"] = {
+        "type": "affine",
+        "A": [[0.3, 1.7], [-1.1, 0.45]],
+        "B": [[[0.5, -0.25], [0.125, 0.5]]],
+        "b": [0.1, -0.2],
+    }
+    agent = make_model(doc).agent(2)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((500, 2)) * 1e3
+    D = rng.standard_normal((500, 2)) * 1e-3
+    batched = model_mod.eval_f(agent, X, D)
+    rows = np.array([model_mod.eval_f(agent, x, d) for x, d in zip(X, D)])
+    assert np.array_equal(batched, rows)
 
 
 def test_expression_dynamics_equals_consensus():

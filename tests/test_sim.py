@@ -5,10 +5,17 @@ import copy
 import numpy as np
 import pytest
 
+from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, planner, sim
-from horizon_abs.errors import ModelError
+from horizon_abs.errors import IntegrationError, ModelError
 
-from conftest import make_model, make_stack, single_doc
+from conftest import (
+    heterogeneous_doc,
+    make_model,
+    make_stack,
+    per_agent_closed_loop,
+    single_doc,
+)
 
 
 def decoupled_doc():
@@ -95,6 +102,66 @@ def test_decoupled_network_equals_independent_runs():
         assert np.array_equal(solo_traj.inputs[:, 0], traj.inputs[:, a])
 
 
+def heterogeneous_schedule(ab, m, rng):
+    """Per step, each agent's own cell is one of two initiating cells near
+    its start (so configurations repeat), its neighbors' cells are theirs,
+    and w is a random admissible parameter."""
+    model = ab.model
+    cells = {}
+    for agent in model.agents:
+        dec = ab.decs[agent.id]
+        near = sorted(
+            dec.initiating_set,
+            key=lambda c: float(np.sum((grid.reference_point(dec, c) - agent.x0) ** 2)),
+        )[:2]
+        cells[agent.id] = [near[int(rng.integers(2))] for _ in range(m)]
+    schedule = {}
+    for agent in model.agents:
+        steps = []
+        for k in range(m):
+            config = (cells[agent.id][k],) + tuple(cells[j][k] for j in agent.neighbors)
+            w = rng.uniform(-0.5, 0.5, size=2) * agent.v_max
+            steps.append(planner.StepControl(config=config, target=None, w=w, point=None))
+        schedule[agent.id] = steps
+    return schedule
+
+
+def test_network_field_groups_equal_dynamics_only():
+    model = make_model(heterogeneous_doc())
+    field = sim.NetworkField(model.agents, sim._neighbor_rows(model))
+    groups = sorted(sorted(model.agents[r].id for r in rows) for _, rows, _ in field.groups)
+    assert groups == [[1, 10], [2], [3], [4], [5, 9], [6], [7], [8]]
+
+
+def test_vectorized_closed_loop_matches_the_per_agent_loop():
+    """Bit for bit, on every dynamics variant, against the per-agent oracle."""
+    model, params, ab = make_stack(heterogeneous_doc(), steps=4, integ_tol=1e-6)
+    m = 4
+    schedule = heterogeneous_schedule(ab, m, np.random.default_rng(3))
+    traj = sim.simulate_closed_loop(model, ab, schedule, m)
+    ts, states, inputs = per_agent_closed_loop(model, ab, schedule, m)
+    assert np.array_equal(traj.ts, ts)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.inputs, inputs)
+    assert np.any(inputs != 0)
+
+
+def test_closed_loop_audit_failure_names_the_interval(pair_run):
+    model, ab, plan, schedule, _ = pair_run
+    with pytest.raises(IntegrationError, match="closed-loop interval 0 audit"):
+        sim.simulate_closed_loop(model, ab, schedule, plan.m, integ_tol=1e-30)
+
+
+def test_reference_audit_failure_names_the_agent(pair_run):
+    """Agent 1's references are constant and pass; agent 2's batch fails."""
+    model, ab, plan, schedule, _ = pair_run
+    strict = abstraction_mod.Abstraction(
+        model, ab.params, ab.families, ab.decs, substeps=ab.substeps, integ_tol=1e-30
+    )
+    with pytest.raises(IntegrationError, match="reference of agent 2 audit"):
+        sim.simulate_closed_loop(model, strict, schedule, plan.m, integ_tol=1.0)
+
+
 def test_trajectory_grid_and_time_axis(pair_run):
     model, ab, plan, schedule, traj = pair_run
     dt = ab.params.dt
@@ -128,8 +195,8 @@ def test_realized_steps_match_the_planned_points(pair_run):
         lam = ab.params.lam[i]
         for k in range(plan.m):
             step = schedule[i][k]
-            ref = ab.reference_for(i, step.config)
-            predicted = ref.eval(dt) + lam * dt * step.w
+            ref = ab.reference_for(i, [step.config])
+            predicted = ref.eval(dt)[0] + lam * dt * step.w
             realized = traj.state_at_step(a, k + 1)
             assert np.max(np.abs(realized - predicted)) <= 5e-8
             assert np.max(np.abs(realized - step.point)) <= 5e-8
