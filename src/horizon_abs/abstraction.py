@@ -13,13 +13,12 @@ Post sets are memoized per configuration and never enumerated eagerly;
 planning only ever touches reachable configurations.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import controller, grid, integrate, reach
-from .errors import InfeasibleError, ModelError
+from .errors import InfeasibleError, IntegrationError, ModelError
 
 ENDPOINT_BALL_SLACK = 1e-9
 
@@ -125,6 +124,13 @@ class Abstraction:
             endpoints = controller.reference_endpoints(
                 agent, own, nbr, self.params.dt, self.substeps
             )
+            finite = np.all(np.isfinite(endpoints), axis=-1)
+            if not np.all(finite):
+                config = missing[int(np.argmin(finite))]
+                raise IntegrationError(
+                    f"agent {agent_id}: the reference endpoint of configuration {config} "
+                    "is not finite"
+                )
             radius = self.radius(agent_id)
             center_gap = np.sqrt(
                 np.sum((endpoints - dec.region.center) ** 2, axis=-1)
@@ -180,16 +186,6 @@ class Abstraction:
             endpoint, point, self.params.lam[agent_id], self.params.dt, agent.v_max
         )
         return Action(agent_id=agent_id, config=config, target=target, point=point, w=w)
-
-    def product_post(self, cells_by_agent):
-        """Lazy synchronized successors of a full cell assignment."""
-        ids = self.model.agent_ids
-        posts = []
-        for i in ids:
-            config = grid.pr(self.model, cells_by_agent, i)
-            posts.append(self.post(i, config))
-        for combo in itertools.product(*posts):
-            yield dict(zip(ids, combo))
 
     def summary(self):
         per_agent = {}

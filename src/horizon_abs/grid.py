@@ -219,15 +219,18 @@ def cells_intersecting_ball(dec, ball):
 
 
 def label_cells(dec, lo, hi):
-    """Cells whose full box sits inside the closed goal box [lo, hi]."""
+    """Cells whose full box sits inside the closed goal box [lo, hi].
+
+    One mask over the sorted lattice, with the box arithmetic of
+    ``CellDecomposition.box``; the result stays in sorted index order.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out = []
-    for lattice in dec.sorted_indices:
-        cell_lo, cell_hi = dec.box(lattice)
-        if np.all(cell_lo >= lo - 1e-12) and np.all(cell_hi <= hi + 1e-12):
-            out.append(lattice)
-    return out
+    lattice = np.array(dec.sorted_indices, dtype=float).reshape(-1, dec.dim)
+    cell_lo = dec.anchor + dec.side * lattice
+    cell_hi = cell_lo + dec.side
+    inside = np.all(cell_lo >= lo - 1e-12, axis=1) & np.all(cell_hi <= hi + 1e-12, axis=1)
+    return [dec.sorted_indices[r] for r in np.flatnonzero(inside)]
 
 
 def pr(model, cells_by_agent, agent_id):

@@ -97,6 +97,11 @@ def _alive(progress, step, table, m):
     return step - base <= goal.b and base + goal.a <= m
 
 
+def _claim_options(cell, progress, step, table, m):
+    """Sorted claim chains on arrival at step that can still complete by m."""
+    return sorted(p for p in _advance(cell, progress, step, table) if _alive(p, step, table, m))
+
+
 def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=None):
     """Per-step sets of (cell, claimed, last-claim-step) reachable states.
 
@@ -295,12 +300,8 @@ def product_synthesize(model, abstraction, cap=10**6):
         grid.locate(abstraction.decs[i], model.agent(i).x0) for i in ids
     )
     init_progress = [
-        sorted(
-            p
-            for p in _advance(start_cells[k], (0, 0), 0, tables[i])
-            if _alive(p, 0, tables[i], m_max)
-        )
-        for k, i in enumerate(ids)
+        _claim_options(start_cells[a], (0, 0), 0, tables[i], m_max)
+        for a, i in enumerate(ids)
     ]
     layer = {}
     for combo in itertools.product(*init_progress):
@@ -313,47 +314,51 @@ def product_synthesize(model, abstraction, cap=10**6):
         return all(progress[k][0] == len(tables[i]) for k, i in enumerate(ids))
 
     for k in range(m_max + 1):
-        current = parents[k]
-        for node in sorted(current):
+        current = sorted(parents[k])
+        for node in current:
             if complete(node):
                 return _reconstruct_product(
                     model, abstraction, parents, k, node, tables, generated
                 )
         if k == m_max:
             break
+        expandable = [
+            node for node in current
+            if all(node[0][a] in abstraction.decs[i].initiating_set for a, i in enumerate(ids))
+        ]
+        # one batched Post request per agent; row r belongs to expandable[r]
+        assignments = [dict(zip(ids, cells)) for cells, _ in expandable]
+        posts = [
+            abstraction.post_many(i, [grid.pr(model, cells, i) for cells in assignments])
+            for i in ids
+        ]
+        # with k fixed, the claim options depend only on (agent slot, cell, progress)
+        options = {}
+
+        def claim_options(a, cell, prog):
+            key = (a, cell, prog)
+            if key not in options:
+                options[key] = _claim_options(cell, prog, k + 1, tables[ids[a]], m_max)
+            return options[key]
+
         nxt = {}
-        for node in sorted(current):
-            cells, progress = node
-            if any(
-                cells[a] not in abstraction.decs[i].initiating_set
-                for a, i in enumerate(ids)
-            ):
-                continue
-            for successor in abstraction.product_post(dict(zip(ids, cells))):
-                combo = tuple(successor[i] for i in ids)
-                prog_options = []
-                dead = False
-                for a, i in enumerate(ids):
-                    opts = sorted(
-                        p
-                        for p in _advance(combo[a], progress[a], k + 1, tables[i])
-                        if _alive(p, k + 1, tables[i], m_max)
-                    )
-                    if not opts:
-                        dead = True
-                        break
-                    prog_options.append(opts)
-                if dead:
-                    continue
-                for prog_combo in itertools.product(*prog_options):
-                    nxt_node = (combo, tuple(prog_combo))
-                    if nxt_node not in nxt:
-                        nxt[nxt_node] = node
-                        generated += 1
-                        if generated > cap:
-                            raise CapExceededError(
-                                f"product search exceeded the state cap {cap}"
-                            )
+        for node, node_posts in zip(expandable, zip(*posts)):
+            progress = node[1]
+            # each agent's (successor cell, claim option) pairs; their product
+            # is the set of synchronized successor nodes
+            choices = [
+                [(l2, p) for l2 in succ for p in claim_options(a, l2, progress[a])]
+                for a, succ in enumerate(node_posts)
+            ]
+            for pick in itertools.product(*choices):
+                nxt_node = tuple(zip(*pick))
+                if nxt_node not in nxt:
+                    nxt[nxt_node] = node
+                    generated += 1
+                    if generated > cap:
+                        raise CapExceededError(
+                            f"product search exceeded the state cap {cap}"
+                        )
         parents.append(nxt)
     raise UnsatisfiableError(
         f"no product path of length at most {m_max} satisfies every agent"
@@ -415,15 +420,23 @@ class StepControl:
 
 def extract_controls(model, abstraction, plan):
     """Re-derive and cross-check the per-step controller parameters of a plan."""
+    # every agent's lists first: a configuration reads its neighbors' cells
+    for i in model.agent_ids:
+        if i not in plan.cells or i not in plan.w:
+            raise PlanConsistencyError(f"agent {i}: missing from the plan")
+        if len(plan.cells[i]) != plan.m + 1:
+            raise PlanConsistencyError(
+                f"agent {i}: plan lists {len(plan.cells[i])} cells for {plan.m} steps"
+            )
+        if len(plan.w[i]) != plan.m:
+            raise PlanConsistencyError(
+                f"agent {i}: plan lists {len(plan.w[i])} parameters for {plan.m} steps"
+            )
     schedule = {}
     for i in model.agent_ids:
         agent = model.agent(i)
         dec = abstraction.decs[i]
         cells = plan.cells[i]
-        if len(cells) != plan.m + 1:
-            raise PlanConsistencyError(
-                f"agent {i}: plan lists {len(cells)} cells for {plan.m} steps"
-            )
         start = grid.locate(dec, agent.x0)
         if tuple(cells[0]) != start:
             raise PlanConsistencyError(

@@ -14,9 +14,12 @@ forward path, one agent at a time in topological order, which makes
 every generated instance satisfiable by construction.
 """
 
+import importlib.util
+import itertools
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -24,10 +27,11 @@ import numpy as np
 import pytest
 
 from horizon_abs import abstraction as abstraction_mod
-from horizon_abs import controller, integrate, planner, wellposed
+from horizon_abs import controller, grid, integrate, planner, wellposed
 from horizon_abs import model as model_mod
 
 FIVE_AGENTS = os.path.join(os.path.dirname(__file__), "..", "models", "five_agents.json")
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 DRAW_SUBSTEPS = 800  # reference fields may cross their saturation kink
 
@@ -429,6 +433,103 @@ def brute_force_good_layers(ab, agent_id, parent_cells, table, m, start_cell=Non
                 done = [t for t in tup if t <= k]
                 good[k].add((p[k], len(done), done[-1] if done else 0))
     return good, sorted(satisfying)
+
+
+def ring_stack(seed):
+    """The benchmark's seeded 3-agent expression ring, built in-process.
+
+    Goals are placed from the skeleton's discretization exactly as
+    ``perfbench/workloads.py`` places them from ``abstract`` output.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lam = {i: workloads.RING_LAMBDA for i in workloads.RING_IDS}
+    skeleton = workloads.ring_skeleton()
+    _, params, ab = make_stack(skeleton, lam=lam, steps=workloads.RING_STEPS)
+    discretization = {
+        "params": {"dt": float(params.dt)},
+        "agents": {
+            str(i): {"anchor": [float(v) for v in dec.anchor], "side": float(dec.side)}
+            for i, dec in ab.decs.items()
+        },
+    }
+    doc = workloads.ring_model(skeleton, discretization, seed)
+    return make_stack(doc, lam=lam, steps=workloads.RING_STEPS)
+
+
+def scalar_label_cells(dec, lo, hi):
+    """Goal labeling cell by cell, as ``grid.label_cells`` did before it
+    used one mask over the lattice."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    out = []
+    for lattice in dec.sorted_indices:
+        cell_lo, cell_hi = dec.box(lattice)
+        if np.all(cell_lo >= lo - 1e-12) and np.all(cell_hi <= hi + 1e-12):
+            out.append(lattice)
+    return out
+
+
+def per_combination_product_layers(model, ab):
+    """The product search's layers as it built them before batching.
+
+    Node by node in sorted order, Posts are requested one configuration at
+    a time, every synchronized combination of successor cells is formed,
+    and each agent's claim options are recomputed for it.  Stops at the
+    first layer holding a complete node.  Returns the layers, each a dict
+    from node to the node that first generated it, the number of states
+    generated and the chosen cell path per agent (None when no layer
+    completes).
+    """
+    ids = model.agent_ids
+    tables = {i: planner.goal_table(ab, i) for i in ids}
+    m_max = planner.plan_length(ab, tables)
+
+    def options(a, cell, prog, step):
+        table = tables[ids[a]]
+        return sorted(
+            p for p in planner._advance(cell, prog, step, table)
+            if planner._alive(p, step, table, m_max)
+        )
+
+    start = tuple(grid.locate(ab.decs[i], model.agent(i).x0) for i in ids)
+    layers = [{
+        (start, combo): None
+        for combo in itertools.product(*(options(a, start[a], (0, 0), 0) for a in range(len(ids))))
+    }]
+    generated = len(layers[0])
+    for k in range(m_max + 1):
+        complete = sorted(
+            node for node in layers[k]
+            if all(p[0] == len(tables[i]) for p, i in zip(node[1], ids))
+        )
+        if complete:
+            chain = [complete[0]]
+            for layer in reversed(layers[1:]):
+                chain.append(layer[chain[-1]])
+            chain.reverse()
+            return layers, generated, {
+                i: [node[0][a] for node in chain] for a, i in enumerate(ids)
+            }
+        if k == m_max:
+            break
+        nxt = {}
+        for node in sorted(layers[k]):
+            cells, progress = node
+            assignment = dict(zip(ids, cells))
+            configs = [grid.pr(model, assignment, i) for i in ids]
+            if not all(ab.is_initiating(i, c) for i, c in zip(ids, configs)):
+                continue
+            posts = [ab.post(i, c) for i, c in zip(ids, configs)]
+            for combo in itertools.product(*posts):
+                prog_options = [options(a, combo[a], progress[a], k + 1) for a in range(len(ids))]
+                for prog_combo in itertools.product(*prog_options):
+                    if (combo, prog_combo) not in nxt:
+                        nxt[(combo, prog_combo)] = node
+                        generated += 1
+        layers.append(nxt)
+    return layers, generated, None
 
 
 def run_cli(args, cwd=None):

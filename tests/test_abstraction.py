@@ -1,11 +1,13 @@
-"""Per-agent transition systems: Post sets, actions, and the product view."""
+"""Per-agent transition systems: Post sets, batching and actions."""
 
 import numpy as np
 import pytest
 
 from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, reach
-from horizon_abs.errors import InfeasibleError, ModelError
+from horizon_abs.errors import InfeasibleError, IntegrationError, ModelError
+
+from conftest import heterogeneous_doc, make_stack, pair_doc, ring_stack
 
 
 def pair_config(ab):
@@ -125,15 +127,64 @@ def test_rebuild_reproduces_posts_and_endpoints(pair_stack):
         assert np.array_equal(fresh.endpoint(2, config), ab.endpoint(2, config))
 
 
-def test_product_post_synchronizes_agents(pair_stack):
-    model, _, ab = pair_stack
-    cells = {1: pair_config(ab)[1], 2: pair_config(ab)[0]}
-    combos = list(ab.product_post(cells))
-    post1 = ab.post(1, grid.pr(model, cells, 1))
-    post2 = ab.post(2, grid.pr(model, cells, 2))
-    assert len(combos) == len(post1) * len(post2)
-    assert {(c[1], c[2]) for c in combos} == set(
-        (a, b) for a in post1 for b in post2
+def spread_configs(ab, agent_id, count):
+    """Up to count initiating configurations: own cells spread over the
+    initiating set, each neighbor in an initiating cell near its start."""
+    agent = ab.model.agent(agent_id)
+    own_cells = sorted(ab.decs[agent_id].initiating_set)
+    own_cells = own_cells[:: max(1, len(own_cells) // count)][:count]
+    nbr_cells = []
+    for j in agent.neighbors:
+        dec = ab.decs[j]
+        start = grid.reference_point(dec, grid.locate(dec, ab.model.agent(j).x0))
+        near = sorted(
+            dec.initiating_set,
+            key=lambda c: float(np.sum((grid.reference_point(dec, c) - start) ** 2)),
+        )[:3]
+        nbr_cells.append(near)
+    return [
+        (own,) + tuple(near[(r + s) % len(near)] for s, near in enumerate(nbr_cells))
+        for r, own in enumerate(own_cells)
+    ]
+
+
+@pytest.mark.parametrize("stack", ["ring", "heterogeneous"])
+def test_batched_posts_match_single_configuration_posts(stack):
+    if stack == "ring":
+        model, params, ab = ring_stack(seed=1)
+    else:
+        model, params, ab = make_stack(heterogeneous_doc(), steps=4)
+    for i in model.agent_ids:
+        configs = spread_configs(ab, i, 12)
+        assert len(configs) > 1
+        batched = ab.post_many(i, configs)
+        for config, post in zip(configs, batched):
+            single = abstraction_mod.Abstraction(model, params, ab.families, ab.decs)
+            assert single.post_many(i, [config]) == [post]
+            assert np.array_equal(single.endpoint(i, config), ab.endpoint(i, config))
+
+
+def test_non_finite_endpoint_is_an_integration_error(monkeypatch):
+    doc = pair_doc()
+    doc["agents"][1]["dynamics"] = {
+        "type": "expression",
+        "exprs": ["exp(1000*x_i[1]) - exp(1000*x_i[1])", "0"],
+    }
+    model, _, ab = make_stack(doc, lam={1: 0.55, 2: 0.55}, steps=5)
+
+    def never(dec, ball):
+        raise AssertionError("a non-finite endpoint reached the ball-cell intersection")
+
+    monkeypatch.setattr(grid, "cells_intersecting_ball", never)
+    # exp overflows only where x_1 > 0.7: at the follower's start, not in
+    # the far corner of its grid, so one row of the batch is not finite
+    start = pair_config(ab)
+    configs = initiating_configs(ab, 3) + [start]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as err:
+            ab.post_many(2, configs)
+    assert str(err.value) == (
+        f"agent 2: the reference endpoint of configuration {start} is not finite"
     )
 
 

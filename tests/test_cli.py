@@ -220,6 +220,41 @@ def test_exit_code_4_on_a_corrupted_plan(planned_run, tmp_path):
     assert res.returncode == 4 and "stored w disagrees" in res.stderr
 
 
+def follower_first_doc():
+    """The pair with ids swapped: follower 1 reads leader 2's cells, so its
+    configurations need an agent that comes later in id order."""
+    doc = pair_doc()
+    leader, follower = doc["agents"]
+    leader["id"], follower["id"] = 2, 1
+    follower["neighbors"] = [2]
+    follower["dynamics"]["weights"] = {"2": 1.0}
+    doc["agents"] = [follower, leader]
+    doc["spec"] = {"1": doc["spec"]["2"], "2": doc["spec"]["1"]}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda a: a["2"].update(cells=a["2"]["cells"][:-2]), "agent 2: plan lists"),
+        (lambda a: a["1"].update(w=a["1"]["w"][:-1]), "agent 1: plan lists"),
+        (lambda a: a.pop("2"), "agent 2: missing from the plan"),
+    ],
+    ids=["short-neighbor-cells", "short-w", "missing-agent"],
+)
+def test_exit_code_4_on_short_plan_lists(tmp_path, mutate, message):
+    model_path = write_model(tmp_path / "model.json", follower_first_doc())
+    out = tmp_path / "out"
+    res = run_cli(["plan", "--model", model_path, "--out", out] + PAIR_FLAGS)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads((out / "plan.json").read_text())
+    mutate(doc["agents"])
+    (out / "plan.json").write_text(json.dumps(doc))
+    res = run_cli(["validate", "--model", model_path, "--out", out] + PAIR_FLAGS)
+    assert res.returncode == 4 and "error:" in res.stderr and message in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_hash_mismatch_is_an_input_error(planned_run, tmp_path):
     model_path, out, _, _ = planned_run
     edited = tmp_path / "edited.json"

@@ -7,6 +7,8 @@ import pytest
 from horizon_abs import grid, reach
 from horizon_abs.errors import ModelError
 
+from conftest import scalar_label_cells
+
 
 def make_dec(center=(0.0, 0.0), base_radius=1.0, c_rate=0.0, tau=0.3, T=1.0,
              d_max=None, dt=0.1):
@@ -193,6 +195,31 @@ def test_label_cells_requires_full_containment():
     lo2, _ = dec.box((0, 0))
     _, hi2 = dec.box((1, 1))
     assert grid.label_cells(dec, lo2, hi2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_label_cells_matches_the_scalar_loop_on_five_agent_goals(five_model, five_abstraction):
+    for agent in five_model.agents:
+        dec = five_abstraction.decs[agent.id]
+        assert agent.goals
+        for goal in agent.goals:
+            labeled = grid.label_cells(dec, goal.lo, goal.hi)
+            assert labeled
+            assert labeled == scalar_label_cells(dec, goal.lo, goal.hi)
+
+
+@pytest.mark.parametrize("offset", [-2e-12, -1e-12, 0.0, 1e-12, 2e-12])
+def test_label_cells_matches_the_scalar_loop_on_cell_faces(five_abstraction, offset):
+    """Goal faces exactly on cell faces, and just inside or outside them."""
+    dec = make_dec(base_radius=2.0, d_max=0.9)
+    five = five_abstraction.decs[3]
+    for d, corners in ((dec, [(-1, -2), (0, 0), (1, -1)]), (five, [(-40, 7), (0, 0), (12, -3)])):
+        for a, b in corners:
+            lo, _ = d.box((a, b))
+            _, hi = d.box((a + 2, b + 3))
+            for lo_shift, hi_shift in ((offset, 0.0), (0.0, offset), (offset, -offset)):
+                glo, ghi = lo + lo_shift, hi + hi_shift
+                assert grid.label_cells(d, glo, ghi) == scalar_label_cells(d, glo, ghi)
+    assert grid.label_cells(dec, *dec.box((0, 0))) == [(0, 0)]
 
 
 def test_projection_follows_declared_neighbor_order(five_model):

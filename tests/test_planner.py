@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 
 from horizon_abs import abstraction as abstraction_mod
-from horizon_abs import grid, planner
+from horizon_abs import controller, grid, planner
 from horizon_abs.errors import (
     ModelError,
     PlanConsistencyError,
     UnsatisfiableError,
 )
 
-from conftest import brute_force_good_layers, make_model, make_stack, pair_doc, single_doc
+from conftest import (
+    brute_force_good_layers,
+    make_model,
+    make_stack,
+    pair_doc,
+    per_combination_product_layers,
+    ring_stack,
+    single_doc,
+)
 
 
 def goal_cells(ab, agent_id):
@@ -183,6 +191,56 @@ def test_product_agrees_with_cascade():
         assert product.cells[i][product.m] in table.cells
         assert cascade.cells[i][0] == product.cells[i][0]
     planner.extract_controls(model, ab, product)
+
+
+def count_endpoint_batches(monkeypatch):
+    """Count controller.reference_endpoints calls, one per integrated batch."""
+    calls = []
+    real = controller.reference_endpoints
+
+    def counted(agent, *args, **kwargs):
+        calls.append(agent.id)
+        return real(agent, *args, **kwargs)
+
+    monkeypatch.setattr(controller, "reference_endpoints", counted)
+    return calls
+
+
+@pytest.mark.parametrize("stack", ["loose_pair", "ring"])
+def test_product_search_matches_the_per_combination_oracle(stack):
+    if stack == "ring":
+        model, _, ab = ring_stack(seed=1)
+    else:
+        model, _, ab = make_stack(loose_pair_doc(), lam={1: 0.55, 2: 0.55}, steps=5)
+    plan = planner.product_synthesize(model, ab)
+    layers, generated, chosen = per_combination_product_layers(model, ab)
+    assert plan.m == len(layers) - 1
+    assert plan.cells == {i: [tuple(c) for c in path] for i, path in chosen.items()}
+    assert plan.explored == {i: generated for i in model.agent_ids}
+    for a, i in enumerate(model.agent_ids):
+        assert plan.reachable[i] == sorted({n[0][a] for layer in layers for n in layer})
+
+
+def test_product_search_integrates_once_per_agent_and_layer(monkeypatch):
+    model, _, ab = make_stack(loose_pair_doc(), lam={1: 0.55, 2: 0.55}, steps=5)
+    calls = count_endpoint_batches(monkeypatch)
+    plan = planner.product_synthesize(model, ab)
+    # layers 0 .. m-1 were expanded; each asks every agent for one batch
+    for i in model.agent_ids:
+        assert 1 <= calls.count(i) <= plan.m
+
+
+def test_ring_workload_keeps_its_shape(monkeypatch):
+    """The benchmark's ring_product workload (seed 1) keeps its search size,
+    and its Posts arrive in at most one batch per agent and layer."""
+    model, _, ab = ring_stack(seed=1)
+    tables = {i: planner.goal_table(ab, i) for i in model.agent_ids}
+    m_max = planner.plan_length(ab, tables)
+    calls = count_endpoint_batches(monkeypatch)
+    plan = planner.product_synthesize(model, ab)
+    assert plan.strategy == "product"
+    assert plan.explored == {1: 7912, 2: 7912, 3: 7912}
+    assert len(calls) <= len(model.agent_ids) * m_max
 
 
 def test_product_cap(pair_stack):
