@@ -110,7 +110,8 @@ class Abstraction:
         return cached
 
     def post_many(self, agent_id, configs):
-        """Memoized Post sets for many configurations, integrated in one batch."""
+        """Memoized Post sets for many configurations, integrated and intersected
+        with the grid in one batch."""
         agent = self.model.agent(agent_id)
         dec = self.decs[agent_id]
         missing = []
@@ -142,15 +143,15 @@ class Abstraction:
                     f"agent {agent_id}: endpoint ball of configuration {config} leaves "
                     "the reachable region; declared bounds and discretization disagree"
                 )
-            for config, endpoint in zip(missing, endpoints):
-                cells = tuple(grid.cells_intersecting_ball(dec, reach.Ball(endpoint, radius)))
+            posts = grid.cells_intersecting_ball(dec, endpoints, radius)
+            for config, endpoint, cells in zip(missing, endpoints, posts):
                 if not cells:
                     raise InfeasibleError(
                         f"agent {agent_id}: empty Post for configuration {config} "
                         "contradicts well-posedness"
                     )
                 self._endpoint_cache[(agent_id, config)] = endpoint
-                self._post_cache[(agent_id, config)] = cells
+                self._post_cache[(agent_id, config)] = tuple(cells)
         return [self._post_cache[(agent_id, config)] for config in configs]
 
     def reference_for(self, agent_id, configs):

@@ -287,6 +287,7 @@ def cmd_render(args):
     params = None
     if os.path.exists(os.path.join(args.out, "plan.json")):
         plan, params, _ = _load_plan(args, model_hash)
+        planner.check_plan_lists(model, plan)
     if params is None:
         params = _synthesize(model, args)
     abstraction = _build(model, params, args)

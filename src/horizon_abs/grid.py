@@ -4,6 +4,12 @@ Cells are half-open axis-aligned boxes ``anchor + side*[k, k+1)`` per
 axis, clipped to the region ball, so the valid cells form a true
 partition of the region.  The grid is anchored at the agent's initial
 state.  A cell index is the integer lattice tuple of its box.
+
+Grids are built, labeled and intersected with balls one array at a
+time: ``cells_intersecting_ball`` tests all cells of a whole batch of
+endpoint balls in one pass, and hands only boundary slivers, where none
+of the exact candidate witnesses lands, to the scalar
+``witness_in_cell_ball`` and its low-discrepancy sweep.
 """
 
 import itertools
@@ -72,8 +78,7 @@ def build_decomposition(family, d_max, dt):
     corner_dist = np.sqrt(np.sum((corner_pts - inner.center) ** 2, axis=-1))
     initiating = np.all(corner_dist <= inner.radius, axis=-1)
 
-    index_tuples = [tuple(int(v) for v in row) for row in lattices]
-    initiating_tuples = [t for t, flag in zip(index_tuples, initiating) if flag]
+    index_tuples = list(zip(*lattices.T.tolist()))
     return CellDecomposition(
         agent_id=family.agent_id,
         anchor=np.asarray(anchor, dtype=float),
@@ -81,7 +86,7 @@ def build_decomposition(family, d_max, dt):
         region=region,
         inner=inner,
         index_set=frozenset(index_tuples),
-        initiating_set=frozenset(initiating_tuples),
+        initiating_set=frozenset(itertools.compress(index_tuples, initiating.tolist())),
         sorted_indices=tuple(sorted(index_tuples)),
     )
 
@@ -202,20 +207,69 @@ def deepen_point(dec, lattice, ball, p):
     return p + u * (step / dist)
 
 
-def cells_intersecting_ball(dec, ball):
-    """Sorted valid indices whose clipped cell meets the ball."""
-    lo_idx = np.floor((ball.center - ball.radius - dec.anchor) / dec.side).astype(int)
-    hi_idx = np.floor((ball.center + ball.radius - dec.anchor) / dec.side).astype(int)
+def cells_intersecting_ball(dec, centers, radius):
+    """Sorted valid indices whose clipped cell meets each ball.
+
+    Row b of ``centers`` is the center of a ball of the common
+    ``radius``; the result holds one sorted index list per row.  Every
+    cell of every ball's bounding box is tested in one array pass, with
+    the float expressions of ``witness_in_cell_ball`` in its order: the
+    clamp gap, then its three candidate witnesses.  Only slivers, cells
+    within reach of the ball where no candidate lands, go to that
+    function for its low-discrepancy sweep.
+    """
     n = dec.dim
-    hits = []
-    for lattice in itertools.product(
-        *(range(int(lo_idx[k]), int(hi_idx[k]) + 1) for k in range(n))
-    ):
-        if lattice not in dec.index_set:
-            continue
-        if witness_in_cell_ball(dec, lattice, ball) is not None:
-            hits.append(lattice)
-    return sorted(hits)
+    centers = np.asarray(centers, dtype=float).reshape(-1, n)
+    hits = [[] for _ in range(len(centers))]
+    if not hits:
+        return hits
+    lo_idx = np.floor((centers - radius - dec.anchor) / dec.side).astype(int)
+    hi_idx = np.floor((centers + radius - dec.anchor) / dec.side).astype(int)
+    span = hi_idx - lo_idx
+    # each ball's box lattice in lexicographic order, rows one after another
+    offsets = np.indices(tuple(np.max(span, axis=0) + 1)).reshape(n, -1).T
+    row = np.repeat(np.arange(len(centers)), len(offsets))
+    offsets = np.tile(offsets, (len(centers), 1))
+    inside = np.all(offsets <= span[row], axis=-1)
+    row = row[inside]
+    lattice = lo_idx[row] + offsets[inside]
+
+    c = centers[row]
+    lo = dec.anchor + dec.side * lattice.astype(float)
+    hi = lo + dec.side
+    q = np.clip(c, lo, hi)
+    gap = np.sqrt(np.sum((q - c) ** 2, axis=-1))
+    near = np.flatnonzero(gap <= radius)
+    keys = list(zip(*lattice[near].T.tolist()))
+    member = np.fromiter((k in dec.index_set for k in keys), bool, len(keys))
+    keys = list(itertools.compress(keys, member))
+    row, c, lo, hi, q, gap = (a[near[member]] for a in (row, c, lo, hi, q, gap))
+
+    def lands(p):
+        return (
+            np.all(p >= lo, axis=-1)
+            & np.all(p < hi, axis=-1)
+            & (np.sqrt(np.sum((p - c) ** 2, axis=-1)) <= radius)
+            & dec.region.contains(p)
+        )
+
+    center = (lo + hi) / 2
+    delta = center - c
+    dn = np.sqrt(np.sum(delta**2, axis=-1))
+    pull = (dn > radius) & (dn > 0)
+    scale = radius * (1 - 1e-12) / np.where(pull, dn, 1.0)
+    pulled = np.where(pull[:, None], c + delta * scale[:, None], center)
+    # at zero slack eps is 0 and off_hi equals q, as if never proposed
+    slack = radius - gap
+    eps = np.minimum(dec.side * 1e-9, slack / (2 * math.sqrt(n)))
+    off_hi = np.where(q >= hi, hi - eps[:, None], q)
+    hit = lands(pulled) | lands(q) | lands(off_hi)
+    for k in np.flatnonzero(~hit):
+        ball = reach.Ball(centers[row[k]], radius)
+        hit[k] = witness_in_cell_ball(dec, keys[k], ball) is not None
+    for b, key in zip(row[hit].tolist(), itertools.compress(keys, hit)):
+        hits[b].append(key)
+    return hits
 
 
 def label_cells(dec, lo, hi):

@@ -128,13 +128,16 @@ class ExpressionDynamics:
 
     def eval(self, x_i, neighbors):
         x_i = np.asarray(x_i, dtype=float)
-        cols = [
-            np.broadcast_to(
-                np.asarray(expr.eval_ast(ast, x_i, neighbors), dtype=float),
-                x_i.shape[:-1],
-            )
-            for ast in self.asts
-        ]
+        # an overflow or an invalid operation yields inf or nan, which the
+        # endpoint and audit checks downstream reject with a HorizonError
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols = [
+                np.broadcast_to(
+                    np.asarray(expr.eval_ast(ast, x_i, neighbors), dtype=float),
+                    x_i.shape[:-1],
+                )
+                for ast in self.asts
+            ]
         return np.stack(cols, axis=-1)
 
 

@@ -418,9 +418,8 @@ class StepControl:
     point: np.ndarray
 
 
-def extract_controls(model, abstraction, plan):
-    """Re-derive and cross-check the per-step controller parameters of a plan."""
-    # every agent's lists first: a configuration reads its neighbors' cells
+def check_plan_lists(model, plan):
+    """Every model agent is in the plan with m + 1 cells and m parameters."""
     for i in model.agent_ids:
         if i not in plan.cells or i not in plan.w:
             raise PlanConsistencyError(f"agent {i}: missing from the plan")
@@ -432,6 +431,12 @@ def extract_controls(model, abstraction, plan):
             raise PlanConsistencyError(
                 f"agent {i}: plan lists {len(plan.w[i])} parameters for {plan.m} steps"
             )
+
+
+def extract_controls(model, abstraction, plan):
+    """Re-derive and cross-check the per-step controller parameters of a plan."""
+    # every agent's lists first: a configuration reads its neighbors' cells
+    check_plan_lists(model, plan)
     schedule = {}
     for i in model.agent_ids:
         agent = model.agent(i)

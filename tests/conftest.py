@@ -435,15 +435,21 @@ def brute_force_good_layers(ab, agent_id, parent_cells, table, m, start_cell=Non
     return good, sorted(satisfying)
 
 
-def ring_stack(seed):
-    """The benchmark's seeded 3-agent expression ring, built in-process.
+def ring_workloads():
+    """The benchmark's workload module, which generates the ring model."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def ring_doc(seed):
+    """The benchmark's seeded 3-agent expression ring model document.
 
     Goals are placed from the skeleton's discretization exactly as
     ``perfbench/workloads.py`` places them from ``abstract`` output.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = ring_workloads()
     lam = {i: workloads.RING_LAMBDA for i in workloads.RING_IDS}
     skeleton = workloads.ring_skeleton()
     _, params, ab = make_stack(skeleton, lam=lam, steps=workloads.RING_STEPS)
@@ -454,8 +460,14 @@ def ring_stack(seed):
             for i, dec in ab.decs.items()
         },
     }
-    doc = workloads.ring_model(skeleton, discretization, seed)
-    return make_stack(doc, lam=lam, steps=workloads.RING_STEPS)
+    return workloads.ring_model(skeleton, discretization, seed)
+
+
+def ring_stack(seed):
+    """The seeded ring of ``ring_doc``, built in-process."""
+    workloads = ring_workloads()
+    lam = {i: workloads.RING_LAMBDA for i in workloads.RING_IDS}
+    return make_stack(ring_doc(seed), lam=lam, steps=workloads.RING_STEPS)
 
 
 def scalar_label_cells(dec, lo, hi):
@@ -469,6 +481,23 @@ def scalar_label_cells(dec, lo, hi):
         if np.all(cell_lo >= lo - 1e-12) and np.all(cell_hi <= hi + 1e-12):
             out.append(lattice)
     return out
+
+
+def scalar_cells_intersecting_ball(dec, ball):
+    """The ball-cell intersection one lattice point at a time, as
+    ``grid.cells_intersecting_ball`` did before it tested a whole batch of
+    balls in one array pass."""
+    lo_idx = np.floor((ball.center - ball.radius - dec.anchor) / dec.side).astype(int)
+    hi_idx = np.floor((ball.center + ball.radius - dec.anchor) / dec.side).astype(int)
+    hits = []
+    for lattice in itertools.product(
+        *(range(int(lo_idx[k]), int(hi_idx[k]) + 1) for k in range(dec.dim))
+    ):
+        if lattice not in dec.index_set:
+            continue
+        if grid.witness_in_cell_ball(dec, lattice, ball) is not None:
+            hits.append(lattice)
+    return sorted(hits)
 
 
 def per_combination_product_layers(model, ab):

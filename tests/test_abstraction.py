@@ -37,8 +37,8 @@ def test_post_is_the_endpoint_ball_intersection(pair_stack):
     dec = ab.decs[2]
     for config in initiating_configs(ab, 6):
         endpoint = ab.endpoint(2, config)
-        ball = reach.Ball(endpoint, ab.radius(2))
-        assert ab.post(2, config) == tuple(grid.cells_intersecting_ball(dec, ball))
+        (cells,) = grid.cells_intersecting_ball(dec, [endpoint], ab.radius(2))
+        assert ab.post(2, config) == tuple(cells)
 
 
 def test_endpoint_ball_stays_inside_the_region(pair_stack):
@@ -172,7 +172,7 @@ def test_non_finite_endpoint_is_an_integration_error(monkeypatch):
     }
     model, _, ab = make_stack(doc, lam={1: 0.55, 2: 0.55}, steps=5)
 
-    def never(dec, ball):
+    def never(dec, centers, radius):
         raise AssertionError("a non-finite endpoint reached the ball-cell intersection")
 
     monkeypatch.setattr(grid, "cells_intersecting_ball", never)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import pair_doc, run_cli
+from conftest import pair_doc, ring_doc, ring_workloads, run_cli
 
 PAIR_FLAGS = ["--steps", "5", "--lambda", "1=0.55", "--lambda", "2=0.55"]
 
@@ -253,6 +253,33 @@ def test_exit_code_4_on_short_plan_lists(tmp_path, mutate, message):
     res = run_cli(["validate", "--model", model_path, "--out", out] + PAIR_FLAGS)
     assert res.returncode == 4 and "error:" in res.stderr and message in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_render_rejects_a_plan_missing_an_agent(planned_run, tmp_path):
+    model_path, out, _, _ = planned_run
+    doc = json.loads((out / "plan.json").read_text())
+    del doc["agents"]["2"]
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    res = run_cli(["render", "--model", model_path, "--out", tmp_path] + PAIR_FLAGS)
+    assert res.returncode == 4 and "error:" in res.stderr
+    assert "agent 2: missing from the plan" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "figure.svg").exists()
+
+
+def test_expression_overflow_is_a_non_finite_endpoint_error(tmp_path):
+    """inf - inf in the ring's dynamics ends in the endpoint check, and
+    numpy prints no warning on the way there."""
+    doc = ring_doc(seed=1)
+    doc["agents"][0]["dynamics"]["exprs"][0] = "exp(1000*x_i[1]) - exp(1000*x_i[1])"
+    model_path = write_model(tmp_path / "model.json", doc)
+    res = run_cli(["plan", "--model", model_path, "--out", tmp_path / "out"]
+                  + ring_workloads().RING_FLAGS)
+    assert res.returncode == 1, res.stderr
+    assert "error: agent 1: the reference endpoint of configuration" in res.stderr
+    assert "is not finite" in res.stderr
+    assert "overflow encountered" not in res.stderr
+    assert "invalid value" not in res.stderr
 
 
 def test_hash_mismatch_is_an_input_error(planned_run, tmp_path):

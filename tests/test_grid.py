@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from horizon_abs import grid, reach
+from horizon_abs import abstraction, grid, planner, reach
 from horizon_abs.errors import ModelError
 
-from conftest import scalar_label_cells
+from conftest import ring_stack, scalar_cells_intersecting_ball, scalar_label_cells
 
 
 def make_dec(center=(0.0, 0.0), base_radius=1.0, c_rate=0.0, tau=0.3, T=1.0,
@@ -120,14 +120,14 @@ def test_initiating_cells_lie_inside_the_inner_ball():
 def test_zero_radius_ball_hits_exactly_the_containing_cell():
     dec = make_dec(base_radius=2.0, d_max=0.9)
     x = dec.anchor + np.array([0.3 * dec.side, 0.6 * dec.side])
-    hits = grid.cells_intersecting_ball(dec, reach.Ball(x, 0.0))
+    (hits,) = grid.cells_intersecting_ball(dec, [x], 0.0)
     assert hits == [grid.locate(dec, x)]
 
 
 def test_ball_spanning_three_cells_per_axis():
     dec = make_dec(base_radius=3.0, d_max=0.9 * math.sqrt(2.0), c_rate=0.0)
     center = grid.reference_point(dec, (0, 0))
-    hits = grid.cells_intersecting_ball(dec, reach.Ball(center, 1.2 * dec.side))
+    (hits,) = grid.cells_intersecting_ball(dec, [center], 1.2 * dec.side)
     expected = {
         (i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)
         if not (abs(i) == 1 and abs(j) == 1)
@@ -139,7 +139,7 @@ def test_ball_spanning_three_cells_per_axis():
 def test_disjoint_ball_yields_no_cells():
     dec = make_dec(base_radius=1.0, d_max=0.5)
     far = dec.region.center + np.array([10.0, 0.0])
-    assert grid.cells_intersecting_ball(dec, reach.Ball(far, 0.5)) == []
+    assert grid.cells_intersecting_ball(dec, [far], 0.5) == [[]]
 
 
 def test_intersection_matches_monte_carlo_oracle():
@@ -154,7 +154,8 @@ def test_intersection_matches_monte_carlo_oracle():
         )
         center = dec.region.center + _ball_cloud(rng, 1, 2)[0] * dec.region.radius
         ball = reach.Ball(center, rng.uniform(0.1, 1.0) * dec.side * 2)
-        hits = set(grid.cells_intersecting_ball(dec, ball))
+        (hits,) = grid.cells_intersecting_ball(dec, [ball.center], ball.radius)
+        hits = set(hits)
         pts = ball.center + _ball_cloud(rng, 2000, 2) * ball.radius
         pts = pts[dec.region.contains(pts)]
         sampled = {tuple(ix) for ix in grid.locate_many(dec, pts)} if pts.size else set()
@@ -165,6 +166,103 @@ def test_intersection_matches_monte_carlo_oracle():
             assert grid.cell_contains(dec, lattice, w)
             assert ball.contains(w)
             assert dec.region.contains(w)
+
+
+def assert_matches_the_scalar_loop(dec, centers, radius):
+    batched = grid.cells_intersecting_ball(dec, centers, radius)
+    assert len(batched) == len(centers)
+    for center, cells in zip(centers, batched):
+        assert cells == scalar_cells_intersecting_ball(dec, reach.Ball(center, radius))
+
+
+@pytest.mark.parametrize("shape", ["five_agents", "ring"])
+def test_intersection_matches_the_scalar_loop_on_every_post_batch(
+        monkeypatch, five_model, five_params, shape):
+    if shape == "five_agents":
+        model = five_model
+        ab = abstraction.build_abstraction(five_model, five_params)
+        synthesize = planner.cascade_synthesize
+    else:
+        model, _, ab = ring_stack(seed=1)
+        synthesize = planner.product_synthesize
+    batches = []
+    witnessed = []
+    batched = grid.cells_intersecting_ball
+    witness = grid.witness_in_cell_ball
+
+    def recording(dec, centers, radius):
+        before = len(witnessed)
+        cells = batched(dec, centers, radius)
+        batches.append((dec, np.array(centers), radius, len(witnessed) - before))
+        return cells
+
+    def counting(*args):
+        witnessed.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(grid, "cells_intersecting_ball", recording)
+    monkeypatch.setattr(grid, "witness_in_cell_ball", counting)
+    synthesize(model, ab)
+    monkeypatch.undo()
+    assert batches and max(len(centers) for _, centers, _, _ in batches) > 1
+    # the exact candidates settle every cell of these Posts: no slivers
+    assert sum(slivers for *_, slivers in batches) == 0
+    for dec, centers, radius, _ in batches:
+        assert_matches_the_scalar_loop(dec, centers, radius)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_intersection_matches_the_scalar_loop_on_faces_corners_and_the_rim(n):
+    rng = np.random.default_rng(10 + n)
+    dec = make_dec(center=rng.uniform(-1, 1, size=n), base_radius=1.1, c_rate=0.7,
+                   d_max=0.45 * math.sqrt(n))
+    side, region = dec.side, dec.region
+    lattice = np.array(dec.sorted_indices[:: max(1, len(dec.sorted_indices) // 12)])
+    on_corners = dec.anchor + side * lattice
+    on_faces = on_corners + side * 0.5 * (np.arange(n) > 0)
+    grid_points = np.concatenate([on_corners, on_faces])
+    directions = np.concatenate([np.eye(n), -np.eye(n), _ball_cloud(rng, 6, n)])
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    for radius in (0.0, 0.3 * side, 0.5 * side, side, 2.5 * side):
+        for shift in (-1e-12, 0.0, 1e-12):
+            assert_matches_the_scalar_loop(dec, grid_points + shift, radius)
+        # tangent to the region sphere from inside and outside, and across it
+        for reach_out in (-radius, 0.5 * radius, radius, -0.5 * radius):
+            centers = region.center + directions * (region.radius + reach_out)
+            assert_matches_the_scalar_loop(dec, centers, radius)
+        inside = region.center + _ball_cloud(rng, 20, n) * region.radius
+        assert_matches_the_scalar_loop(dec, inside, radius)
+
+
+def test_a_sliver_goes_to_the_scalar_witness_sweep(monkeypatch):
+    """A rim cell whose box center, clamp point and clamp point off the
+    upper faces all lie outside the region: only the sweep finds its
+    corner inside the region."""
+    dec = make_dec(base_radius=1.0, d_max=0.5 * math.sqrt(2.0))
+    rim = (1, 1)
+    lo, hi = dec.box(rim)
+    assert not dec.region.contains((lo + hi) / 2)
+    assert dec.region.contains(lo + 0.3 * dec.side)
+    center = hi + dec.side
+    radius = 1.01 * float(np.linalg.norm(center - lo))
+    calls = []
+    scalar = grid.witness_in_cell_ball
+
+    def counting(dec, lattice, ball):
+        point = scalar(dec, lattice, ball)
+        calls.append((lattice, point))
+        return point
+
+    monkeypatch.setattr(grid, "witness_in_cell_ball", counting)
+    (cells,) = grid.cells_intersecting_ball(dec, [center], radius)
+    assert rim in cells
+    slivers = [lattice for lattice, _ in calls]
+    assert slivers.count(rim) == 1
+    point = dict(calls)[rim]
+    assert point is not None and grid.cell_contains(dec, rim, point)
+    assert not np.array_equal(point, np.clip(center, lo, hi))
+    monkeypatch.undo()
+    assert cells == scalar_cells_intersecting_ball(dec, reach.Ball(center, radius))
 
 
 def test_deepen_point_gains_face_clearance():
