@@ -135,9 +135,13 @@ def _params_from_doc(doc):
 
 
 def _write_json(out_dir, name, doc):
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise HorizonError(f"{name} was not written: {e}") from None
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
     return path
 
 

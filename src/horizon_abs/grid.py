@@ -12,6 +12,7 @@ of the exact candidate witnesses lands, to the scalar
 ``witness_in_cell_ball`` and its low-discrepancy sweep.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -124,7 +125,11 @@ def cell_contains(dec, lattice, x, slack=0.0):
     return bool(dec.region.contains(x, slack=slack))
 
 
-def _halton(count, n):
+@functools.cache
+def _halton(n):
+    """The first _WITNESS_FALLBACK_POINTS Halton points in [0, 1)^n, built
+    once per dimension and shared read-only."""
+    count = _WITNESS_FALLBACK_POINTS
     out = np.empty((count, n))
     for axis in range(n):
         base = _PRIMES[axis % len(_PRIMES)]
@@ -137,6 +142,7 @@ def _halton(count, n):
             seq += (rem % base) / denom
             rem = rem // base
         out[:, axis] = seq
+    out.flags.writeable = False
     return out
 
 
@@ -178,11 +184,16 @@ def witness_in_cell_ball(dec, lattice, ball):
             and dec.region.contains(p)
         ):
             return p
-    for u in _halton(_WITNESS_FALLBACK_POINTS, n):
-        p = lo + u * dec.side
-        if ball.contains(p) and dec.region.contains(p) and np.all(p < hi):
-            return p
-    return None
+    return _witness_sweep(dec, lo, hi, ball)
+
+
+def _witness_sweep(dec, lo, hi, ball):
+    """The first Halton point of the box [lo, hi) inside both balls, or None."""
+    sweep = lo + _halton(dec.dim) * dec.side
+    hits = np.flatnonzero(
+        ball.contains(sweep) & dec.region.contains(sweep) & np.all(sweep < hi, axis=-1)
+    )
+    return sweep[hits[0]] if hits.size else None
 
 
 def deepen_point(dec, lattice, ball, p):

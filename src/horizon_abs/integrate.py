@@ -86,20 +86,39 @@ def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=Non
     error of the run we actually return (the coarse one) is about 16/15
     of the coarse-fine endpoint gap.  Pass ``coarse`` when the caller
     already holds the substeps-step endpoint.  The estimate is taken per
-    row over the last axis, so a batch of independent states gets one
-    estimate each (a float for a single state).  Raises IntegrationError
-    when an endpoint is not finite or any estimate exceeds ``integ_tol``.
+    row over the last axis, so a batch of independent states with any
+    leading axes gets one estimate per row, in the batch's shape (a float
+    for a single state).
+
+    Raises IntegrationError when an endpoint is not finite or an estimate
+    exceeds ``integ_tol``; ``what`` names the run in that error.  A
+    callable ``what`` names the runs along the first axis instead: the
+    error is the one of the lowest failing run k, named ``what(k)``, with
+    that run's worst estimate.
     """
     if coarse is None:
         coarse = rk4_endpoint(rhs, y0, dt, substeps)
     fine = rk4_endpoint(rhs, y0, dt, 2 * substeps)
-    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
+    finite = np.isfinite(coarse) & np.isfinite(fine)
+    # a non-finite row's estimate is never judged, only its finiteness
+    with np.errstate(invalid="ignore"):
+        err = np.max(np.abs(coarse - fine), axis=-1) * (16.0 / 15.0)
+    if callable(what):
+        failed = ~np.all(finite, axis=-1) | (err > integ_tol)
+        if np.any(failed):
+            k = int(np.argmax(failed.reshape(len(failed), -1).any(axis=1)))
+            _raise_if_failed(finite[k], err[k], integ_tol, what(k))
+    else:
+        _raise_if_failed(finite, err, integ_tol, what)
+    return err if err.ndim else float(err)
+
+
+def _raise_if_failed(finite, err, integ_tol, what):
+    if not np.all(finite):
         raise IntegrationError(f"{what} audit: the integrated endpoint is not finite")
-    err = np.max(np.abs(coarse - fine), axis=-1) * (16.0 / 15.0)
     worst = float(np.max(err))
     if worst > integ_tol:
         raise IntegrationError(
             f"{what} audit: step-halving estimate {worst:.3e} exceeds "
             f"tolerance {integ_tol:.3e}; raise substeps"
         )
-    return err if err.ndim else float(err)

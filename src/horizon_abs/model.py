@@ -471,12 +471,22 @@ class BoundsReport:
         return not self.violations
 
 
+_SAMPLED_LABELS = {
+    "sup_f": "|f|",
+    "ratio_M": "|f|/M",
+    "worst_L1": "neighbor quotient",
+    "worst_L2": "state quotient",
+}
+
+
 def validate_bounds(model, samples, seed=0):
     """Monte-Carlo check of the declared M, L1, L2 bounds.
 
     Points are drawn uniformly from the product of the agents' horizon
     balls.  Violations are report entries, never exceptions; declared
-    bounds remain the user's responsibility.
+    bounds remain the user's responsibility.  A sampled value that is not
+    finite (a NaN field, or |f|/M with M = 0) is reported as None with a
+    violation of its own.
     """
     if samples < 1:
         raise ModelError("samples must be at least 1")
@@ -512,14 +522,18 @@ def validate_bounds(model, samples, seed=0):
             "worst_L1": worst_L1,
             "worst_L2": worst_L2,
         }
+        for key, label in _SAMPLED_LABELS.items():
+            if not math.isfinite(entry[key]):
+                entry[key] = None
+                violations.append(f"agent {agent.id}: sampled {label} is not finite")
         entries[agent.id] = entry
-        if sup_f > agent.M * (1 + 1e-12):
+        if entry["sup_f"] is not None and sup_f > agent.M * (1 + 1e-12):
             violations.append(f"agent {agent.id}: sampled |f| = {sup_f} exceeds M = {agent.M}")
-        if worst_L1 > agent.L1 * (1 + 1e-12):
+        if entry["worst_L1"] is not None and worst_L1 > agent.L1 * (1 + 1e-12):
             violations.append(
                 f"agent {agent.id}: sampled neighbor quotient {worst_L1} exceeds L1 = {agent.L1}"
             )
-        if worst_L2 > agent.L2 * (1 + 1e-12):
+        if entry["worst_L2"] is not None and worst_L2 > agent.L2 * (1 + 1e-12):
             violations.append(
                 f"agent {agent.id}: sampled state quotient {worst_L2} exceeds L2 = {agent.L2}"
             )

@@ -39,9 +39,10 @@ class NetworkField:
 
     Row r is ``agents[r]`` evaluated at row r of a stacked state array S,
     with its neighbor block gathered from the rows ``neighbor_rows[r]`` of
-    S.  Rows share a group when their agents have equal dynamics (same
-    variant, equal parsed parameters) and the same neighbor count; the
-    gather indices are built once, here.
+    S.  Rows are the second-to-last axis of S, and leading axes are
+    batches.  Rows share a group when their agents have equal dynamics
+    (same variant, equal parsed parameters) and the same neighbor count;
+    the gather indices are built once, here.
     """
 
     def __init__(self, agents, neighbor_rows):
@@ -58,9 +59,12 @@ class NetworkField:
         ]
 
     def __call__(self, S):
-        F = np.empty((self.rows, S.shape[-1]))
+        lead = S.shape[:-2]
+        F = np.empty(lead + (self.rows, S.shape[-1]))
         for agent, rows, nbrs in self.groups:
-            F[rows] = model_mod.eval_f(agent, S[rows], S[nbrs].reshape(len(rows), -1))
+            F[..., rows, :] = model_mod.eval_f(
+                agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
+            )
         return F
 
 
@@ -90,7 +94,13 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     agent's reference state and the frozen neighbor reference points into
     one array S and evaluates the raw field of all of them with one
     eval_f call per group of equal dynamics, one saturation and one
-    feedback call.
+    feedback call.  S may carry leading axes.
+
+    Only the coarse run is sequential: it goes interval by interval and
+    stops at the first non-finite endpoint.  The intervals it reached are
+    then audited together by one step-halving run with a leading interval
+    axis, and an audit error names the lowest failing interval.  One more
+    right-hand side call records the inputs at every kept node.
     """
     substeps = substeps or abstraction.substeps
     integ_tol = integ_tol or abstraction.integ_tol
@@ -118,6 +128,21 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     lam = np.array([[abstraction.params.lam[i]] for i in ids])
     refs = _schedule_references(abstraction, schedule, m)
 
+    def field_and_input(Yt, R, nbr_refs, k2, k3):
+        F = field(np.concatenate((Yt, R, nbr_refs), axis=-2))
+        g = model_mod.saturate(F, M)
+        u = controller.feedback(g[..., N:, :] - g[..., :N, :], k2, k3, v_max)[1]
+        return F[..., :N, :], u
+
+    def network_rhs(ref, nbr_refs, k2, k3):
+        def rhs(t, Yt):
+            f, u = field_and_input(Yt, ref.eval(t), nbr_refs, k2, k3)
+            return f + u
+        return rhs
+
+    # per interval reached: start state, reference run, neighbor
+    # reference points, k2, k3 and the coarse endpoint
+    reached = []
     for k in range(m):
         picks = []
         for i in ids:
@@ -131,27 +156,36 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
         nbr_refs = np.concatenate([b.nbr_refs[r].reshape(-1, n) for b, r in picks])
         k2 = lam * np.stack([schedule[i][k].w for i in ids])
         k3 = (np.stack([b.own_ref[r] for b, r in picks]) - Y) / dt
-
-        def field_and_input(t, Yt):
-            F = field(np.concatenate((Yt, ref.eval(t), nbr_refs)))
-            g = model_mod.saturate(F, M)
-            return F[:N], controller.feedback(g[N:] - g[:N], k2, k3, v_max)[1]
-
-        def rhs(t, Yt):
-            f, u = field_and_input(t, Yt)
-            return f + u
-
-        dense = integrate.rk4_dense(rhs, Y, dt, substeps)
-        integrate.check_audit(
-            rhs, Y, dt, substeps, integ_tol,
-            what=f"closed-loop interval {k}", coarse=dense.endpoint,
-        )
+        dense = integrate.rk4_dense(network_rhs(ref, nbr_refs, k2, k3), Y, dt, substeps)
         base = k * substeps
         ts[base + 1 : base + substeps + 1] = k * dt + dense.ts[1:]
         states[base + 1 : base + substeps + 1] = dense.ys[1:]
-        for node in range(substeps + 1):
-            inputs[base + node] = field_and_input(dense.ts[node], dense.ys[node])[1]
+        reached.append((Y, ref, nbr_refs, k2, k3, dense.endpoint))
         Y = dense.endpoint
+        if not np.all(np.isfinite(Y)):
+            break
+
+    if reached:
+        # a non-finite coarse endpoint fails its interval's audit, so
+        # past this call all m intervals were reached
+        Y0s, runs, nbr_refs, k2, k3, coarse = zip(*reached)
+        ref = integrate.DenseTrajectory(
+            runs[0].ts,
+            np.stack([r.ys for r in runs], axis=1),
+            np.stack([r.ds for r in runs], axis=1),
+        )
+        nbr_refs, k2, k3 = np.stack(nbr_refs), np.stack(k2), np.stack(k3)
+        integrate.check_audit(
+            network_rhs(ref, nbr_refs, k2, k3), np.stack(Y0s), dt, substeps, integ_tol,
+            what=lambda k: f"closed-loop interval {k}", coarse=np.stack(coarse),
+        )
+        # node j's input is that of the interval starting there, and the
+        # last node's is the last interval's; every interval's run has
+        # the local time grid dense.ts
+        interval = np.minimum(np.arange(total) // substeps, m - 1)
+        node = np.arange(total) - interval * substeps
+        R = np.stack([ref.eval(t) for t in dense.ts])[node, interval]
+        inputs = field_and_input(states, R, nbr_refs[interval], k2[interval], k3[interval])[1]
 
     return Trajectory(
         ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps

@@ -500,6 +500,30 @@ def scalar_cells_intersecting_ball(dec, ball):
     return sorted(hits)
 
 
+def scalar_witness_sweep(dec, lo, hi, ball):
+    """The witness sweep point by point over a freshly built 256-point
+    Halton sequence, as ``grid.witness_in_cell_ball`` ran it before it
+    tested a module-level table in one mask."""
+    count, n = 256, dec.dim
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    table = np.empty((count, n))
+    for axis in range(n):
+        base = primes[axis % len(primes)]
+        seq = np.zeros(count)
+        denom = 1.0
+        rem = np.arange(1, count + 1).astype(float)
+        while np.any(rem > 0):
+            denom *= base
+            seq += (rem % base) / denom
+            rem = rem // base
+        table[:, axis] = seq
+    for u in table:
+        p = lo + u * dec.side
+        if ball.contains(p) and dec.region.contains(p) and np.all(p < hi):
+            return p
+    return None
+
+
 def per_combination_product_layers(model, ab):
     """The product search's layers as it built them before batching.
 

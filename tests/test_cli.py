@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
+
+from horizon_abs import cli
+from horizon_abs.errors import HorizonError
 
 from conftest import pair_doc, ring_doc, ring_workloads, run_cli
 
@@ -280,6 +284,33 @@ def test_expression_overflow_is_a_non_finite_endpoint_error(tmp_path):
     assert "is not finite" in res.stderr
     assert "overflow encountered" not in res.stderr
     assert "invalid value" not in res.stderr
+
+
+def test_abstract_reports_a_non_finite_field_without_writing_nan(tmp_path):
+    """The same inf - inf field makes abstract warn and write null, so
+    bounds.json stays valid JSON."""
+    doc = ring_doc(seed=1)
+    doc["agents"][0]["dynamics"]["exprs"][0] = "exp(1000*x_i[1]) - exp(1000*x_i[1])"
+    model_path = write_model(tmp_path / "model.json", doc)
+    out = tmp_path / "out"
+    res = run_cli(["abstract", "--model", model_path, "--out", out]
+                  + ring_workloads().RING_FLAGS)
+    assert res.returncode == 0, res.stderr
+    assert "warning: agent 1: sampled |f| is not finite" in res.stderr
+
+    def reject(constant):
+        raise AssertionError(f"bounds.json holds {constant}")
+
+    bounds = json.loads((out / "bounds.json").read_text(), parse_constant=reject)
+    assert bounds["agents"]["1"]["sup_f"] is None
+    assert "agent 1: sampled |f| is not finite" in bounds["violations"]
+
+
+def test_a_non_finite_artifact_value_is_an_input_error(tmp_path):
+    with pytest.raises(HorizonError, match="bad.json was not written") as info:
+        cli._write_json(tmp_path, "bad.json", {"margin": math.nan})
+    assert info.value.exit_code == 1
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_hash_mismatch_is_an_input_error(planned_run, tmp_path):

@@ -7,7 +7,12 @@ import pytest
 from horizon_abs import abstraction, grid, planner, reach
 from horizon_abs.errors import ModelError
 
-from conftest import ring_stack, scalar_cells_intersecting_ball, scalar_label_cells
+from conftest import (
+    ring_stack,
+    scalar_cells_intersecting_ball,
+    scalar_label_cells,
+    scalar_witness_sweep,
+)
 
 
 def make_dec(center=(0.0, 0.0), base_radius=1.0, c_rate=0.0, tau=0.3, T=1.0,
@@ -234,17 +239,23 @@ def test_intersection_matches_the_scalar_loop_on_faces_corners_and_the_rim(n):
         assert_matches_the_scalar_loop(dec, inside, radius)
 
 
-def test_a_sliver_goes_to_the_scalar_witness_sweep(monkeypatch):
+def rim_sliver():
     """A rim cell whose box center, clamp point and clamp point off the
-    upper faces all lie outside the region: only the sweep finds its
-    corner inside the region."""
+    upper faces all lie outside the region, and a ball reaching its
+    corner from outside: only the sweep finds the corner in the region.
+    Returns (dec, cell, ball center, ball radius)."""
     dec = make_dec(base_radius=1.0, d_max=0.5 * math.sqrt(2.0))
     rim = (1, 1)
     lo, hi = dec.box(rim)
     assert not dec.region.contains((lo + hi) / 2)
     assert dec.region.contains(lo + 0.3 * dec.side)
     center = hi + dec.side
-    radius = 1.01 * float(np.linalg.norm(center - lo))
+    return dec, rim, center, 1.01 * float(np.linalg.norm(center - lo))
+
+
+def test_a_sliver_goes_to_the_scalar_witness_sweep(monkeypatch):
+    dec, rim, center, radius = rim_sliver()
+    lo, hi = dec.box(rim)
     calls = []
     scalar = grid.witness_in_cell_ball
 
@@ -263,6 +274,38 @@ def test_a_sliver_goes_to_the_scalar_witness_sweep(monkeypatch):
     assert not np.array_equal(point, np.clip(center, lo, hi))
     monkeypatch.undo()
     assert cells == scalar_cells_intersecting_ball(dec, reach.Ball(center, radius))
+
+
+def test_the_sliver_witness_is_the_point_by_point_sweeps():
+    dec, rim, center, radius = rim_sliver()
+    ball = reach.Ball(center, radius)
+    point = grid.witness_in_cell_ball(dec, rim, ball)
+    expected = scalar_witness_sweep(dec, *dec.box(rim), ball)
+    assert expected is not None and np.array_equal(point, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_witness_sweep_matches_the_point_by_point_loop(n):
+    """On rim cells, with balls that catch a sweep point or none."""
+    rng = np.random.default_rng(30 + n)
+    dec = make_dec(center=rng.uniform(-1, 1, size=n), base_radius=1.0,
+                   d_max=0.4 * math.sqrt(n))
+    corners = np.array(list(itertools.product((0, 1), repeat=n)))
+    rim = [c for c in dec.sorted_indices
+           if not np.all(dec.region.contains(dec.anchor + dec.side * (np.array(c) + corners)))]
+    found = 0
+    for lattice in rim[:: max(1, len(rim) // 25)]:
+        lo, hi = dec.box(lattice)
+        for _ in range(4):
+            ball = reach.Ball(lo + rng.uniform(-0.5, 1.5, size=n) * dec.side,
+                              rng.uniform(0.02, 0.8) * dec.side)
+            expected = scalar_witness_sweep(dec, lo, hi, ball)
+            point = grid._witness_sweep(dec, lo, hi, ball)
+            assert (point is None) == (expected is None)
+            if point is not None:
+                found += 1
+                assert np.array_equal(point, expected)
+    assert 0 < found < 4 * len(rim[:: max(1, len(rim) // 25)])
 
 
 def test_deepen_point_gains_face_clearance():

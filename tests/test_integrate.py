@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +111,49 @@ def test_check_audit_is_per_row():
     err = integrate.check_audit(rhs, np.zeros((3, 2)), 1.0, 200, 1e-6)
     single = integrate.check_audit(rhs, np.zeros(2), 1.0, 200, 1e-6)
     assert err.shape == (3,) and np.all(err == single)
+
+
+def test_check_audit_on_a_batch_equals_row_by_row_calls():
+    """An (m, N, n) batch gets (m, N) estimates, each equal to its row's own."""
+
+    def rhs(t, y):
+        return np.sin(3 * t) * np.cos(y) + 0.5 * y
+
+    Y0 = np.random.default_rng(0).uniform(-1, 1, size=(4, 3, 2))
+    err = integrate.check_audit(rhs, Y0, 1.0, 20, 1e-3)
+    assert err.shape == (4, 3)
+    for k in range(4):
+        assert np.array_equal(err[k], integrate.check_audit(rhs, Y0[k], 1.0, 20, 1e-3))
+        for a in range(3):
+            assert err[k, a] == integrate.check_audit(rhs, Y0[k, a], 1.0, 20, 1e-3)
+
+
+def test_check_audit_names_the_lowest_failing_run():
+    """A callable ``what`` names runs along the first axis: the error is
+    the lowest failing run's, with that run's worst estimate."""
+    rates = np.array([0.5, 4.0, 0.5, 6.0])[:, None, None]
+
+    def rhs(t, y):
+        return rates * y
+
+    def what(k):
+        return f"run {k}"
+
+    y0 = np.ones((4, 2, 1))
+    err = integrate.check_audit(rhs, y0, 1.0, 8, math.inf, what=what)
+    worst = err.max(axis=1)
+    assert worst[0] == worst[2] < worst[1] < worst[3]
+    exceeds = re.escape(f"run 1 audit: step-halving estimate {worst[1]:.3e} exceeds")
+    with pytest.raises(IntegrationError, match="^" + exceeds):
+        integrate.check_audit(rhs, y0, 1.0, 8, float(worst[0]), what=what)
+    # run 3's non-finite endpoints come after run 1's estimate; alone they fail
+    rates[3] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="^" + exceeds):
+            integrate.check_audit(rhs, y0, 1.0, 8, float(worst[0]), what=what)
+        with pytest.raises(IntegrationError, match="^run 3 audit: the integrated endpoint is not finite"):
+            integrate.check_audit(rhs, y0, 1.0, 8, math.inf, what=what)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -274,6 +274,28 @@ def test_validate_bounds_report():
     assert any("exceeds M" in v for v in report.violations)
 
 
+def test_validate_bounds_reports_non_finite_values_as_none():
+    """M = 0 under a nonzero field gives an infinite |f|/M; a field that
+    is NaN somewhere gives a NaN |f| and NaN quotients."""
+    doc = single_doc()
+    doc["agents"][0]["dynamics"] = {"type": "gradient-hill", "C": 2.0, "R": 2 * math.pi}
+    doc["agents"][0].update(M=0.0, L1=0.0, L2=10.0)
+    report = model_mod.validate_bounds(make_model(doc), samples=200, seed=0)
+    assert report.entries[1]["ratio_M"] is None and report.entries[1]["sup_f"] > 0
+    assert report.violations[0] == "agent 1: sampled |f|/M is not finite"
+    assert any("exceeds M = 0.0" in v for v in report.violations)
+
+    inf_minus_inf = "exp(1000*x_i[1]) - exp(1000*x_i[1])"
+    doc["agents"][0]["dynamics"] = {"type": "expression", "exprs": [inf_minus_inf, "0"]}
+    doc["agents"][0].update(M=1.0)
+    report = model_mod.validate_bounds(make_model(doc), samples=200, seed=0)
+    entry = report.entries[1]
+    assert entry["sup_f"] is None and entry["ratio_M"] is None and entry["worst_L2"] is None
+    assert report.violations[0] == "agent 1: sampled |f| is not finite"
+    assert not any("exceeds" in v for v in report.violations)
+    json.dumps(report.entries, allow_nan=False)
+
+
 def fan_in_doc(weights):
     """The pair plus a third agent listening to agents 2 and 1, in that order."""
     doc = pair_doc()

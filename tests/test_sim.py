@@ -1,12 +1,13 @@
 """Closed-loop simulation, validation reports, and trajectory I/O."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
 
 from horizon_abs import abstraction as abstraction_mod
-from horizon_abs import controller, grid, planner, sim
+from horizon_abs import controller, grid, integrate, planner, sim
 from horizon_abs.errors import IntegrationError, ModelError
 
 from conftest import (
@@ -150,6 +151,105 @@ def test_closed_loop_audit_failure_names_the_interval(pair_run):
     model, ab, plan, schedule, _ = pair_run
     with pytest.raises(IntegrationError, match="closed-loop interval 0 audit"):
         sim.simulate_closed_loop(model, ab, schedule, plan.m, integ_tol=1e-30)
+
+
+@pytest.fixture(scope="module")
+def heterogeneous_case():
+    model, params, ab = make_stack(heterogeneous_doc(), steps=4, integ_tol=1e-6)
+    m = 4
+    return model, ab, heterogeneous_schedule(ab, m, np.random.default_rng(3)), m
+
+
+def record_closed_loop(monkeypatch, nan_at=None):
+    """Record the closed loop's coarse runs as (rhs, y0, dense) and its
+    audit estimates; the coarse run of interval ``nan_at`` gets a NaN
+    endpoint.  Reference runs and audits are not recorded."""
+    runs, audits = [], []
+    rk4_dense, check_audit = integrate.rk4_dense, integrate.check_audit
+
+    def dense(rhs, y0, dt, substeps):
+        out = rk4_dense(rhs, y0, dt, substeps)
+        if "simulate_closed_loop" in rhs.__qualname__:
+            if len(runs) == nan_at:
+                out.ys[-1, 0, 0] = np.nan
+            runs.append((rhs, y0, out))
+        return out
+
+    def audit(*args, **kwargs):
+        err = check_audit(*args, **kwargs)
+        if callable(kwargs.get("what")):
+            audits.append(err)
+        return err
+
+    monkeypatch.setattr(integrate, "rk4_dense", dense)
+    monkeypatch.setattr(integrate, "check_audit", audit)
+    return runs, audits
+
+
+def test_batched_audit_equals_per_interval_audits(heterogeneous_case, monkeypatch):
+    """One audit over all intervals gives, bit for bit, the estimates of
+    one check_audit per interval on that interval's coarse run."""
+    model, ab, schedule, m = heterogeneous_case
+    runs, audits = record_closed_loop(monkeypatch)
+    sim.simulate_closed_loop(model, ab, schedule, m)
+    assert len(runs) == m and len(audits) == 1
+    assert audits[0].shape == (m, len(model.agents))
+    for k, (rhs, y0, dense) in enumerate(runs):
+        alone = integrate.check_audit(
+            rhs, y0, ab.params.dt, ab.substeps, ab.integ_tol, coarse=dense.endpoint
+        )
+        assert np.array_equal(audits[0][k], alone)
+
+
+def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, monkeypatch):
+    model, ab, schedule, m = heterogeneous_case
+    calls = []
+    network_field = sim.NetworkField.__call__
+
+    def counting(self, S):
+        calls.append(S.shape)
+        return network_field(self, S)
+
+    monkeypatch.setattr(sim.NetworkField, "__call__", counting)
+    sim.simulate_closed_loop(model, ab, schedule, m)
+    substeps = ab.substeps
+    assert len(calls) == m * (4 * substeps + 1) + 8 * substeps + 1
+    assert calls[-1][0] == m * substeps + 1
+
+
+def test_closed_loop_audit_names_the_lowest_failing_interval(heterogeneous_case, monkeypatch):
+    model, ab, schedule, m = heterogeneous_case
+    runs, audits = record_closed_loop(monkeypatch)
+    sim.simulate_closed_loop(model, ab, schedule, m)
+    worst = audits[0].max(axis=1)
+    tol = 2e-8
+    assert worst[0] <= tol and worst[2] <= tol < worst[1] and tol < worst[3]
+    with pytest.raises(IntegrationError, match=re.escape(
+        f"closed-loop interval 1 audit: step-halving estimate {worst[1]:.3e} exceeds "
+        f"tolerance {tol:.3e}; raise substeps"
+    )):
+        sim.simulate_closed_loop(model, ab, schedule, m, integ_tol=tol)
+
+
+def test_non_finite_coarse_endpoint_stops_the_closed_loop(heterogeneous_case, monkeypatch):
+    """Interval 2's NaN endpoint fails its audit; interval 3 is never integrated."""
+    model, ab, schedule, m = heterogeneous_case
+    runs, _ = record_closed_loop(monkeypatch, nan_at=2)
+    with pytest.raises(
+        IntegrationError, match="^closed-loop interval 2 audit: the integrated endpoint is not finite"
+    ):
+        sim.simulate_closed_loop(model, ab, schedule, m)
+    assert len(runs) == 3
+
+
+def test_earlier_audit_failure_wins_over_a_later_non_finite_endpoint(
+    heterogeneous_case, monkeypatch
+):
+    model, ab, schedule, m = heterogeneous_case
+    runs, _ = record_closed_loop(monkeypatch, nan_at=2)
+    with pytest.raises(IntegrationError, match="^closed-loop interval 1 audit: step-halving"):
+        sim.simulate_closed_loop(model, ab, schedule, m, integ_tol=2e-8)
+    assert len(runs) == 3
 
 
 def test_reference_audit_failure_names_the_agent(pair_run):
