@@ -15,9 +15,8 @@ import time
 
 from . import abstraction as abstraction_mod
 from . import model as model_mod
-from . import planner, render, sim, wellposed
+from . import integrate, planner, render, sim, wellposed
 from .errors import HorizonError, ModelError, ValidationError
-from .integrate import DEFAULT_INTEG_TOL, DEFAULT_SUBSTEPS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,9 +36,9 @@ def _add_common(sp):
                     metavar="I=V", help="per-agent interpolation weight override")
     sp.add_argument("--margin", type=float, default=wellposed.DEFAULT_MARGIN,
                     help="fraction of the open bounds to realize")
-    sp.add_argument("--substeps", type=int, default=DEFAULT_SUBSTEPS,
+    sp.add_argument("--substeps", type=int, default=integrate.DEFAULT_SUBSTEPS,
                     help="integrator substeps per transition interval")
-    sp.add_argument("--integ-tol", type=float, default=DEFAULT_INTEG_TOL,
+    sp.add_argument("--integ-tol", type=float, default=integrate.DEFAULT_INTEG_TOL,
                     help="step-halving audit tolerance")
     sp.add_argument("--budget", type=int, default=64,
                     help="parent paths tried per agent in cascade synthesis")
@@ -157,8 +156,11 @@ def _ensure_out(args):
 
 
 def _build(model, params, args):
+    substeps, integ_tol = integrate.check_settings(
+        args.substeps, args.integ_tol, names=("--substeps", "--integ-tol")
+    )
     return abstraction_mod.build_abstraction(
-        model, params, substeps=args.substeps, integ_tol=args.integ_tol
+        model, params, substeps=substeps, integ_tol=integ_tol
     )
 
 
@@ -259,8 +261,12 @@ def cmd_validate(args):
     plan, params, doc = _load_plan(args, model_hash)
     if params is None:
         params = _synthesize(model, args)
-    substeps = int(doc.get("substeps", args.substeps))
-    integ_tol = float(doc.get("integ_tol", args.integ_tol))
+    substeps, integ_tol = integrate.check_settings(
+        doc.get("substeps", args.substeps),
+        doc.get("integ_tol", args.integ_tol),
+        names=tuple(f"plan.json {key}" if key in doc else flag
+                    for key, flag in (("substeps", "--substeps"), ("integ_tol", "--integ-tol"))),
+    )
     abstraction = _build(model, params, args)
     schedule = planner.extract_controls(model, abstraction, plan)
     t0 = time.monotonic()

@@ -5,6 +5,11 @@ axis, clipped to the region ball, so the valid cells form a true
 partition of the region.  The grid is anchored at the agent's initial
 state.  A cell index is the integer lattice tuple of its box.
 
+A decomposition stores its cells as boolean masks over the region's
+bounding lattice box, one for valid and one for initiating cells, built
+axis by axis without a per-cell object; ``index_set`` and
+``initiating_set`` are read-only set views of those masks.
+
 Grids are built, labeled and intersected with balls one array at a
 time: ``cells_intersecting_ball`` tests all cells of a whole batch of
 endpoint balls in one pass, and hands only boundary slivers, where none
@@ -12,10 +17,11 @@ of the exact candidate witnesses lands, to the scalar
 ``witness_in_cell_ball`` and its low-discrepancy sweep.
 """
 
+import collections.abc
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +32,72 @@ _WITNESS_FALLBACK_POINTS = 256
 _PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 
+class CellSet(collections.abc.Set):
+    """Read-only set of lattice tuples held as a boolean mask over a lattice box.
+
+    ``origin`` is the lattice index of the mask's first entry.  Membership
+    answers what a frozenset of int tuples would, iteration is
+    lexicographic and set algebra returns a frozenset.
+    """
+
+    def __init__(self, origin, mask):
+        mask = np.ascontiguousarray(mask, dtype=bool).view()
+        mask.flags.writeable = False
+        self.origin = np.array(origin, dtype=int)
+        self.mask = mask
+        self._len = int(np.count_nonzero(mask))
+        # one byte per box cell, so the mask's byte strides index it
+        self._bits = mask.tobytes()
+        self._axes = tuple(zip(self.origin.tolist(), mask.shape, mask.strides))
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return iter(_lattice_tuples(self.origin, self.mask))
+
+    def __contains__(self, key):
+        hash(key)  # an unhashable key raises, as in a frozenset
+        if not isinstance(key, tuple) or len(key) != len(self._axes):
+            return False
+        try:
+            flat = 0
+            for k, (lo, size, stride) in zip(key, self._axes):
+                r = k - lo
+                if not 0 <= r < size:
+                    return False
+                flat += r * stride
+            return self._bits[flat] == 1
+        except TypeError:
+            pass
+        # keys equal to an int tuple, such as (1.0, 2.0), are members too
+        try:
+            ints = tuple(int(k) for k in key)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return ints == key and ints in self
+
+    def contains_many(self, lattice):
+        """Membership of every row of an int lattice array, in one gather."""
+        rel = np.asarray(lattice, dtype=int).reshape(-1, len(self._axes)) - self.origin
+        inbox = np.all((rel >= 0) & (rel < self.mask.shape), axis=-1)
+        out = np.zeros(len(rel), dtype=bool)
+        out[inbox] = self.mask[tuple(rel[inbox].T)]
+        return out
+
+    def __repr__(self):
+        return f"CellSet({self._len} cells in a {'x'.join(map(str, self.mask.shape))} box)"
+
+
+def _lattice_tuples(origin, mask):
+    """The lattice tuples of a mask's set entries, in lexicographic order."""
+    return list(map(tuple, (np.argwhere(mask) + origin).tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class CellDecomposition:
     agent_id: int
@@ -33,9 +105,8 @@ class CellDecomposition:
     side: float
     region: reach.Ball
     inner: reach.Ball
-    index_set: frozenset
-    initiating_set: frozenset
-    sorted_indices: tuple = field(repr=False, default=())
+    index_set: CellSet
+    initiating_set: CellSet
 
     @property
     def dim(self):
@@ -50,45 +121,78 @@ class CellDecomposition:
         return lo, lo + self.side
 
 
+def _axis_bounds(anchor, side, origin, shape):
+    """Per axis, the lower and upper box faces of every lattice column,
+    with the arithmetic of ``CellDecomposition.box``."""
+    los = [a + side * np.arange(o, o + size) for a, o, size in zip(anchor, origin, shape)]
+    return los, [lo + side for lo in los]
+
+
+def _columns(values):
+    """One 1-D array per axis, each shaped to broadcast along its axis of
+    the lattice box."""
+    n = len(values)
+    return [v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k, v in enumerate(values)]
+
+
+def _all_axes(values):
+    """Per cell of the lattice box, whether the boolean of every axis holds."""
+    cols = _columns(values)
+    out = cols[0]
+    for col in cols[1:]:
+        out = out & col
+    return out
+
+
+def _sum_axes(values):
+    """Per cell of the lattice box, the sum of one value per axis.
+
+    The values are laid out along a last axis and summed over it, so they
+    add up in the order of every other squared distance in this module
+    (numpy sums short rows in axis order but rows of 8 or more pairwise).
+    """
+    return np.sum(np.stack(np.broadcast_arrays(*_columns(values)), axis=-1), axis=-1)
+
+
 def build_decomposition(family, d_max, dt):
-    """Enumerate all grid cells whose box touches the agent's horizon ball."""
+    """Mask every grid cell whose box touches the agent's horizon ball.
+
+    The tests are separable, so each runs once per lattice column of an
+    axis and is combined over the box by broadcasting: the squared clamp
+    gaps are summed per cell, and the farthest corner of a box takes the
+    larger squared corner gap on every axis.
+    """
     if d_max <= 0:
         raise ModelError(f"d_max must be positive, got {d_max}")
     region = reach.reach_at(family, family.T)
     inner = reach.inner_region(family, dt)
-    anchor = family.base.center
+    anchor = np.asarray(family.base.center, dtype=float)
     n = anchor.shape[0]
     side = d_max / math.sqrt(n)
 
-    lo_idx = np.floor((region.center - region.radius - anchor) / side).astype(int)
-    hi_idx = np.floor((region.center + region.radius - anchor) / side).astype(int)
-    axes = [np.arange(lo_idx[k], hi_idx[k] + 1) for k in range(n)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    los = anchor + side * mesh
-    clamp = np.clip(region.center, los, los + side)
-    dist = np.sqrt(np.sum((clamp - region.center) ** 2, axis=-1))
+    origin = np.floor((region.center - region.radius - anchor) / side).astype(int)
+    top = np.floor((region.center + region.radius - anchor) / side).astype(int)
+    los, his = _axis_bounds(anchor, side, origin, top - origin + 1)
+    clamp = [np.clip(region.center[k], los[k], his[k]) for k in range(n)]
+    dist = np.sqrt(_sum_axes([(clamp[k] - region.center[k]) ** 2 for k in range(n)]))
     # boxes tangent to the sphere keep only the closest point; it must
     # survive the half-open convention or the clipped cell is empty
-    valid = (dist < region.radius) | (
-        (dist <= region.radius) & np.all(clamp < los + side, axis=-1)
-    )
-    lattices = mesh[valid]
+    tangent_ok = _all_axes([clamp[k] < his[k] for k in range(n)])
+    valid = (dist < region.radius) | ((dist <= region.radius) & tangent_ok)
 
-    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
-    corner_pts = los[valid][:, None, :] + side * corners[None, :, :]
-    corner_dist = np.sqrt(np.sum((corner_pts - inner.center) ** 2, axis=-1))
-    initiating = np.all(corner_dist <= inner.radius, axis=-1)
-
-    index_tuples = list(zip(*lattices.T.tolist()))
+    far = [
+        np.maximum((los[k] - inner.center[k]) ** 2, (his[k] - inner.center[k]) ** 2)
+        for k in range(n)
+    ]
+    initiating = valid & (np.sqrt(_sum_axes(far)) <= inner.radius)
     return CellDecomposition(
         agent_id=family.agent_id,
-        anchor=np.asarray(anchor, dtype=float),
+        anchor=anchor,
         side=side,
         region=region,
         inner=inner,
-        index_set=frozenset(index_tuples),
-        initiating_set=frozenset(itertools.compress(index_tuples, initiating.tolist())),
-        sorted_indices=tuple(sorted(index_tuples)),
+        index_set=CellSet(origin, valid),
+        initiating_set=CellSet(origin, initiating),
     )
 
 
@@ -251,10 +355,9 @@ def cells_intersecting_ball(dec, centers, radius):
     q = np.clip(c, lo, hi)
     gap = np.sqrt(np.sum((q - c) ** 2, axis=-1))
     near = np.flatnonzero(gap <= radius)
+    near = near[dec.index_set.contains_many(lattice[near])]
     keys = list(zip(*lattice[near].T.tolist()))
-    member = np.fromiter((k in dec.index_set for k in keys), bool, len(keys))
-    keys = list(itertools.compress(keys, member))
-    row, c, lo, hi, q, gap = (a[near[member]] for a in (row, c, lo, hi, q, gap))
+    row, c, lo, hi, q, gap = (a[near] for a in (row, c, lo, hi, q, gap))
 
     def lands(p):
         return (
@@ -286,16 +389,17 @@ def cells_intersecting_ball(dec, centers, radius):
 def label_cells(dec, lo, hi):
     """Cells whose full box sits inside the closed goal box [lo, hi].
 
-    One mask over the sorted lattice, with the box arithmetic of
-    ``CellDecomposition.box``; the result stays in sorted index order.
+    One mask over the lattice box, with the box arithmetic of
+    ``CellDecomposition.box``; the result is in sorted index order.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    lattice = np.array(dec.sorted_indices, dtype=float).reshape(-1, dec.dim)
-    cell_lo = dec.anchor + dec.side * lattice
-    cell_hi = cell_lo + dec.side
-    inside = np.all(cell_lo >= lo - 1e-12, axis=1) & np.all(cell_hi <= hi + 1e-12, axis=1)
-    return [dec.sorted_indices[r] for r in np.flatnonzero(inside)]
+    cells = dec.index_set
+    los, his = _axis_bounds(dec.anchor, dec.side, cells.origin, cells.mask.shape)
+    inside = _all_axes(
+        [(los[k] >= lo[k] - 1e-12) & (his[k] <= hi[k] + 1e-12) for k in range(dec.dim)]
+    )
+    return _lattice_tuples(cells.origin, cells.mask & inside)
 
 
 def pr(model, cells_by_agent, agent_id):

@@ -6,12 +6,25 @@ relies on.  Accuracy is audited after the fact by a step-halving
 Richardson estimate instead of being controlled online.
 """
 
+import math
+
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, ModelError
 
 DEFAULT_SUBSTEPS = 100
 DEFAULT_INTEG_TOL = 1e-8
+
+
+def check_settings(substeps, integ_tol, names):
+    """The integrator settings if substeps is an integer >= 1 and integ_tol
+    a finite number > 0; otherwise a ModelError naming the bad one by
+    ``names``, a pair of labels for the two values."""
+    if type(substeps) is not int or substeps < 1:
+        raise ModelError(f"{names[0]} must be an integer >= 1, got {substeps!r}")
+    if type(integ_tol) not in (int, float) or not 0 < integ_tol < math.inf:
+        raise ModelError(f"{names[1]} must be a finite number > 0, got {integ_tol!r}")
+    return substeps, float(integ_tol)
 
 
 def _rk4_step(rhs, t, y, h):

@@ -114,8 +114,8 @@ def render_svg(model, families, decs, plan=None, traj=None):
             body += _cells(frame, dec, reach - sat, fill=REACHABLE_FILL)
             body += _cells(frame, dec, sat - chosen, fill=SATISFYING_FILL)
             body += _cells(frame, dec, chosen, fill=PATH_FILL, opacity="0.85")
-        elif len(dec.sorted_indices) <= GRID_DRAW_LIMIT:
-            body += _cells(frame, dec, dec.sorted_indices, stroke="#dddddd", width=0.5)
+        elif len(dec.index_set) <= GRID_DRAW_LIMIT:
+            body += _cells(frame, dec, dec.index_set, stroke="#dddddd", width=0.5)
     for i in model.agent_ids:
         body.append(_circle(frame, decs[i].region.center, decs[i].region.radius, REGION_STROKE))
         body.append(_circle(frame, decs[i].inner.center, decs[i].inner.radius, INNER_STROKE, dash="6,4"))

@@ -102,8 +102,8 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     axis, and an audit error names the lowest failing interval.  One more
     right-hand side call records the inputs at every kept node.
     """
-    substeps = substeps or abstraction.substeps
-    integ_tol = integ_tol or abstraction.integ_tol
+    substeps = abstraction.substeps if substeps is None else substeps
+    integ_tol = abstraction.integ_tol if integ_tol is None else integ_tol
     dt = abstraction.params.dt
     ids = model.agent_ids
     N = len(ids)

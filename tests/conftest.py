@@ -470,13 +470,56 @@ def ring_stack(seed):
     return make_stack(ring_doc(seed), lam=lam, steps=workloads.RING_STEPS)
 
 
+def enumerated_decomposition(family, d_max, dt):
+    """Every grid cell as a lattice tuple, as ``grid.build_decomposition``
+    built them before it stored masks over the lattice box.
+
+    Returns the index set, the initiating set (both frozensets) and the
+    sorted index tuple.
+    """
+    from horizon_abs import reach
+
+    region = reach.reach_at(family, family.T)
+    inner = reach.inner_region(family, dt)
+    anchor = family.base.center
+    n = anchor.shape[0]
+    side = d_max / math.sqrt(n)
+
+    lo_idx = np.floor((region.center - region.radius - anchor) / side).astype(int)
+    hi_idx = np.floor((region.center + region.radius - anchor) / side).astype(int)
+    axes = [np.arange(lo_idx[k], hi_idx[k] + 1) for k in range(n)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    los = anchor + side * mesh
+    clamp = np.clip(region.center, los, los + side)
+    dist = np.sqrt(np.sum((clamp - region.center) ** 2, axis=-1))
+    valid = (dist < region.radius) | (
+        (dist <= region.radius) & np.all(clamp < los + side, axis=-1)
+    )
+    lattices = mesh[valid]
+
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    initiating = np.empty(len(lattices), dtype=bool)
+    # a few hundred cells at a time keeps the 2^n corners of 8-D grids small
+    for start in range(0, len(lattices), 512):
+        corner_pts = los[valid][start:start + 512, None, :] + side * corners[None, :, :]
+        corner_dist = np.sqrt(np.sum((corner_pts - inner.center) ** 2, axis=-1))
+        initiating[start:start + 512] = np.all(corner_dist <= inner.radius, axis=-1)
+
+    index_tuples = list(zip(*lattices.T.tolist()))
+    return (
+        frozenset(index_tuples),
+        frozenset(itertools.compress(index_tuples, initiating.tolist())),
+        tuple(sorted(index_tuples)),
+    )
+
+
 def scalar_label_cells(dec, lo, hi):
     """Goal labeling cell by cell, as ``grid.label_cells`` did before it
     used one mask over the lattice."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     out = []
-    for lattice in dec.sorted_indices:
+    for lattice in sorted(dec.index_set):
         cell_lo, cell_hi = dec.box(lattice)
         if np.all(cell_lo >= lo - 1e-12) and np.all(cell_hi <= hi + 1e-12):
             out.append(lattice)

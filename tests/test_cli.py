@@ -224,6 +224,60 @@ def test_exit_code_4_on_a_corrupted_plan(planned_run, tmp_path):
     assert res.returncode == 4 and "stored w disagrees" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--substeps", "0"], "--substeps must be an integer >= 1"),
+        (["--substeps", "-3"], "--substeps must be an integer >= 1"),
+        (["--integ-tol", "nan"], "--integ-tol must be a finite number > 0"),
+        (["--integ-tol", "-1"], "--integ-tol must be a finite number > 0"),
+        (["--integ-tol", "0"], "--integ-tol must be a finite number > 0"),
+    ],
+    ids=["substeps-0", "substeps-negative", "integ-tol-nan", "integ-tol-negative", "integ-tol-0"],
+)
+def test_exit_code_1_on_out_of_range_integrator_flags(tmp_path, flags, message):
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    res = run_cli(["plan", "--model", model_path, "--out", out] + PAIR_FLAGS + flags)
+    assert res.returncode == 1 and "error:" in res.stderr and message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / "plan.json").exists()
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "key, value, flags, message",
+    [
+        ("substeps", "x", [], "plan.json substeps must be an integer >= 1"),
+        ("substeps", 0, [], "plan.json substeps must be an integer >= 1"),
+        ("substeps", 2.5, [], "plan.json substeps must be an integer >= 1"),
+        ("integ_tol", "1e-8", [], "plan.json integ_tol must be a finite number > 0"),
+        ("integ_tol", -1.0, [], "plan.json integ_tol must be a finite number > 0"),
+        # without the key the flag's value is used, and named as the flag
+        ("substeps", MISSING, ["--substeps", "0"], "--substeps must be an integer >= 1"),
+        ("integ_tol", MISSING, ["--integ-tol", "nan"], "--integ-tol must be a finite number > 0"),
+    ],
+    ids=["substeps-string", "substeps-0", "substeps-fraction", "integ-tol-string",
+         "integ-tol-negative", "substeps-missing-flag-0", "integ-tol-missing-flag-nan"],
+)
+def test_exit_code_1_on_out_of_range_integrator_settings_in_the_plan(
+    planned_run, tmp_path, key, value, flags, message
+):
+    model_path, out, _, _ = planned_run
+    doc = json.loads((out / "plan.json").read_text())
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    res = run_cli(["validate", "--model", model_path, "--out", tmp_path] + PAIR_FLAGS + flags)
+    assert res.returncode == 1 and f"error: {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "validation.json").exists()
+
+
 def follower_first_doc():
     """The pair with ids swapped: follower 1 reads leader 2's cells, so its
     configurations need an agent that comes later in id order."""

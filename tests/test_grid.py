@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from horizon_abs import abstraction, grid, planner, reach
 from horizon_abs.errors import ModelError
 
 from conftest import (
+    enumerated_decomposition,
     ring_stack,
     scalar_cells_intersecting_ball,
     scalar_label_cells,
@@ -53,6 +55,93 @@ def test_degenerate_region_is_a_single_cell():
     assert len(dec.index_set) == 1
     ((cell),) = dec.index_set
     assert grid.cell_contains(dec, cell, dec.region.center)
+
+
+def assert_matches_the_enumeration(fam, d_max, dt):
+    dec = grid.build_decomposition(fam, d_max, dt)
+    index_set, initiating_set, ordered = enumerated_decomposition(fam, d_max, dt)
+    assert len(dec.index_set) == len(index_set)
+    assert len(dec.initiating_set) == len(initiating_set)
+    # Set equality iterates the mask view; <= asks it for every enumerated cell
+    assert dec.index_set == index_set and index_set <= dec.index_set
+    assert dec.initiating_set == initiating_set and initiating_set <= dec.initiating_set
+    assert list(dec.index_set) == list(ordered)
+    assert list(dec.initiating_set) == sorted(initiating_set)
+    return dec
+
+
+def test_mask_grid_equals_the_enumeration_on_the_tangent_unit_disk():
+    fam = reach.ReachFamily(agent_id=1, base=reach.Ball(np.zeros(2), 1.0), c_rate=0.0,
+                            tau=0.3, T=1.0)
+    dec = assert_matches_the_enumeration(fam, math.sqrt(2.0), 0.1)
+    assert (0, 1) in dec.index_set and (1, 1) not in dec.index_set
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mask_grid_equals_the_enumeration_on_random_families(n):
+    rng = np.random.default_rng(40 + n)
+    for trial in range(40):
+        fam = reach.ReachFamily(
+            agent_id=1,
+            base=reach.Ball(rng.normal(scale=2.0, size=n), rng.uniform(0.0, 2.0)),
+            c_rate=rng.uniform(0.0, 1.0),
+            tau=0.3,
+            T=1.0,
+        )
+        radius = max(reach.reach_at(fam, fam.T).radius, 0.1)
+        if trial % 2:
+            # a whole number of sides per radius: box faces touch the sphere
+            d_max = radius * math.sqrt(n) / int(rng.integers(1, 6))
+        else:
+            d_max = rng.uniform(0.05, 1.0) * radius
+        assert_matches_the_enumeration(fam, d_max, rng.uniform(0.01, 0.3))
+
+
+def test_mask_grid_equals_the_enumeration_in_eight_dimensions():
+    # with sides of radius/sqrt(3), boxes three sides from the center touch
+    # the sphere, so three squared gaps add up to the squared radius give or
+    # take rounding; numpy sums rows of 8 or more pairwise, not in axis order
+    n = 8
+    rng = np.random.default_rng(7)
+    for trial in range(6):
+        fam = reach.ReachFamily(
+            agent_id=1,
+            base=reach.Ball(rng.normal(scale=2.0, size=n), rng.uniform(0.0, 2.0)),
+            c_rate=rng.uniform(0.0, 1.0),
+            tau=0.3,
+            T=1.0,
+        )
+        radius = max(reach.reach_at(fam, fam.T).radius, 0.1)
+        assert_matches_the_enumeration(fam, radius * math.sqrt(n) / math.sqrt(3),
+                                       rng.uniform(0.01, 0.3))
+
+
+def test_membership_answers_what_a_frozenset_answers():
+    dec = make_dec(base_radius=1.0, d_max=math.sqrt(2.0))
+    for view in (dec.index_set, dec.initiating_set):
+        cells = frozenset(view)
+        probes = [(0, 0), (-1, -1), (1, 1), (5, 5), (-100, 0), (0,), (0, 0, 0), (),
+                  (0.0, 1.0), (0.5, 0), (float("nan"), 0), (np.int64(0), np.int64(1)),
+                  (True, False), ("a", "b"), "ab", 3, None]
+        for key in probes:
+            assert (key in view) == (key in cells), key
+        for key in ([0, 0], (100, [0]), (0, {})):
+            with pytest.raises(TypeError):
+                key in view
+    assert isinstance(dec.index_set - dec.initiating_set, frozenset)
+    assert isinstance({(9, 9)} | dec.index_set, frozenset)
+    assert not dec.index_set.mask.flags.writeable
+
+
+def test_grid_build_holds_no_per_cell_objects(five_model, five_params):
+    tracemalloc.start()
+    try:
+        ab = abstraction.build_abstraction(five_model, five_params)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(dec.index_set) for dec in ab.decs.values()) == 133324
+    assert held < 8 * 2**20
 
 
 def test_membership_oracle_agrees_with_enumeration():
@@ -222,7 +311,8 @@ def test_intersection_matches_the_scalar_loop_on_faces_corners_and_the_rim(n):
     dec = make_dec(center=rng.uniform(-1, 1, size=n), base_radius=1.1, c_rate=0.7,
                    d_max=0.45 * math.sqrt(n))
     side, region = dec.side, dec.region
-    lattice = np.array(dec.sorted_indices[:: max(1, len(dec.sorted_indices) // 12)])
+    cells = sorted(dec.index_set)
+    lattice = np.array(cells[:: max(1, len(cells) // 12)])
     on_corners = dec.anchor + side * lattice
     on_faces = on_corners + side * 0.5 * (np.arange(n) > 0)
     grid_points = np.concatenate([on_corners, on_faces])
@@ -291,7 +381,7 @@ def test_witness_sweep_matches_the_point_by_point_loop(n):
     dec = make_dec(center=rng.uniform(-1, 1, size=n), base_radius=1.0,
                    d_max=0.4 * math.sqrt(n))
     corners = np.array(list(itertools.product((0, 1), repeat=n)))
-    rim = [c for c in dec.sorted_indices
+    rim = [c for c in sorted(dec.index_set)
            if not np.all(dec.region.contains(dec.anchor + dec.side * (np.array(c) + corners)))]
     found = 0
     for lattice in rim[:: max(1, len(rim) // 25)]:

@@ -53,11 +53,11 @@ def test_grid_background_without_a_plan(pair_render_inputs):
     svg = render.render_svg(model, ab.families, ab.decs)
     # only grids below the draw limit are stroked (the follower's is huge)
     cells = sum(
-        len(ab.decs[i].sorted_indices)
+        len(ab.decs[i].index_set)
         for i in model.agent_ids
-        if len(ab.decs[i].sorted_indices) <= render.GRID_DRAW_LIMIT
+        if len(ab.decs[i].index_set) <= render.GRID_DRAW_LIMIT
     )
-    sizes = [len(ab.decs[i].sorted_indices) for i in model.agent_ids]
+    sizes = [len(ab.decs[i].index_set) for i in model.agent_ids]
     assert min(sizes) <= render.GRID_DRAW_LIMIT < max(sizes)  # both paths exercised
     assert svg.count('stroke="#dddddd"') == cells
     assert render.PATH_FILL not in svg
