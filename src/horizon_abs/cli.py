@@ -24,6 +24,7 @@ class _Parser(argparse.ArgumentParser):
     # for unsatisfiable specifications; remap to the I/O error code.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 

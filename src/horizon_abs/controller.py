@@ -86,6 +86,56 @@ def integrate_reference(
     )
 
 
+class ReferenceStack:
+    """References of many agents' configurations, integrated as one batch.
+
+    Row r belongs to ``agents[r]``: it starts at ``own_ref[r]`` and its
+    neighbor block stays frozen at ``nbr_refs[r]``, so it has the bits of
+    ``integrate_reference`` on that row alone.  The field of every row is
+    evaluated at once: rows are grouped by equal dynamics as in
+    model.NetworkField and saturated at their agent's M.  The dense run is
+    made here; the audit is a separate step.
+    """
+
+    def __init__(self, agents, own_ref, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
+        self.agents = tuple(agents)
+        self.own_ref = np.asarray(own_ref, dtype=float)
+        self.nbr_refs = tuple(np.asarray(nbr, dtype=float) for nbr in nbr_refs)
+        self.dt, self.substeps = dt, substeps
+        # the frozen neighbor points follow the reference rows, row after row
+        n = self.own_ref.shape[-1]
+        points = [nbr.reshape(-1, n) for nbr in self.nbr_refs]
+        starts = np.cumsum([len(self.agents)] + [len(p) for p in points])
+        neighbor_rows = [list(range(a, a + len(p))) for a, p in zip(starts, points)]
+        self._points = np.concatenate([np.empty((0, n))] + points)
+        self._field = model_mod.NetworkField(self.agents, neighbor_rows)
+        self._M = np.array([agent.M for agent in self.agents])[:, None]
+        self.traj = integrate.rk4_dense(self._rhs, self.own_ref, dt, substeps)
+
+    @property
+    def endpoint(self):
+        return self.traj.endpoint
+
+    def field(self, Y):
+        """The saturated field g of every row at states Y, shaped (..., rows, n)."""
+        points = np.broadcast_to(self._points, Y.shape[:-2] + self._points.shape)
+        return model_mod.saturate(self._field(np.concatenate((Y, points), axis=-2)), self._M)
+
+    def _rhs(self, t, Y):
+        return self.field(Y)
+
+    def audit(self, integ_tol, agent_ids):
+        """Step-halving estimate of every row.  An error names the first
+        agent in ``agent_ids`` with a failing row, with the worst estimate
+        over that agent's rows."""
+        rank = {i: a for a, i in enumerate(agent_ids)}
+        return integrate.check_audit(
+            self._rhs, self.own_ref, self.dt, self.substeps, integ_tol,
+            what=lambda a: f"reference of agent {agent_ids[a]}", coarse=self.endpoint,
+            runs=[rank[agent.id] for agent in self.agents],
+        )
+
+
 def reference_endpoints(agent, own_refs, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
     """Endpoints only, batched over configurations (no dense storage, no audit)."""
 

@@ -61,20 +61,45 @@ class DenseTrajectory:
     def dt(self):
         return float(self.ts[-1])
 
-    def eval(self, t):
+    def _weights(self, t):
+        """The node k below t and the Hermite weights of ys[k], ds[k],
+        ys[k + 1] and ds[k + 1] at t (the derivative weights times h)."""
         ts = self.ts
         if not -1e-12 <= t <= ts[-1] + 1e-12:
             raise IntegrationError(f"t={t} outside [0, {ts[-1]}]")
         h = ts[1] - ts[0]
         k = min(int(max(t, 0.0) / h), len(ts) - 2)
         s = (t - ts[k]) / h
-        y0, y1 = self.ys[k], self.ys[k + 1]
-        d0, d1 = self.ds[k], self.ds[k + 1]
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        return k, h00, h10 * h, h01, h11 * h
+
+    def eval(self, t):
+        k, a, b, c, d = self._weights(t)
+        return a * self.ys[k] + b * self.ds[k] + c * self.ys[k + 1] + d * self.ds[k + 1]
+
+    def eval_many(self, times):
+        """``eval`` at every time, stacked along a new leading axis.
+
+        The weights are computed per time as in ``eval``, so each slice
+        has the bits of the single call."""
+        k, a, b, c, d = (np.array(w) for w in zip(*map(self._weights, times)))
+        a, b, c, d = (w.reshape((len(k),) + (1,) * (self.ys.ndim - 1)) for w in (a, b, c, d))
+        return a * self.ys[k] + b * self.ds[k] + c * self.ys[k + 1] + d * self.ds[k + 1]
+
+
+def stage_times(dt, substeps, dense=False):
+    """Every time at which rk4_dense (dense=True) or rk4_endpoint calls rhs,
+    computed as they compute it."""
+    h = dt / substeps
+    if dense:
+        ts = np.linspace(0.0, dt, substeps + 1)
+        starts, last = ts[:-1], ts[-1:]
+    else:
+        starts, last = np.arange(substeps) * h, np.empty(0)
+    return np.concatenate((starts, starts + h / 2, starts + h, last))
 
 
 def rk4_dense(rhs, y0, dt, substeps):
@@ -92,7 +117,7 @@ def rk4_dense(rhs, y0, dt, substeps):
     return DenseTrajectory(ts, ys, ds)
 
 
-def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=None):
+def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=None, runs=None):
     """Step-halving Richardson estimate of the substeps-step endpoint error.
 
     Halving the step scales the RK4 global error roughly 16-fold, so the
@@ -107,7 +132,8 @@ def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=Non
     exceeds ``integ_tol``; ``what`` names the run in that error.  A
     callable ``what`` names the runs along the first axis instead: the
     error is the one of the lowest failing run k, named ``what(k)``, with
-    that run's worst estimate.
+    that run's worst estimate.  ``runs`` gives the run of each row along
+    the first axis when a run spans several rows (default: row k is run k).
     """
     if coarse is None:
         coarse = rk4_endpoint(rhs, y0, dt, substeps)
@@ -118,9 +144,11 @@ def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=Non
         err = np.max(np.abs(coarse - fine), axis=-1) * (16.0 / 15.0)
     if callable(what):
         failed = ~np.all(finite, axis=-1) | (err > integ_tol)
+        failed = failed.reshape(len(failed), -1).any(axis=1)
         if np.any(failed):
-            k = int(np.argmax(failed.reshape(len(failed), -1).any(axis=1)))
-            _raise_if_failed(finite[k], err[k], integ_tol, what(k))
+            runs = np.arange(len(failed)) if runs is None else np.asarray(runs)
+            k = int(np.min(runs[failed]))
+            _raise_if_failed(finite[runs == k], err[runs == k], integ_tol, what(k))
     else:
         _raise_if_failed(finite, err, integ_tol, what)
     return err if err.ndim else float(err)

@@ -42,7 +42,10 @@ class ConsensusDynamics:
 
     def eval(self, x_i, neighbors):
         x_i = np.asarray(x_i, dtype=float)
-        out = np.zeros_like(x_i)
+        if not self.weights:
+            return np.zeros_like(x_i)
+        # 0.0 + the first term has the bits of zeros + the first term
+        out = 0.0
         for w, block in zip(self.weights, neighbors):
             out = out + w * (np.asarray(block, dtype=float) - x_i)
         return out
@@ -70,7 +73,7 @@ class HillDynamics:
 
     def eval(self, x_i, neighbors):
         x = np.asarray(x_i, dtype=float)
-        rho = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+        rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
         coef = self.C * math.pi / self.R
         # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
         radial = coef * np.sin(math.pi * rho / self.R) / np.where(rho > 0, rho, 1.0)
@@ -130,15 +133,11 @@ class ExpressionDynamics:
         x_i = np.asarray(x_i, dtype=float)
         # an overflow or an invalid operation yields inf or nan, which the
         # endpoint and audit checks downstream reject with a HorizonError
+        out = np.empty(x_i.shape[:-1] + (len(self.asts),))
         with np.errstate(over="ignore", invalid="ignore"):
-            cols = [
-                np.broadcast_to(
-                    np.asarray(expr.eval_ast(ast, x_i, neighbors), dtype=float),
-                    x_i.shape[:-1],
-                )
-                for ast in self.asts
-            ]
-        return np.stack(cols, axis=-1)
+            for c, ast in enumerate(self.asts):
+                out[..., c] = expr.eval_ast(ast, x_i, neighbors)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,12 +201,48 @@ def eval_f(agent, x_i, x_j):
     return np.asarray(agent.dynamics.eval(x_i, blocks), dtype=float)
 
 
+class NetworkField:
+    """Raw fields of many rows at once, one eval_f call per group of rows.
+
+    Row r is ``agents[r]`` evaluated at row r of a stacked state array S,
+    with its neighbor block gathered from the rows ``neighbor_rows[r]`` of
+    S.  Rows are the second-to-last axis of S, and leading axes are
+    batches.  Rows share a group when their agents have equal dynamics
+    (same variant, equal parsed parameters) and the same neighbor count;
+    the gather indices are built once, here.
+    """
+
+    def __init__(self, agents, neighbor_rows):
+        groups = {}
+        for r, (agent, nbr) in enumerate(zip(agents, neighbor_rows)):
+            key = (agent.dynamics.variant, agent.dynamics.key(), len(nbr))
+            group = groups.setdefault(key, (agent, [], []))
+            group[1].append(r)
+            group[2].append(nbr)
+        self.rows = len(agents)
+        self.groups = [
+            (agent, np.array(rows), np.array(nbrs, dtype=int))
+            for agent, rows, nbrs in groups.values()
+        ]
+
+    def __call__(self, S):
+        lead = S.shape[:-2]
+        F = np.empty(lead + (self.rows, S.shape[-1]))
+        for agent, rows, nbrs in self.groups:
+            F[..., rows, :] = eval_f(
+                agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
+            )
+        return F
+
+
 def saturate(v, bound):
     """Radial projection onto the closed ball of the given radius (bound >= 0)."""
     v = np.asarray(v, dtype=float)
-    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     # rows at or under the bound keep the factor 1 and never divide, so a zero norm is never read
-    return v * np.divide(bound, norms, out=np.ones_like(norms), where=norms > bound)
+    factor = np.empty_like(norms)
+    factor.fill(1.0)
+    return v * np.divide(bound, norms, out=factor, where=norms > bound)
 
 
 def split_neighbor_block(agent, x_j):

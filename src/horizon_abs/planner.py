@@ -437,6 +437,22 @@ def extract_controls(model, abstraction, plan):
     """Re-derive and cross-check the per-step controller parameters of a plan."""
     # every agent's lists first: a configuration reads its neighbors' cells
     check_plan_lists(model, plan)
+    configs = {
+        i: [
+            (tuple(plan.cells[i][k]),)
+            + tuple(tuple(plan.cells[j][k]) for j in model.agent(i).neighbors)
+            for k in range(plan.m)
+        ]
+        for i in model.agent_ids
+    }
+    initiating = {
+        i: [c for c in configs[i] if abstraction.is_initiating(i, c)] for i in model.agent_ids
+    }
+    # one stacked reference run for every agent; its endpoints serve the
+    # Posts below, and the closed loop reuses it for the same pairs
+    abstraction.reference_for(
+        dict.fromkeys((i, c) for i in model.agent_ids for c in initiating[i])
+    )
     schedule = {}
     for i in model.agent_ids:
         agent = model.agent(i)
@@ -447,14 +463,10 @@ def extract_controls(model, abstraction, plan):
             raise PlanConsistencyError(
                 f"agent {i}: plan starts at {cells[0]} but the initial state is in {start}"
             )
-        configs = [
-            (tuple(cells[k]),) + tuple(tuple(plan.cells[j][k]) for j in agent.neighbors)
-            for k in range(plan.m)
-        ]
-        # one batched integration; a non-initiating configuration fails at its step below
-        abstraction.post_many(i, [c for c in configs if abstraction.is_initiating(i, c)])
+        # one batched intersection; a non-initiating configuration fails at its step below
+        abstraction.post_many(i, initiating[i])
         steps = []
-        for k, config in enumerate(configs):
+        for k, config in enumerate(configs[i]):
             target = tuple(cells[k + 1])
             succ = abstraction.post(i, config)
             if target not in succ:

@@ -16,6 +16,9 @@ from . import controller, grid, integrate, model as model_mod
 from .errors import ModelError
 
 MEMBERSHIP_SNAP = 1e-9
+# stage times per array pass of the reference field table; a bounded
+# block keeps the pass's temporaries small
+TABLE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,67 +37,22 @@ class Trajectory:
         return {i: self.states[-1, a] for a, i in enumerate(self.agent_ids)}
 
 
-class NetworkField:
-    """Raw fields of many rows at once, one eval_f call per group of rows.
-
-    Row r is ``agents[r]`` evaluated at row r of a stacked state array S,
-    with its neighbor block gathered from the rows ``neighbor_rows[r]`` of
-    S.  Rows are the second-to-last axis of S, and leading axes are
-    batches.  Rows share a group when their agents have equal dynamics
-    (same variant, equal parsed parameters) and the same neighbor count;
-    the gather indices are built once, here.
-    """
-
-    def __init__(self, agents, neighbor_rows):
-        groups = {}
-        for r, (agent, nbr) in enumerate(zip(agents, neighbor_rows)):
-            key = (agent.dynamics.variant, agent.dynamics.key(), len(nbr))
-            group = groups.setdefault(key, (agent, [], []))
-            group[1].append(r)
-            group[2].append(nbr)
-        self.rows = len(agents)
-        self.groups = [
-            (agent, np.array(rows), np.array(nbrs, dtype=int))
-            for agent, rows, nbrs in groups.values()
-        ]
-
-    def __call__(self, S):
-        lead = S.shape[:-2]
-        F = np.empty(lead + (self.rows, S.shape[-1]))
-        for agent, rows, nbrs in self.groups:
-            F[..., rows, :] = model_mod.eval_f(
-                agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
-            )
-        return F
-
-
 def _neighbor_rows(model):
     pos = {i: a for a, i in enumerate(model.agent_ids)}
     return [[pos[j] for j in agent.neighbors] for agent in model.agents]
 
 
-def _schedule_references(abstraction, schedule, m):
-    """Every reference the schedule needs: one batched dense run per agent.
-
-    Returns, per agent, the batch and the row of each configuration in it.
-    """
-    refs = {}
-    for i, steps in schedule.items():
-        configs = list(dict.fromkeys(step.config for step in steps[:m]))
-        if configs:
-            rows = {config: r for r, config in enumerate(configs)}
-            refs[i] = (abstraction.reference_for(i, configs), rows)
-    return refs
-
-
 def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_tol=None):
     """Integrate the coupled network under the plan's feedback schedule.
 
-    Each right-hand side evaluation stacks the network state, every
-    agent's reference state and the frozen neighbor reference points into
-    one array S and evaluates the raw field of all of them with one
-    eval_f call per group of equal dynamics, one saturation and one
-    feedback call.  S may carry leading axes.
+    The schedule's references are one stacked run over every agent's
+    configurations (Abstraction.reference_for), audited before the loop.
+    They do not depend on the network state, so the reference states and
+    their saturated fields are evaluated beforehand in one array pass, at
+    every stage time of every run below.  Each right-hand side evaluation
+    then evaluates the raw field of the N network rows, with one eval_f
+    call per group of equal dynamics, one saturation and one feedback
+    call.  The network state may carry leading axes.
 
     Only the coarse run is sequential: it goes interval by interval and
     stops at the first non-finite endpoint.  The intervals it reached are
@@ -115,78 +73,74 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     Y = np.stack([agent.x0 for agent in model.agents])
     states[0] = Y
     ts[0] = 0.0
+    if not m:
+        return Trajectory(
+            ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
+        )
 
-    # S rows: network state [0, N), reference states [N, 2N), frozen
-    # neighbor reference points from 2N on, agent after agent
-    ref_nbrs, start = [], 2 * N
-    for agent in model.agents:
-        ref_nbrs.append(list(range(start, start + len(agent.neighbors))))
-        start += len(agent.neighbors)
-    field = NetworkField(model.agents * 2, _neighbor_rows(model) + ref_nbrs)
-    M = np.array([[agent.M] for agent in model.agents * 2])
+    field = model_mod.NetworkField(model.agents, _neighbor_rows(model))
+    M = np.array([[agent.M] for agent in model.agents])
     v_max = np.array([[agent.v_max] for agent in model.agents])
     lam = np.array([[abstraction.params.lam[i]] for i in ids])
-    refs = _schedule_references(abstraction, schedule, m)
+    pairs = list(dict.fromkeys((i, step.config) for i in ids for step in schedule[i][:m]))
+    refs = abstraction.reference_for(pairs)
+    refs.audit(abstraction.integ_tol, ids)
+    row = {pair: r for r, pair in enumerate(pairs)}
+    # picks[k, a]: the reference row of agent a on interval k
+    picks = np.array([[row[(i, schedule[i][k].config)] for i in ids] for k in range(m)])
+    x_G = refs.own_ref[picks]
+    k2 = lam * np.array([[schedule[i][k].w for i in ids] for k in range(m)])
+    # g_ref[j, k]: the saturated reference fields on interval k at times[j],
+    # for every time the coarse runs, the fine audit run and the input
+    # recording evaluate
+    times = np.unique(np.concatenate((
+        integrate.stage_times(dt, substeps, dense=True),
+        integrate.stage_times(dt, 2 * substeps),
+    )))
+    when = {t: j for j, t in enumerate(times.tolist())}
+    g_ref = np.empty((len(times), m, N, n))
+    for j in range(0, len(times), TABLE_BLOCK):
+        block = slice(j, j + TABLE_BLOCK)
+        g_ref[block] = refs.field(refs.traj.eval_many(times[block]))[:, picks]
 
-    def field_and_input(Yt, R, nbr_refs, k2, k3):
-        F = field(np.concatenate((Yt, R, nbr_refs), axis=-2))
-        g = model_mod.saturate(F, M)
-        u = controller.feedback(g[..., N:, :] - g[..., :N, :], k2, k3, v_max)[1]
-        return F[..., :N, :], u
+    def field_and_input(Yt, g, k2, k3):
+        F = field(Yt)
+        return F, controller.feedback(g - model_mod.saturate(F, M), k2, k3, v_max)[1]
 
-    def network_rhs(ref, nbr_refs, k2, k3):
+    def network_rhs(g_table, k2, k3):
         def rhs(t, Yt):
-            f, u = field_and_input(Yt, ref.eval(t), nbr_refs, k2, k3)
+            f, u = field_and_input(Yt, g_table[when[t]], k2, k3)
             return f + u
         return rhs
 
-    # per interval reached: start state, reference run, neighbor
-    # reference points, k2, k3 and the coarse endpoint
+    # per interval reached: start state, k3 and the coarse endpoint
     reached = []
     for k in range(m):
-        picks = []
-        for i in ids:
-            batch, rows = refs[i]
-            picks.append((batch, rows[schedule[i][k].config]))
-        ref = integrate.DenseTrajectory(
-            picks[0][0].traj.ts,
-            np.stack([b.traj.ys[:, r] for b, r in picks], axis=1),
-            np.stack([b.traj.ds[:, r] for b, r in picks], axis=1),
-        )
-        nbr_refs = np.concatenate([b.nbr_refs[r].reshape(-1, n) for b, r in picks])
-        k2 = lam * np.stack([schedule[i][k].w for i in ids])
-        k3 = (np.stack([b.own_ref[r] for b, r in picks]) - Y) / dt
-        dense = integrate.rk4_dense(network_rhs(ref, nbr_refs, k2, k3), Y, dt, substeps)
+        k3 = (x_G[k] - Y) / dt
+        dense = integrate.rk4_dense(network_rhs(g_ref[:, k], k2[k], k3), Y, dt, substeps)
         base = k * substeps
         ts[base + 1 : base + substeps + 1] = k * dt + dense.ts[1:]
         states[base + 1 : base + substeps + 1] = dense.ys[1:]
-        reached.append((Y, ref, nbr_refs, k2, k3, dense.endpoint))
+        reached.append((Y, k3, dense.endpoint))
         Y = dense.endpoint
         if not np.all(np.isfinite(Y)):
             break
 
-    if reached:
-        # a non-finite coarse endpoint fails its interval's audit, so
-        # past this call all m intervals were reached
-        Y0s, runs, nbr_refs, k2, k3, coarse = zip(*reached)
-        ref = integrate.DenseTrajectory(
-            runs[0].ts,
-            np.stack([r.ys for r in runs], axis=1),
-            np.stack([r.ds for r in runs], axis=1),
-        )
-        nbr_refs, k2, k3 = np.stack(nbr_refs), np.stack(k2), np.stack(k3)
-        integrate.check_audit(
-            network_rhs(ref, nbr_refs, k2, k3), np.stack(Y0s), dt, substeps, integ_tol,
-            what=lambda k: f"closed-loop interval {k}", coarse=np.stack(coarse),
-        )
-        # node j's input is that of the interval starting there, and the
-        # last node's is the last interval's; every interval's run has
-        # the local time grid dense.ts
-        interval = np.minimum(np.arange(total) // substeps, m - 1)
-        node = np.arange(total) - interval * substeps
-        R = np.stack([ref.eval(t) for t in dense.ts])[node, interval]
-        inputs = field_and_input(states, R, nbr_refs[interval], k2[interval], k3[interval])[1]
-
+    # a non-finite coarse endpoint fails its interval's audit, so past
+    # this call all m intervals were reached
+    Y0s, k3, coarse = (np.stack(v) for v in zip(*reached))
+    r = len(reached)
+    integrate.check_audit(
+        network_rhs(g_ref[:, :r], k2[:r], k3), Y0s, dt, substeps, integ_tol,
+        what=lambda k: f"closed-loop interval {k}", coarse=coarse,
+    )
+    # node j's input is that of the interval starting there, and the last
+    # node's is the last interval's; every interval's run has the local
+    # time grid dense.ts
+    interval = np.minimum(np.arange(total) // substeps, m - 1)
+    node = np.arange(total) - interval * substeps
+    at = np.array([when[t] for t in dense.ts.tolist()])
+    inputs = field_and_input(states, g_ref[at[node], interval], k2[interval], k3[interval])[1]
     return Trajectory(
         ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
     )
@@ -195,7 +149,7 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
 def simulate_open_loop(model, v_fns, duration, substeps=integrate.DEFAULT_SUBSTEPS):
     """Integrate the coupled network under user-supplied admissible inputs."""
     ids = model.agent_ids
-    field = NetworkField(model.agents, _neighbor_rows(model))
+    field = model_mod.NetworkField(model.agents, _neighbor_rows(model))
 
     def inputs_at(t):
         return np.stack([np.asarray(v_fns[i](t), dtype=float) for i in ids])
@@ -288,11 +242,12 @@ def trajectory_to_csv(traj):
     buf = io.StringIO()
     cols = ["t", "agent"] + [f"x{k + 1}" for k in range(n)] + [f"v{k + 1}" for k in range(n)]
     buf.write(",".join(cols) + "\n")
-    for node in range(len(traj.ts)):
-        for a, i in enumerate(traj.agent_ids):
-            row = [repr(float(traj.ts[node])), str(i)]
-            row += [repr(float(v)) for v in traj.states[node, a]]
-            row += [repr(float(v)) for v in traj.inputs[node, a]]
+    # tolist() gives Python floats, whose repr is that of float(numpy scalar);
+    # one node at a time keeps few of them alive
+    for t, states, inputs in zip(traj.ts.tolist(), traj.states, traj.inputs):
+        t = repr(t)
+        for i, x, v in zip(traj.agent_ids, states.tolist(), inputs.tolist()):
+            row = [t, str(i)] + [repr(c) for c in x] + [repr(c) for c in v]
             buf.write(",".join(row) + "\n")
     return buf.getvalue()
 

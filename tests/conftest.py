@@ -628,6 +628,21 @@ def per_combination_product_layers(model, ab):
     return layers, generated, None
 
 
+def scalar_trajectory_to_csv(traj):
+    """``sim.trajectory_to_csv`` as it was written before it read the arrays
+    through tolist(): one float() per numpy scalar."""
+    n = traj.states.shape[-1]
+    cols = ["t", "agent"] + [f"x{k + 1}" for k in range(n)] + [f"v{k + 1}" for k in range(n)]
+    lines = [",".join(cols)]
+    for node in range(len(traj.ts)):
+        for a, i in enumerate(traj.agent_ids):
+            row = [repr(float(traj.ts[node])), str(i)]
+            row += [repr(float(v)) for v in traj.states[node, a]]
+            row += [repr(float(v)) for v in traj.inputs[node, a]]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 def run_cli(args, cwd=None):
     cmd = [sys.executable, "-m", "horizon_abs.cli"] + [str(a) for a in args]
     return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd)

@@ -137,9 +137,10 @@ def spread_configs(ab, agent_id, count):
     for j in agent.neighbors:
         dec = ab.decs[j]
         start = grid.reference_point(dec, grid.locate(dec, ab.model.agent(j).x0))
+        # the cell breaks ties in distance
         near = sorted(
             dec.initiating_set,
-            key=lambda c: float(np.sum((grid.reference_point(dec, c) - start) ** 2)),
+            key=lambda c: (float(np.sum((grid.reference_point(dec, c) - start) ** 2)), c),
         )[:3]
         nbr_cells.append(near)
     return [

@@ -10,7 +10,7 @@ import pytest
 from horizon_abs import cli
 from horizon_abs.errors import HorizonError
 
-from conftest import pair_doc, ring_doc, ring_workloads, run_cli
+from conftest import FIVE_AGENTS, pair_doc, ring_doc, ring_workloads, run_cli
 
 PAIR_FLAGS = ["--steps", "5", "--lambda", "1=0.55", "--lambda", "2=0.55"]
 
@@ -242,6 +242,33 @@ def test_exit_code_1_on_out_of_range_integrator_flags(tmp_path, flags, message):
     assert res.returncode == 1 and "error:" in res.stderr and message in res.stderr
     assert "Traceback" not in res.stderr
     assert not (out / "plan.json").exists()
+
+
+def test_a_malformed_flag_names_itself(tmp_path):
+    model_path = write_model(tmp_path / "model.json")
+    res = run_cli(["plan", "--model", model_path, "--out", tmp_path / "out", "--substeps", "x"])
+    assert res.returncode == 1
+    assert "error: argument --substeps: invalid int value: 'x'" in res.stderr
+
+
+def test_a_reference_audit_failure_names_the_agent(tmp_path):
+    """Agent 3's field 1/(x_1 - 2) plans, but its references fail the audit."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    for agent in doc["agents"]:
+        if agent["id"] == 3:
+            agent["dynamics"] = {"type": "expression", "exprs": ["1/(x_i[1]-2)", "0"]}
+    model_path = write_model(tmp_path / "model.json", doc)
+    flags = ["--model", model_path, "--out", tmp_path, "--steps", "12",
+             "--lambda", "1=0.35", "--lambda", "5=0.35"]
+    assert run_cli(["plan"] + flags).returncode == 0
+    res = run_cli(["validate"] + flags)
+    assert res.returncode == 1
+    assert res.stderr.endswith(
+        "error: reference of agent 3 audit: step-halving estimate 6.923e-07 exceeds "
+        "tolerance 1.000e-08; raise substeps\n"
+    )
+    assert not (tmp_path / "validation.json").exists()
 
 
 MISSING = object()

@@ -132,19 +132,20 @@ def batch_configs(ab):
 def test_reference_starts_at_own_point_and_obeys_speed_cap(pair_stack):
     model, params, ab = pair_stack
     configs = batch_configs(ab)
-    ref = ab.reference_for(2, configs)
+    ref = ab.reference_for([(2, c) for c in configs])
+    audit_err = ref.audit(ab.integ_tol, model.agent_ids)
     M = model.agent(2).M
     ts, ys = ref.traj.ts, ref.traj.ys
     assert ys.shape == (ab.substeps + 1, len(configs), 2)
-    assert ref.audit_err.shape == (len(configs),)
+    assert audit_err.shape == (len(configs),)
     for r, config in enumerate(configs):
         own, nbr = ab.config_refs(2, config)
-        assert np.array_equal(ref.eval(0.0)[r], own)
+        assert np.array_equal(ref.traj.eval(0.0)[r], own)
         assert np.array_equal(ref.own_ref[r], own)
         assert np.array_equal(ref.nbr_refs[r], nbr)
         gaps = np.linalg.norm(np.diff(ys[:, r], axis=0), axis=-1)
         assert np.all(gaps <= M * np.diff(ts) * (1 + 1e-9) + 1e-12)
-        assert ref.audit_err[r] <= ab.integ_tol
+        assert audit_err[r] <= ab.integ_tol
     assert np.array_equal(ref.endpoint, ys[-1])
 
 
@@ -152,12 +153,13 @@ def test_reference_endpoints_match_dense_solution(pair_stack):
     """A batched dense run gives each row the bits of its single-row run."""
     model, params, ab = pair_stack
     configs = batch_configs(ab)
-    ref = ab.reference_for(2, configs)
+    ref = ab.reference_for([(2, c) for c in configs])
+    audit_err = ref.audit(ab.integ_tol, model.agent_ids)
     for r, config in enumerate(configs):
         single = single_reference(ab, 2, config)
         assert np.array_equal(ref.traj.ys[:, r], single.traj.ys)
         assert np.array_equal(ref.traj.ds[:, r], single.traj.ds)
-        assert ref.audit_err[r] == single.audit_err
+        assert audit_err[r] == single.audit_err
         own, nbr = ab.config_refs(2, config)
         batched = controller.reference_endpoints(
             model.agent(2), own[None], nbr[None], params.dt, ab.substeps
