@@ -20,7 +20,7 @@ from .errors import (
 )
 from .model import NetworkModel, parse_model, validate_bounds
 from .planner import cascade_synthesize, extract_controls, product_synthesize
-from .sim import simulate_closed_loop, simulate_open_loop, validate_plan
+from .sim import simulate_closed_loop, validate_plan
 from .wellposed import DiscretizationParams, synthesize
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "parse_model",
     "product_synthesize",
     "simulate_closed_loop",
-    "simulate_open_loop",
     "synthesize",
     "validate_bounds",
 ]

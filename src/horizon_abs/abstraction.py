@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller, grid, integrate, reach
-from .errors import InfeasibleError, IntegrationError, ModelError
+from . import model as model_mod
+from .errors import ExprError, InfeasibleError, IntegrationError, ModelError
 
 ENDPOINT_BALL_SLACK = 1e-9
 
@@ -127,9 +128,12 @@ class Abstraction:
             unseen = [config for config, e in zip(missing, seeded) if e is None]
             if unseen:
                 own, nbr = self._stacked_refs(agent_id, unseen)
-                fresh = iter(controller.reference_endpoints(
-                    agent, own, nbr, self.params.dt, self.substeps
-                ))
+                try:
+                    fresh = iter(controller.reference_endpoints(
+                        agent, own, nbr, self.params.dt, self.substeps
+                    ))
+                except ExprError as e:
+                    raise model_mod.agents_error([agent_id], e) from None
                 seeded = [next(fresh) if e is None else e for e in seeded]
             endpoints = np.array(seeded)
             finite = np.all(np.isfinite(endpoints), axis=-1)
@@ -229,8 +233,6 @@ class Abstraction:
 
 def build_abstraction(model, params, substeps=integrate.DEFAULT_SUBSTEPS,
                       integ_tol=integrate.DEFAULT_INTEG_TOL):
-    from . import model as model_mod
-
     families = {a.id: model_mod.reach_family(model, a.id) for a in model.agents}
     decs = {
         a.id: grid.build_decomposition(families[a.id], params.d_max[a.id], params.dt)

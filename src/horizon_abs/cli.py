@@ -41,13 +41,6 @@ def _add_common(sp):
                     help="integrator substeps per transition interval")
     sp.add_argument("--integ-tol", type=float, default=integrate.DEFAULT_INTEG_TOL,
                     help="step-halving audit tolerance")
-    sp.add_argument("--budget", type=int, default=64,
-                    help="parent paths tried per agent in cascade synthesis")
-    sp.add_argument("--cap", type=int, default=10**6,
-                    help="state cap for product synthesis")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sp.add_argument("--samples", type=int, default=1000,
-                    help="sample count for the bounds report")
 
 
 def build_parser():
@@ -65,9 +58,17 @@ def build_parser():
     for name, help_text, func in specs:
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
+        if name == "abstract":
+            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
+            sp.add_argument("--samples", type=int, default=1000,
+                            help="sample count for the bounds report")
         if name == "plan":
             sp.add_argument("--strategy", choices=["auto", "cascade", "product"],
                             default="auto", help="synthesis strategy")
+            sp.add_argument("--budget", type=int, default=64,
+                            help="parent paths tried per agent in cascade synthesis")
+            sp.add_argument("--cap", type=int, default=10**6,
+                            help="state cap for product synthesis")
         sp.set_defaults(func=func)
     return p
 
@@ -268,12 +269,13 @@ def cmd_validate(args):
         names=tuple(f"plan.json {key}" if key in doc else flag
                     for key, flag in (("substeps", "--substeps"), ("integ_tol", "--integ-tol"))),
     )
-    abstraction = _build(model, params, args)
+    # the plan's settings, so the re-derived Posts match the ones it was planned on
+    abstraction = abstraction_mod.build_abstraction(
+        model, params, substeps=substeps, integ_tol=integ_tol
+    )
     schedule = planner.extract_controls(model, abstraction, plan)
     t0 = time.monotonic()
-    traj = sim.simulate_closed_loop(
-        model, abstraction, schedule, plan.m, substeps=substeps, integ_tol=integ_tol
-    )
+    traj = sim.simulate_closed_loop(model, abstraction, schedule, plan.m)
     elapsed = time.monotonic() - t0
     report = sim.validate_plan(model, abstraction, plan, traj)
     _ensure_out(args)

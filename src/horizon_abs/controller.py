@@ -1,13 +1,12 @@
-"""Saturated auxiliary dynamics, transition feedback laws and their integration.
+"""Saturated reference dynamics and the transition feedback law.
 
 A transition is specified by a cell configuration (own cell plus the
 neighbors' cells), a free parameter w in the ball of radius v_max, and
 the initial state inside the own cell.  The feedback law cancels the
 own dynamics against a reference trajectory driven by frozen neighbor
 reference points, steers toward the reference endpoint shifted by
-lambda*w*t, and corrects the initial cell offset.  Below saturation the
-resulting auxiliary trajectory has an exact closed form, which this
-module both implements and uses as a numerical cross-check.
+lambda*w*t, and corrects the initial cell offset.  This module solves
+the references and evaluates the law; the closed loop (sim) applies it.
 """
 
 from dataclasses import dataclass
@@ -16,8 +15,6 @@ import numpy as np
 
 from . import integrate, model as model_mod
 from .errors import ModelError
-
-DISTURBANCE_KNOTS = 8
 
 
 def eval_g(agent, x_i, x_j):
@@ -33,16 +30,10 @@ def r_i(lam, dt, v_max):
 class ReferenceTrajectory:
     """One reference, or a batch of them along the leading axes of its arrays."""
 
-    agent_id: int
-    config: object
     own_ref: np.ndarray
     nbr_refs: np.ndarray
     traj: integrate.DenseTrajectory
     audit_err: object
-
-    @property
-    def endpoint(self):
-        return self.traj.endpoint
 
     def eval(self, t):
         return self.traj.eval(t)
@@ -55,7 +46,6 @@ def integrate_reference(
     dt,
     substeps=integrate.DEFAULT_SUBSTEPS,
     integ_tol=integrate.DEFAULT_INTEG_TOL,
-    config=None,
 ):
     """Solve the reference dynamics from the own reference point.
 
@@ -76,14 +66,7 @@ def integrate_reference(
         rhs, own_ref, dt, substeps, integ_tol,
         what=f"reference of agent {agent.id}", coarse=traj.endpoint,
     )
-    return ReferenceTrajectory(
-        agent_id=agent.id,
-        config=config,
-        own_ref=own_ref,
-        nbr_refs=nbr_refs,
-        traj=traj,
-        audit_err=err,
-    )
+    return ReferenceTrajectory(own_ref=own_ref, nbr_refs=nbr_refs, traj=traj, audit_err=err)
 
 
 class ReferenceStack:
@@ -165,27 +148,6 @@ def select_w(endpoint, x, lam, dt, v_max):
     return w
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionControl:
-    agent: object
-    reference: ReferenceTrajectory
-    x_G: np.ndarray
-    x0: np.ndarray
-    w: np.ndarray
-    lam: float
-    dt: float
-
-    def law(self, t, g_x):
-        """(kbar, k) at time t, given the bounded own field g_x = g(x_i, d_j)."""
-        k1 = eval_g(self.agent, self.reference.eval(t), self.reference.nbr_refs) - g_x
-        k2 = self.lam * self.w
-        k3 = (self.x_G - self.x0) / self.dt
-        return feedback(k1, k2, k3, self.agent.v_max)
-
-    def k(self, t, x_i, d_j):
-        return self.law(t, eval_g(self.agent, x_i, d_j))[1]
-
-
 def feedback(k1, k2, k3, v_max):
     """The transition feedback kbar = k1 + k2 + k3 and its saturation k.
 
@@ -196,102 +158,3 @@ def feedback(k1, k2, k3, v_max):
     """
     kbar = k1 + k2 + k3
     return kbar, model_mod.saturate(kbar, v_max)
-
-
-def closed_form_endpoint(ctrl, t):
-    """The exact auxiliary solution below saturation."""
-    if not -1e-12 <= t <= ctrl.dt + 1e-12:
-        raise ModelError(f"t={t} outside [0, {ctrl.dt}]")
-    drift = (ctrl.dt - t) / ctrl.dt * (ctrl.x0 - ctrl.x_G)
-    return drift + ctrl.lam * ctrl.w * t + ctrl.reference.eval(t)
-
-
-@dataclass(frozen=True, eq=False)
-class AuxResult:
-    endpoint: np.ndarray
-    kbar_max: float
-    audit_err: float
-
-
-def integrate_auxiliary(
-    ctrl,
-    disturbance,
-    substeps=integrate.DEFAULT_SUBSTEPS,
-    integ_tol=integrate.DEFAULT_INTEG_TOL,
-):
-    """Closed-loop auxiliary endpoint under a realized disturbance path.
-
-    ``disturbance`` maps t to the concatenated neighbor block.  The
-    maximum sampled feedback magnitude is reported so callers can assert
-    that saturation stayed inactive.
-    """
-    record = {"max": 0.0, "track": True}
-
-    def rhs(t, z):
-        g_z = eval_g(ctrl.agent, z, disturbance(t))
-        u_bar, u = ctrl.law(t, g_z)
-        if record["track"]:
-            record["max"] = max(record["max"], float(np.sqrt(np.sum(u_bar * u_bar))))
-        return g_z + u
-
-    endpoint = integrate.rk4_endpoint(rhs, ctrl.x0, ctrl.dt, substeps)
-    record["track"] = False
-    err = integrate.check_audit(
-        rhs, ctrl.x0, ctrl.dt, substeps, integ_tol,
-        what="auxiliary integration", coarse=endpoint,
-    )
-    return AuxResult(endpoint=endpoint, kbar_max=record["max"], audit_err=err)
-
-
-class PiecewiseLinearPath:
-    def __init__(self, ts, values):
-        self.ts = np.asarray(ts, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-
-    def eval(self, t):
-        t = float(np.clip(t, self.ts[0], self.ts[-1]))
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        span = self.ts[k + 1] - self.ts[k]
-        theta = 0.0 if span == 0 else (t - self.ts[k]) / span
-        return (1 - theta) * self.values[k] + theta * self.values[k + 1]
-
-    __call__ = eval
-
-
-def sample_in_cell(dec, lattice, rng, max_tries=1000):
-    """Uniform draw from the clipped cell; deterministic fallback for slivers."""
-    lo, hi = dec.box(lattice)
-    for _ in range(max_tries):
-        p = lo + (hi - lo) * rng.random(dec.dim)
-        if dec.region.contains(p):
-            return p
-    from . import grid
-
-    p = grid.witness_in_cell_ball(dec, lattice, dec.region)
-    if p is None:
-        raise ModelError(f"cell {lattice} has no representative point in the region")
-    return p
-
-
-def sample_disturbance(dec, lattice, c_rate, dt, rng, knots=DISTURBANCE_KNOTS):
-    """A continuous realization staying inside the growing neighbor tube.
-
-    Knot k is a cell point plus a ball sample of radius c_rate * t_k; the
-    linear interpolants remain inside the tube because the cross-section
-    is convex and grows linearly in t.
-    """
-    ts = np.linspace(0.0, dt, knots)
-    values = np.empty((knots, dec.dim))
-    for k, t in enumerate(ts):
-        base = sample_in_cell(dec, lattice, rng)
-        radius = c_rate * t
-        if radius > 0:
-            direction = rng.standard_normal(dec.dim)
-            norm = float(np.sqrt(np.sum(direction**2)))
-            direction = direction / max(norm, 1e-300)
-            offset = direction * radius * rng.random() ** (1.0 / dec.dim)
-        else:
-            offset = np.zeros(dec.dim)
-        values[k] = base + offset
-    return PiecewiseLinearPath(ts, values)

@@ -69,11 +69,6 @@ class Num:
     def eval(self, env):
         return self.value
 
-    def to_string(self):
-        if self.value < 0:
-            return f"({self.value!r})"
-        return repr(self.value)
-
 
 class Coord:
     """One coordinate of a vector symbol, 1-based index frozen to 0-based."""
@@ -90,9 +85,6 @@ class Coord:
             raise ExprError(f"index {self.k + 1} out of range for {self.symbol}")
         return vec[..., self.k]
 
-    def to_string(self):
-        return f"{self.symbol}[{self.k + 1}]"
-
 
 class Norm:
     __slots__ = ("symbol",)
@@ -102,9 +94,6 @@ class Norm:
 
     def eval(self, env):
         return np.sqrt(np.sum(env[self.symbol] ** 2, axis=-1))
-
-    def to_string(self):
-        return f"norm({self.symbol})"
 
 
 class Call:
@@ -116,12 +105,12 @@ class Call:
 
     def eval(self, env):
         value = self.arg.eval(env)
-        if self.name == "sqrt" and np.any(np.asarray(value) < 0):
-            raise ExprError(f"sqrt of negative value {value}")
+        if self.name == "sqrt":
+            value = np.asarray(value)
+            negative = value[value < 0]
+            if negative.size:
+                raise ExprError(f"sqrt of negative value {float(negative[0])!r}")
         return _FUNCTIONS[self.name](value)
-
-    def to_string(self):
-        return f"{self.name}({self.arg.to_string()})"
 
 
 class Neg:
@@ -132,9 +121,6 @@ class Neg:
 
     def eval(self, env):
         return -self.arg.eval(env)
-
-    def to_string(self):
-        return f"(-{self.arg.to_string()})"
 
 
 class Bin:
@@ -159,9 +145,6 @@ class Bin:
                 raise ExprError("division by zero")
             return a / b
         return np.power(a, b)
-
-    def to_string(self):
-        return f"({self.left.to_string()} {self.op} {self.right.to_string()})"
 
 
 class _Parser:

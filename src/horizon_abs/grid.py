@@ -220,15 +220,6 @@ def reference_point(dec, lattice):
     return dec.anchor + dec.side * (np.asarray(lattice, dtype=float) + 0.5)
 
 
-def cell_contains(dec, lattice, x, slack=0.0):
-    """Half-open box membership, intersected with the region ball."""
-    lo, hi = dec.box(lattice)
-    x = np.asarray(x, dtype=float)
-    if not (np.all(x >= lo - slack) and np.all(x < hi + slack)):
-        return False
-    return bool(dec.region.contains(x, slack=slack))
-
-
 @functools.cache
 def _halton(n):
     """The first _WITNESS_FALLBACK_POINTS Halton points in [0, 1)^n, built

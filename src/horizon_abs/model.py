@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr, reach
-from .errors import ModelError
+from .errors import ExprError, ModelError
 
 _HILL_SERIES_CUTOFF = 1e-8
 
@@ -209,7 +209,8 @@ class NetworkField:
     S.  Rows are the second-to-last axis of S, and leading axes are
     batches.  Rows share a group when their agents have equal dynamics
     (same variant, equal parsed parameters) and the same neighbor count;
-    the gather indices are built once, here.
+    the gather indices are built once, here.  An expression error names
+    the agents of the group that raised it.
     """
 
     def __init__(self, agents, neighbor_rows):
@@ -219,7 +220,7 @@ class NetworkField:
             group = groups.setdefault(key, (agent, [], []))
             group[1].append(r)
             group[2].append(nbr)
-        self.rows = len(agents)
+        self.agents = tuple(agents)
         self.groups = [
             (agent, np.array(rows), np.array(nbrs, dtype=int))
             for agent, rows, nbrs in groups.values()
@@ -227,12 +228,22 @@ class NetworkField:
 
     def __call__(self, S):
         lead = S.shape[:-2]
-        F = np.empty(lead + (self.rows, S.shape[-1]))
+        F = np.empty(lead + (len(self.agents), S.shape[-1]))
         for agent, rows, nbrs in self.groups:
-            F[..., rows, :] = eval_f(
-                agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
-            )
+            try:
+                F[..., rows, :] = eval_f(
+                    agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
+                )
+            except ExprError as e:
+                ids = list(dict.fromkeys(self.agents[r].id for r in rows))
+                raise agents_error(ids, e) from None
         return F
+
+
+def agents_error(ids, error):
+    """An expression error prefixed with the agents whose dynamics raised it."""
+    label = f"agent {ids[0]}" if len(ids) == 1 else "agents " + ", ".join(map(str, ids))
+    return ExprError(f"{label}: {error}")
 
 
 def saturate(v, bound):

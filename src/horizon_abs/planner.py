@@ -113,11 +113,7 @@ def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=Non
     if start_cell is None:
         start_cell = grid.locate(dec, abstraction.model.agent(agent_id).x0)
     layers = [set() for _ in range(m + 1)]
-    layers[0] = {
-        (start_cell, g, s)
-        for (g, s) in _advance(start_cell, (0, 0), 0, table)
-        if _alive((g, s), 0, table, m)
-    }
+    layers[0] = {(start_cell, g, s) for (g, s) in _claim_options(start_cell, (0, 0), 0, table, m)}
     for k in range(m):
         parents = tuple(parent_cells[k])
         grouped = {}
@@ -132,9 +128,8 @@ def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=Non
                 succ = abstraction.post(agent_id, (l,) + parents)
                 for l2 in succ:
                     for prog in grouped[l]:
-                        for prog2 in _advance(l2, prog, k + 1, table):
-                            if _alive(prog2, k + 1, table, m):
-                                nxt.add((l2, prog2[0], prog2[1]))
+                        for (g, s) in _claim_options(l2, prog, k + 1, table, m):
+                            nxt.add((l2, g, s))
             layers[k + 1] = nxt
     return layers
 
@@ -161,10 +156,6 @@ def backward_prune(abstraction, agent_id, parent_cells, table, m, layers):
                     good[k].add((l, g, s))
                     break
     return good
-
-
-def pruned_cells(good):
-    return [sorted({l for (l, _, _) in layer}) for layer in good]
 
 
 def iter_satisfying_paths(abstraction, agent_id, parent_cells, table, m, good):

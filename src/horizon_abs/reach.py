@@ -66,9 +66,3 @@ def inner_region(family, dt):
     if not 0 < dt < family.tau:
         raise ModelError(f"dt={dt} outside (0, {family.tau})")
     return reach_at(family, family.T - dt)
-
-
-def minkowski_ball_sum(a, r):
-    if r < 0:
-        raise ModelError(f"negative radius increment {r}")
-    return Ball(a.center, a.radius + r)

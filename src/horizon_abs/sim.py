@@ -146,35 +146,6 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     )
 
 
-def simulate_open_loop(model, v_fns, duration, substeps=integrate.DEFAULT_SUBSTEPS):
-    """Integrate the coupled network under user-supplied admissible inputs."""
-    ids = model.agent_ids
-    field = model_mod.NetworkField(model.agents, _neighbor_rows(model))
-
-    def inputs_at(t):
-        return np.stack([np.asarray(v_fns[i](t), dtype=float) for i in ids])
-
-    def rhs(t, Y):
-        V = inputs_at(t)
-        for agent, v in zip(model.agents, V):
-            if np.sqrt(np.sum(v * v)) > agent.v_max * (1 + 1e-9):
-                raise ModelError(
-                    f"agent {agent.id}: input magnitude exceeds v_max at t={t}"
-                )
-        return field(Y) + V
-
-    Y0 = np.stack([agent.x0 for agent in model.agents])
-    dense = integrate.rk4_dense(rhs, Y0, duration, substeps)
-    return Trajectory(
-        ts=dense.ts,
-        states=dense.ys,
-        inputs=np.stack([inputs_at(t) for t in dense.ts]),
-        agent_ids=tuple(ids),
-        dt=duration,
-        substeps=substeps,
-    )
-
-
 @dataclass
 class ValidationReport:
     entries: list

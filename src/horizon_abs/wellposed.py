@@ -8,7 +8,7 @@ factor.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InfeasibleError, ModelError
 
@@ -25,11 +25,6 @@ class DiscretizationParams:
     mu: dict
     d_max: dict
     margin: float
-
-    def with_scaled_dmax(self, agent_id, factor):
-        d_max = dict(self.d_max)
-        d_max[agent_id] = d_max[agent_id] * factor
-        return replace(self, d_max=d_max)
 
 
 def mu_norm(model, params, agent_id):

@@ -26,6 +26,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, integrate, planner, wellposed
 from horizon_abs import model as model_mod
@@ -174,7 +175,7 @@ def per_agent_closed_loop(model, ab, schedule, m):
             step = schedule[agent.id][k]
             own, nbr = ab.config_refs(agent.id, step.config)
             ref = controller.integrate_reference(agent, own, nbr, dt, substeps, ab.integ_tol)
-            controls.append(controller.TransitionControl(
+            controls.append(oracles.TransitionControl(
                 agent=agent, reference=ref, x_G=ref.own_ref, x0=Y[a], w=step.w,
                 lam=ab.params.lam[agent.id], dt=dt,
             ))

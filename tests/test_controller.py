@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from horizon_abs import controller, grid, integrate, reach
 from horizon_abs import model as model_mod
 from horizon_abs.errors import ModelError
@@ -32,26 +33,37 @@ def single_reference(ab, agent_id, config):
     own, nbr = ab.config_refs(agent_id, config)
     return controller.integrate_reference(
         ab.model.agent(agent_id), own, nbr, ab.params.dt, ab.substeps, ab.integ_tol,
-        config=config,
     )
 
 
 def follower_control(ab, config, rng):
+    """A one-row batch: the follower's transition to its first successor."""
     model = ab.model
     target = ab.post(2, config)[0]
     action = ab.successor_action(2, config, target)
-    ref = single_reference(ab, 2, config)
-    x0 = controller.sample_in_cell(ab.decs[2], config[0], rng)
-    ctrl = controller.TransitionControl(
+    own, nbr = ab.config_refs(2, config)
+    ref = controller.integrate_reference(
+        model.agent(2), own[None], nbr[None], ab.params.dt, ab.substeps, ab.integ_tol,
+    )
+    x0 = oracles.sample_in_cell(ab.decs[2], config[0], rng)
+    ctrl = oracles.TransitionControl(
         agent=model.agent(2),
         reference=ref,
         x_G=ref.own_ref,
-        x0=x0,
-        w=action.w,
+        x0=x0[None],
+        w=action.w[None],
         lam=ab.params.lam[2],
         dt=ab.params.dt,
     )
     return ctrl, action
+
+
+def leader_disturbance(ab, config, rng):
+    """A one-row batch of the leader's disturbance path."""
+    path = oracles.sample_disturbance(
+        ab.decs[1], config[1], ab.families[1].c_rate, ab.params.dt, rng
+    )
+    return oracles.PiecewiseLinearPath(path.ts, path.values[None])
 
 
 def test_saturate():
@@ -183,21 +195,18 @@ def test_auxiliary_matches_closed_form(pair_stack):
     rng = np.random.default_rng(11)
     config = pair_config(ab)
     ctrl, action = follower_control(ab, config, rng)
-    fam1 = ab.families[1]
     # the closed form at t = dt is the selected target point itself
     assert np.allclose(
-        controller.closed_form_endpoint(ctrl, params.dt), action.point,
+        oracles.closed_form_endpoint(ctrl, params.dt)[0], action.point,
         rtol=1e-12, atol=1e-12,
     )
     for _ in range(4):
-        dist = controller.sample_disturbance(
-            ab.decs[1], config[1], fam1.c_rate, params.dt, rng
-        )
-        aux = controller.integrate_auxiliary(
+        dist = leader_disturbance(ab, config, rng)
+        aux = oracles.integrate_auxiliary(
             ctrl, dist, substeps=DRAW_SUBSTEPS, integ_tol=1e-8
         )
-        assert aux.kbar_max < model.agent(2).v_max
-        gap = np.max(np.abs(aux.endpoint - controller.closed_form_endpoint(ctrl, params.dt)))
+        assert aux.kbar_max[0] < model.agent(2).v_max
+        gap = np.max(np.abs(aux.endpoint - oracles.closed_form_endpoint(ctrl, params.dt)))
         assert gap <= 1e-8
 
 
@@ -208,11 +217,9 @@ def test_auxiliary_endpoint_ignores_the_start_state(pair_stack):
     ctrl_a, action = follower_control(ab, config, rng)
     ctrl_b, _ = follower_control(ab, config, rng)
     assert not np.array_equal(ctrl_a.x0, ctrl_b.x0)
-    dist = controller.sample_disturbance(
-        ab.decs[1], config[1], ab.families[1].c_rate, params.dt, rng
-    )
-    end_a = controller.integrate_auxiliary(ctrl_a, dist, substeps=DRAW_SUBSTEPS).endpoint
-    end_b = controller.integrate_auxiliary(ctrl_b, dist, substeps=DRAW_SUBSTEPS).endpoint
+    dist = leader_disturbance(ab, config, rng)
+    end_a = oracles.integrate_auxiliary(ctrl_a, dist, substeps=DRAW_SUBSTEPS).endpoint
+    end_b = oracles.integrate_auxiliary(ctrl_b, dist, substeps=DRAW_SUBSTEPS).endpoint
     assert np.max(np.abs(end_a - end_b)) <= 1e-8
 
 
@@ -229,7 +236,7 @@ def test_control_offsets_stay_bounded(pair_stack):
             action = ab.successor_action(2, config, target)
             assert np.linalg.norm(action.w) <= v * (1 + 1e-12)
         for _ in range(5):
-            x0 = controller.sample_in_cell(dec, cell, rng)
+            x0 = oracles.sample_in_cell(dec, cell, rng)
             assert np.linalg.norm(own_ref - x0) <= params.d_max[2] / 2 * (1 + 1e-9)
 
 
@@ -238,9 +245,9 @@ def test_closed_form_rejects_times_outside_the_interval(pair_stack):
     rng = np.random.default_rng(14)
     ctrl, _ = follower_control(ab, pair_config(ab), rng)
     with pytest.raises(ModelError, match="outside"):
-        controller.closed_form_endpoint(ctrl, -0.01)
+        oracles.closed_form_endpoint(ctrl, -0.01)
     with pytest.raises(ModelError, match="outside"):
-        controller.closed_form_endpoint(ctrl, params.dt + 0.01)
+        oracles.closed_form_endpoint(ctrl, params.dt + 0.01)
 
 
 def test_auxiliary_audit_failure_raises(pair_stack):
@@ -248,11 +255,9 @@ def test_auxiliary_audit_failure_raises(pair_stack):
     rng = np.random.default_rng(15)
     config = pair_config(ab)
     ctrl, _ = follower_control(ab, config, rng)
-    dist = controller.sample_disturbance(
-        ab.decs[1], config[1], ab.families[1].c_rate, params.dt, rng
-    )
+    dist = leader_disturbance(ab, config, rng)
     with pytest.raises(integrate.IntegrationError, match="auxiliary integration audit"):
-        controller.integrate_auxiliary(ctrl, dist, substeps=3, integ_tol=1e-16)
+        oracles.integrate_auxiliary(ctrl, dist, substeps=3, integ_tol=1e-16)
 
 
 def test_sample_in_cell_membership(pair_stack):
@@ -261,7 +266,7 @@ def test_sample_in_cell_membership(pair_stack):
     dec = ab.decs[2]
     cell = sorted(dec.initiating_set)[0]
     for _ in range(200):
-        p = controller.sample_in_cell(dec, cell, rng)
+        p = oracles.sample_in_cell(dec, cell, rng)
         assert grid.locate(dec, p) == cell
         assert dec.region.contains(p)
 
@@ -271,7 +276,7 @@ def test_sample_in_cell_falls_back_on_slivers():
     # which uniform rejection can never hit
     dec = unit_disk_dec()
     rng = np.random.default_rng(17)
-    p = controller.sample_in_cell(dec, (0, 1), rng, max_tries=50)
+    p = oracles.sample_in_cell(dec, (0, 1), rng, max_tries=50)
     assert np.allclose(p, [0.0, 1.0], atol=1e-12)
 
 
@@ -281,7 +286,7 @@ def test_sample_disturbance_stays_in_the_growing_tube(pair_stack):
     dec = ab.decs[1]
     cell = grid.locate(dec, model.agent(1).x0)
     c = ab.families[1].c_rate
-    path = controller.sample_disturbance(dec, cell, c, params.dt, rng)
+    path = oracles.sample_disturbance(dec, cell, c, params.dt, rng)
     assert path.ts[0] == 0.0 and path.ts[-1] == params.dt
     assert grid.locate(dec, path(0.0)) == cell
     lo, hi = dec.box(cell)
@@ -293,9 +298,34 @@ def test_sample_disturbance_stays_in_the_growing_tube(pair_stack):
 
 
 def test_piecewise_linear_path():
-    path = controller.PiecewiseLinearPath([0.0, 1.0, 3.0], [[0.0, 0.0], [2.0, 0.0], [2.0, 4.0]])
+    path = oracles.PiecewiseLinearPath([0.0, 1.0, 3.0], [[0.0, 0.0], [2.0, 0.0], [2.0, 4.0]])
     assert np.allclose(path.eval(0.5), [1.0, 0.0])
     assert np.allclose(path.eval(2.0), [2.0, 2.0])
     assert np.allclose(path.eval(-5.0), [0.0, 0.0])  # clamped
     assert np.allclose(path.eval(99.0), [2.0, 4.0])
     assert np.allclose(path(1.0), [2.0, 0.0])
+
+
+def test_batched_auxiliary_rows_match_their_one_row_batches(instance_pool):
+    """Each row of a batch has the bits of its one-row batch, retries included.
+
+    At 10 substeps and a 1e-13 tolerance, some rows of the gradient-hill
+    batch fail their first audit and are integrated again at 4x substeps.
+    """
+    draws = oracles.draw_transitions(instance_pool, 40, np.random.default_rng(7))
+    groups = [g for g in oracles.group_draws(draws) if len(g) > 1][:2]
+    assert {g[0].agent.dynamics.variant for g in groups} == {"gradient-hill", "linear-consensus"}
+    retried = 0
+    for group in groups:
+        ctrl, dist = oracles.transition_batch(instance_pool, group, 10)
+        batch = oracles.integrate_auxiliary(ctrl, dist, substeps=10, integ_tol=1e-13)
+        first = oracles.integrate_auxiliary(ctrl, dist, substeps=10, integ_tol=math.inf)
+        retried += int(np.count_nonzero(batch.audit_err != first.audit_err))
+        for r in range(len(ctrl.x0)):
+            one = oracles.integrate_auxiliary(
+                ctrl.rows([r]), dist.rows([r]), substeps=10, integ_tol=1e-13
+            )
+            assert np.array_equal(one.endpoint[0], batch.endpoint[r])
+            assert np.array_equal(one.kbar_max[0], batch.kbar_max[r])
+            assert np.array_equal(one.audit_err[0], batch.audit_err[r])
+    assert 0 < retried < sum(2 * len(g) for g in groups)

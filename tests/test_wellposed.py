@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import oracles
 from horizon_abs import wellposed
 from horizon_abs.errors import InfeasibleError, ModelError
 
@@ -144,7 +145,7 @@ def test_check_params_accepts_synthesized(five_model, five_params):
 
 
 def test_check_params_flags_scaled_dmax(five_model, five_params):
-    bumped = five_params.with_scaled_dmax(3, 1.01 / five_params.margin)
+    bumped = oracles.with_scaled_dmax(five_params, 3, 1.01 / five_params.margin)
     violations = wellposed.check_params(five_model, bumped, five_model.tau)
     assert any("agent 3" in v and "d_max" in v for v in violations)
     # the original is untouched
@@ -153,7 +154,7 @@ def test_check_params_flags_scaled_dmax(five_model, five_params):
 
 def test_check_params_flags_edge_coupling(five_model, five_params):
     # halving d_max(1) leaves agent 2 above its edge cap mu * d_max(1)
-    shrunk = five_params.with_scaled_dmax(1, 0.5)
+    shrunk = oracles.with_scaled_dmax(five_params, 1, 0.5)
     violations = wellposed.check_params(five_model, shrunk, five_model.tau)
     assert any("edge (2 -> 1)" in v for v in violations)
 
