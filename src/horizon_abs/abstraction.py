@@ -19,7 +19,7 @@ import numpy as np
 
 from . import controller, grid, integrate, reach
 from . import model as model_mod
-from .errors import ExprError, InfeasibleError, IntegrationError, ModelError
+from .errors import InfeasibleError, IntegrationError, ModelError
 
 ENDPOINT_BALL_SLACK = 1e-9
 
@@ -72,13 +72,14 @@ class Abstraction:
         nbr = np.concatenate(blocks) if blocks else np.zeros(0)
         return own, nbr
 
-    def _stacked_refs(self, agent_id, configs):
-        """Reference points of many configurations, one row each."""
-        agent = self.model.agent(agent_id)
-        own = np.empty((len(configs), agent.dim))
-        nbr = np.empty((len(configs), len(agent.neighbors) * agent.dim))
-        for row, config in enumerate(configs):
-            own[row], nbr[row] = self.config_refs(agent_id, config)
+    def _stacked_refs(self, pairs):
+        """Reference points of (agent id, configuration) pairs, one row each:
+        the own points as one array and the neighbor blocks as a list."""
+        own = np.empty((len(pairs), self.model.dim))
+        nbr = []
+        for row, (agent_id, config) in enumerate(pairs):
+            own[row], block = self.config_refs(agent_id, config)
+            nbr.append(block)
         return own, nbr
 
     def is_initiating(self, agent_id, config):
@@ -112,9 +113,9 @@ class Abstraction:
         return cached
 
     def post_many(self, agent_id, configs):
-        """Memoized Post sets for many configurations, integrated and intersected
-        with the grid in one batch."""
-        agent = self.model.agent(agent_id)
+        """Memoized Post sets for many configurations.  The misses are
+        integrated through seed_endpoints, unless they are seeded already,
+        and intersected with the grid in one batch."""
         dec = self.decs[agent_id]
         missing = []
         for config in configs:
@@ -123,19 +124,9 @@ class Abstraction:
                 missing.append(config)
         missing = sorted(set(missing))
         if missing:
-            # endpoints seeded by reference_for are not integrated again
-            seeded = [self._endpoint_cache.get((agent_id, config)) for config in missing]
-            unseen = [config for config, e in zip(missing, seeded) if e is None]
-            if unseen:
-                own, nbr = self._stacked_refs(agent_id, unseen)
-                try:
-                    fresh = iter(controller.reference_endpoints(
-                        agent, own, nbr, self.params.dt, self.substeps
-                    ))
-                except ExprError as e:
-                    raise model_mod.agents_error([agent_id], e) from None
-                seeded = [next(fresh) if e is None else e for e in seeded]
-            endpoints = np.array(seeded)
+            # endpoints seeded by seed_endpoints or reference_for are not integrated again
+            self.seed_endpoints([(agent_id, config) for config in missing])
+            endpoints = np.array([self._endpoint_cache[(agent_id, config)] for config in missing])
             finite = np.all(np.isfinite(endpoints), axis=-1)
             if not np.all(finite):
                 config = missing[int(np.argmin(finite))]
@@ -155,15 +146,35 @@ class Abstraction:
                     "the reachable region; declared bounds and discretization disagree"
                 )
             posts = grid.cells_intersecting_ball(dec, endpoints, radius)
-            for config, endpoint, cells in zip(missing, endpoints, posts):
+            for config, cells in zip(missing, posts):
                 if not cells:
                     raise InfeasibleError(
                         f"agent {agent_id}: empty Post for configuration {config} "
                         "contradicts well-posedness"
                     )
-                self._endpoint_cache[(agent_id, config)] = endpoint
                 self._post_cache[(agent_id, config)] = tuple(cells)
         return [self._post_cache[(agent_id, config)] for config in configs]
+
+    def seed_endpoints(self, pairs):
+        """Reference endpoints of (agent id, configuration) pairs of any
+        agents, integrated as one controller.reference_endpoints run.
+
+        Pairs whose endpoint is cached are skipped; the rest are integrated
+        in order of first appearance, after a check that each is
+        transition-initiating.  The endpoints seed the endpoint cache, so
+        the Posts of these configurations integrate nothing more.  Nothing
+        is cached when the run raises.
+        """
+        pairs = [pair for pair in dict.fromkeys(pairs) if pair not in self._endpoint_cache]
+        if not pairs:
+            return
+        for agent_id, config in pairs:
+            self._require_initiating(agent_id, config)
+        own, nbr = self._stacked_refs(pairs)
+        endpoints = controller.reference_endpoints(
+            [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps
+        )
+        self._endpoint_cache.update(zip(pairs, endpoints))
 
     def reference_for(self, pairs):
         """Dense reference trajectories of (agent id, configuration) pairs,
@@ -177,11 +188,7 @@ class Abstraction:
         pairs = tuple(pairs)
         if self._references is not None and self._references[0] == pairs:
             return self._references[1]
-        own = np.empty((len(pairs), self.model.dim))
-        nbr = []
-        for row, (agent_id, config) in enumerate(pairs):
-            own[row], block = self.config_refs(agent_id, config)
-            nbr.append(block)
+        own, nbr = self._stacked_refs(pairs)
         refs = controller.ReferenceStack(
             [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps
         )

@@ -211,6 +211,8 @@ def cmd_abstract(args):
 
 
 def cmd_plan(args):
+    if args.budget < 1:
+        raise ModelError(f"--budget must be an integer >= 1, got {args.budget}")
     model, model_hash = _load_model(args.model)
     params = _synthesize(model, args)
     abstraction = _build(model, params, args)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate, model as model_mod
-from .errors import ModelError
-
-
-def eval_g(agent, x_i, x_j):
-    """The globally bounded field: the raw dynamics saturated at M."""
-    return model_mod.saturate(model_mod.eval_f(agent, x_i, x_j), agent.M)
+from .errors import ExprError, ModelError
 
 
 def r_i(lam, dt, v_max):
@@ -39,6 +34,44 @@ class ReferenceTrajectory:
         return self.traj.eval(t)
 
 
+class ReferenceField:
+    """The saturated field g of many reference rows, of any agents.
+
+    Row r is ``agents[r]`` with its neighbor block frozen at
+    ``nbr_refs[r]`` (width N_i * n).  Rows are grouped by equal dynamics
+    (model.dynamics_groups), and each group's neighbor blocks are gathered
+    once, here, so a call makes one ``dynamics.eval`` per group and one
+    saturation at every row's M.  Every operation is row-wise, so a row
+    has the bits of its one-row field.  States are shaped (..., rows, n):
+    leading axes are batches of stage times.  An expression error names
+    the agents of the group that raised it.
+    """
+
+    def __init__(self, agents, nbr_refs):
+        agents = tuple(agents)
+        self.M = np.array([agent.M for agent in agents])[:, None]
+        self.groups = []
+        for agent, rows in model_mod.dynamics_groups(agents):
+            ids = model_mod.group_ids(agents, rows)
+            block = np.array([np.asarray(nbr_refs[r], dtype=float) for r in rows])
+            blocks = [
+                np.ascontiguousarray(b) for b in model_mod.split_neighbor_block(agent, block)
+            ]
+            # a run of consecutive rows is read through a view, not a gather
+            if rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            self.groups.append((agent.dynamics, rows, blocks, ids))
+
+    def __call__(self, Y):
+        F = np.empty(Y.shape)
+        for dynamics, rows, blocks, ids in self.groups:
+            try:
+                F[..., rows, :] = dynamics.eval(Y[..., rows, :], blocks)
+            except ExprError as e:
+                raise model_mod.agents_error(ids, e) from None
+        return model_mod.saturate(F, self.M)
+
+
 def integrate_reference(
     agent,
     own_ref,
@@ -47,7 +80,7 @@ def integrate_reference(
     substeps=integrate.DEFAULT_SUBSTEPS,
     integ_tol=integrate.DEFAULT_INTEG_TOL,
 ):
-    """Solve the reference dynamics from the own reference point.
+    """Solve the reference dynamics of one agent from its own reference point.
 
     The neighbor block is frozen at the neighbors' reference points for
     the whole interval, so the reference depends only on the cell
@@ -57,9 +90,12 @@ def integrate_reference(
     """
     own_ref = np.asarray(own_ref, dtype=float)
     nbr_refs = np.asarray(nbr_refs, dtype=float)
+    n = own_ref.shape[-1]
+    rows = own_ref.size // n
+    field = ReferenceField([agent] * rows, nbr_refs.reshape(rows, nbr_refs.shape[-1]))
 
     def rhs(t, y):
-        return eval_g(agent, y, nbr_refs)
+        return field(y.reshape(rows, n)).reshape(y.shape)
 
     traj = integrate.rk4_dense(rhs, own_ref, dt, substeps)
     err = integrate.check_audit(
@@ -73,11 +109,11 @@ class ReferenceStack:
     """References of many agents' configurations, integrated as one batch.
 
     Row r belongs to ``agents[r]``: it starts at ``own_ref[r]`` and its
-    neighbor block stays frozen at ``nbr_refs[r]``, so it has the bits of
-    ``integrate_reference`` on that row alone.  The field of every row is
-    evaluated at once: rows are grouped by equal dynamics as in
-    model.NetworkField and saturated at their agent's M.  The dense run is
-    made here; the audit is a separate step.
+    neighbor block stays frozen at ``nbr_refs[r]``, in a ReferenceField
+    over every row, so it has the bits of ``integrate_reference`` on that
+    row alone.  ``field`` evaluates that field at any states shaped
+    (..., rows, n).  The dense run is made here; the audit is a separate
+    step.
     """
 
     def __init__(self, agents, own_ref, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
@@ -85,24 +121,12 @@ class ReferenceStack:
         self.own_ref = np.asarray(own_ref, dtype=float)
         self.nbr_refs = tuple(np.asarray(nbr, dtype=float) for nbr in nbr_refs)
         self.dt, self.substeps = dt, substeps
-        # the frozen neighbor points follow the reference rows, row after row
-        n = self.own_ref.shape[-1]
-        points = [nbr.reshape(-1, n) for nbr in self.nbr_refs]
-        starts = np.cumsum([len(self.agents)] + [len(p) for p in points])
-        neighbor_rows = [list(range(a, a + len(p))) for a, p in zip(starts, points)]
-        self._points = np.concatenate([np.empty((0, n))] + points)
-        self._field = model_mod.NetworkField(self.agents, neighbor_rows)
-        self._M = np.array([agent.M for agent in self.agents])[:, None]
+        self.field = ReferenceField(self.agents, self.nbr_refs)
         self.traj = integrate.rk4_dense(self._rhs, self.own_ref, dt, substeps)
 
     @property
     def endpoint(self):
         return self.traj.endpoint
-
-    def field(self, Y):
-        """The saturated field g of every row at states Y, shaped (..., rows, n)."""
-        points = np.broadcast_to(self._points, Y.shape[:-2] + self._points.shape)
-        return model_mod.saturate(self._field(np.concatenate((Y, points), axis=-2)), self._M)
 
     def _rhs(self, t, Y):
         return self.field(Y)
@@ -119,13 +143,12 @@ class ReferenceStack:
         )
 
 
-def reference_endpoints(agent, own_refs, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
-    """Endpoints only, batched over configurations (no dense storage, no audit)."""
-
-    def rhs(t, y):
-        return eval_g(agent, y, nbr_refs)
-
-    return integrate.rk4_endpoint(rhs, own_refs, dt, substeps)
+def reference_endpoints(agents, own_refs, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
+    """Endpoints only, one agent per row, in one run through a ReferenceField
+    (no dense storage, no audit).  Row r starts at ``own_refs[r]`` with
+    ``agents[r]``'s neighbor block frozen at ``nbr_refs[r]``."""
+    field = ReferenceField(agents, nbr_refs)
+    return integrate.rk4_endpoint(lambda t, y: field(y), own_refs, dt, substeps)
 
 
 def select_w(endpoint, x, lam, dt, v_max):

@@ -153,7 +153,8 @@ class _Parser:
         self.i = 0
         self.params = dict(params)
         self.params.setdefault("pi", math.pi)
-        self.symbols = set()
+        # vector symbol -> highest 1-based coordinate read (0: only norm())
+        self.symbols = {}
 
     def peek(self):
         return self.tokens[self.i]
@@ -235,13 +236,12 @@ class _Parser:
                 if kind != "name" or _VECTOR_RE.match(sym) is None:
                     raise ExprError("norm takes a vector symbol argument", sym_pos)
                 self.expect(")")
-                self.symbols.add(sym)
+                self.symbols.setdefault(sym, 0)
                 return Norm(sym)
             node = Call(name, self.expr())
             self.expect(")")
             return node
         if _VECTOR_RE.match(name):
-            self.symbols.add(name)
             if nxt_kind == "op" and nxt_value == "[":
                 self.advance()
                 kind, idx, idx_pos = self.advance()
@@ -250,6 +250,7 @@ class _Parser:
                 if idx < 1:
                     raise ExprError("coordinate indices are 1-based", idx_pos)
                 self.expect("]")
+                self.symbols[name] = max(self.symbols.get(name, 0), int(idx))
                 return Coord(name, int(idx) - 1)
             raise ExprError(
                 f"vector symbol {name} needs [k] indexing or a norm() wrapper", pos
@@ -260,10 +261,15 @@ class _Parser:
 
 
 def parse_expression(text, params=None):
-    """Parse one expression into an AST; returns (ast, used vector symbols)."""
+    """Parse one expression into an AST.
+
+    Returns (ast, symbols): ``symbols`` maps every vector symbol the
+    expression reads to the highest 1-based coordinate it reads, or to 0
+    when it reads the symbol only through norm().
+    """
     parser = _Parser(_tokenize(text), params or {})
     ast = parser.parse()
-    return ast, frozenset(parser.symbols)
+    return ast, parser.symbols
 
 
 def eval_ast(ast, x_i, neighbors):

@@ -120,11 +120,13 @@ class ExpressionDynamics:
         self.texts = tuple(texts)
         self.params = dict(params)
         self.asts = []
-        self.symbols = set()
+        # vector symbol -> highest coordinate read, as in expr.parse_expression
+        self.symbols = {}
         for text in self.texts:
             ast, used = expr.parse_expression(text, self.params)
             self.asts.append(ast)
-            self.symbols |= used
+            for sym, k in used.items():
+                self.symbols[sym] = max(self.symbols.get(sym, 0), k)
 
     def key(self):
         return (self.texts, tuple(sorted(self.params.items())))
@@ -201,29 +203,37 @@ def eval_f(agent, x_i, x_j):
     return np.asarray(agent.dynamics.eval(x_i, blocks), dtype=float)
 
 
+def dynamics_groups(agents):
+    """Rows with equal dynamics, as (first agent, row indices) pairs in the
+    order of their first row.
+
+    Row r is ``agents[r]``.  Rows share a group when their agents have the
+    same variant, equal parsed parameters and the same neighbor count, so
+    one ``dynamics.eval`` call serves the whole group.
+    """
+    groups = {}
+    for r, agent in enumerate(agents):
+        key = (agent.dynamics.variant, agent.dynamics.key(), len(agent.neighbors))
+        groups.setdefault(key, (agent, []))[1].append(r)
+    return [(agent, np.array(rows)) for agent, rows in groups.values()]
+
+
 class NetworkField:
     """Raw fields of many rows at once, one eval_f call per group of rows.
 
     Row r is ``agents[r]`` evaluated at row r of a stacked state array S,
     with its neighbor block gathered from the rows ``neighbor_rows[r]`` of
     S.  Rows are the second-to-last axis of S, and leading axes are
-    batches.  Rows share a group when their agents have equal dynamics
-    (same variant, equal parsed parameters) and the same neighbor count;
-    the gather indices are built once, here.  An expression error names
-    the agents of the group that raised it.
+    batches.  Rows are grouped by ``dynamics_groups``, and the gather
+    indices are built once, here.  An expression error names the agents
+    of the group that raised it.
     """
 
     def __init__(self, agents, neighbor_rows):
-        groups = {}
-        for r, (agent, nbr) in enumerate(zip(agents, neighbor_rows)):
-            key = (agent.dynamics.variant, agent.dynamics.key(), len(nbr))
-            group = groups.setdefault(key, (agent, [], []))
-            group[1].append(r)
-            group[2].append(nbr)
         self.agents = tuple(agents)
         self.groups = [
-            (agent, np.array(rows), np.array(nbrs, dtype=int))
-            for agent, rows, nbrs in groups.values()
+            (agent, rows, np.array([neighbor_rows[r] for r in rows], dtype=int))
+            for agent, rows in dynamics_groups(self.agents)
         ]
 
     def __call__(self, S):
@@ -235,9 +245,13 @@ class NetworkField:
                     agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
                 )
             except ExprError as e:
-                ids = list(dict.fromkeys(self.agents[r].id for r in rows))
-                raise agents_error(ids, e) from None
+                raise agents_error(group_ids(self.agents, rows), e) from None
         return F
+
+
+def group_ids(agents, rows):
+    """The distinct ids of ``agents`` at the row indices ``rows``, in row order."""
+    return list(dict.fromkeys(agents[r].id for r in rows))
 
 
 def agents_error(ids, error):
@@ -368,14 +382,18 @@ def _parse_dynamics(entry, n, neighbors, agent_id):
         _require(isinstance(params, dict), f"agent {agent_id}: params must be an object")
         params = {k: _scalar(v, f"agent {agent_id}: param {k}") for k, v in params.items()}
         dyn = ExpressionDynamics(exprs, params)
-        for sym in dyn.symbols:
+        for sym, k in sorted(dyn.symbols.items()):
             if sym != "x_i":
-                k = int(sym[3:])
                 _require(
-                    k <= neighbor_count,
+                    int(sym[3:]) <= neighbor_count,
                     f"agent {agent_id}: expression references {sym} but only "
                     f"{neighbor_count} neighbors are declared",
                 )
+            _require(
+                k <= n,
+                f"agent {agent_id}: expression reads {sym}[{k}] but the state "
+                f"dimension is {n}",
+            )
         return dyn
     raise ModelError(f"agent {agent_id}: unknown dynamics variant {variant!r}")
 
@@ -544,20 +562,20 @@ def validate_bounds(model, samples, seed=0):
         own = _ball_samples(rng, regions[agent.id], samples)
         nbrs = [_ball_samples(rng, regions[j], samples) for j in agent.neighbors]
         block = np.concatenate(nbrs, axis=-1) if nbrs else np.zeros((samples, 0))
-        f = eval_f(agent, own, block)
+        f = _named_eval_f(agent, own, block)
         sup_f = float(np.max(np.sqrt(np.sum(f * f, axis=-1))))
         ratio_M = sup_f / agent.M if agent.M > 0 else (0.0 if sup_f == 0 else math.inf)
 
         g = saturate(f, agent.M)
 
         own2 = _ball_samples(rng, regions[agent.id], samples)
-        g2 = saturate(eval_f(agent, own2, block), agent.M)
+        g2 = saturate(_named_eval_f(agent, own2, block), agent.M)
         worst_L2 = _worst_quotient(own, own2, g, g2)
 
         if agent.neighbors:
             nbrs2 = [_ball_samples(rng, regions[j], samples) for j in agent.neighbors]
             block2 = np.concatenate(nbrs2, axis=-1)
-            g3 = saturate(eval_f(agent, own, block2), agent.M)
+            g3 = saturate(_named_eval_f(agent, own, block2), agent.M)
             worst_L1 = _worst_quotient(block, block2, g, g3)
         else:
             worst_L1 = 0.0
@@ -584,6 +602,14 @@ def validate_bounds(model, samples, seed=0):
                 f"agent {agent.id}: sampled state quotient {worst_L2} exceeds L2 = {agent.L2}"
             )
     return BoundsReport(entries=entries, violations=violations)
+
+
+def _named_eval_f(agent, x_i, x_j):
+    """eval_f, with an expression error naming the agent."""
+    try:
+        return eval_f(agent, x_i, x_j)
+    except ExprError as e:
+        raise agents_error([agent.id], e) from None
 
 
 def _worst_quotient(x, x2, g, g2):

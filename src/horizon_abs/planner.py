@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid
-from .errors import ModelError, PlanConsistencyError, UnsatisfiableError
+from .errors import HorizonError, ModelError, PlanConsistencyError, UnsatisfiableError
 
 
 class CapExceededError(UnsatisfiableError):
@@ -102,36 +102,80 @@ def _claim_options(cell, progress, step, table, m):
     return sorted(p for p in _advance(cell, progress, step, table) if _alive(p, step, table, m))
 
 
-def forward_layers(abstraction, agent_id, parent_cells, table, m, start_cell=None):
-    """Per-step sets of (cell, claimed, last-claim-step) reachable states.
+def forward_layers(abstraction, jobs, m):
+    """Per-step sets of (cell, claimed, last-claim-step) reachable states of
+    several agents, advanced in lockstep.
 
+    A job is (agent id, parent cells, goal table), optionally with a
+    start cell as a fourth entry (default: the cell of the agent's x0).
     ``parent_cells[k]`` is the tuple of neighbor cells during interval k,
     aligned with the agent's declared neighbor order.  Non-initiating
     cells are retained but never expanded.
+
+    The Posts every job needs at step k come from one stacked endpoint
+    run (_layer_posts).  Returns, per job, its layers or the HorizonError
+    that stopped it.
     """
-    dec = abstraction.decs[agent_id]
-    if start_cell is None:
-        start_cell = grid.locate(dec, abstraction.model.agent(agent_id).x0)
-    layers = [set() for _ in range(m + 1)]
-    layers[0] = {(start_cell, g, s) for (g, s) in _claim_options(start_cell, (0, 0), 0, table, m)}
+    out = []
+    for job in jobs:
+        agent_id, _, table = job[:3]
+        start = job[3] if len(job) > 3 else grid.locate(
+            abstraction.decs[agent_id], abstraction.model.agent(agent_id).x0
+        )
+        layers = [set() for _ in range(m + 1)]
+        layers[0] = {(start, g, s) for (g, s) in _claim_options(start, (0, 0), 0, table, m)}
+        out.append(layers)
     for k in range(m):
-        parents = tuple(parent_cells[k])
-        grouped = {}
-        for (l, g, s) in layers[k]:
-            if abstraction.is_initiating(agent_id, (l,) + parents):
-                grouped.setdefault(l, set()).add((g, s))
-        if grouped:
-            configs = [(l,) + parents for l in sorted(grouped)]
-            abstraction.post_many(agent_id, configs)
-            nxt = set()
-            for l in sorted(grouped):
-                succ = abstraction.post(agent_id, (l,) + parents)
+        # per live job: its index, its configurations and its states by own cell
+        requests = []
+        for j, (agent_id, parent_cells, table, *_) in enumerate(jobs):
+            if isinstance(out[j], HorizonError):
+                continue
+            parents = tuple(parent_cells[k])
+            grouped = {}
+            for (l, g, s) in out[j][k]:
+                if abstraction.is_initiating(agent_id, (l,) + parents):
+                    grouped.setdefault(l, set()).add((g, s))
+            if grouped:
+                requests.append((j, [(l,) + parents for l in sorted(grouped)], grouped))
+        posts = _layer_posts(abstraction, [(jobs[j][0], configs) for j, configs, _ in requests])
+        for (j, configs, grouped), succs in zip(requests, posts):
+            if isinstance(succs, HorizonError):
+                out[j] = succs
+                continue
+            table = jobs[j][2]
+            # with k fixed, the claim options depend only on (cell, progress)
+            options = {}
+            nxt = out[j][k + 1]
+            for l, succ in zip(sorted(grouped), succs):
                 for l2 in succ:
                     for prog in grouped[l]:
-                        for (g, s) in _claim_options(l2, prog, k + 1, table, m):
-                            nxt.add((l2, g, s))
-            layers[k + 1] = nxt
-    return layers
+                        key = (l2, prog)
+                        if key not in options:
+                            options[key] = _claim_options(l2, prog, k + 1, table, m)
+                        nxt.update((l2, g, s) for (g, s) in options[key])
+    return out
+
+
+def _layer_posts(abstraction, requests):
+    """Posts of one search layer's (agent id, configurations) requests.
+
+    Every request's endpoints are integrated in one stacked run.  If that
+    run raises, each request integrates its own misses through post_many,
+    in request order, and meets the error it would meet on its own.
+    Returns, per request, its Posts or the HorizonError it met.
+    """
+    try:
+        abstraction.seed_endpoints((i, c) for i, configs in requests for c in configs)
+    except HorizonError:
+        pass  # each request below integrates its own misses
+    out = []
+    for i, configs in requests:
+        try:
+            out.append(abstraction.post_many(i, configs))
+        except HorizonError as e:
+            out.append(e)
+    return out
 
 
 def backward_prune(abstraction, agent_id, parent_cells, table, m, layers):
@@ -233,7 +277,17 @@ def topological_order(model):
 
 
 def cascade_synthesize(model, abstraction, budget=64):
-    """Topological per-agent synthesis with bounded parent backtracking."""
+    """Topological per-agent synthesis with bounded parent backtracking.
+
+    An agent's forward layers depend only on its parents' chosen paths.
+    So when an agent's turn needs its layers, every later agent whose
+    parents all have a chosen path is advanced with it in lockstep
+    (forward_layers).  Each agent keeps the result of its last forward
+    pass, keyed by its parent paths; the depth-first order, the paths
+    tried and every verdict stay those of one agent at a time.  An error
+    met ahead of an agent's turn is raised only when its turn comes with
+    the same parent paths.
+    """
     order = topological_order(model)
     if order is None:
         raise ModelError(
@@ -247,17 +301,34 @@ def cascade_synthesize(model, abstraction, budget=64):
     satisfying = {}
     chosen = {}
     failure = {}
+    # agent -> (parent cells, layers or the error) of its last forward pass
+    passes = {}
 
     def parent_cells_for(i):
         agent = model.agent(i)
-        return [tuple(chosen[j][k] for j in agent.neighbors) for k in range(m + 1)]
+        return tuple(tuple(chosen[j][k] for j in agent.neighbors) for k in range(m + 1))
+
+    def layers_for(idx):
+        i = order[idx]
+        if passes.get(i, (None,))[0] != parent_cells_for(i):
+            batch = [i] + [
+                j for j in order[idx + 1:]
+                if all(p in chosen for p in model.agent(j).neighbors)
+                and passes.get(j, (None,))[0] != parent_cells_for(j)
+            ]
+            jobs = [(j, parent_cells_for(j), tables[j]) for j in batch]
+            for job, result in zip(jobs, forward_layers(abstraction, jobs, m)):
+                passes[job[0]] = (job[1], result)
+        parent_cells, layers = passes[i]
+        if isinstance(layers, HorizonError):
+            raise layers
+        return parent_cells, layers
 
     def solve(idx):
         if idx == len(order):
             return True
         i = order[idx]
-        parent_cells = parent_cells_for(i)
-        layers = forward_layers(abstraction, i, parent_cells, tables[i], m)
+        parent_cells, layers = layers_for(idx)
         good = backward_prune(abstraction, i, parent_cells, tables[i], m, layers)
         reachable[i] = sorted({l for layer in layers for (l, _, _) in layer})
         satisfying[i] = sorted({l for layer in good for (l, _, _) in layer})
@@ -317,12 +388,14 @@ def product_synthesize(model, abstraction, cap=10**6):
             node for node in current
             if all(node[0][a] in abstraction.decs[i].initiating_set for a, i in enumerate(ids))
         ]
-        # one batched Post request per agent; row r belongs to expandable[r]
+        # one stacked endpoint run for every agent; posts[a][r] belongs to expandable[r]
         assignments = [dict(zip(ids, cells)) for cells, _ in expandable]
-        posts = [
-            abstraction.post_many(i, [grid.pr(model, cells, i) for cells in assignments])
-            for i in ids
-        ]
+        posts = _layer_posts(
+            abstraction, [(i, [grid.pr(model, cells, i) for cells in assignments]) for i in ids]
+        )
+        for succs in posts:
+            if isinstance(succs, HorizonError):
+                raise succs
         # with k fixed, the claim options depend only on (agent slot, cell, progress)
         options = {}
 

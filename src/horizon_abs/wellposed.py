@@ -147,6 +147,8 @@ def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN, step
     """
     if margin <= 0:
         raise ModelError(f"margin must be positive, got {margin}")
+    if not math.isfinite(margin):
+        raise ModelError(f"margin must be finite, got {margin}")
     lam = {a.id: DEFAULT_LAMBDA for a in model.agents} | dict(lam or {})
     mu = {e: 1.0 for e in model.edges()} | dict(mu or {})
     for i, value in lam.items():

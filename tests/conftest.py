@@ -223,7 +223,7 @@ def make_stack(doc, lam=None, steps=None, margin=wellposed.DEFAULT_MARGIN,
 def lex_least_full_path(ab, agent_id, parent_cells, m):
     """First full-length cell path in lexicographic order, or None."""
     table = []
-    layers = planner.forward_layers(ab, agent_id, parent_cells, table, m)
+    (layers,) = planner.forward_layers(ab, [(agent_id, parent_cells, table)], m)
     good = planner.backward_prune(ab, agent_id, parent_cells, table, m, layers)
     for path in planner.iter_satisfying_paths(ab, agent_id, parent_cells, table, m, good):
         return path

@@ -6,22 +6,23 @@ here.  Under the feedback, an agent's auxiliary system ends at the
 reference endpoint plus lambda*w*dt, for any start state in its cell and
 any motion of its neighbors inside their growing tubes
 (``closed_form_endpoint``).  ``integrate_auxiliary`` integrates that
-system for a batch of transitions at once, with the production
-``controller.eval_g``, ``feedback`` and ``integrate_reference``.
+system for a batch of transitions at once, with ``eval_g`` below and the
+production ``controller.feedback`` and ``integrate_reference``.
 
-Also here: the open-loop simulator, the random cell and disturbance
-samplers, and the set, parameter and expression helpers that only tests
-use.
+Also here: the open-loop simulator, the one-agent-at-a-time cascade, the
+random cell and disturbance samplers, and the set, parameter and
+expression helpers that only tests use.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from horizon_abs import controller, expr, grid, integrate, reach, sim
+from horizon_abs import controller, expr, grid, integrate, planner, reach, sim
 from horizon_abs import model as model_mod
-from horizon_abs.errors import ModelError
+from horizon_abs.errors import ModelError, UnsatisfiableError
 
 DISTURBANCE_KNOTS = 8
 
@@ -88,6 +89,12 @@ def sample_disturbance(dec, lattice, c_rate, dt, rng, knots=DISTURBANCE_KNOTS):
     return PiecewiseLinearPath(ts, values)
 
 
+def eval_g(agent, x_i, x_j):
+    """The globally bounded field of one agent: the raw dynamics saturated at
+    M.  The package evaluates it through controller.ReferenceField."""
+    return model_mod.saturate(model_mod.eval_f(agent, x_i, x_j), agent.M)
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionControl:
     """The transition feedback of one agent.
@@ -107,13 +114,13 @@ class TransitionControl:
 
     def law(self, t, g_x):
         """(kbar, k) at time t, given the bounded own field g_x = g(x_i, d_j)."""
-        k1 = controller.eval_g(self.agent, self.reference.eval(t), self.reference.nbr_refs) - g_x
+        k1 = eval_g(self.agent, self.reference.eval(t), self.reference.nbr_refs) - g_x
         k2 = self.lam * self.w
         k3 = (self.x_G - self.x0) / self.dt
         return controller.feedback(k1, k2, k3, self.agent.v_max)
 
     def k(self, t, x_i, d_j):
-        return self.law(t, controller.eval_g(self.agent, x_i, d_j))[1]
+        return self.law(t, eval_g(self.agent, x_i, d_j))[1]
 
     def rows(self, index):
         """The transitions of a batch at ``index``."""
@@ -156,7 +163,7 @@ def _auxiliary_run(ctrl, disturbance, substeps):
     tracking = [True]
 
     def rhs(t, z):
-        g_z = controller.eval_g(ctrl.agent, z, disturbance(t))
+        g_z = eval_g(ctrl.agent, z, disturbance(t))
         u_bar, u = ctrl.law(t, g_z)
         if tracking[0]:
             np.fmax(kbar_max, np.sqrt(np.sum(u_bar * u_bar, axis=-1)), out=kbar_max)
@@ -348,3 +355,47 @@ def expr_to_string(node):
     if isinstance(node, expr.Neg):
         return f"(-{expr_to_string(node.arg)})"
     return f"({expr_to_string(node.left)} {node.op} {expr_to_string(node.right)})"
+
+
+def sequential_cascade(model, ab, budget=64):
+    """The cascade one agent at a time, as planner.cascade_synthesize ran
+    it before agents moved in lockstep: every turn of an agent runs its
+    own forward pass, and an error is raised as soon as it is met."""
+    order = planner.topological_order(model)
+    tables = {i: planner.goal_table(ab, i) for i in model.agent_ids}
+    m = planner.plan_length(ab, tables)
+    explored = {i: 0 for i in model.agent_ids}
+    reachable, satisfying, chosen, failure = {}, {}, {}, {}
+
+    def solve(idx):
+        if idx == len(order):
+            return True
+        i = order[idx]
+        parent_cells = [
+            tuple(chosen[j][k] for j in model.agent(i).neighbors) for k in range(m + 1)
+        ]
+        (layers,) = planner.forward_layers(ab, [(i, parent_cells, tables[i])], m)
+        if isinstance(layers, Exception):
+            raise layers
+        good = planner.backward_prune(ab, i, parent_cells, tables[i], m, layers)
+        reachable[i] = sorted({l for layer in layers for (l, _, _) in layer})
+        satisfying[i] = sorted({l for layer in good for (l, _, _) in layer})
+        if not good[0]:
+            failure[i] = planner._first_failing_goal(layers, tables[i])
+            return False
+        paths = planner.iter_satisfying_paths(ab, i, parent_cells, tables[i], m, good)
+        for path in itertools.islice(paths, budget):
+            explored[i] += 1
+            chosen[i] = path
+            if solve(idx + 1):
+                return True
+        chosen.pop(i, None)
+        failure.setdefault(i, "every tried path starves a downstream agent")
+        return False
+
+    if not solve(0):
+        detail = "; ".join(f"agent {i}: {msg}" for i, msg in sorted(failure.items()))
+        raise UnsatisfiableError(f"cascade synthesis failed ({detail})")
+    return planner._assemble_plan(
+        model, ab, chosen, m, "cascade", explored, reachable, satisfying
+    )

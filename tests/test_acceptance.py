@@ -370,8 +370,9 @@ def test_criterion_10_planner_oracle_equivalence():
                 planner.StepGoal(frozenset({known_path[2]}), 0, 1, True),
             ],
         ]
-        for table in tables:
-            layers = planner.forward_layers(ab, agent_id, parent_cells, table, m)
+        # the three tables advance in lockstep, one job each
+        jobs = [(agent_id, parent_cells, table) for table in tables]
+        for table, layers in zip(tables, planner.forward_layers(ab, jobs, m)):
             good = planner.backward_prune(ab, agent_id, parent_cells, table, m, layers)
             oracle_good, oracle_paths = brute_force_good_layers(
                 ab, agent_id, parent_cells, table, m

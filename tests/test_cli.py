@@ -339,6 +339,67 @@ def test_an_expression_error_names_the_agent(tmp_path):
     assert "[" not in res.stderr
 
 
+def test_abstract_names_the_agent_of_an_expression_error(tmp_path):
+    """The bounds sampler of abstract names the agent too."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    for agent in doc["agents"]:
+        if agent["id"] == 3:
+            agent["dynamics"] = {
+                "type": "expression", "exprs": ["sqrt(x_i[1] - (2.0) + 0.05) - 0.2", "0"],
+            }
+    model_path = write_model(tmp_path / "model.json", doc)
+    res = run_cli(["abstract", "--model", model_path, "--out", tmp_path / "out", "--steps", "12",
+                   "--lambda", "1=0.35", "--lambda", "5=0.35"])
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: agent 3: sqrt of negative value -")
+
+
+def test_an_error_ahead_of_its_agents_turn_leaves_the_verdict_alone(tmp_path):
+    """Agent 4's field fails on every state and agent 2 can never claim its
+    first goal.  Agent 4 advances in lockstep with agent 2, but the cascade
+    never reaches agent 4's turn, so plan ends unsatisfiable, as it does
+    when one agent is searched at a time."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    for agent in doc["agents"]:
+        if agent["id"] == 4:
+            agent["dynamics"] = {
+                "type": "expression", "exprs": ["sqrt(-1 - x_i[1]*x_i[1]) + 0*x_j1[1]", "0"],
+            }
+    doc["spec"]["2"]["goals"][0]["box"] = [[50, 50], [51, 51]]
+    model_path = write_model(tmp_path / "model.json", doc)
+    res = run_cli(["plan", "--model", model_path, "--out", tmp_path / "out", "--steps", "12",
+                   "--lambda", "1=0.35", "--lambda", "5=0.35"])
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1] == (
+        "error: cascade synthesis failed (agent 2: goal 1 was never claimable inside its "
+        "window; agent 3: every tried path starves a downstream agent)"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--margin", "nan"], "margin must be finite, got nan"),
+        (["--margin", "nan", "--steps", "5"], "margin must be finite, got nan"),
+        (["--margin", "inf", "--steps", "5"], "margin must be finite, got inf"),
+        (["--budget", "0"], "--budget must be an integer >= 1, got 0"),
+        (["--budget", "-1"], "--budget must be an integer >= 1, got -1"),
+    ],
+    ids=["margin-nan", "margin-nan-steps", "margin-inf-steps", "budget-0", "budget-negative"],
+)
+def test_exit_code_1_on_out_of_range_margin_or_budget(tmp_path, flags, message):
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    res = run_cli(["plan", "--model", model_path, "--out", out,
+                   "--lambda", "1=0.55", "--lambda", "2=0.55"] + flags)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"error: {message}"]
+    assert not (out / "plan.json").exists()
+
+
 def test_a_command_rejects_a_flag_it_does_not_read(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     res = run_cli(["validate", "--model", model_path, "--out", tmp_path / "out", "--seed", "1"])

@@ -12,7 +12,7 @@ from horizon_abs import controller, grid, integrate, reach
 from horizon_abs import model as model_mod
 from horizon_abs.errors import ModelError
 
-from conftest import DRAW_SUBSTEPS
+from conftest import DRAW_SUBSTEPS, heterogeneous_doc, make_stack
 
 
 def unit_disk_dec():
@@ -89,8 +89,8 @@ def test_eval_g_saturates_the_raw_field(pair_stack):
     x = np.zeros(2)
     near = np.array([1.0, 1.0])
     far = np.array([30.0, 40.0])
-    assert np.array_equal(controller.eval_g(agent, x, near), near)
-    g = controller.eval_g(agent, x, far)
+    assert np.array_equal(oracles.eval_g(agent, x, near), near)
+    g = oracles.eval_g(agent, x, far)
     assert np.linalg.norm(g) == pytest.approx(4.0, rel=1e-15)
     assert np.allclose(g, [2.4, 3.2])
 
@@ -174,10 +174,39 @@ def test_reference_endpoints_match_dense_solution(pair_stack):
         assert audit_err[r] == single.audit_err
         own, nbr = ab.config_refs(2, config)
         batched = controller.reference_endpoints(
-            model.agent(2), own[None], nbr[None], params.dt, ab.substeps
+            [model.agent(2)], own[None], nbr[None], params.dt, ab.substeps
         )
         assert np.array_equal(batched[0], ref.endpoint[r])
         assert np.array_equal(ab.endpoint(2, config), ref.endpoint[r])
+
+
+def test_reference_endpoints_of_a_mixed_stack_match_one_row_runs():
+    """Rows of every dynamics variant, the two-neighbor agent and dict
+    weights in both neighbor orders, stacked in shuffled order, get the
+    bits of their one-agent, one-row runs, which have the bits of the
+    agent's own saturated field eval_g."""
+    model, params, ab = make_stack(heterogeneous_doc(), steps=4)
+    rng = np.random.default_rng(3)
+    initiating = {i: sorted(dec.initiating_set) for i, dec in ab.decs.items()}
+
+    def pick(i):
+        return initiating[i][int(rng.integers(len(initiating[i])))]
+
+    pairs = [
+        (agent.id, (pick(agent.id),) + tuple(pick(j) for j in agent.neighbors))
+        for agent in model.agents for _ in range(3)
+    ]
+    pairs = [pairs[r] for r in rng.permutation(len(pairs))]
+    agents = [model.agent(i) for i, _ in pairs]
+    own, nbr = zip(*(ab.config_refs(*pair) for pair in pairs))
+    stacked = controller.reference_endpoints(agents, np.stack(own), nbr, params.dt, ab.substeps)
+    for row, agent, o, b in zip(stacked, agents, own, nbr):
+        alone = controller.reference_endpoints([agent], o[None], [b], params.dt, ab.substeps)
+        assert np.array_equal(row, alone[0])
+        by_eval_g = integrate.rk4_endpoint(
+            lambda t, y: oracles.eval_g(agent, y, b), o, params.dt, ab.substeps
+        )
+        assert np.array_equal(row, by_eval_g)
 
 
 def test_batched_reference_audit_names_the_agent(pair_stack):

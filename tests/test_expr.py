@@ -42,9 +42,12 @@ def test_functions_and_constants():
 
 def test_symbols_reported():
     _, syms = expr.parse_expression("x_i[1] + x_j2[1] * x_j1[2]")
-    assert syms == frozenset({"x_i", "x_j1", "x_j2"})
+    assert syms == {"x_i": 1, "x_j1": 2, "x_j2": 1}
+    # the highest coordinate read counts; norm() alone reads none
+    _, syms = expr.parse_expression("x_i[3] - x_i[1] + norm(x_j1) + norm(x_i)")
+    assert syms == {"x_i": 3, "x_j1": 0}
     _, syms = expr.parse_expression("1 + 2")
-    assert syms == frozenset()
+    assert syms == {}
 
 
 def test_scientific_notation_and_whitespace():

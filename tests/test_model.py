@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,12 +62,23 @@ def test_goal_forms_and_relative_default():
         lambda d: d.update(agents=[1]),
         lambda d: d["agents"][0].update(neighbors=5),
         lambda d: d["agents"][0].update(neighbors=[[1]]),
+        lambda d: d["agents"][0].update(dynamics={"type": "expression", "exprs": ["x_i[3]", "0"]}),
     ],
 )
 def test_parse_rejections(mutate):
     doc = single_doc()
     mutate(doc)
     with pytest.raises(ModelError):
+        make_model(doc)
+
+
+@pytest.mark.parametrize("text, symbol", [("x_i[3]", "x_i[3]"), ("x_j1[1] - x_j1[4]", "x_j1[4]")])
+def test_an_expression_coordinate_past_the_dimension_names_agent_and_symbol(text, symbol):
+    doc = pair_doc()
+    doc["agents"][1]["dynamics"] = {"type": "expression", "exprs": [text, "0"]}
+    with pytest.raises(ModelError, match=re.escape(
+        f"agent 2: expression reads {symbol} but the state dimension is 2"
+    )):
         make_model(doc)
 
 

@@ -10,6 +10,7 @@ import oracles
 from horizon_abs import abstraction as abstraction_mod
 from horizon_abs import controller, grid, planner
 from horizon_abs.errors import (
+    HorizonError,
     ModelError,
     PlanConsistencyError,
     UnsatisfiableError,
@@ -87,7 +88,7 @@ def test_layered_search_matches_brute_force():
     ab, table = zero_stack_with_chain()
     m = 4
     parent_cells = [() for _ in range(m + 1)]
-    layers = planner.forward_layers(ab, 1, parent_cells, table, m)
+    (layers,) = planner.forward_layers(ab, [(1, parent_cells, table)], m)
     good = planner.backward_prune(ab, 1, parent_cells, table, m, layers)
     oracle_good, oracle_paths = brute_force_good_layers(ab, 1, parent_cells, table, m)
     for k in range(m + 1):
@@ -103,7 +104,7 @@ def test_layered_search_matches_brute_force():
 def test_forward_layers_respects_start_cell_override():
     ab, table = zero_stack_with_chain()
     start = sorted(ab.decs[1].initiating_set)[0]
-    layers = planner.forward_layers(ab, 1, [()] * 3, [], 2, start_cell=start)
+    (layers,) = planner.forward_layers(ab, [(1, [()] * 3, [], start)], 2)
     assert {l for (l, _, _) in layers[0]} == {start}
 
 
@@ -111,7 +112,7 @@ def test_empty_goal_table_keeps_every_full_path():
     ab, _ = zero_stack_with_chain()
     m = 3
     parent_cells = [() for _ in range(m + 1)]
-    layers = planner.forward_layers(ab, 1, parent_cells, [], m)
+    (layers,) = planner.forward_layers(ab, [(1, parent_cells, [])], m)
     good = planner.backward_prune(ab, 1, parent_cells, [], m, layers)
     oracle_good, oracle_paths = brute_force_good_layers(ab, 1, parent_cells, [], m)
     assert [
@@ -195,13 +196,14 @@ def test_product_agrees_with_cascade():
 
 
 def count_endpoint_batches(monkeypatch):
-    """Count controller.reference_endpoints calls, one per integrated batch."""
+    """Record controller.reference_endpoints calls, one per integrated batch,
+    each as the agent ids of its rows."""
     calls = []
     real = controller.reference_endpoints
 
-    def counted(agent, *args, **kwargs):
-        calls.append(agent.id)
-        return real(agent, *args, **kwargs)
+    def counted(agents, *args, **kwargs):
+        calls.append([agent.id for agent in agents])
+        return real(agents, *args, **kwargs)
 
     monkeypatch.setattr(controller, "reference_endpoints", counted)
     return calls
@@ -226,14 +228,14 @@ def test_product_search_integrates_once_per_agent_and_layer(monkeypatch):
     model, _, ab = make_stack(loose_pair_doc(), lam={1: 0.55, 2: 0.55}, steps=5)
     calls = count_endpoint_batches(monkeypatch)
     plan = planner.product_synthesize(model, ab)
-    # layers 0 .. m-1 were expanded; each asks every agent for one batch
-    for i in model.agent_ids:
-        assert 1 <= calls.count(i) <= plan.m
+    # layers 0 .. m-1 were expanded; each integrates every agent in one batch
+    assert 1 <= len(calls) <= plan.m
+    assert {i for rows in calls for i in rows} == set(model.agent_ids)
 
 
 def test_ring_workload_keeps_its_shape(monkeypatch):
     """The benchmark's ring_product workload (seed 1) keeps its search size,
-    and its Posts arrive in at most one batch per agent and layer."""
+    and its Posts arrive in one batch per layer, for every agent."""
     model, _, ab = ring_stack(seed=1)
     tables = {i: planner.goal_table(ab, i) for i in model.agent_ids}
     m_max = planner.plan_length(ab, tables)
@@ -241,7 +243,99 @@ def test_ring_workload_keeps_its_shape(monkeypatch):
     plan = planner.product_synthesize(model, ab)
     assert plan.strategy == "product"
     assert plan.explored == {1: 7912, 2: 7912, 3: 7912}
-    assert len(calls) <= len(model.agent_ids) * m_max
+    assert len(calls) <= min(plan.m, m_max)
+    assert all(set(rows) == set(model.agent_ids) for rows in calls)
+
+
+def backtracking_pair_doc():
+    """The pair with the follower's goal on one cell at the last step.  The
+    leader's first two satisfying paths keep the follower out of that
+    cell, so the cascade backtracks to the leader's third path."""
+    doc = pair_doc()
+    doc["spec"]["2"]["goals"] = [
+        {"box": [[-0.164, 1.089], [-0.073, 1.179]], "window": [0.9, 1.0], "relative": False}
+    ]
+    return doc
+
+
+def twin_stacks(case, five_model, five_params):
+    """Two abstractions of one model that share no cache."""
+    if case == "five_agents":
+        return five_model, [
+            abstraction_mod.build_abstraction(five_model, five_params) for _ in range(2)
+        ]
+    doc = pair_doc() if case == "pair" else backtracking_pair_doc()
+    model, params, ab = make_stack(doc, lam={1: 0.55, 2: 0.55}, steps=5)
+    return model, [ab, abstraction_mod.build_abstraction(model, params)]
+
+
+@pytest.mark.parametrize("case", ["five_agents", "pair", "backtracking"])
+def test_lockstep_cascade_matches_the_sequential_cascade(case, five_model, five_params):
+    model, (ab, alone) = twin_stacks(case, five_model, five_params)
+    plan = planner.cascade_synthesize(model, ab)
+    expected = oracles.sequential_cascade(model, alone)
+    assert plan.cells == expected.cells
+    assert plan.explored == expected.explored
+    assert plan.reachable == expected.reachable
+    assert plan.satisfying == expected.satisfying
+    for i in model.agent_ids:
+        assert all(np.array_equal(a, b) for a, b in zip(plan.w[i], expected.w[i]))
+    if case == "backtracking":
+        assert plan.explored == {1: 3, 2: 1}
+
+
+def test_five_agents_cascade_integrates_in_lockstep(five_model, five_params, monkeypatch):
+    """Agents whose parents are chosen advance together: {3}, then {2, 4},
+    then {1, 5}, so the cascade makes at most 3m endpoint batches, fewer
+    than one agent at a time, over the same rows."""
+    model, (ab, alone) = twin_stacks("five_agents", five_model, five_params)
+    calls = count_endpoint_batches(monkeypatch)
+    plan = planner.cascade_synthesize(model, ab)
+    lockstep = list(calls)
+    calls.clear()
+    oracles.sequential_cascade(model, alone)
+    assert len(lockstep) <= 3 * plan.m < len(calls)
+    assert sorted(i for rows in lockstep for i in rows) == sorted(i for rows in calls for i in rows)
+    assert {frozenset(rows) for rows in lockstep} == {
+        frozenset({3}), frozenset({2, 4}), frozenset({1, 5})
+    }
+
+
+def failing_agent_4_doc(five_model):
+    """five_agents with a field for agent 4 that fails on every state."""
+    doc = json.loads(json.dumps(five_model.raw))
+    for agent in doc["agents"]:
+        if agent["id"] == 4:
+            agent["dynamics"] = {
+                "type": "expression", "exprs": ["sqrt(-1 - x_i[1]*x_i[1]) + 0*x_j1[1]", "0"],
+            }
+    return doc
+
+
+@pytest.mark.parametrize("starved", [False, True])
+def test_an_error_ahead_of_its_turn_waits_for_it(starved, five_model, five_params):
+    """Agent 4 advances in lockstep with agent 2 and fails at once.  Its
+    error is raised when its turn comes, as one agent at a time raises it;
+    when agent 2 can never claim its first goal, that turn never comes and
+    the cascade ends unsatisfiable instead."""
+    doc = failing_agent_4_doc(five_model)
+    if starved:
+        doc["spec"]["2"]["goals"][0]["box"] = [[50.0, 50.0], [51.0, 51.0]]
+    model = make_model(doc)
+    errors = []
+    for synthesize in (planner.cascade_synthesize, oracles.sequential_cascade):
+        ab = abstraction_mod.build_abstraction(model, five_params)
+        with pytest.raises(HorizonError) as info:
+            synthesize(model, ab, budget=2)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    if starved:
+        assert errors[0] == (UnsatisfiableError, (
+            "cascade synthesis failed (agent 2: goal 1 was never claimable inside its "
+            "window; agent 3: every tried path starves a downstream agent)"
+        ))
+    else:
+        assert errors[0][1].startswith("agent 4: sqrt of negative value -")
 
 
 def test_product_cap(pair_stack):

@@ -209,36 +209,40 @@ def test_batched_audit_equals_per_interval_audits(heterogeneous_case, monkeypatc
 
 def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, monkeypatch):
     """The stacked reference run, its audit and the stage table (in blocks
-    of stage times) come first; after them every field call is a
-    closed-loop stage over the N network rows: m coarse runs, one fine
-    audit run and one input call."""
+    of stage times) come first, through the reference field over every
+    reference row; after them every field call is a closed-loop stage over
+    the N network rows: m coarse runs, one fine audit run and one input
+    call."""
     model, ab, schedule, m = heterogeneous_case
     # a fresh abstraction, so the reference stack is integrated here
     fresh = abstraction_mod.Abstraction(
         model, ab.params, ab.families, ab.decs, substeps=ab.substeps, integ_tol=ab.integ_tol
     )
     calls = []
-    network_field = model_mod.NetworkField.__call__
+    for owner in (model_mod.NetworkField, controller.ReferenceField):
 
-    def counting(self, S):
-        calls.append(S.shape)
-        return network_field(self, S)
+        def counting(self, S, owner=owner, real=owner.__call__):
+            calls.append((owner, S.shape))
+            return real(self, S)
 
-    monkeypatch.setattr(model_mod.NetworkField, "__call__", counting)
+        monkeypatch.setattr(owner, "__call__", counting)
     sim.simulate_closed_loop(model, fresh, schedule, m)
     substeps, N, dt = ab.substeps, len(model.agents), ab.params.dt
+    rows = len(dict.fromkeys((i, step.config) for i in model.agent_ids for step in schedule[i][:m]))
     run = (4 * substeps + 1) + 8 * substeps
     times = np.unique(np.concatenate((
         integrate.stage_times(dt, substeps, dense=True), integrate.stage_times(dt, 2 * substeps)
     )))
     table = -(-len(times) // sim.TABLE_BLOCK)
-    assert [len(shape) for shape in calls[: run + table]] == [2] * run + [3] * table
-    assert sum(shape[0] for shape in calls[run : run + table]) == len(times)
-    assert all(shape[-2] > N for shape in calls[: run + table])
+    refs = [shape for owner, shape in calls[: run + table]]
+    assert all(owner is controller.ReferenceField for owner, _ in calls[: run + table])
+    assert [len(shape) for shape in refs] == [2] * run + [3] * table
+    assert sum(shape[0] for shape in refs[run:]) == len(times)
+    assert all(shape[-2] == rows for shape in refs)
     loop = calls[run + table :]
     assert len(loop) == m * (4 * substeps + 1) + 8 * substeps + 1
-    assert all(shape[-2] == N for shape in loop)
-    assert loop[-1][0] == m * substeps + 1
+    assert all(owner is model_mod.NetworkField and shape[-2] == N for owner, shape in loop)
+    assert loop[-1][1][0] == m * substeps + 1
 
 
 def test_closed_loop_audit_names_the_lowest_failing_interval(heterogeneous_case, monkeypatch):
