@@ -220,22 +220,42 @@ class Abstraction:
         )
         return Action(agent_id=agent_id, config=config, target=target, point=point, w=w)
 
+    def audit_endpoints(self, pairs):
+        """Step-halving audit of the endpoints the Posts of (agent id,
+        configuration) pairs were cut from: one fine rk4_endpoint run at
+        twice the substeps over every pair, checked against the cached
+        endpoints.  An error names the first agent, in model order, with a
+        failing row, with the worst estimate over that agent's rows, as
+        ReferenceStack.audit names it."""
+        pairs = list(dict.fromkeys(pairs))
+        if not pairs:
+            return
+        own, nbr = self._stacked_refs(pairs)
+        field = controller.ReferenceField([self.model.agent(i) for i, _ in pairs], nbr)
+        ids = self.model.agent_ids
+        rank = {i: a for a, i in enumerate(ids)}
+        integrate.check_audit(
+            lambda t, y: field(y), own, self.params.dt, self.substeps, self.integ_tol,
+            what=lambda a: f"reference of agent {ids[a]}",
+            coarse=np.array([self.endpoint(i, config) for i, config in pairs]),
+            runs=[rank[i] for i, _ in pairs],
+        )
+
     def summary(self):
-        per_agent = {}
-        for i in self.model.agent_ids:
-            dec = self.decs[i]
-            posts = [
-                len(cells)
-                for (aid, _), cells in self._post_cache.items()
-                if aid == i
-            ]
-            per_agent[i] = {
-                "cells": len(dec.index_set),
-                "initiating": len(dec.initiating_set),
-                "configurations": len(posts),
-                "mean_post": (sum(posts) / len(posts)) if posts else 0.0,
+        # per agent: configurations with a Post and their Post cells, in one pass
+        totals = {i: [0, 0] for i in self.model.agent_ids}
+        for (i, _), cells in self._post_cache.items():
+            totals[i][0] += 1
+            totals[i][1] += len(cells)
+        return {
+            i: {
+                "cells": len(self.decs[i].index_set),
+                "initiating": len(self.decs[i].initiating_set),
+                "configurations": count,
+                "mean_post": (cells / count) if count else 0.0,
             }
-        return per_agent
+            for i, (count, cells) in totals.items()
+        }
 
 
 def build_abstraction(model, params, substeps=integrate.DEFAULT_SUBSTEPS,

@@ -213,6 +213,8 @@ def cmd_abstract(args):
 def cmd_plan(args):
     if args.budget < 1:
         raise ModelError(f"--budget must be an integer >= 1, got {args.budget}")
+    if args.cap < 1:
+        raise ModelError(f"--cap must be an integer >= 1, got {args.cap}")
     model, model_hash = _load_model(args.model)
     params = _synthesize(model, args)
     abstraction = _build(model, params, args)
@@ -225,6 +227,10 @@ def cmd_plan(args):
     else:
         plan = planner.product_synthesize(model, abstraction, cap=args.cap)
     elapsed = time.monotonic() - t0
+    # the plan's own transitions are the Posts plan.json asks anyone to trust
+    abstraction.audit_endpoints(
+        (i, config) for i, configs in planner.plan_configs(model, plan).items() for config in configs
+    )
     plan.model_hash = model_hash
     _ensure_out(args)
     doc = planner.plan_to_doc(plan)

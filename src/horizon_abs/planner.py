@@ -354,7 +354,14 @@ def cascade_synthesize(model, abstraction, budget=64):
 
 
 def product_synthesize(model, abstraction, cap=10**6):
-    """Layered breadth-first search over the synchronized product."""
+    """Layered breadth-first search over the synchronized product.
+
+    A node is (cells, claim progress), one entry per agent.  Layer k + 1
+    maps each node to the first node of layer k, in sorted order, that
+    generates it (_product_successors); the plan follows these parents
+    back from the first complete node.  CapExceededError once the layers
+    hold more than ``cap`` nodes in all.
+    """
     ids = model.agent_ids
     tables = {i: goal_table(abstraction, i) for i in ids}
     m_max = plan_length(abstraction, tables)
@@ -365,11 +372,9 @@ def product_synthesize(model, abstraction, cap=10**6):
         _claim_options(start_cells[a], (0, 0), 0, tables[i], m_max)
         for a, i in enumerate(ids)
     ]
-    layer = {}
-    for combo in itertools.product(*init_progress):
-        layer[(start_cells, tuple(combo))] = None
-    parents = [layer]
-    generated = len(layer)
+    parents = [dict.fromkeys((start_cells, combo) for combo in itertools.product(*init_progress))]
+    generated = len(parents[0])
+    _check_cap(generated, cap)
 
     def complete(node):
         cells, progress = node
@@ -384,10 +389,13 @@ def product_synthesize(model, abstraction, cap=10**6):
                 )
         if k == m_max:
             break
-        expandable = [
-            node for node in current
-            if all(node[0][a] in abstraction.decs[i].initiating_set for a, i in enumerate(ids))
-        ]
+        lattice = np.array([node[0] for node in current], dtype=int).reshape(
+            len(current), len(ids), model.dim
+        )
+        initiating = np.ones(len(current), dtype=bool)
+        for a, i in enumerate(ids):
+            initiating &= abstraction.decs[i].initiating_set.contains_many(lattice[:, a])
+        expandable = list(itertools.compress(current, initiating))
         # one stacked endpoint run for every agent; posts[a][r] belongs to expandable[r]
         assignments = [dict(zip(ids, cells)) for cells, _ in expandable]
         posts = _layer_posts(
@@ -405,28 +413,138 @@ def product_synthesize(model, abstraction, cap=10**6):
                 options[key] = _claim_options(cell, prog, k + 1, tables[ids[a]], m_max)
             return options[key]
 
-        nxt = {}
-        for node, node_posts in zip(expandable, zip(*posts)):
-            progress = node[1]
-            # each agent's (successor cell, claim option) pairs; their product
-            # is the set of synchronized successor nodes
-            choices = [
-                [(l2, p) for l2 in succ for p in claim_options(a, l2, progress[a])]
-                for a, succ in enumerate(node_posts)
-            ]
-            for pick in itertools.product(*choices):
-                nxt_node = tuple(zip(*pick))
-                if nxt_node not in nxt:
-                    nxt[nxt_node] = node
-                    generated += 1
-                    if generated > cap:
-                        raise CapExceededError(
-                            f"product search exceeded the state cap {cap}"
-                        )
+        nxt = _product_successors(expandable, posts, claim_options, generated, cap)
+        generated += len(nxt)
         parents.append(nxt)
     raise UnsatisfiableError(
         f"no product path of length at most {m_max} satisfies every agent"
     )
+
+
+def _check_cap(generated, cap):
+    if generated > cap:
+        raise CapExceededError(f"product search exceeded the state cap {cap}")
+
+
+_PICK_BLOCK = 1 << 13  # picks coded at once by _product_successors
+
+
+def _product_successors(expandable, posts, claim_options, generated, cap):
+    """One product layer: each successor node mapped to the first node of
+    ``expandable`` that generates it, in order of generation.
+
+    A node's successors are its picks of one (successor cell, claim) pair
+    per agent slot, in itertools.product order, where ``posts[a][r]`` holds
+    slot a's successor cells of node r and ``claim_options(a, cell,
+    progress)`` the claims on arrival.  Each slot's pairs get integer ids
+    within the layer, and every pick becomes an int code of its ids
+    (_PickCoder).  Blocks of whole nodes, about _PICK_BLOCK picks each,
+    keep memory small; each is deduplicated by one np.unique against the
+    codes of the blocks before it, and only successors met for the first
+    time are decoded into nodes.  CapExceededError is raised as soon as
+    ``generated`` plus the successors found pass ``cap``.
+    """
+    slots = len(posts)
+    index = [{} for _ in range(slots)]  # per slot: (cell, claim) -> id
+    ids_of = {}  # (slot, successor cells, progress) -> ids of their pairs
+
+    def pair_ids(a, succ, prog):
+        key = (a, succ, prog)
+        if key not in ids_of:
+            pairs = [(cell, p) for cell in succ for p in claim_options(a, cell, prog)]
+            ids_of[key] = [index[a].setdefault(pair, len(index[a])) for pair in pairs]
+        return ids_of[key]
+
+    # per slot, every node's pair ids one after another; per node, its
+    # pick count and the number of pairs of each slot
+    flat = [[] for _ in range(slots)]
+    counts = []
+    picks = []
+    for node, node_posts in zip(expandable, zip(*posts)):
+        row = []
+        for a, (succ, prog) in enumerate(zip(node_posts, node[1])):
+            ids = pair_ids(a, succ, prog)
+            flat[a] += ids
+            row.append(len(ids))
+        counts.append(row)
+        picks.append(math.prod(row))
+    # a node's picks are distinct successors, so the largest one alone may trip the cap
+    _check_cap(generated + max(picks, default=0), cap)
+    counts = np.array(counts, dtype=np.int64).reshape(len(picks), slots).T
+    starts = np.cumsum(counts, axis=1) - counts
+    flat = [np.array(f, dtype=np.int64) for f in flat]
+    cells = [[cell for cell, _ in ids] for ids in index]
+    claims = [[claim for _, claim in ids] for ids in index]
+    coder = _PickCoder([len(ids) for ids in index], sum(picks))
+    seen = np.empty(0, dtype=np.int64)  # codes of the successors found so far
+    nxt = {}
+    for r0, r1 in _blocks(picks, _PICK_BLOCK):
+        sizes = np.array(picks[r0:r1], dtype=np.int64)
+        node_of = np.repeat(np.arange(r0, r1), sizes)
+        # the rank of each pick among its node's picks, read as a mixed-radix
+        # number whose last slot varies fastest, as in itertools.product
+        q = np.arange(len(node_of)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        cols = [None] * slots
+        for a in reversed(range(slots)):
+            q, local = np.divmod(q, counts[a][node_of])
+            cols[a] = flat[a][starts[a][node_of] + local]
+        codes, first = np.unique(coder(cols), return_index=True)
+        new = ~np.isin(codes, seen)
+        seen = np.concatenate((seen, codes[new]))
+        first = np.sort(first[new])
+        picked = [col[first].tolist() for col in cols]
+        succs = zip(
+            zip(*(map(c.__getitem__, col) for c, col in zip(cells, picked))),
+            zip(*(map(c.__getitem__, col) for c, col in zip(claims, picked))),
+        )
+        nxt.update(zip(succs, map(expandable.__getitem__, node_of[first].tolist())))
+        _check_cap(generated + len(nxt), cap)
+    return nxt
+
+
+def _blocks(sizes, limit):
+    """(start, stop) index ranges over ``sizes``, each summing to at least
+    ``limit`` but the last; a range ends at the first item that reaches it."""
+    out = []
+    start = total = 0
+    for r, size in enumerate(sizes):
+        total += size
+        if total >= limit:
+            out.append((start, r + 1))
+            start, total = r + 1, 0
+    if start < len(sizes):
+        out.append((start, len(sizes)))
+    return out
+
+
+class _PickCoder:
+    """int64 codes of rows of slot ids, equal exactly when the rows are,
+    across every call of one coder.
+
+    Slot a's ids are below ``radices[a]``, and all calls together code at
+    most ``rows`` rows.  A code is the mixed-radix number of a row's ids.
+    numpy int64 arithmetic wraps silently, so before a multiply could pass
+    2**62 the partial codes are replaced by ranks, numbered in order of
+    first appearance over all calls; there are fewer than ``rows``.
+    """
+
+    def __init__(self, radices, rows):
+        self.radices = radices
+        self.ranked = []  # per slot: None, or the ranks of the partial codes before it
+        bound = 1  # every partial code is below bound
+        for radix in radices:
+            self.ranked.append({} if bound * radix > 2**62 else None)
+            bound = (rows if self.ranked[-1] is not None else bound) * radix
+
+    def __call__(self, cols):
+        code = np.zeros(len(cols[0]), dtype=np.int64)
+        for ids, radix, ranks in zip(cols, self.radices, self.ranked):
+            if ranks is not None:
+                values, code = np.unique(code, return_inverse=True)
+                order = [ranks.setdefault(v, len(ranks)) for v in values.tolist()]
+                code = np.array(order, dtype=np.int64)[code]
+            code = code * radix + ids
+        return code
 
 
 def _reconstruct_product(model, abstraction, parents, k, node, tables, generated):
@@ -497,11 +615,9 @@ def check_plan_lists(model, plan):
             )
 
 
-def extract_controls(model, abstraction, plan):
-    """Re-derive and cross-check the per-step controller parameters of a plan."""
-    # every agent's lists first: a configuration reads its neighbors' cells
-    check_plan_lists(model, plan)
-    configs = {
+def plan_configs(model, plan):
+    """Per agent, its configuration at each of the plan's m steps."""
+    return {
         i: [
             (tuple(plan.cells[i][k]),)
             + tuple(tuple(plan.cells[j][k]) for j in model.agent(i).neighbors)
@@ -509,6 +625,13 @@ def extract_controls(model, abstraction, plan):
         ]
         for i in model.agent_ids
     }
+
+
+def extract_controls(model, abstraction, plan):
+    """Re-derive and cross-check the per-step controller parameters of a plan."""
+    # every agent's lists first: a configuration reads its neighbors' cells
+    check_plan_lists(model, plan)
+    configs = plan_configs(model, plan)
     initiating = {
         i: [c for c in configs[i] if abstraction.is_initiating(i, c)] for i in model.agent_ids
     }

@@ -10,8 +10,8 @@ system for a batch of transitions at once, with ``eval_g`` below and the
 production ``controller.feedback`` and ``integrate_reference``.
 
 Also here: the open-loop simulator, the one-agent-at-a-time cascade, the
-random cell and disturbance samplers, and the set, parameter and
-expression helpers that only tests use.
+pick-by-pick product layer, the random cell and disturbance samplers, and
+the set, parameter and expression helpers that only tests use.
 """
 
 import itertools
@@ -399,3 +399,29 @@ def sequential_cascade(model, ab, budget=64):
     return planner._assemble_plan(
         model, ab, chosen, m, "cascade", explored, reachable, satisfying
     )
+
+
+def product_successors(expandable, posts, claim_options, generated, cap):
+    """planner._product_successors as the product search ran it before its
+    layers were coded as arrays: every pick of every node is formed as a
+    tuple, in itertools.product order, and looked up in the layer, and the
+    cap is checked at each new node."""
+    nxt = {}
+    for node, node_posts in zip(expandable, zip(*posts)):
+        progress = node[1]
+        # each agent's (successor cell, claim option) pairs; their product
+        # is the set of synchronized successor nodes
+        choices = [
+            [(l2, p) for l2 in succ for p in claim_options(a, l2, progress[a])]
+            for a, succ in enumerate(node_posts)
+        ]
+        for pick in itertools.product(*choices):
+            nxt_node = tuple(zip(*pick))
+            if nxt_node not in nxt:
+                nxt[nxt_node] = node
+                generated += 1
+                if generated > cap:
+                    raise planner.CapExceededError(
+                        f"product search exceeded the state cap {cap}"
+                    )
+    return nxt

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -251,24 +253,46 @@ def test_a_malformed_flag_names_itself(tmp_path):
     assert "error: argument --substeps: invalid int value: 'x'" in res.stderr
 
 
-def test_a_reference_audit_failure_names_the_agent(tmp_path):
-    """Agent 3's field 1/(x_1 - 2) plans, but its references fail the audit."""
+def audit_failing_five_agents(tmp_path):
+    """five_agents with agent 3's field 1/(x_1 - 2): it plans, but the
+    references of its plan fail the step-halving audit at 1e-8."""
     with open(FIVE_AGENTS) as fh:
         doc = json.load(fh)
     for agent in doc["agents"]:
         if agent["id"] == 3:
             agent["dynamics"] = {"type": "expression", "exprs": ["1/(x_i[1]-2)", "0"]}
     model_path = write_model(tmp_path / "model.json", doc)
-    flags = ["--model", model_path, "--out", tmp_path, "--steps", "12",
-             "--lambda", "1=0.35", "--lambda", "5=0.35"]
-    assert run_cli(["plan"] + flags).returncode == 0
+    return ["--model", model_path, "--out", tmp_path, "--steps", "12",
+            "--lambda", "1=0.35", "--lambda", "5=0.35"]
+
+
+AGENT_3_AUDIT_ERROR = (
+    "error: reference of agent 3 audit: step-halving estimate 6.923e-07 exceeds "
+    "tolerance 1.000e-08; raise substeps\n"
+)
+
+
+def test_a_reference_audit_failure_names_the_agent(tmp_path):
+    """validate audits the references at the plan's tolerance.  The plan is
+    made at a tolerance its audit passes and then tightened in plan.json."""
+    flags = audit_failing_five_agents(tmp_path)
+    assert run_cli(["plan"] + flags + ["--integ-tol", "1e-6"]).returncode == 0
+    doc = json.loads((tmp_path / "plan.json").read_text())
+    doc["integ_tol"] = 1e-8
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
     res = run_cli(["validate"] + flags)
     assert res.returncode == 1
-    assert res.stderr.endswith(
-        "error: reference of agent 3 audit: step-halving estimate 6.923e-07 exceeds "
-        "tolerance 1.000e-08; raise substeps\n"
-    )
+    assert res.stderr.endswith(AGENT_3_AUDIT_ERROR)
     assert not (tmp_path / "validation.json").exists()
+
+
+def test_plan_audits_its_own_transitions_before_writing(tmp_path):
+    """plan fails on the audit that validate would fail, with its message,
+    and writes no plan.json."""
+    res = run_cli(["plan"] + audit_failing_five_agents(tmp_path))
+    assert res.returncode == 1
+    assert res.stderr.endswith(AGENT_3_AUDIT_ERROR)
+    assert not (tmp_path / "plan.json").exists()
 
 
 MISSING = object()
@@ -400,6 +424,18 @@ def test_exit_code_1_on_out_of_range_margin_or_budget(tmp_path, flags, message):
     assert not (out / "plan.json").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_exit_code_1_on_an_out_of_range_cap(tmp_path, cap):
+    """A usage error, not an unsatisfiable search."""
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    res = run_cli(["plan", "--model", model_path, "--out", out, "--strategy", "product",
+                   f"--cap={cap}"] + PAIR_FLAGS)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"error: --cap must be an integer >= 1, got {cap}"]
+    assert not (out / "plan.json").exists()
+
+
 def test_a_command_rejects_a_flag_it_does_not_read(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     res = run_cli(["validate", "--model", model_path, "--out", tmp_path / "out", "--seed", "1"])
@@ -528,3 +564,11 @@ def test_chain_rejects_unbalanced_trajectory_rows(tmp_path):
     assert "error:" in res.stderr and "unbalanced" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (out / "next_model.json").exists()
+
+
+def test_the_package_runs_as_a_module():
+    res = subprocess.run(
+        [sys.executable, "-m", "horizon_abs", "--help"], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: horizon-abs")

@@ -224,6 +224,89 @@ def test_product_search_matches_the_per_combination_oracle(stack):
         assert plan.reachable[i] == sorted({n[0][a] for layer in layers for n in layer})
 
 
+def layers_beside_the_oracle(monkeypatch):
+    """Run oracles.product_successors beside planner._product_successors on
+    the inputs of every layer; record both results per layer."""
+    layers = []
+    real = planner._product_successors
+
+    def both(*args):
+        layers.append((real(*args), oracles.product_successors(*args)))
+        return layers[-1][0]
+
+    monkeypatch.setattr(planner, "_product_successors", both)
+    return layers
+
+
+def product_case(case):
+    if case.startswith("ring"):
+        return ring_stack(seed=int(case[-1]))
+    doc = loose_pair_doc()
+    if case == "empty_spec":
+        doc["spec"] = {}
+    return make_stack(doc, lam={1: 0.55, 2: 0.55}, steps=5)
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [("ring1", None), ("ring2", None), ("ring3", None), ("loose_pair", None),
+     ("empty_spec", None), ("ring1", 64), ("ring1", 1 << 20), ("loose_pair", 5)],
+)
+def test_product_layers_match_the_pick_by_pick_oracle(case, block, monkeypatch):
+    """Every layer maps each successor to the same first parent as the loop
+    over every pick, in the same order, whether a layer is coded in one
+    block of nodes or in many."""
+    if block is not None:
+        monkeypatch.setattr(planner, "_PICK_BLOCK", block)
+    model, _, ab = product_case(case)
+    layers = layers_beside_the_oracle(monkeypatch)
+    plan = planner.product_synthesize(model, ab)
+    assert len(layers) == plan.m
+    for got, expected in layers:
+        assert list(got.items()) == list(expected.items())
+    if case == "ring1":
+        assert plan.explored == {1: 7912, 2: 7912, 3: 7912}
+    if case == "empty_spec":
+        assert plan.m == 0
+
+
+@pytest.mark.parametrize("cap", [0, 1, 500, 7911])
+def test_a_capped_product_search_fails_as_the_oracle_does(cap, monkeypatch):
+    """Ring seed 1 holds 1, 96, 1134 and 6681 nodes in its four layers, so
+    these caps trip in layers 0, 1, 2 and 3.  The pick-by-pick loop stops
+    inside a layer, the coded search at the end of a block of nodes, with
+    the same error."""
+    model, _, ab = ring_stack(seed=1)
+    errors = []
+    for successors in (planner._product_successors, oracles.product_successors):
+        monkeypatch.setattr(planner, "_product_successors", successors)
+        with pytest.raises(planner.CapExceededError) as info:
+            planner.product_synthesize(model, ab, cap=cap)
+        errors.append(str(info.value))
+    assert errors == [f"product search exceeded the state cap {cap}"] * 2
+
+
+def test_pick_codes_do_not_overflow():
+    """Slot radices whose product passes 2**63: wrapped int64 mixed-radix
+    codes would give (1, 0, 0) the code of (0, 0, 0); ranked codes do not,
+    and codes from different calls of one coder compare."""
+    rows = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [2, 5, 7], [1, 0, 0]])
+    codes = planner._PickCoder([2**32] * 3, len(rows))(list(rows.T))
+    assert codes.dtype == np.int64
+    assert [codes[0] == c for c in codes] == [True, False, True, False, False]
+    assert codes[1] == codes[4] != codes[3]
+    rng = np.random.default_rng(7)
+    radices = [2**21, 3, 2**40, 2**13, 5]
+    rows = np.stack([rng.integers(0, min(r, 4), 2000) for r in radices], axis=1)
+    coder = planner._PickCoder(radices, len(rows))
+    codes = np.concatenate([coder(list(part.T)) for part in np.split(rows, [700, 1500])])
+    _, by_row = np.unique(rows, axis=0, return_inverse=True)
+    _, by_code = np.unique(codes, return_inverse=True)
+    # the same partition of the rows: equal codes exactly for equal rows
+    assert np.array_equal(by_row.ravel(), by_code)
+    assert planner._blocks([3, 0, 5, 1, 0], 4) == [(0, 3), (3, 5)]
+
+
 def test_product_search_integrates_once_per_agent_and_layer(monkeypatch):
     model, _, ab = make_stack(loose_pair_doc(), lam={1: 0.55, 2: 0.55}, steps=5)
     calls = count_endpoint_batches(monkeypatch)
