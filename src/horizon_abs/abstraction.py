@@ -220,25 +220,19 @@ class Abstraction:
         )
         return Action(agent_id=agent_id, config=config, target=target, point=point, w=w)
 
-    def audit_endpoints(self, pairs):
-        """Step-halving audit of the endpoints the Posts of (agent id,
-        configuration) pairs were cut from: one fine rk4_endpoint run at
-        twice the substeps over every pair, checked against the cached
-        endpoints.  An error names the first agent, in model order, with a
-        failing row, with the worst estimate over that agent's rows, as
-        ReferenceStack.audit names it."""
-        pairs = list(dict.fromkeys(pairs))
+    def audit_endpoints(self, pairs=None):
+        """controller.audit_references over the endpoints the Posts of
+        (agent id, configuration) pairs were cut from, default every
+        cached endpoint, in one fine run.  An error names the first agent,
+        in model order, with a failing row."""
+        pairs = list(dict.fromkeys(self._endpoint_cache if pairs is None else pairs))
         if not pairs:
             return
         own, nbr = self._stacked_refs(pairs)
-        field = controller.ReferenceField([self.model.agent(i) for i, _ in pairs], nbr)
-        ids = self.model.agent_ids
-        rank = {i: a for a, i in enumerate(ids)}
-        integrate.check_audit(
-            lambda t, y: field(y), own, self.params.dt, self.substeps, self.integ_tol,
-            what=lambda a: f"reference of agent {ids[a]}",
-            coarse=np.array([self.endpoint(i, config) for i, config in pairs]),
-            runs=[rank[i] for i, _ in pairs],
+        controller.audit_references(
+            model_mod.NetworkField([self.model.agent(i) for i, _ in pairs], nbr_refs=nbr),
+            own, np.array([self.endpoint(i, config) for i, config in pairs]),
+            self.params.dt, self.substeps, self.integ_tol, self.model.agent_ids,
         )
 
     def summary(self):

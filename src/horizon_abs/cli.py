@@ -16,7 +16,7 @@ import time
 from . import abstraction as abstraction_mod
 from . import model as model_mod
 from . import integrate, planner, render, sim, wellposed
-from .errors import HorizonError, ModelError, ValidationError
+from .errors import HorizonError, ModelError, UnsatisfiableError, ValidationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,10 +222,15 @@ def cmd_plan(args):
     if strategy == "auto":
         strategy = "cascade" if planner.topological_order(model) else "product"
     t0 = time.monotonic()
-    if strategy == "cascade":
-        plan = planner.cascade_synthesize(model, abstraction, budget=args.budget)
-    else:
-        plan = planner.product_synthesize(model, abstraction, cap=args.cap)
+    try:
+        if strategy == "cascade":
+            plan = planner.cascade_synthesize(model, abstraction, budget=args.budget)
+        else:
+            plan = planner.product_synthesize(model, abstraction, cap=args.cap)
+    except UnsatisfiableError:
+        # "unsatisfiable" rests on every Post the search cut
+        abstraction.audit_endpoints()
+        raise
     elapsed = time.monotonic() - t0
     # the plan's own transitions are the Posts plan.json asks anyone to trust
     abstraction.audit_endpoints(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrate, model as model_mod
-from .errors import ExprError, ModelError
+from .errors import ModelError
 
 
 def r_i(lam, dt, v_max):
@@ -34,42 +34,9 @@ class ReferenceTrajectory:
         return self.traj.eval(t)
 
 
-class ReferenceField:
-    """The saturated field g of many reference rows, of any agents.
-
-    Row r is ``agents[r]`` with its neighbor block frozen at
-    ``nbr_refs[r]`` (width N_i * n).  Rows are grouped by equal dynamics
-    (model.dynamics_groups), and each group's neighbor blocks are gathered
-    once, here, so a call makes one ``dynamics.eval`` per group and one
-    saturation at every row's M.  Every operation is row-wise, so a row
-    has the bits of its one-row field.  States are shaped (..., rows, n):
-    leading axes are batches of stage times.  An expression error names
-    the agents of the group that raised it.
-    """
-
-    def __init__(self, agents, nbr_refs):
-        agents = tuple(agents)
-        self.M = np.array([agent.M for agent in agents])[:, None]
-        self.groups = []
-        for agent, rows in model_mod.dynamics_groups(agents):
-            ids = model_mod.group_ids(agents, rows)
-            block = np.array([np.asarray(nbr_refs[r], dtype=float) for r in rows])
-            blocks = [
-                np.ascontiguousarray(b) for b in model_mod.split_neighbor_block(agent, block)
-            ]
-            # a run of consecutive rows is read through a view, not a gather
-            if rows[-1] - rows[0] == len(rows) - 1:
-                rows = slice(int(rows[0]), int(rows[-1]) + 1)
-            self.groups.append((agent.dynamics, rows, blocks, ids))
-
-    def __call__(self, Y):
-        F = np.empty(Y.shape)
-        for dynamics, rows, blocks, ids in self.groups:
-            try:
-                F[..., rows, :] = dynamics.eval(Y[..., rows, :], blocks)
-            except ExprError as e:
-                raise model_mod.agents_error(ids, e) from None
-        return model_mod.saturate(F, self.M)
+def _saturated(field):
+    """The right-hand side g = saturate(f, M) of a field's rows."""
+    return lambda t, y: model_mod.saturate(field(y), field.M)
 
 
 def integrate_reference(
@@ -92,10 +59,12 @@ def integrate_reference(
     nbr_refs = np.asarray(nbr_refs, dtype=float)
     n = own_ref.shape[-1]
     rows = own_ref.size // n
-    field = ReferenceField([agent] * rows, nbr_refs.reshape(rows, nbr_refs.shape[-1]))
+    field = model_mod.NetworkField(
+        [agent] * rows, nbr_refs=nbr_refs.reshape(rows, nbr_refs.shape[-1])
+    )
 
     def rhs(t, y):
-        return field(y.reshape(rows, n)).reshape(y.shape)
+        return model_mod.saturate(field(y.reshape(rows, n)), field.M).reshape(y.shape)
 
     traj = integrate.rk4_dense(rhs, own_ref, dt, substeps)
     err = integrate.check_audit(
@@ -109,9 +78,9 @@ class ReferenceStack:
     """References of many agents' configurations, integrated as one batch.
 
     Row r belongs to ``agents[r]``: it starts at ``own_ref[r]`` and its
-    neighbor block stays frozen at ``nbr_refs[r]``, in a ReferenceField
+    neighbor block stays frozen at ``nbr_refs[r]``, in one NetworkField
     over every row, so it has the bits of ``integrate_reference`` on that
-    row alone.  ``field`` evaluates that field at any states shaped
+    row alone.  ``field`` evaluates the raw field at any states shaped
     (..., rows, n).  The dense run is made here; the audit is a separate
     step.
     """
@@ -121,34 +90,39 @@ class ReferenceStack:
         self.own_ref = np.asarray(own_ref, dtype=float)
         self.nbr_refs = tuple(np.asarray(nbr, dtype=float) for nbr in nbr_refs)
         self.dt, self.substeps = dt, substeps
-        self.field = ReferenceField(self.agents, self.nbr_refs)
-        self.traj = integrate.rk4_dense(self._rhs, self.own_ref, dt, substeps)
+        self.field = model_mod.NetworkField(self.agents, nbr_refs=self.nbr_refs)
+        self.traj = integrate.rk4_dense(_saturated(self.field), self.own_ref, dt, substeps)
 
     @property
     def endpoint(self):
         return self.traj.endpoint
 
-    def _rhs(self, t, Y):
-        return self.field(Y)
-
     def audit(self, integ_tol, agent_ids):
-        """Step-halving estimate of every row.  An error names the first
-        agent in ``agent_ids`` with a failing row, with the worst estimate
-        over that agent's rows."""
-        rank = {i: a for a, i in enumerate(agent_ids)}
-        return integrate.check_audit(
-            self._rhs, self.own_ref, self.dt, self.substeps, integ_tol,
-            what=lambda a: f"reference of agent {agent_ids[a]}", coarse=self.endpoint,
-            runs=[rank[agent.id] for agent in self.agents],
+        return audit_references(
+            self.field, self.own_ref, self.endpoint, self.dt, self.substeps, integ_tol, agent_ids
         )
 
 
+def audit_references(field, own_ref, endpoint, dt, substeps, integ_tol, agent_ids):
+    """Step-halving estimate of every row of a reference field: one fine
+    rk4_endpoint run at twice the substeps from ``own_ref``, checked
+    against the coarse ``endpoint``.  An error names the first agent in
+    ``agent_ids`` with a failing row, with the worst estimate over that
+    agent's rows."""
+    rank = {i: a for a, i in enumerate(agent_ids)}
+    return integrate.check_audit(
+        _saturated(field), own_ref, dt, substeps, integ_tol,
+        what=lambda a: f"reference of agent {agent_ids[a]}", coarse=endpoint,
+        runs=[rank[agent.id] for agent in field.agents],
+    )
+
+
 def reference_endpoints(agents, own_refs, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
-    """Endpoints only, one agent per row, in one run through a ReferenceField
+    """Endpoints only, one agent per row, in one run through a NetworkField
     (no dense storage, no audit).  Row r starts at ``own_refs[r]`` with
     ``agents[r]``'s neighbor block frozen at ``nbr_refs[r]``."""
-    field = ReferenceField(agents, nbr_refs)
-    return integrate.rk4_endpoint(lambda t, y: field(y), own_refs, dt, substeps)
+    field = model_mod.NetworkField(agents, nbr_refs=nbr_refs)
+    return integrate.rk4_endpoint(_saturated(field), own_refs, dt, substeps)
 
 
 def select_w(endpoint, x, lam, dt, v_max):

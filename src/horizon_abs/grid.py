@@ -170,8 +170,15 @@ def build_decomposition(family, d_max, dt):
     n = anchor.shape[0]
     side = d_max / math.sqrt(n)
 
-    origin = np.floor((region.center - region.radius - anchor) / side).astype(int)
-    top = np.floor((region.center + region.radius - anchor) / side).astype(int)
+    lo = np.floor((region.center - region.radius - anchor) / side)
+    hi = np.floor((region.center + region.radius - anchor) / side)
+    # NaN fails every comparison, so a non-finite bound is caught here too
+    if not np.all((lo >= -(2.0**63)) & (hi < 2.0**63) & (hi - lo < 2.0**63)):
+        raise ModelError(
+            f"agent {family.agent_id}: the lattice of its region (radius {region.radius:g}, "
+            f"cell side {side:g}) does not fit in int64"
+        )
+    origin, top = lo.astype(int), hi.astype(int)
     los, his = _axis_bounds(anchor, side, origin, top - origin + 1)
     clamp = [np.clip(region.center[k], los[k], his[k]) for k in range(n)]
     dist = np.sqrt(_sum_axes([(clamp[k] - region.center[k]) ** 2 for k in range(n)]))

@@ -196,11 +196,14 @@ def eval_f(agent, x_i, x_j):
 
     ``x_j`` is the concatenated neighbor block of width N_i * n (any
     leading batch shape); pass an empty trailing axis when the agent has
-    no neighbors.
+    no neighbors.  An expression error names the agent.
     """
     x_i = np.asarray(x_i, dtype=float)
     blocks = split_neighbor_block(agent, x_j)
-    return np.asarray(agent.dynamics.eval(x_i, blocks), dtype=float)
+    try:
+        return np.asarray(agent.dynamics.eval(x_i, blocks), dtype=float)
+    except ExprError as e:
+        raise agents_error([agent.id], e) from None
 
 
 def dynamics_groups(agents):
@@ -219,39 +222,49 @@ def dynamics_groups(agents):
 
 
 class NetworkField:
-    """Raw fields of many rows at once, one eval_f call per group of rows.
+    """The raw fields f_i of many rows at once, one dynamics.eval per group.
 
-    Row r is ``agents[r]`` evaluated at row r of a stacked state array S,
-    with its neighbor block gathered from the rows ``neighbor_rows[r]`` of
-    S.  Rows are the second-to-last axis of S, and leading axes are
-    batches.  Rows are grouped by ``dynamics_groups``, and the gather
-    indices are built once, here.  An expression error names the agents
-    of the group that raised it.
+    Row r is ``agents[r]`` at row r of a state array S shaped (..., rows,
+    n); leading axes are batches.  Its neighbor states come from one of
+    two sources, chosen by the argument passed: the rows
+    ``neighbor_rows[r]`` of S, read per neighbor slot k as
+    ``S[..., idx_k, :]`` (the closed loop), or a block ``nbr_refs[r]`` of
+    width N_i * n frozen here (references).  Rows are grouped by
+    ``dynamics_groups`` once, here.  Every operation is row-wise, so a row
+    has the bits of its one-row field.  ``M`` is the rows' column of speed
+    bounds, for callers that saturate.  An expression error names the
+    agents of the group that raised it.
     """
 
-    def __init__(self, agents, neighbor_rows):
+    def __init__(self, agents, neighbor_rows=None, nbr_refs=None):
         self.agents = tuple(agents)
-        self.groups = [
-            (agent, rows, np.array([neighbor_rows[r] for r in rows], dtype=int))
-            for agent, rows in dynamics_groups(self.agents)
-        ]
+        self.M = np.array([agent.M for agent in self.agents])[:, None]
+        self.frozen = nbr_refs is not None
+        self.groups = []
+        for agent, rows in dynamics_groups(self.agents):
+            ids = list(dict.fromkeys(self.agents[r].id for r in rows))
+            if self.frozen:
+                block = np.array([np.asarray(nbr_refs[r], dtype=float) for r in rows])
+                slots = [np.ascontiguousarray(b) for b in split_neighbor_block(agent, block)]
+            else:
+                slots = [
+                    np.array([neighbor_rows[r][k] for r in rows], dtype=int)
+                    for k in range(len(agent.neighbors))
+                ]
+            # a run of consecutive rows is read through a view, not a gather
+            if rows[-1] - rows[0] == len(rows) - 1:
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            self.groups.append((agent.dynamics, rows, slots, ids))
 
     def __call__(self, S):
-        lead = S.shape[:-2]
-        F = np.empty(lead + (len(self.agents), S.shape[-1]))
-        for agent, rows, nbrs in self.groups:
+        F = np.empty(S.shape)
+        for dynamics, rows, slots, ids in self.groups:
+            blocks = slots if self.frozen else [S[..., idx, :] for idx in slots]
             try:
-                F[..., rows, :] = eval_f(
-                    agent, S[..., rows, :], S[..., nbrs, :].reshape(lead + (len(rows), -1))
-                )
+                F[..., rows, :] = dynamics.eval(S[..., rows, :], blocks)
             except ExprError as e:
-                raise agents_error(group_ids(self.agents, rows), e) from None
+                raise agents_error(ids, e) from None
         return F
-
-
-def group_ids(agents, rows):
-    """The distinct ids of ``agents`` at the row indices ``rows``, in row order."""
-    return list(dict.fromkeys(agents[r].id for r in rows))
 
 
 def agents_error(ids, error):
@@ -307,10 +320,19 @@ def _require(cond, message):
         raise ModelError(message)
 
 
+def _numeric(value):
+    """Whether value is a JSON number or a nested array of them; float()
+    would also take strings and booleans."""
+    if type(value) is list:
+        return all(map(_numeric, value))
+    return type(value) in (int, float)
+
+
 def _floats(values, name, length=None):
+    _require(_numeric(values), f"{name} must be a numeric array, got {values!r}")
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (ValueError, OverflowError) as e:
         raise ModelError(f"{name} must be a numeric array: {e}") from None
     if length is not None and arr.shape != (length,):
         raise ModelError(f"{name} must have length {length}, got shape {arr.shape}")
@@ -319,12 +341,8 @@ def _floats(values, name, length=None):
 
 
 def _scalar(value, name):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{name} must be a number, got {value!r}") from None
-    _require(math.isfinite(x), f"{name} must be finite, got {value!r}")
-    return x
+    _require(type(value) in (int, float), f"{name} must be a number, got {value!r}")
+    return float(_floats(value, name))
 
 
 def _consensus_weights(weights, neighbors, agent_id):
@@ -358,9 +376,10 @@ def _parse_dynamics(entry, n, neighbors, agent_id):
             _scalar(entry["R"], f"agent {agent_id}: R"),
         )
     if variant == "affine":
-        A = _floats(entry.get("A", np.zeros((n, n))), f"agent {agent_id} affine A")
-        B_blocks = entry.get("B", [np.zeros((n, n))] * neighbor_count)
-        b = _floats(entry.get("b", np.zeros(n)), f"agent {agent_id} affine b")
+        zeros = [[0.0] * n] * n
+        A = _floats(entry.get("A", zeros), f"agent {agent_id} affine A")
+        B_blocks = entry.get("B", [zeros] * neighbor_count)
+        b = _floats(entry.get("b", [0.0] * n), f"agent {agent_id} affine b")
         _require(
             isinstance(B_blocks, list) and len(B_blocks) == neighbor_count,
             f"agent {agent_id}: one B block per neighbor",
@@ -435,7 +454,7 @@ def parse_model(text):
     """Parse and validate a model document; raises ModelError on any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise ModelError(f"model document is not valid JSON: {e}") from None
     _require(isinstance(doc, dict), "model document must be a JSON object")
     _require("agents" in doc, "model document needs an 'agents' array")
@@ -455,13 +474,15 @@ def parse_model(text):
 
     ids = [e.get("id") for e in entries]
     for i in ids:
-        _require(isinstance(i, int) and i >= 1, f"agent id must be a positive integer, got {i!r}")
+        _require(type(i) is int and i >= 1, f"agent id must be a positive integer, got {i!r}")
     _require(len(set(ids)) == len(ids), "duplicate agent ids")
     id_set = set(ids)
 
-    dims = {int(_scalar(e.get("dim", 0), "state dimension")) for e in entries}
-    _require(len(dims) == 1, "all agents must share one state dimension")
-    n = dims.pop()
+    dims = [e.get("dim", 0) for e in entries]
+    for dim in dims:
+        _require(type(dim) is int, f"state dimension must be a finite integer, got {dim!r}")
+    _require(len(set(dims)) == 1, "all agents must share one state dimension")
+    n = dims[0]
     _require(n >= 1, "state dimension must be at least 1")
 
     spec_doc = doc.get("spec", {})
@@ -562,20 +583,20 @@ def validate_bounds(model, samples, seed=0):
         own = _ball_samples(rng, regions[agent.id], samples)
         nbrs = [_ball_samples(rng, regions[j], samples) for j in agent.neighbors]
         block = np.concatenate(nbrs, axis=-1) if nbrs else np.zeros((samples, 0))
-        f = _named_eval_f(agent, own, block)
+        f = eval_f(agent, own, block)
         sup_f = float(np.max(np.sqrt(np.sum(f * f, axis=-1))))
         ratio_M = sup_f / agent.M if agent.M > 0 else (0.0 if sup_f == 0 else math.inf)
 
         g = saturate(f, agent.M)
 
         own2 = _ball_samples(rng, regions[agent.id], samples)
-        g2 = saturate(_named_eval_f(agent, own2, block), agent.M)
+        g2 = saturate(eval_f(agent, own2, block), agent.M)
         worst_L2 = _worst_quotient(own, own2, g, g2)
 
         if agent.neighbors:
             nbrs2 = [_ball_samples(rng, regions[j], samples) for j in agent.neighbors]
             block2 = np.concatenate(nbrs2, axis=-1)
-            g3 = saturate(_named_eval_f(agent, own, block2), agent.M)
+            g3 = saturate(eval_f(agent, own, block2), agent.M)
             worst_L1 = _worst_quotient(block, block2, g, g3)
         else:
             worst_L1 = 0.0
@@ -602,14 +623,6 @@ def validate_bounds(model, samples, seed=0):
                 f"agent {agent.id}: sampled state quotient {worst_L2} exceeds L2 = {agent.L2}"
             )
     return BoundsReport(entries=entries, violations=violations)
-
-
-def _named_eval_f(agent, x_i, x_j):
-    """eval_f, with an expression error naming the agent."""
-    try:
-        return eval_f(agent, x_i, x_j)
-    except ExprError as e:
-        raise agents_error([agent.id], e) from None
 
 
 def _worst_quotient(x, x2, g, g2):

@@ -50,8 +50,9 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     They do not depend on the network state, so the reference states and
     their saturated fields are evaluated beforehand in one array pass, at
     every stage time of every run below.  Each right-hand side evaluation
-    then evaluates the raw field of the N network rows, with one eval_f
-    call per group of equal dynamics, one saturation and one feedback
+    then evaluates the raw field of the N network rows, with one
+    dynamics.eval per group of equal dynamics and each neighbor read
+    straight from the network state, one saturation and one feedback
     call.  The network state may carry leading axes.
 
     Only the coarse run is sequential: it goes interval by interval and
@@ -79,7 +80,6 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
         )
 
     field = model_mod.NetworkField(model.agents, _neighbor_rows(model))
-    M = np.array([[agent.M] for agent in model.agents])
     v_max = np.array([[agent.v_max] for agent in model.agents])
     lam = np.array([[abstraction.params.lam[i]] for i in ids])
     pairs = list(dict.fromkeys((i, step.config) for i in ids for step in schedule[i][:m]))
@@ -101,11 +101,13 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     g_ref = np.empty((len(times), m, N, n))
     for j in range(0, len(times), TABLE_BLOCK):
         block = slice(j, j + TABLE_BLOCK)
-        g_ref[block] = refs.field(refs.traj.eval_many(times[block]))[:, picks]
+        g_ref[block] = model_mod.saturate(
+            refs.field(refs.traj.eval_many(times[block])), refs.field.M
+        )[:, picks]
 
     def field_and_input(Yt, g, k2, k3):
         F = field(Yt)
-        return F, controller.feedback(g - model_mod.saturate(F, M), k2, k3, v_max)[1]
+        return F, controller.feedback(g - model_mod.saturate(F, field.M), k2, k3, v_max)[1]
 
     def network_rhs(g_table, k2, k3):
         def rhs(t, Yt):

@@ -91,7 +91,8 @@ def sample_disturbance(dec, lattice, c_rate, dt, rng, knots=DISTURBANCE_KNOTS):
 
 def eval_g(agent, x_i, x_j):
     """The globally bounded field of one agent: the raw dynamics saturated at
-    M.  The package evaluates it through controller.ReferenceField."""
+    M.  The package evaluates the raw field of many rows through
+    model.NetworkField and saturates it at the field's M column."""
     return model_mod.saturate(model_mod.eval_f(agent, x_i, x_j), agent.M)
 
 

@@ -199,6 +199,44 @@ def test_exit_code_2_when_the_product_cap_trips(tmp_path):
     assert res.returncode == 2 and "state cap" in res.stderr
 
 
+@pytest.mark.parametrize("case", ["cascade", "product cap"])
+def test_an_unsatisfiable_verdict_rests_on_audited_posts(tmp_path, case):
+    """Before plan exits 2, it audits every endpoint the search cut a Post
+    from.  At a tolerance that agent 2's references fail, plan exits 1 with
+    the audit's message instead, and writes no plan."""
+    doc = pair_doc()
+    flags = ["--strategy", "product", "--cap", "1"]
+    if case == "cascade":
+        doc["spec"]["2"]["goals"][0]["box"] = [[3.0, 3.0], [3.5, 3.5]]  # out of reach
+        flags = ["--budget", "1"]
+    out = tmp_path / "out"
+    plan = ["plan", "--model", write_model(tmp_path / "model.json", doc), "--out", out]
+    plan += PAIR_FLAGS + flags
+    assert run_cli(plan).returncode == 2
+    res = run_cli(plan + ["--integ-tol", "1e-30"])
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1].startswith(
+        "error: reference of agent 2 audit: step-halving estimate "
+    )
+    assert not (out / "plan.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("M", 1e200), ("reach_radius", 1e300)])
+def test_a_region_past_the_int64_lattice_is_a_model_error(tmp_path, key, value):
+    """A region whose grid bounds overflow int64 names its agent; no cast
+    warning, and no grid of wrapped-around indices."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    doc["agents"][0][key] = value
+    model_path = write_model(tmp_path / "model.json", doc)
+    res = run_cli(["abstract", "--model", model_path, "--out", tmp_path / "out", "--steps", "12",
+                   "--lambda", "1=0.35", "--lambda", "5=0.35"])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: agent 1: the lattice of its region (radius ")
+    assert res.stderr.endswith(") does not fit in int64\n")
+    assert "Warning" not in res.stderr
+
+
 def test_exit_code_3_on_infeasible_discretization(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     out = tmp_path / "out"

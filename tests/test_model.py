@@ -63,6 +63,25 @@ def test_goal_forms_and_relative_default():
         lambda d: d["agents"][0].update(neighbors=5),
         lambda d: d["agents"][0].update(neighbors=[[1]]),
         lambda d: d["agents"][0].update(dynamics={"type": "expression", "exprs": ["x_i[3]", "0"]}),
+        # a number is a JSON number: no float() of a string, a bool or a fraction of a dim
+        lambda d: d["agents"][0].update(dim=2.5),
+        lambda d: d["agents"][0].update(dim=True, x0=[0.0]),
+        lambda d: d["agents"][0].update(dim="2"),
+        lambda d: d["agents"][0].update(id=True),
+        lambda d: d["agents"][0].update(M="25"),
+        lambda d: d["agents"][0].update(v_max=True),
+        lambda d: d.update(horizon=True),
+        lambda d: d.update(tau="0.3"),
+        lambda d: d["agents"][0].update(x0=["0", 0.0]),
+        lambda d: d["agents"][0].update(x0=[False, 0.0]),
+        lambda d: d["agents"][0].update(reach_radius="2"),
+        lambda d: d["agents"][0].update(dynamics={"type": "gradient-hill", "C": True, "R": 1.0}),
+        lambda d: d["agents"][0].update(dynamics={"type": "affine", "A": [["1", 0], [0, 0]]}),
+        lambda d: d["agents"][0].update(
+            dynamics={"type": "expression", "exprs": ["c", "0"], "params": {"c": "2"}}
+        ),
+        lambda d: d.update(spec={"1": {"goals": [{"box": [[0, 0], [1, 1]], "window": [0.2, True]}]}}),
+        lambda d: d.update(spec={"1": {"goals": [{"box": [["0", 0], [1, 1]], "window": [0.2, 0.9]}]}}),
     ],
 )
 def test_parse_rejections(mutate):
@@ -93,6 +112,9 @@ def test_cumulative_relative_deadlines_must_fit_the_horizon():
 def test_rejects_invalid_json():
     with pytest.raises(ModelError):
         model_mod.parse_model("{not json")
+    # past the interpreter's digit limit for integer literals
+    with pytest.raises(ModelError, match="not valid JSON"):
+        model_mod.parse_model('{"horizon": ' + "1" * 5000 + "}")
 
 
 def test_eval_f_zero_and_consensus():
@@ -364,6 +386,8 @@ def test_consensus_weights_follow_neighbor_order(weights):
         {"1": 0.5, "2": 0.5, "3": 0.5},
         {"1": "heavy", "2": 0.5},
         {"1": None, "2": 0.5},
+        {"1": "0.5", "2": 0.5},
+        [True, 0.25],
         [0.5],
         [[0.5], [0.25]],
     ],

@@ -136,8 +136,38 @@ def heterogeneous_schedule(ab, m, rng):
 def test_network_field_groups_equal_dynamics_only():
     model = make_model(heterogeneous_doc())
     field = model_mod.NetworkField(model.agents, sim._neighbor_rows(model))
-    groups = sorted(sorted(model.agents[r].id for r in rows) for _, rows, _ in field.groups)
+    N = len(model.agents)
+    groups = sorted(
+        sorted(model.agents[r].id for r in np.arange(N)[rows]) for _, rows, _, _ in field.groups
+    )
     assert groups == [[1, 10], [2], [3], [4], [5, 9], [6], [7], [8]]
+    # one index array per neighbor slot, naming the neighbors' rows of the state
+    for dynamics, rows, slots, ids in field.groups:
+        agents = [model.agents[r] for r in np.arange(N)[rows]]
+        assert ids == [agent.id for agent in agents]
+        assert [list(idx) for idx in slots] == [
+            [model.agent_ids.index(agent.neighbors[k]) for agent in agents]
+            for k in range(len(agents[0].neighbors))
+        ]
+
+
+def test_gathered_and_frozen_neighbors_give_equal_bits():
+    """f_i is one function with two sources for the neighbor states.  Read
+    from the state S, or frozen at S's neighbor rows, they give the same
+    bits, on every dynamics variant and on each state of a batch."""
+    model = make_model(heterogeneous_doc())
+    neighbor_rows = sim._neighbor_rows(model)
+    gathered = model_mod.NetworkField(model.agents, neighbor_rows)
+    batch = np.random.default_rng(7).uniform(-2, 2, size=(3, len(model.agents), model.dim))
+    F = gathered(batch)
+    for S, F_S in zip(batch, F):
+        frozen = model_mod.NetworkField(
+            model.agents, nbr_refs=[S[idx].reshape(-1) for idx in neighbor_rows]
+        )
+        assert np.array_equal(frozen(S), F_S)
+        assert np.array_equal(frozen(S), gathered(S))
+        assert np.array_equal(frozen.M, gathered.M)
+    assert np.any(F != 0)
 
 
 def test_vectorized_closed_loop_matches_the_per_agent_loop():
@@ -209,23 +239,23 @@ def test_batched_audit_equals_per_interval_audits(heterogeneous_case, monkeypatc
 
 def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, monkeypatch):
     """The stacked reference run, its audit and the stage table (in blocks
-    of stage times) come first, through the reference field over every
-    reference row; after them every field call is a closed-loop stage over
-    the N network rows: m coarse runs, one fine audit run and one input
-    call."""
+    of stage times) come first, through the frozen-neighbor field over
+    every reference row; after them every field call is a closed-loop
+    stage over the N network rows, with neighbors read from the state: m
+    coarse runs, one fine audit run and one input call."""
     model, ab, schedule, m = heterogeneous_case
     # a fresh abstraction, so the reference stack is integrated here
     fresh = abstraction_mod.Abstraction(
         model, ab.params, ab.families, ab.decs, substeps=ab.substeps, integ_tol=ab.integ_tol
     )
     calls = []
-    for owner in (model_mod.NetworkField, controller.ReferenceField):
+    real = model_mod.NetworkField.__call__
 
-        def counting(self, S, owner=owner, real=owner.__call__):
-            calls.append((owner, S.shape))
-            return real(self, S)
+    def counting(self, S):
+        calls.append((self.frozen, S.shape))
+        return real(self, S)
 
-        monkeypatch.setattr(owner, "__call__", counting)
+    monkeypatch.setattr(model_mod.NetworkField, "__call__", counting)
     sim.simulate_closed_loop(model, fresh, schedule, m)
     substeps, N, dt = ab.substeps, len(model.agents), ab.params.dt
     rows = len(dict.fromkeys((i, step.config) for i in model.agent_ids for step in schedule[i][:m]))
@@ -234,14 +264,14 @@ def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, m
         integrate.stage_times(dt, substeps, dense=True), integrate.stage_times(dt, 2 * substeps)
     )))
     table = -(-len(times) // sim.TABLE_BLOCK)
-    refs = [shape for owner, shape in calls[: run + table]]
-    assert all(owner is controller.ReferenceField for owner, _ in calls[: run + table])
+    refs = [shape for frozen, shape in calls[: run + table]]
+    assert all(frozen for frozen, _ in calls[: run + table])
     assert [len(shape) for shape in refs] == [2] * run + [3] * table
     assert sum(shape[0] for shape in refs[run:]) == len(times)
     assert all(shape[-2] == rows for shape in refs)
     loop = calls[run + table :]
     assert len(loop) == m * (4 * substeps + 1) + 8 * substeps + 1
-    assert all(owner is model_mod.NetworkField and shape[-2] == N for owner, shape in loop)
+    assert all(not frozen and shape[-2] == N for frozen, shape in loop)
     assert loop[-1][1][0] == m * substeps + 1
 
 
