@@ -115,14 +115,11 @@ class Abstraction:
     def post_many(self, agent_id, configs):
         """Memoized Post sets for many configurations.  The misses are
         integrated through seed_endpoints, unless they are seeded already,
-        and intersected with the grid in one batch."""
+        and intersected with the grid in one batch.  A cached endpoint
+        belongs to an initiating configuration, so seed_endpoints rejects
+        every other miss, the lowest first."""
         dec = self.decs[agent_id]
-        missing = []
-        for config in configs:
-            if (agent_id, config) not in self._post_cache:
-                self._require_initiating(agent_id, config)
-                missing.append(config)
-        missing = sorted(set(missing))
+        missing = sorted({c for c in configs if (agent_id, c) not in self._post_cache})
         if missing:
             # endpoints seeded by seed_endpoints or reference_for are not integrated again
             self.seed_endpoints([(agent_id, config) for config in missing])
@@ -183,11 +180,14 @@ class Abstraction:
 
         The rows' endpoints seed the endpoint cache, so the Posts of these
         configurations integrate nothing more.  The last stack is kept and
-        returned again for the same pairs.
+        returned again for the same pairs.  A pair that is not
+        transition-initiating is a ModelError, and nothing is integrated.
         """
         pairs = tuple(pairs)
         if self._references is not None and self._references[0] == pairs:
             return self._references[1]
+        for agent_id, config in pairs:
+            self._require_initiating(agent_id, config)
         own, nbr = self._stacked_refs(pairs)
         refs = controller.ReferenceStack(
             [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps

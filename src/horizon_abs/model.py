@@ -75,6 +75,9 @@ class HillDynamics:
         x = np.asarray(x_i, dtype=float)
         rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
         coef = self.C * math.pi / self.R
+        # a batch of radial rows only skips the masks, whose expression this is on such rows
+        if rho.size and rho.min() >= _HILL_SERIES_CUTOFF and rho.max() < self.R:
+            return coef * np.sin(math.pi * rho / self.R) / rho * x
         # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
         radial = coef * np.sin(math.pi * rho / self.R) / np.where(rho > 0, rho, 1.0)
         series = self.C * (math.pi / self.R) ** 2
@@ -231,14 +234,16 @@ class NetworkField:
     ``S[..., idx_k, :]`` (the closed loop), or a block ``nbr_refs[r]`` of
     width N_i * n frozen here (references).  Rows are grouped by
     ``dynamics_groups`` once, here.  Every operation is row-wise, so a row
-    has the bits of its one-row field.  ``M`` is the rows' column of speed
-    bounds, for callers that saturate.  An expression error names the
-    agents of the group that raised it.
+    has the bits of its one-row field.  ``M`` is the rows' speed bound, for
+    callers that saturate: a number when every row shares it, else a
+    column.  An expression error names the agents of the group that raised
+    it.
     """
 
     def __init__(self, agents, neighbor_rows=None, nbr_refs=None):
         self.agents = tuple(agents)
-        self.M = np.array([agent.M for agent in self.agents])[:, None]
+        M = np.array([agent.M for agent in self.agents])[:, None]
+        self.M = float(M[0, 0]) if M.size and np.all(M == M[0, 0]) else M
         self.frozen = nbr_refs is not None
         self.groups = []
         for agent, rows in dynamics_groups(self.agents):
@@ -257,13 +262,17 @@ class NetworkField:
             self.groups.append((agent.dynamics, rows, slots, ids))
 
     def __call__(self, S):
-        F = np.empty(S.shape)
+        # one group spans every row, so its eval is the field, with no scatter
+        F = None if len(self.groups) == 1 else np.empty(S.shape)
         for dynamics, rows, slots, ids in self.groups:
             blocks = slots if self.frozen else [S[..., idx, :] for idx in slots]
             try:
-                F[..., rows, :] = dynamics.eval(S[..., rows, :], blocks)
+                f = dynamics.eval(S[..., rows, :], blocks)
             except ExprError as e:
                 raise agents_error(ids, e) from None
+            if F is None:
+                return f
+            F[..., rows, :] = f
         return F
 
 
@@ -274,13 +283,26 @@ def agents_error(ids, error):
 
 
 def saturate(v, bound):
-    """Radial projection onto the closed ball of the given radius (bound >= 0)."""
+    """Radial projection onto the closed ball of the given radius (bound >= 0).
+
+    ``bound`` is a number, or an array of bounds broadcasting against the
+    rows' norms.  Only a batch with a row over its bound is divided."""
     v = np.asarray(v, dtype=float)
+    if np.ndim(bound) == 0 and v.size:
+        # no computed norm passes the bound if sqrt(n) * max|v_k| does not, padded past
+        # a norm's n + 2 roundings; in this range of max|v_k| no square under- or overflows
+        top, n = float(np.abs(v).max()), v.shape[-1]
+        if 2.0**-500 <= top <= 2.0**500 and top * math.sqrt(n) * (1 + (n + 8) * 2.0**-52) <= bound:
+            return v
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    over = norms > bound
+    # with no row over its bound every factor is 1, and v has the bits of v * 1.0
+    if not over.any():
+        return v
     # rows at or under the bound keep the factor 1 and never divide, so a zero norm is never read
     factor = np.empty_like(norms)
     factor.fill(1.0)
-    return v * np.divide(bound, norms, out=factor, where=norms > bound)
+    return v * np.divide(bound, norms, out=factor, where=over)
 
 
 def split_neighbor_block(agent, x_j):

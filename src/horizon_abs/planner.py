@@ -662,7 +662,10 @@ def extract_controls(model, abstraction, plan):
                 )
             action = abstraction.successor_action(i, config, target)
             stored_w = np.asarray(plan.w[i][k], dtype=float)
-            if np.max(np.abs(stored_w - action.w)) > 1e-9 * max(1.0, agent.v_max):
+            # a NaN or a wrong shape disagrees too
+            if stored_w.shape != action.w.shape or not (
+                np.max(np.abs(stored_w - action.w)) <= 1e-9 * max(1.0, agent.v_max)
+            ):
                 raise PlanConsistencyError(
                     f"agent {i}, step {k}: stored w disagrees with the re-derived value"
                 )
@@ -694,20 +697,27 @@ def plan_to_doc(plan):
     return doc
 
 
+def _cell(c):
+    """A lattice cell of a plan document, which lists it as integers."""
+    if type(c) is not list or not all(type(v) is int for v in c):
+        raise ValueError(f"cell {c!r} is not a list of integers")
+    return tuple(c)
+
+
 def plan_from_doc(doc):
     try:
         agents = doc["agents"]
-        cells = {int(i): [tuple(c) for c in entry["cells"]] for i, entry in agents.items()}
+        cells = {int(i): [_cell(c) for c in entry["cells"]] for i, entry in agents.items()}
         w = {int(i): [np.asarray(v, dtype=float) for v in entry["w"]] for i, entry in agents.items()}
         targets = {
             int(i): [np.asarray(v, dtype=float) for v in entry["targets"]]
             for i, entry in agents.items()
         }
         reachable = {
-            int(i): [tuple(c) for c in entry.get("reachable", [])] for i, entry in agents.items()
+            int(i): [_cell(c) for c in entry.get("reachable", [])] for i, entry in agents.items()
         }
         satisfying = {
-            int(i): [tuple(c) for c in entry.get("satisfying", [])] for i, entry in agents.items()
+            int(i): [_cell(c) for c in entry.get("satisfying", [])] for i, entry in agents.items()
         }
         return Plan(
             m=int(doc["m"]),

@@ -93,11 +93,13 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     # g_ref[j, k]: the saturated reference fields on interval k at times[j],
     # for every time the coarse runs, the fine audit run and the input
     # recording evaluate
-    times = np.unique(np.concatenate((
+    # sorted and deduplicated without np.unique, whose no-index path loads numpy.ma
+    times = sorted(set(np.concatenate((
         integrate.stage_times(dt, substeps, dense=True),
         integrate.stage_times(dt, 2 * substeps),
-    )))
-    when = {t: j for j, t in enumerate(times.tolist())}
+    )).tolist()))
+    when = {t: j for j, t in enumerate(times)}
+    times = np.array(times)
     g_ref = np.empty((len(times), m, N, n))
     for j in range(0, len(times), TABLE_BLOCK):
         block = slice(j, j + TABLE_BLOCK)

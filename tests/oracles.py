@@ -89,6 +89,31 @@ def sample_disturbance(dec, lattice, c_rate, dt, rng, knots=DISTURBANCE_KNOTS):
     return PiecewiseLinearPath(ts, values)
 
 
+def saturate(v, bound):
+    """model.saturate with the factor and the divide on every batch, the
+    bit-for-bit reference for its shortcuts."""
+    v = np.asarray(v, dtype=float)
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    # rows at or under the bound keep the factor 1 and never divide, so a zero norm is never read
+    factor = np.empty_like(norms)
+    factor.fill(1.0)
+    return v * np.divide(bound, norms, out=factor, where=norms > bound)
+
+
+def hill_eval(dynamics, x_i, neighbors):
+    """model.HillDynamics.eval with its three masks on every batch, the
+    bit-for-bit reference for its radial-only path."""
+    x = np.asarray(x_i, dtype=float)
+    rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    coef = dynamics.C * math.pi / dynamics.R
+    # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
+    radial = coef * np.sin(math.pi * rho / dynamics.R) / np.where(rho > 0, rho, 1.0)
+    series = dynamics.C * (math.pi / dynamics.R) ** 2
+    scale = np.where(rho < model_mod._HILL_SERIES_CUTOFF, series, radial)
+    scale = np.where(rho >= dynamics.R, 0.0, scale)
+    return scale * x
+
+
 def eval_g(agent, x_i, x_j):
     """The globally bounded field of one agent: the raw dynamics saturated at
     M.  The package evaluates the raw field of many rows through

@@ -88,6 +88,37 @@ def test_non_initiating_configuration_rejected(pair_stack):
         ab.post(2, (rim, pair_config(ab)[1]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda ab, config: ab.post(2, config),
+    lambda ab, config: ab.post_many(2, [config]),
+    lambda ab, config: ab.endpoint(2, config),
+    lambda ab, config: ab.reference_for([(2, config)]),
+], ids=["post", "post_many", "endpoint", "reference_for"])
+def test_a_non_initiating_configuration_caches_nothing(call):
+    """Initiation is checked where an endpoint enters the cache, so every
+    entry point rejects a rim configuration before it integrates."""
+    _, _, ab = make_stack(pair_doc(), lam={1: 0.55, 2: 0.55}, steps=5)
+    dec = ab.decs[2]
+    rim = sorted(dec.index_set - dec.initiating_set)[0]
+    config = (rim, pair_config(ab)[1])
+    with pytest.raises(ModelError, match=r"agent 2: configuration .* is not transition-initiating"):
+        call(ab, config)
+    assert not ab._endpoint_cache and not ab._post_cache and ab._references is None
+
+
+def test_post_many_names_the_lowest_non_initiating_configuration(pair_stack):
+    _, _, ab = pair_stack
+    dec = ab.decs[2]
+    nbr = pair_config(ab)[1]
+    rims = sorted(dec.index_set - dec.initiating_set)[:2]
+    configs = [(rims[1], nbr), pair_config(ab), (rims[0], nbr)]
+    with pytest.raises(ModelError) as err:
+        ab.post_many(2, configs)
+    assert str(err.value) == (
+        f"agent 2: configuration {(rims[0], nbr)} is not transition-initiating"
+    )
+
+
 def test_config_arity_checked(pair_stack):
     _, _, ab = pair_stack
     own = pair_config(ab)[0]

@@ -264,6 +264,21 @@ def test_exit_code_4_on_a_corrupted_plan(planned_run, tmp_path):
     assert res.returncode == 4 and "stored w disagrees" in res.stderr
 
 
+@pytest.mark.parametrize("w", [[math.nan, 0.0], None, [0.0, 0.0, 0.0]], ids=["nan", "null", "length-3"])
+def test_exit_code_4_on_a_stored_w_that_is_not_a_parameter(planned_run, tmp_path, w):
+    """A stored w that is NaN, missing or of the wrong length disagrees with
+    the re-derived one; none of them is a traceback or a silent pass."""
+    model_path, out, _, _ = planned_run
+    doc = json.loads((out / "plan.json").read_text())
+    doc["agents"]["2"]["w"][0] = w
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    res = run_cli(["validate", "--model", model_path, "--out", tmp_path] + PAIR_FLAGS)
+    assert res.returncode == 4
+    assert res.stderr.splitlines()[-1] == (
+        "error: agent 2, step 0: stored w disagrees with the re-derived value"
+    )
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -610,3 +625,23 @@ def test_the_package_runs_as_a_module():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: horizon-abs")
+
+
+def test_validate_leaves_numpy_ma_unloaded(planned_run, tmp_path):
+    """The closed loop dedupes its stage times without np.unique, whose
+    no-index path imports numpy.ma; validate has no other use for it."""
+    model_path, out, _, _ = planned_run
+    run_out = tmp_path / "out"
+    run_out.mkdir()
+    (run_out / "plan.json").write_bytes((out / "plan.json").read_bytes())
+    argv = ["validate", "--model", str(model_path), "--out", str(run_out)] + PAIR_FLAGS
+    code = (
+        "import sys\n"
+        "from horizon_abs.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(status, 'numpy.ma' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+    assert (run_out / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()

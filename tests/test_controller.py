@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import oracles
-from horizon_abs import controller, grid, integrate, reach
+from horizon_abs import cli, controller, grid, integrate, reach
 from horizon_abs import model as model_mod
 from horizon_abs.errors import ModelError
 
-from conftest import DRAW_SUBSTEPS, heterogeneous_doc, make_stack
+from conftest import DRAW_SUBSTEPS, FIVE_AGENTS, heterogeneous_doc, make_stack
 
 
 def unit_disk_dec():
@@ -81,6 +81,92 @@ def test_saturate():
         warnings.simplefilter("error")
         zero = saturate(np.array([[3.0, 4.0], [0.0, 0.0]]), 0.0)
     assert np.array_equal(zero, np.zeros((2, 2)))
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def saturate_cases():
+    """(v, bound) pairs at and around the bound, with per-row bounds too."""
+    up, down = np.nextafter(5.0, math.inf), np.nextafter(5.0, 0.0)
+    # (3, 4) has the computed norm 5 exactly
+    edge = np.array([[3.0, 4.0], [-3.0, 4.0], [0.3, -0.4]])
+    rng = np.random.default_rng(11)
+    batch = rng.uniform(-2, 2, size=(4, 5, 2))
+    one_binds = batch.copy()
+    one_binds[2, 3] = [30.0, -40.0]
+    tiny = 1.0544516376811517e-161
+    cases = [(edge, bound) for bound in (5.0, up, down)]
+    cases += [(edge, np.array([[5.0], [down], [up]])), (edge, np.array([[up], [5.0], [down]]))]
+    cases += [
+        (edge, 0.0),
+        (np.array([[0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]), 0.0),
+        (np.array([[-0.0, 0.0], [1.0, -0.0]]), 2.0),
+        (np.array([[-0.0, 0.0], [-1.0, -0.0]]), 0.5),
+        (np.array([[math.nan, 1.0], [0.1, 0.2]]), 1.0),
+        (np.array([[math.nan, 1.0], [3.0, 4.0]]), 1.0),
+        (batch, 4.0),
+        (batch, 1.0),
+        (one_binds, 4.0),
+        (one_binds, np.full((5, 1), 4.0)),
+        (batch, np.linspace(0.5, 3.0, 5)[:, None]),
+        # under the sup-norm check's range: the squares are subnormal, and
+        # this row's computed norm is 1% over its padded sup-norm bound
+        (np.array([[tiny, tiny], [1e-161, 0.0]]), tiny * math.sqrt(2) * (1 + 10 * 2.0**-52)),
+    ]
+    # this row's computed norm rounds one ulp past sqrt(n) * max|v_k|, which the pad covers
+    cases.append((np.full((1, 3), 1.009022923470819), 1.009022923470819 * math.sqrt(3)))
+    # the sup-norm check at its edge: max|v_k| * sqrt(n), padded, equals the bound
+    for n in (1, 2, 3, 7):
+        v = rng.uniform(-1, 1, size=(6, n))
+        v[0] = np.abs(v).max()
+        top = float(np.abs(v).max())
+        pad = top * math.sqrt(n) * (1 + (n + 8) * 2.0**-52)
+        cases += [(v, pad), (v, np.nextafter(pad, 0.0)), (v, top * math.sqrt(n))]
+    return cases
+
+
+@pytest.mark.parametrize("v, bound", saturate_cases())
+def test_saturate_has_the_bits_of_the_divide_on_every_batch(v, bound):
+    assert_same_bits(model_mod.saturate(v, bound), oracles.saturate(v, bound))
+
+
+@pytest.mark.parametrize("row, bound", [
+    ([math.inf, 0.0], 1.0),
+    ([-math.inf, 1.0], 1.0),
+    ([math.inf, -math.inf], 1.0),
+    # over the sup-norm check's range: the squares overflow
+    ([1e200, 1e200], 1e300),
+])
+def test_saturate_of_an_infinite_norm_warns_and_has_the_oracles_bits(row, bound):
+    v = np.array([row, [0.1, 0.2]])
+    for saturate in (model_mod.saturate, oracles.saturate):
+        with pytest.raises(RuntimeWarning):
+            saturate(v, bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_bits(model_mod.saturate(v, bound), oracles.saturate(v, bound))
+
+
+def test_a_five_agents_plan_never_divides_in_saturate(monkeypatch, tmp_path, capsys):
+    """No saturated field of the paper's plan reaches its bound, so every
+    saturate call of the run returns its input: the divide is never paid."""
+    calls = {"unchanged": 0, "divided": 0}
+    saturate = model_mod.saturate
+
+    def counting(v, bound):
+        out = saturate(v, bound)
+        calls["unchanged" if out is v else "divided"] += 1
+        return out
+
+    monkeypatch.setattr(model_mod, "saturate", counting)
+    argv = ["plan", "--model", FIVE_AGENTS, "--out", tmp_path, "--steps", "12",
+            "--lambda", "1=0.35", "--lambda", "5=0.35"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert calls["divided"] == 0
+    assert calls["unchanged"] > 10_000
 
 
 def test_eval_g_saturates_the_raw_field(pair_stack):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from horizon_abs import model as model_mod
 from horizon_abs.errors import ExprError, ModelError
 
@@ -186,6 +187,44 @@ def test_hill_bound_zero_tail_and_origin():
     f_small = model_mod.eval_f(agent, small, np.zeros(0))
     assert f_tiny[0] == pytest.approx(C * (math.pi / R) ** 2 * tiny[0], rel=1e-9)
     assert f_small[0] == pytest.approx(C * (math.pi / R) ** 2 * small[0], rel=1e-6)
+
+
+def hill_rows(R):
+    """Points at and around the branch edges of a hill of radius R: rho = 0,
+    the series cutoff and R itself, each as [rho, 0], whose computed norm
+    is rho exactly."""
+    cut = model_mod._HILL_SERIES_CUTOFF
+    rhos = [0.0, -0.0, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0),
+            np.nextafter(R, 0.0), R, np.nextafter(R, math.inf), 2 * R]
+    return np.array([[rho, 0.0] for rho in rhos] + [[0.0, -rho] for rho in rhos])
+
+
+def hill_batches(R):
+    rng = np.random.default_rng(5)
+    edges = hill_rows(R)
+    inside = rng.uniform(-0.7 * R, 0.7 * R, size=(40, 2))
+    yield inside  # radial rows only
+    yield inside.reshape(4, 10, 2)
+    yield np.array([[np.nextafter(R, 0.0), 0.0], [0.0, -model_mod._HILL_SERIES_CUTOFF]])
+    for row in edges:
+        yield row
+        yield row[None]
+        yield np.vstack([inside, row])
+    yield edges
+    yield np.vstack([inside, edges]).reshape(2, -1, 2)
+    yield np.array([[math.nan, 0.0], [1.0, 1.0]])
+    yield np.zeros((0, 2))
+
+
+@pytest.mark.parametrize("C, R", [(2.0, 2 * math.pi), (0.7, 1.5)])
+def test_hill_has_the_bits_of_the_three_masks_on_every_batch(C, R):
+    dynamics = hill_agent(C, R).dynamics
+    for x in hill_batches(R):
+        got = dynamics.eval(x, [])
+        want = oracles.hill_eval(dynamics, x, [])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_hill_lipschitz_quotients_below_declared():
