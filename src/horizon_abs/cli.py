@@ -16,7 +16,9 @@ import time
 from . import abstraction as abstraction_mod
 from . import model as model_mod
 from . import integrate, planner, render, sim, wellposed
-from .errors import HorizonError, ModelError, UnsatisfiableError, ValidationError
+from .errors import (
+    HorizonError, ModelError, PlanConsistencyError, UnsatisfiableError, ValidationError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,13 +119,16 @@ def _params_doc(params):
     }
 
 
-def _params_from_doc(doc):
+def _params_from_doc(model, doc):
+    """The discretization of a plan's params block, re-derived from its
+    lam, mu, steps and margin.  A block with any other value is refused
+    before a grid is built, so no recorded d_max sizes a grid."""
     try:
         mu = {}
         for key, v in doc["mu"].items():
             j, _, i = key.partition("->")
             mu[(int(j), int(i))] = float(v)
-        return wellposed.DiscretizationParams(
+        recorded = wellposed.DiscretizationParams(
             dt=float(doc["dt"]),
             steps=int(doc["steps"]),
             lam={int(i): float(v) for i, v in doc["lam"].items()},
@@ -131,8 +136,20 @@ def _params_from_doc(doc):
             d_max={int(i): float(v) for i, v in doc["d_max"].items()},
             margin=float(doc["margin"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelError(f"malformed discretization block: {e}") from None
+    try:
+        params = wellposed.synthesize(
+            model, recorded.lam, recorded.mu, recorded.steps, recorded.margin
+        )
+    except HorizonError as e:
+        raise PlanConsistencyError(f"plan.json params admit no discretization: {e}") from None
+    if params != recorded:
+        raise PlanConsistencyError(
+            "plan.json params differ from the discretization their lam, mu, steps "
+            "and margin give"
+        )
+    return params
 
 
 def _write_json(out_dir, name, doc):
@@ -234,7 +251,9 @@ def cmd_plan(args):
     elapsed = time.monotonic() - t0
     # the plan's own transitions are the Posts plan.json asks anyone to trust
     abstraction.audit_endpoints(
-        (i, config) for i, configs in planner.plan_configs(model, plan).items() for config in configs
+        (i, config)
+        for i, configs in planner.plan_configs(model, plan.cells, plan.m).items()
+        for config in configs
     )
     plan.model_hash = model_hash
     _ensure_out(args)
@@ -256,24 +275,24 @@ def cmd_plan(args):
     return 0
 
 
-def _load_plan(args, model_hash):
+def _load_plan(args, model, model_hash):
     path = os.path.join(args.out, "plan.json")
     try:
         doc = json.loads(_read_text(path).decode("utf-8"))
     except ValueError as e:
         raise ModelError(f"cannot parse {path}: {e}") from None
-    if doc.get("model_hash") and doc["model_hash"] != model_hash:
+    plan = planner.plan_from_doc(doc)
+    if plan.model_hash and plan.model_hash != model_hash:
         raise ModelError(
             "plan.json was synthesized from a different model file (hash mismatch)"
         )
-    plan = planner.plan_from_doc(doc)
-    params = _params_from_doc(doc["params"]) if "params" in doc else None
+    params = _params_from_doc(model, doc["params"]) if "params" in doc else None
     return plan, params, doc
 
 
 def cmd_validate(args):
     model, model_hash = _load_model(args.model)
-    plan, params, doc = _load_plan(args, model_hash)
+    plan, params, doc = _load_plan(args, model, model_hash)
     if params is None:
         params = _synthesize(model, args)
     substeps, integ_tol = integrate.check_settings(
@@ -312,7 +331,7 @@ def cmd_render(args):
     plan = None
     params = None
     if os.path.exists(os.path.join(args.out, "plan.json")):
-        plan, params, _ = _load_plan(args, model_hash)
+        plan, params, _ = _load_plan(args, model, model_hash)
         planner.check_plan_lists(model, plan)
     if params is None:
         params = _synthesize(model, args)

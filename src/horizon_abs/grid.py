@@ -398,9 +398,3 @@ def label_cells(dec, lo, hi):
         [(los[k] >= lo[k] - 1e-12) & (his[k] <= hi[k] + 1e-12) for k in range(dec.dim)]
     )
     return _lattice_tuples(cells.origin, cells.mask & inside)
-
-
-def pr(model, cells_by_agent, agent_id):
-    """Project a full cell assignment onto one agent's configuration."""
-    agent = model.agent(agent_id)
-    return (cells_by_agent[agent_id],) + tuple(cells_by_agent[j] for j in agent.neighbors)

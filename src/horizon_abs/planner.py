@@ -106,29 +106,25 @@ def forward_layers(abstraction, jobs, m):
     """Per-step sets of (cell, claimed, last-claim-step) reachable states of
     several agents, advanced in lockstep.
 
-    A job is (agent id, parent cells, goal table), optionally with a
-    start cell as a fourth entry (default: the cell of the agent's x0).
-    ``parent_cells[k]`` is the tuple of neighbor cells during interval k,
-    aligned with the agent's declared neighbor order.  Non-initiating
-    cells are retained but never expanded.
+    A job is (agent id, parent cells, goal table); its search starts at
+    the cell of the agent's x0.  ``parent_cells[k]`` is the tuple of
+    neighbor cells during interval k, aligned with the agent's declared
+    neighbor order.  Non-initiating cells are retained but never expanded.
 
     The Posts every job needs at step k come from one stacked endpoint
     run (_layer_posts).  Returns, per job, its layers or the HorizonError
     that stopped it.
     """
     out = []
-    for job in jobs:
-        agent_id, _, table = job[:3]
-        start = job[3] if len(job) > 3 else grid.locate(
-            abstraction.decs[agent_id], abstraction.model.agent(agent_id).x0
-        )
+    for agent_id, _, table in jobs:
+        start = grid.locate(abstraction.decs[agent_id], abstraction.model.agent(agent_id).x0)
         layers = [set() for _ in range(m + 1)]
         layers[0] = {(start, g, s) for (g, s) in _claim_options(start, (0, 0), 0, table, m)}
         out.append(layers)
     for k in range(m):
         # per live job: its index, its configurations and its states by own cell
         requests = []
-        for j, (agent_id, parent_cells, table, *_) in enumerate(jobs):
+        for j, (agent_id, parent_cells, _) in enumerate(jobs):
             if isinstance(out[j], HorizonError):
                 continue
             parents = tuple(parent_cells[k])
@@ -397,10 +393,9 @@ def product_synthesize(model, abstraction, cap=10**6):
             initiating &= abstraction.decs[i].initiating_set.contains_many(lattice[:, a])
         expandable = list(itertools.compress(current, initiating))
         # one stacked endpoint run for every agent; posts[a][r] belongs to expandable[r]
-        assignments = [dict(zip(ids, cells)) for cells, _ in expandable]
-        posts = _layer_posts(
-            abstraction, [(i, [grid.pr(model, cells, i) for cells in assignments]) for i in ids]
-        )
+        columns = {i: [cells[a] for cells, _ in expandable] for a, i in enumerate(ids)}
+        configs = plan_configs(model, columns, len(expandable))
+        posts = _layer_posts(abstraction, [(i, configs[i]) for i in ids])
         for succs in posts:
             if isinstance(succs, HorizonError):
                 raise succs
@@ -569,15 +564,13 @@ def _assemble_plan(model, abstraction, chosen, m, strategy, explored, reachable,
     cells = {i: [tuple(c) for c in chosen[i]] for i in model.agent_ids}
     w = {}
     targets = {}
-    for i in model.agent_ids:
-        agent = model.agent(i)
-        w[i] = []
-        targets[i] = []
-        for k in range(m):
-            config = (cells[i][k],) + tuple(cells[j][k] for j in agent.neighbors)
-            action = abstraction.successor_action(i, config, cells[i][k + 1])
-            w[i].append(action.w)
-            targets[i].append(action.point)
+    for i, configs in plan_configs(model, cells, m).items():
+        actions = [
+            abstraction.successor_action(i, config, cells[i][k + 1])
+            for k, config in enumerate(configs)
+        ]
+        w[i] = [action.w for action in actions]
+        targets[i] = [action.point for action in actions]
     return Plan(
         m=m,
         dt=abstraction.params.dt,
@@ -590,14 +583,6 @@ def _assemble_plan(model, abstraction, chosen, m, strategy, explored, reachable,
         reachable=reachable,
         satisfying=dict(satisfying),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class StepControl:
-    config: tuple
-    target: tuple
-    w: np.ndarray
-    point: np.ndarray
 
 
 def check_plan_lists(model, plan):
@@ -615,23 +600,22 @@ def check_plan_lists(model, plan):
             )
 
 
-def plan_configs(model, plan):
-    """Per agent, its configuration at each of the plan's m steps."""
+def plan_configs(model, cells, m):
+    """Per agent, its configuration at each of the first m steps of the
+    per-agent cell lists ``cells``: its own cell, then its neighbors' in
+    declared order."""
     return {
-        i: [
-            (tuple(plan.cells[i][k]),)
-            + tuple(tuple(plan.cells[j][k]) for j in model.agent(i).neighbors)
-            for k in range(plan.m)
-        ]
+        i: list(zip(cells[i][:m], *(cells[j][:m] for j in model.agent(i).neighbors)))
         for i in model.agent_ids
     }
 
 
 def extract_controls(model, abstraction, plan):
-    """Re-derive and cross-check the per-step controller parameters of a plan."""
+    """Re-derive and cross-check the per-step controller parameters of a
+    plan; per agent, the Action of each of its m steps."""
     # every agent's lists first: a configuration reads its neighbors' cells
     check_plan_lists(model, plan)
-    configs = plan_configs(model, plan)
+    configs = plan_configs(model, plan.cells, plan.m)
     initiating = {
         i: [c for c in configs[i] if abstraction.is_initiating(i, c)] for i in model.agent_ids
     }
@@ -669,9 +653,7 @@ def extract_controls(model, abstraction, plan):
                 raise PlanConsistencyError(
                     f"agent {i}, step {k}: stored w disagrees with the re-derived value"
                 )
-            steps.append(
-                StepControl(config=config, target=target, w=action.w, point=action.point)
-            )
+            steps.append(action)
         schedule[i] = steps
     return schedule
 
@@ -732,5 +714,5 @@ def plan_from_doc(doc):
             satisfying=satisfying,
             model_hash=doc.get("model_hash"),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise PlanConsistencyError(f"malformed plan document: {e}") from None

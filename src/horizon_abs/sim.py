@@ -42,7 +42,7 @@ def _neighbor_rows(model):
     return [[pos[j] for j in agent.neighbors] for agent in model.agents]
 
 
-def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_tol=None):
+def simulate_closed_loop(model, abstraction, schedule, m):
     """Integrate the coupled network under the plan's feedback schedule.
 
     The schedule's references are one stacked run over every agent's
@@ -61,8 +61,7 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     axis, and an audit error names the lowest failing interval.  One more
     right-hand side call records the inputs at every kept node.
     """
-    substeps = abstraction.substeps if substeps is None else substeps
-    integ_tol = abstraction.integ_tol if integ_tol is None else integ_tol
+    substeps, integ_tol = abstraction.substeps, abstraction.integ_tol
     dt = abstraction.params.dt
     ids = model.agent_ids
     N = len(ids)
@@ -84,7 +83,7 @@ def simulate_closed_loop(model, abstraction, schedule, m, substeps=None, integ_t
     lam = np.array([[abstraction.params.lam[i]] for i in ids])
     pairs = list(dict.fromkeys((i, step.config) for i in ids for step in schedule[i][:m]))
     refs = abstraction.reference_for(pairs)
-    refs.audit(abstraction.integ_tol, ids)
+    refs.audit(integ_tol, ids)
     row = {pair: r for r, pair in enumerate(pairs)}
     # picks[k, a]: the reference row of agent a on interval k
     picks = np.array([[row[(i, schedule[i][k].config)] for i in ids] for k in range(m)])

@@ -15,6 +15,7 @@ from .errors import InfeasibleError, ModelError
 DEFAULT_LAMBDA = 0.4
 DEFAULT_MARGIN = 0.999
 _AUTO_HEADROOM = 0.9
+_STEPS_CAP = 100000  # no step count, requested or derived, is higher
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def check_params(model, params, tau):
     return violations
 
 
-def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN, steps_cap=100000):
+def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN):
     """Pick (dt, steps, d_max) satisfying every admissibility constraint strictly.
 
     With an explicit ``steps`` the request is honored or rejected as
@@ -169,8 +170,8 @@ def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN, step
     sup_dt = min(sup_dts.values())
 
     if steps is not None:
-        if steps < 1:
-            raise ModelError(f"steps must be a positive integer, got {steps}")
+        if not 1 <= steps <= _STEPS_CAP:
+            raise ModelError(f"steps must be a positive integer at most {_STEPS_CAP}, got {steps}")
         dt = T / steps
         for i, bound in sorted(sup_dts.items()):
             if dt >= bound:
@@ -182,10 +183,10 @@ def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN, step
     else:
         target = tau / 2 if math.isinf(sup_dt) else min(sup_dt, tau) * min(margin, _AUTO_HEADROOM)
         steps = max(2, math.ceil(T / target))
-        while T / steps >= target and steps <= steps_cap:
+        while T / steps >= target and steps <= _STEPS_CAP:
             steps += 1
-        if steps > steps_cap:
-            raise InfeasibleError(f"no admissible step count at or below {steps_cap}")
+        if steps > _STEPS_CAP:
+            raise InfeasibleError(f"no admissible step count at or below {_STEPS_CAP}")
         dt = T / steps
 
     d_max = {}

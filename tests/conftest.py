@@ -615,7 +615,10 @@ def per_combination_product_layers(model, ab):
         for node in sorted(layers[k]):
             cells, progress = node
             assignment = dict(zip(ids, cells))
-            configs = [grid.pr(model, assignment, i) for i in ids]
+            configs = [
+                (assignment[i],) + tuple(assignment[j] for j in model.agent(i).neighbors)
+                for i in ids
+            ]
             if not all(ab.is_initiating(i, c) for i, c in zip(ids, configs)):
                 continue
             posts = [ab.post(i, c) for i, c in zip(ids, configs)]

@@ -531,6 +531,76 @@ def test_exit_code_4_on_short_plan_lists(tmp_path, mutate, message):
     assert "Traceback" not in res.stderr
 
 
+@pytest.fixture(scope="module")
+def five_agents_plan(tmp_path_factory):
+    """A five_agents plan document and the flags it was planned with."""
+    out = tmp_path_factory.mktemp("five") / "out"
+    flags = ring_workloads().FIVE_AGENTS_FLAGS
+    assert cli.main(["plan", "--model", FIVE_AGENTS, "--out", str(out)] + flags) == 0
+    return json.loads((out / "plan.json").read_text()), flags
+
+
+@pytest.mark.parametrize(
+    "key, agent, value, message",
+    [
+        ("d_max", "3", 1e-6, "differ from the discretization"),
+        ("d_max", "3", 0.5, "differ from the discretization"),
+        ("lam", "2", 0.35, "differ from the discretization"),
+        ("dt", None, 0.05, "differ from the discretization"),
+        ("margin", None, 1.5, "admit no discretization"),
+    ],
+    ids=["d_max-tiny", "d_max-large", "lam", "dt", "margin"],
+)
+def test_exit_code_4_on_a_tampered_params_block(
+    five_agents_plan, tmp_path, capsys, monkeypatch, key, agent, value, message
+):
+    """validate and render re-derive the discretization from the recorded
+    lam, mu, steps and margin, and refuse a block with any other value
+    before a grid is built: a d_max of 1e-6 asks for an 11.4 PiB grid."""
+    doc, flags = five_agents_plan
+    doc = json.loads(json.dumps(doc))
+    if agent is None:
+        doc["params"][key] = value
+    else:
+        doc["params"][key][agent] = value
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli.abstraction_mod.grid, "build_decomposition", no_grid)
+    capsys.readouterr()
+    for command in ("validate", "render"):
+        assert cli.main([command, "--model", FIVE_AGENTS, "--out", str(tmp_path)] + flags) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan.json params ") and message in err
+        assert len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["plan.json"]
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [
+        (lambda doc: [], 4),
+        (lambda doc: doc | {"m": math.inf}, 4),
+        (lambda doc: doc | {"agents": [1]}, 4),
+        (lambda doc: doc | {"params": doc["params"] | {"lam": [1]}}, 1),
+        (lambda doc: doc | {"params": doc["params"] | {"steps": math.inf}}, 1),
+    ],
+    ids=["list", "m-infinite", "agents-list", "lam-list", "steps-infinite"],
+)
+def test_a_plan_document_of_the_wrong_shape_is_an_error_line(
+    planned_run, tmp_path, capsys, mutate, code
+):
+    model_path, out, _, _ = planned_run
+    doc = mutate(json.loads((out / "plan.json").read_text()))
+    (tmp_path / "plan.json").write_text(json.dumps(doc))
+    for command in ("validate", "render"):
+        args = [command, "--model", str(model_path), "--out", str(tmp_path)] + PAIR_FLAGS
+        assert cli.main(args) == code
+        assert capsys.readouterr().err.startswith("error: malformed ")
+
+
 def test_render_rejects_a_plan_missing_an_agent(planned_run, tmp_path):
     model_path, out, _, _ = planned_run
     doc = json.loads((out / "plan.json").read_text())

@@ -455,10 +455,12 @@ def test_label_cells_matches_the_scalar_loop_on_cell_faces(five_abstraction, off
 
 
 def test_projection_follows_declared_neighbor_order(five_model):
-    cells = {i: (i, i) for i in five_model.agent_ids}
-    assert grid.pr(five_model, cells, 2) == ((2, 2), (3, 3))
-    assert grid.pr(five_model, cells, 3) == ((3, 3),)
-    assert grid.pr(five_model, cells, 1) == ((1, 1), (2, 2))
+    cells = {i: [(i, i), (i, -i)] for i in five_model.agent_ids}
+    configs = planner.plan_configs(five_model, cells, 2)
+    assert configs[2] == [((2, 2), (3, 3)), ((2, -2), (3, -3))]
+    assert configs[3] == [((3, 3),), ((3, -3),)]
+    assert configs[1] == [((1, 1), (2, 2)), ((1, -1), (2, -2))]
+    assert planner.plan_configs(five_model, cells, 1)[1] == [((1, 1), (2, 2))]
 
 
 def _ball_cloud(rng, count, n):

@@ -37,11 +37,15 @@ ALLOWED = {
 
 def surface_doc():
     """Every dynamics variant, with norm, unary minus, powers and sqrt in
-    the expression agent."""
+    the expression agent.  Agent 1's goal is claimable only at step 1, so
+    the plan makes one step and every agent reaches a Post and the
+    closed loop."""
     doc = heterogeneous_doc()
     for agent in doc["agents"]:
         if agent["dynamics"]["type"] == "expression":
             agent["dynamics"]["exprs"][1] = "-0.1*norm(x_i)^2 + sqrt(1 + x_j1[2]^2)"
+    goal = {"box": [[-1.0, -1.0], [1.0, 1.0]], "window": [0.2, 0.3], "relative": False}
+    doc["spec"] = {"1": {"goals": [goal]}}
     return doc
 
 
@@ -84,6 +88,7 @@ def test_the_pipeline_reaches_every_definition(tmp_path, capsys):
         for command in ("abstract", "plan", "validate", "render", "chain"):
             code = profiler.runcall(cli.main, [command] + common)
             assert code == 0, (model, command, capsys.readouterr().err)
+    assert json.loads((tmp_path / "out2" / "plan.json").read_text())["m"] >= 1
     reached = {entry.code for entry in profiler.getstats()}
     unreached = sorted(
         name for name, codes in definitions().items()

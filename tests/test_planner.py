@@ -101,13 +101,6 @@ def test_layered_search_matches_brute_force():
     ]
 
 
-def test_forward_layers_respects_start_cell_override():
-    ab, table = zero_stack_with_chain()
-    start = sorted(ab.decs[1].initiating_set)[0]
-    (layers,) = planner.forward_layers(ab, [(1, [()] * 3, [], start)], 2)
-    assert {l for (l, _, _) in layers[0]} == {start}
-
-
 def test_empty_goal_table_keeps_every_full_path():
     ab, _ = zero_stack_with_chain()
     m = 3

@@ -128,7 +128,9 @@ def heterogeneous_schedule(ab, m, rng):
         for k in range(m):
             config = (cells[agent.id][k],) + tuple(cells[j][k] for j in agent.neighbors)
             w = rng.uniform(-0.5, 0.5, size=2) * agent.v_max
-            steps.append(planner.StepControl(config=config, target=None, w=w, point=None))
+            steps.append(abstraction_mod.Action(
+                agent_id=agent.id, config=config, target=None, point=None, w=w
+            ))
         schedule[agent.id] = steps
     return schedule
 
@@ -183,10 +185,23 @@ def test_vectorized_closed_loop_matches_the_per_agent_loop():
     assert np.any(inputs != 0)
 
 
-def test_closed_loop_audit_failure_names_the_interval(pair_run):
+def with_integ_tol(ab, integ_tol):
+    """A fresh abstraction of ab's stack with another audit tolerance."""
+    return abstraction_mod.Abstraction(
+        ab.model, ab.params, ab.families, ab.decs, substeps=ab.substeps, integ_tol=integ_tol
+    )
+
+
+def skip_reference_audit(monkeypatch):
+    """Let the closed-loop audit be the only one that can fail."""
+    monkeypatch.setattr(controller.ReferenceStack, "audit", lambda self, *args: None)
+
+
+def test_closed_loop_audit_failure_names_the_interval(pair_run, monkeypatch):
     model, ab, plan, schedule, _ = pair_run
+    skip_reference_audit(monkeypatch)
     with pytest.raises(IntegrationError, match="closed-loop interval 0 audit"):
-        sim.simulate_closed_loop(model, ab, schedule, plan.m, integ_tol=1e-30)
+        sim.simulate_closed_loop(model, with_integ_tol(ab, 1e-30), schedule, plan.m)
 
 
 @pytest.fixture(scope="module")
@@ -284,11 +299,12 @@ def test_closed_loop_audit_names_the_lowest_failing_interval(heterogeneous_case,
     # intervals 1 to 3 fail; 1 is named, though it is not the worst
     assert worst[0] <= tol < worst[1] and tol < worst[2] and tol < worst[3]
     assert worst[1] < worst.max()
+    skip_reference_audit(monkeypatch)
     with pytest.raises(IntegrationError, match=re.escape(
         f"closed-loop interval 1 audit: step-halving estimate {worst[1]:.3e} exceeds "
         f"tolerance {tol:.3e}; raise substeps"
     )):
-        sim.simulate_closed_loop(model, ab, schedule, m, integ_tol=tol)
+        sim.simulate_closed_loop(model, with_integ_tol(ab, tol), schedule, m)
 
 
 def test_non_finite_coarse_endpoint_stops_the_closed_loop(heterogeneous_case, monkeypatch):
@@ -307,19 +323,17 @@ def test_earlier_audit_failure_wins_over_a_later_non_finite_endpoint(
 ):
     model, ab, schedule, m = heterogeneous_case
     runs, _ = record_closed_loop(monkeypatch, nan_at=2)
+    skip_reference_audit(monkeypatch)
     with pytest.raises(IntegrationError, match="^closed-loop interval 1 audit: step-halving"):
-        sim.simulate_closed_loop(model, ab, schedule, m, integ_tol=4e-15)
+        sim.simulate_closed_loop(model, with_integ_tol(ab, 4e-15), schedule, m)
     assert len(runs) == 3
 
 
 def test_reference_audit_failure_names_the_agent(pair_run):
     """Agent 1's references are constant and pass; agent 2's batch fails."""
     model, ab, plan, schedule, _ = pair_run
-    strict = abstraction_mod.Abstraction(
-        model, ab.params, ab.families, ab.decs, substeps=ab.substeps, integ_tol=1e-30
-    )
     with pytest.raises(IntegrationError, match="reference of agent 2 audit"):
-        sim.simulate_closed_loop(model, strict, schedule, plan.m, integ_tol=1.0)
+        sim.simulate_closed_loop(model, with_integ_tol(ab, 1e-30), schedule, plan.m)
 
 
 @pytest.mark.parametrize("stack", ["heterogeneous", "ring"])
@@ -476,8 +490,11 @@ def test_zero_length_plan_simulates_to_a_point(pair_stack):
 
 
 def test_substeps_override(pair_run):
+    """The closed loop runs at the abstraction's substeps, and a plan's
+    schedule holds at 50 of them too."""
     model, ab, plan, schedule, _ = pair_run
-    traj = sim.simulate_closed_loop(model, ab, schedule, plan.m, substeps=50)
+    coarse = abstraction_mod.Abstraction(model, ab.params, ab.families, ab.decs, substeps=50)
+    traj = sim.simulate_closed_loop(model, coarse, schedule, plan.m)
     assert traj.substeps == 50
     assert len(traj.ts) == plan.m * 50 + 1
     assert sim.validate_plan(model, ab, plan, traj).passed

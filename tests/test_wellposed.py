@@ -123,6 +123,13 @@ def test_synthesize_rejects_infeasible_steps(five_model):
         wellposed.synthesize(five_model, steps=0)
 
 
+def test_synthesize_rejects_a_step_count_past_the_cap(five_model):
+    """10**400 steps has no float time step; no count past the cap is taken."""
+    for steps in (100001, 10**400):
+        with pytest.raises(ModelError, match="positive integer at most 100000"):
+            wellposed.synthesize(five_model, steps=steps)
+
+
 def test_synthesize_auto_search(five_model):
     params = wellposed.synthesize(five_model, lam={1: 0.35, 5: 0.35})
     # target = min(13/37, tau) * 0.9 = 0.225, first admissible count is 9
