@@ -9,12 +9,13 @@ lambda*w*t, and corrects the initial cell offset.  This module solves
 the references and evaluates the law; the closed loop (sim) applies it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import integrate, model as model_mod
-from .errors import ModelError
+from .errors import HorizonError, ModelError
 
 
 def r_i(lam, dt, v_max):
@@ -39,6 +40,85 @@ def _saturated(field):
     return lambda t, y: model_mod.saturate(field(y), field.M)
 
 
+def raw_run(run, rhs, bounds, y0, dt, substeps):
+    """``run`` (integrate.rk4_endpoint or integrate.rk4_dense) with no
+    stage saturated, and the rows whose result that left unchanged.
+
+    ``rhs(t, y)`` returns the raw derivative and a tuple of the arrays
+    that the saturated run clips at that stage, the k-th at ``bounds[k]``
+    (a number, or a column over the rows).  Each array's elementwise
+    magnitude is kept as a running max over the stages, and
+    ``model.within_bound`` tests it once per row after the run.  ``ok``,
+    one entry per row of y0, holds where every test passed and the
+    endpoint is finite: no stage of the row could have been clipped, so
+    its result has the bits of the saturated run.  The run raises no
+    numpy warning, and a HorizonError in it (at a state only the
+    unclipped run reaches) fails every row, with no result.
+    """
+    tops = []
+
+    @functools.wraps(rhs)
+    def tracked(t, y):
+        dy, watched = rhs(t, y)
+        if tops:
+            for top, v in zip(tops, watched):
+                np.maximum(top, np.abs(v), out=top)
+        else:
+            tops.extend(np.abs(v) for v in watched)
+        return dy
+
+    with np.errstate(all="ignore"):
+        try:
+            out = run(tracked, y0, dt, substeps)
+        except HorizonError:
+            return None, np.zeros(np.shape(y0)[:-1], dtype=bool)
+    endpoint = out.endpoint if isinstance(out, integrate.DenseTrajectory) else out
+    ok = np.all(np.isfinite(endpoint), axis=-1)
+    for top, bound in zip(tops, bounds):
+        top = np.max(top, axis=-1, keepdims=True)
+        ok &= model_mod.within_bound(top, endpoint.shape[-1], bound)[..., 0]
+    return out, ok
+
+
+def checked_run(run, rhs, exact, bounds, y0, dt, substeps):
+    """``run`` of independent rows along y0's first axis, with the bits of
+    the saturated run: raw_run first, then only the rows it failed run
+    again on ``exact(index)``, the saturated right-hand side of the rows
+    at ``index``.  If the raw run or that re-run raises, every row runs
+    on ``exact(slice(None))``, which raises or returns what the saturated
+    run of the whole batch does."""
+    y0 = np.asarray(y0, dtype=float)
+    out, ok = raw_run(run, rhs, bounds, y0, dt, substeps)
+    if out is not None:
+        bad = np.flatnonzero(~np.all(ok, axis=tuple(range(1, ok.ndim))))
+        if not bad.size:
+            return out
+        try:
+            redo = run(exact(bad), y0[bad], dt, substeps)
+        except HorizonError:
+            out = None
+    if out is None:
+        return run(exact(slice(None)), y0, dt, substeps)
+    if isinstance(out, integrate.DenseTrajectory):
+        out.ys[:, bad], out.ds[:, bad] = redo.ys, redo.ds
+    else:
+        out[bad] = redo
+    return out
+
+
+def _reference_run(run, field, y0, dt, substeps):
+    """``run`` of a reference field's rows on g = saturate(f, M), through checked_run."""
+
+    def raw(t, y):
+        f = field(y)
+        return f, (f,)
+
+    def exact(index):
+        return _saturated(field if isinstance(index, slice) else field.rows(index))
+
+    return checked_run(run, raw, exact, (field.M,), y0, dt, substeps)
+
+
 def integrate_reference(
     agent,
     own_ref,
@@ -54,6 +134,7 @@ def integrate_reference(
     configuration, never on the continuous state.  ``own_ref`` and
     ``nbr_refs`` may carry leading batch axes, one reference per row;
     every row is audited, and ``audit_err`` holds one estimate per row.
+    Every stage saturates its field, with no raw run first.
     """
     own_ref = np.asarray(own_ref, dtype=float)
     nbr_refs = np.asarray(nbr_refs, dtype=float)
@@ -68,8 +149,8 @@ def integrate_reference(
 
     traj = integrate.rk4_dense(rhs, own_ref, dt, substeps)
     err = integrate.check_audit(
-        rhs, own_ref, dt, substeps, integ_tol,
-        what=f"reference of agent {agent.id}", coarse=traj.endpoint,
+        traj.endpoint, integrate.rk4_endpoint(rhs, own_ref, dt, 2 * substeps), integ_tol,
+        what=f"reference of agent {agent.id}",
     )
     return ReferenceTrajectory(own_ref=own_ref, nbr_refs=nbr_refs, traj=traj, audit_err=err)
 
@@ -81,8 +162,8 @@ class ReferenceStack:
     neighbor block stays frozen at ``nbr_refs[r]``, in one NetworkField
     over every row, so it has the bits of ``integrate_reference`` on that
     row alone.  ``field`` evaluates the raw field at any states shaped
-    (..., rows, n).  The dense run is made here; the audit is a separate
-    step.
+    (..., rows, n).  The dense run is made here, through checked_run; the
+    audit is a separate step.
     """
 
     def __init__(self, agents, own_ref, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
@@ -91,7 +172,7 @@ class ReferenceStack:
         self.nbr_refs = tuple(np.asarray(nbr, dtype=float) for nbr in nbr_refs)
         self.dt, self.substeps = dt, substeps
         self.field = model_mod.NetworkField(self.agents, nbr_refs=self.nbr_refs)
-        self.traj = integrate.rk4_dense(_saturated(self.field), self.own_ref, dt, substeps)
+        self.traj = _reference_run(integrate.rk4_dense, self.field, self.own_ref, dt, substeps)
 
     @property
     def endpoint(self):
@@ -104,25 +185,27 @@ class ReferenceStack:
 
 
 def audit_references(field, own_ref, endpoint, dt, substeps, integ_tol, agent_ids):
-    """Step-halving estimate of every row of a reference field: one fine
-    rk4_endpoint run at twice the substeps from ``own_ref``, checked
-    against the coarse ``endpoint``.  An error names the first agent in
-    ``agent_ids`` with a failing row, with the worst estimate over that
-    agent's rows."""
+    """Step-halving estimate of every row of a frozen-neighbor reference
+    field: one fine rk4_endpoint run at twice the substeps from
+    ``own_ref``, through checked_run, checked against the coarse
+    ``endpoint``.  An error names the first agent in ``agent_ids`` with a
+    failing row, with the worst estimate over that agent's rows."""
     rank = {i: a for a, i in enumerate(agent_ids)}
+    fine = _reference_run(integrate.rk4_endpoint, field, own_ref, dt, 2 * substeps)
     return integrate.check_audit(
-        _saturated(field), own_ref, dt, substeps, integ_tol,
-        what=lambda a: f"reference of agent {agent_ids[a]}", coarse=endpoint,
+        endpoint, fine, integ_tol,
+        what=lambda a: f"reference of agent {agent_ids[a]}",
         runs=[rank[agent.id] for agent in field.agents],
     )
 
 
 def reference_endpoints(agents, own_refs, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
     """Endpoints only, one agent per row, in one run through a NetworkField
-    (no dense storage, no audit).  Row r starts at ``own_refs[r]`` with
-    ``agents[r]``'s neighbor block frozen at ``nbr_refs[r]``."""
+    and checked_run (no dense storage, no audit).  Row r starts at
+    ``own_refs[r]`` with ``agents[r]``'s neighbor block frozen at
+    ``nbr_refs[r]``."""
     field = model_mod.NetworkField(agents, nbr_refs=nbr_refs)
-    return integrate.rk4_endpoint(_saturated(field), own_refs, dt, substeps)
+    return _reference_run(integrate.rk4_endpoint, field, own_refs, dt, substeps)
 
 
 def select_w(endpoint, x, lam, dt, v_max):

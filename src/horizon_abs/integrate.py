@@ -117,16 +117,17 @@ def rk4_dense(rhs, y0, dt, substeps):
     return DenseTrajectory(ts, ys, ds)
 
 
-def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=None, runs=None):
-    """Step-halving Richardson estimate of the substeps-step endpoint error.
+def check_audit(coarse, fine, integ_tol, what="integration", runs=None):
+    """Step-halving Richardson estimate of the error of ``coarse``, a
+    substeps-step RK4 endpoint, from ``fine``, the same run's endpoint at
+    twice the substeps.
 
     Halving the step scales the RK4 global error roughly 16-fold, so the
     error of the run we actually return (the coarse one) is about 16/15
-    of the coarse-fine endpoint gap.  Pass ``coarse`` when the caller
-    already holds the substeps-step endpoint.  The estimate is taken per
-    row over the last axis, so a batch of independent states with any
-    leading axes gets one estimate per row, in the batch's shape (a float
-    for a single state).
+    of the coarse-fine endpoint gap.  The estimate is taken per row over
+    the last axis, so a batch of independent states with any leading axes
+    gets one estimate per row, in the batch's shape (a float for a single
+    state).
 
     Raises IntegrationError when an endpoint is not finite or an estimate
     exceeds ``integ_tol``; ``what`` names the run in that error.  A
@@ -135,9 +136,6 @@ def check_audit(rhs, y0, dt, substeps, integ_tol, what="integration", coarse=Non
     that run's worst estimate.  ``runs`` gives the run of each row along
     the first axis when a run spans several rows (default: row k is run k).
     """
-    if coarse is None:
-        coarse = rk4_endpoint(rhs, y0, dt, substeps)
-    fine = rk4_endpoint(rhs, y0, dt, 2 * substeps)
     finite = np.isfinite(coarse) & np.isfinite(fine)
     # a non-finite row's estimate is never judged, only its finiteness
     with np.errstate(invalid="ignore"):

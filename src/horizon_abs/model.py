@@ -245,6 +245,7 @@ class NetworkField:
         M = np.array([agent.M for agent in self.agents])[:, None]
         self.M = float(M[0, 0]) if M.size and np.all(M == M[0, 0]) else M
         self.frozen = nbr_refs is not None
+        self.nbr_refs = nbr_refs
         self.groups = []
         for agent, rows in dynamics_groups(self.agents):
             ids = list(dict.fromkeys(self.agents[r].id for r in rows))
@@ -275,6 +276,12 @@ class NetworkField:
             F[..., rows, :] = f
         return F
 
+    def rows(self, index):
+        """The frozen-neighbor field of the rows at ``index``; each row keeps its bits."""
+        return NetworkField(
+            [self.agents[r] for r in index], nbr_refs=[self.nbr_refs[r] for r in index]
+        )
+
 
 def agents_error(ids, error):
     """An expression error prefixed with the agents whose dynamics raised it."""
@@ -288,12 +295,6 @@ def saturate(v, bound):
     ``bound`` is a number, or an array of bounds broadcasting against the
     rows' norms.  Only a batch with a row over its bound is divided."""
     v = np.asarray(v, dtype=float)
-    if np.ndim(bound) == 0 and v.size:
-        # no computed norm passes the bound if sqrt(n) * max|v_k| does not, padded past
-        # a norm's n + 2 roundings; in this range of max|v_k| no square under- or overflows
-        top, n = float(np.abs(v).max()), v.shape[-1]
-        if 2.0**-500 <= top <= 2.0**500 and top * math.sqrt(n) * (1 + (n + 8) * 2.0**-52) <= bound:
-            return v
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     over = norms > bound
     # with no row over its bound every factor is 1, and v has the bits of v * 1.0
@@ -303,6 +304,21 @@ def saturate(v, bound):
     factor = np.empty_like(norms)
     factor.fill(1.0)
     return v * np.divide(bound, norms, out=factor, where=over)
+
+
+def within_bound(top, n, bound):
+    """Where ``saturate`` leaves unchanged every row of length n whose
+    entries are at most ``top`` in magnitude (``top`` and ``bound``
+    broadcast).
+
+    No computed norm passes the bound if sqrt(n) * top does not, padded
+    past a norm's n + 2 roundings.  A zero ``top`` passes; one outside
+    [2**-500, 2**500], where a square could under- or overflow, fails, and
+    so does a NaN."""
+    top = np.asarray(top)
+    with np.errstate(over="ignore", invalid="ignore"):
+        padded = top * math.sqrt(n) * (1 + (n + 8) * 2.0**-52)
+        return (top == 0) | ((2.0**-500 <= top) & (top <= 2.0**500) & (padded <= bound))
 
 
 def split_neighbor_block(agent, x_j):

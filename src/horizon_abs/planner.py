@@ -273,7 +273,8 @@ def topological_order(model):
 
 
 def cascade_synthesize(model, abstraction, budget=64):
-    """Topological per-agent synthesis with bounded parent backtracking.
+    """Topological per-agent synthesis with bounded, conflict-directed
+    parent backtracking.
 
     An agent's forward layers depend only on its parents' chosen paths.
     So when an agent's turn needs its layers, every later agent whose
@@ -283,6 +284,13 @@ def cascade_synthesize(model, abstraction, budget=64):
     tried and every verdict stay those of one agent at a time.  An error
     met ahead of an agent's turn is raised only when its turn comes with
     the same parent paths.
+
+    A failure returns to the latest agent in its conflict set (the
+    failing agent's parents, plus the conflict sets of the failures below
+    the paths it tried) and skips the remaining paths of every agent in
+    between: their other paths would fail the same way.  So the plan and
+    the verdict are those of chronological backtracking, with fewer paths
+    tried.
     """
     order = topological_order(model)
     if order is None:
@@ -321,27 +329,38 @@ def cascade_synthesize(model, abstraction, budget=64):
         return parent_cells, layers
 
     def solve(idx):
+        """None when the agents from order[idx] on all get a path, else
+        the conflict set of the failure: the agents before order[idx]
+        whose chosen paths it rests on."""
         if idx == len(order):
-            return True
+            return None
         i = order[idx]
         parent_cells, layers = layers_for(idx)
         good = backward_prune(abstraction, i, parent_cells, tables[i], m, layers)
         reachable[i] = sorted({l for layer in layers for (l, _, _) in layer})
         satisfying[i] = sorted({l for layer in good for (l, _, _) in layer})
+        # an agent's layers rest on its parents' paths alone
+        conflict = set(model.agent(i).neighbors)
         if not good[0]:
             failure[i] = _first_failing_goal(layers, tables[i])
-            return False
+            return conflict
         paths = iter_satisfying_paths(abstraction, i, parent_cells, tables[i], m, good)
         for path in itertools.islice(paths, budget):
             explored[i] += 1
             chosen[i] = path
-            if solve(idx + 1):
-                return True
+            below = solve(idx + 1)
+            if below is None:
+                return None
+            if i not in below:
+                # every other path of i fails the same way: jump back past i
+                conflict = below
+                break
+            conflict |= below - {i}
         chosen.pop(i, None)
         failure.setdefault(i, "every tried path starves a downstream agent")
-        return False
+        return conflict
 
-    if not solve(0):
+    if solve(0) is not None:
         detail = "; ".join(f"agent {i}: {msg}" for i, msg in sorted(failure.items()))
         raise UnsatisfiableError(f"cascade synthesis failed ({detail})")
     return _assemble_plan(

@@ -52,14 +52,21 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     every stage time of every run below.  Each right-hand side evaluation
     then evaluates the raw field of the N network rows, with one
     dynamics.eval per group of equal dynamics and each neighbor read
-    straight from the network state, one saturation and one feedback
-    call.  The network state may carry leading axes.
+    straight from the network state.  The network state may carry
+    leading axes.
 
-    Only the coarse run is sequential: it goes interval by interval and
-    stops at the first non-finite endpoint.  The intervals it reached are
-    then audited together by one step-halving run with a leading interval
-    axis, and an audit error names the lowest failing interval.  One more
-    right-hand side call records the inputs at every kept node.
+    Each run is first made raw (controller.raw_run): the field f and the
+    feedback kbar go unsaturated, and the run is checked once, after it,
+    against M and v_max.  A run that passes has the bits of the saturated
+    one.  Only the coarse run is sequential: it goes interval by interval
+    and stops at the first non-finite endpoint.  An interval whose raw
+    run fails its check runs again saturated at every stage, and so does
+    every later interval, with no raw run first.  The intervals reached
+    are then audited together by one step-halving run with a leading
+    interval axis (controller.checked_run, in which only failing
+    intervals run again), and an audit error names the lowest failing
+    interval.  One more right-hand side call records the inputs at every
+    kept node.
     """
     substeps, integ_tol = abstraction.substeps, abstraction.integ_tol
     dt = abstraction.params.dt
@@ -116,11 +123,30 @@ def simulate_closed_loop(model, abstraction, schedule, m):
             return f + u
         return rhs
 
-    # per interval reached: start state, k3 and the coarse endpoint
+    # the same right-hand side with neither saturation: f + kbar, where
+    # kbar = (g - f) + k2 + k3 is feedback's sum with g - f for k1
+    def raw_rhs(g_table, k2, k3):
+        def rhs(t, Yt):
+            F = field(Yt)
+            kbar = g_table[when[t]] - F + k2 + k3
+            return F + kbar, (F, kbar)
+        return rhs
+
+    bounds = (field.M, v_max)
+    # per interval reached: start state, k3 and the coarse endpoint.  An
+    # interval whose raw run fails its check runs again saturated, and so
+    # does every later one, with no raw run first.
     reached = []
+    exact = False
     for k in range(m):
         k3 = (x_G[k] - Y) / dt
-        dense = integrate.rk4_dense(network_rhs(g_ref[:, k], k2[k], k3), Y, dt, substeps)
+        if not exact:
+            dense, ok = controller.raw_run(
+                integrate.rk4_dense, raw_rhs(g_ref[:, k], k2[k], k3), bounds, Y, dt, substeps
+            )
+            exact = not np.all(ok)
+        if exact:
+            dense = integrate.rk4_dense(network_rhs(g_ref[:, k], k2[k], k3), Y, dt, substeps)
         base = k * substeps
         ts[base + 1 : base + substeps + 1] = k * dt + dense.ts[1:]
         states[base + 1 : base + substeps + 1] = dense.ys[1:]
@@ -130,12 +156,17 @@ def simulate_closed_loop(model, abstraction, schedule, m):
             break
 
     # a non-finite coarse endpoint fails its interval's audit, so past
-    # this call all m intervals were reached
+    # this call all m intervals were reached; the intervals are the rows
+    # of the fine run
     Y0s, k3, coarse = (np.stack(v) for v in zip(*reached))
     r = len(reached)
+    fine = controller.checked_run(
+        integrate.rk4_endpoint, raw_rhs(g_ref[:, :r], k2[:r], k3),
+        lambda index: network_rhs(g_ref[:, :r][:, index], k2[:r][index], k3[index]),
+        bounds, Y0s, dt, 2 * substeps,
+    )
     integrate.check_audit(
-        network_rhs(g_ref[:, :r], k2[:r], k3), Y0s, dt, substeps, integ_tol,
-        what=lambda k: f"closed-loop interval {k}", coarse=coarse,
+        coarse, fine, integ_tol, what=lambda k: f"closed-loop interval {k}",
     )
     # node j's input is that of the interval starting there, and the last
     # node's is the last interval's; every interval's run has the local

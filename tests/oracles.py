@@ -222,8 +222,8 @@ def integrate_auxiliary(
     endpoint, kbar_max, rhs = _auxiliary_run(ctrl, disturbance, substeps)
     # an infinite tolerance leaves only the finiteness check to the audit
     err = integrate.check_audit(
-        rhs, ctrl.x0, ctrl.dt, substeps, math.inf,
-        what="auxiliary integration", coarse=endpoint,
+        endpoint, integrate.rk4_endpoint(rhs, ctrl.x0, ctrl.dt, 2 * substeps), math.inf,
+        what="auxiliary integration",
     )
     retry = np.flatnonzero(err > integ_tol)
     if retry.size:
@@ -232,8 +232,8 @@ def integrate_auxiliary(
             sub, disturbance.rows(retry), 4 * substeps
         )
         err[retry] = integrate.check_audit(
-            rhs, sub.x0, ctrl.dt, 4 * substeps, integ_tol,
-            what="auxiliary integration", coarse=endpoint[retry],
+            endpoint[retry], integrate.rk4_endpoint(rhs, sub.x0, ctrl.dt, 8 * substeps),
+            integ_tol, what="auxiliary integration",
         )
     return AuxResult(endpoint=endpoint, kbar_max=kbar_max, audit_err=err)
 
@@ -385,8 +385,9 @@ def expr_to_string(node):
 
 def sequential_cascade(model, ab, budget=64):
     """The cascade one agent at a time, as planner.cascade_synthesize ran
-    it before agents moved in lockstep: every turn of an agent runs its
-    own forward pass, and an error is raised as soon as it is met."""
+    it before agents moved in lockstep and backjumped: every turn of an
+    agent runs its own forward pass, an error is raised as soon as it is
+    met, and a failure returns to the agent just before."""
     order = planner.topological_order(model)
     tables = {i: planner.goal_table(ab, i) for i in model.agent_ids}
     m = planner.plan_length(ab, tables)

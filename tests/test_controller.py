@@ -1,7 +1,9 @@
 """Feedback construction: saturation, parameter recovery, references,
 and the exact auxiliary closed form against numerical integration."""
 
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,9 +12,18 @@ import pytest
 import oracles
 from horizon_abs import cli, controller, grid, integrate, reach
 from horizon_abs import model as model_mod
-from horizon_abs.errors import ModelError
+from horizon_abs.errors import ExprError, ModelError
 
-from conftest import DRAW_SUBSTEPS, FIVE_AGENTS, heterogeneous_doc, make_stack
+from conftest import (
+    DRAW_SUBSTEPS,
+    FIVE_AGENTS,
+    heterogeneous_doc,
+    make_model,
+    make_stack,
+    ring_doc,
+    ring_workloads,
+    single_doc,
+)
 
 
 def unit_disk_dec():
@@ -150,23 +161,121 @@ def test_saturate_of_an_infinite_norm_warns_and_has_the_oracles_bits(row, bound)
         assert_same_bits(model_mod.saturate(v, bound), oracles.saturate(v, bound))
 
 
-def test_a_five_agents_plan_never_divides_in_saturate(monkeypatch, tmp_path, capsys):
-    """No saturated field of the paper's plan reaches its bound, so every
-    saturate call of the run returns its input: the divide is never paid."""
-    calls = {"unchanged": 0, "divided": 0}
-    saturate = model_mod.saturate
+def count_runs(monkeypatch):
+    """Count the package's RK4 runs: "raw" on raw_run's tracked right-hand
+    side (which wraps the raw one), "saturated" on any other."""
+    counts = {"raw": 0, "saturated": 0}
+    for name in ("rk4_dense", "rk4_endpoint"):
+        def counted(rhs, *args, run=getattr(integrate, name)):
+            counts["raw" if hasattr(rhs, "__wrapped__") else "saturated"] += 1
+            return run(rhs, *args)
 
-    def counting(v, bound):
-        out = saturate(v, bound)
-        calls["unchanged" if out is v else "divided"] += 1
-        return out
+        monkeypatch.setattr(integrate, name, counted)
+    return counts
 
-    monkeypatch.setattr(model_mod, "saturate", counting)
-    argv = ["plan", "--model", FIVE_AGENTS, "--out", tmp_path, "--steps", "12",
-            "--lambda", "1=0.35", "--lambda", "5=0.35"]
-    assert cli.main([str(a) for a in argv]) == 0
-    assert calls["divided"] == 0
-    assert calls["unchanged"] > 10_000
+
+# raw runs of plan and validate per benchmark workload
+BENCHMARK_RAW_RUNS = {"five_agents": (35, 15), "ring_product": (4, 6)}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_RAW_RUNS))
+def test_benchmark_plan_and_validate_make_no_saturated_rerun(workload, monkeypatch, tmp_path):
+    """No saturation of either benchmark workload binds: every RK4 run of
+    plan and validate is a raw run that passes its check, and none runs
+    again saturated."""
+    workloads = ring_workloads()
+    if workload == "five_agents":
+        model, flags = FIVE_AGENTS, workloads.FIVE_AGENTS_FLAGS
+    else:
+        model, flags = tmp_path / "ring.json", workloads.RING_FLAGS
+        model.write_text(json.dumps(ring_doc(100)))
+    commands = (["plan", "--strategy", "auto"], ["validate"])
+    for command, raw in zip(commands, BENCHMARK_RAW_RUNS[workload]):
+        with monkeypatch.context() as patch:
+            counts = count_runs(patch)
+            args = command + ["--model", model, "--out", tmp_path / "out"] + flags
+            assert cli.main([str(a) for a in args]) == 0
+        assert counts == {"raw": raw, "saturated": 0}, command
+
+
+def constant_rows(f):
+    """The raw right-hand side of rows with the constant fields f."""
+    return lambda t, y: (f, (f,))
+
+
+# one row each: zero, a magnitude too small for the padded bound, NaN,
+# inf, within the bound of 1, and over it
+HAZARD_ROWS = np.array(
+    [[0.0, 0.0], [2.0**-501, 0.0], [math.nan, 0.0], [math.inf, 0.0], [0.5, -0.5], [1.5, 0.0]]
+)
+
+
+def test_raw_run_passes_only_rows_provably_within_their_bound():
+    y0 = np.zeros_like(HAZARD_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, ok = controller.raw_run(
+            integrate.rk4_endpoint, constant_rows(HAZARD_ROWS), (1.0,), y0, 1.0, 4
+        )
+    assert ok.tolist() == [True, False, False, False, True, False]
+    assert np.array_equal(out[[0, 4]], HAZARD_ROWS[[0, 4]])
+
+
+def test_checked_run_runs_only_the_failing_rows_again():
+    """Rows failing the check run again saturated, alone; the batch has
+    the bits of the run saturated at every stage."""
+    y0 = np.zeros_like(HAZARD_ROWS)
+    again = []
+
+    def exact(index):
+        again.append(index.tolist())
+        return lambda t, y: oracles.saturate(HAZARD_ROWS[index], 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the saturated inf row warns, as it always has
+        out = controller.checked_run(
+            integrate.rk4_endpoint, constant_rows(HAZARD_ROWS), exact, (1.0,), y0, 1.0, 4
+        )
+        expected = integrate.rk4_endpoint(
+            lambda t, y: oracles.saturate(HAZARD_ROWS, 1.0), y0, 1.0, 4
+        )
+    assert again == [[1, 2, 3, 5]]
+    assert_same_bits(out, expected)
+
+
+def wall_doc(x0):
+    """One agent pushed along x at speed 4, saturated at M = 1, whose
+    dynamics raise an expression error past x = 0.5."""
+    doc = single_doc()
+    doc["agents"][0].update(
+        M=1.0, x0=x0, dynamics={"type": "expression", "exprs": ["4 + 0*sqrt(0.5 - x_i[1])", "0"]}
+    )
+    return doc
+
+
+@pytest.mark.parametrize("x0, raises", [(0.0, False), (0.4, True)])
+def test_an_expression_error_past_the_bound_ends_like_the_saturated_run(x0, raises):
+    """The raw run reaches x = 1 and raises; from 0 the saturated run stops
+    at 0.25 and returns, from 0.4 it passes 0.5 and raises."""
+    agent = make_model(wall_doc([x0, 0.0])).agent(1)
+    own, nbr = np.array([[x0, 0.0]]), [np.zeros(0)]
+    field = model_mod.NetworkField([agent], nbr_refs=nbr)
+    out, ok = controller.raw_run(
+        integrate.rk4_endpoint, lambda t, y: (field(y), (field(y),)), (1.0,), own, 0.25, 8
+    )
+    assert out is None and ok.tolist() == [False]
+
+    def saturated():
+        g = lambda t, y: oracles.saturate(field(y), 1.0)  # noqa: E731
+        return integrate.rk4_endpoint(g, own, 0.25, 8)
+
+    if raises:
+        with pytest.raises(ExprError) as expected:
+            saturated()
+        with pytest.raises(ExprError, match=f"^{re.escape(str(expected.value))}$"):
+            controller.reference_endpoints([agent], own, nbr, 0.25, 8)
+    else:
+        assert_same_bits(controller.reference_endpoints([agent], own, nbr, 0.25, 8), saturated())
 
 
 def test_eval_g_saturates_the_raw_field(pair_stack):

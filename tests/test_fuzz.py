@@ -1,5 +1,6 @@
 """Seeded fuzzing of the command line: mutated model files, garbled
-expressions, plan and trajectory files, and out-of-range flags.
+expressions, scaled-down speed bounds, plan and trajectory files, and
+out-of-range flags.
 
 Every case runs ``cli.main`` in-process.  Whatever the input, the run
 must end in a documented exit code (0, or the code of the HorizonError
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from horizon_abs import cli
+from horizon_abs import cli, integrate
 
 from conftest import FIVE_AGENTS, pair_doc
 
@@ -123,6 +124,29 @@ def test_garbled_expressions(tmp_path, capsys):
         model = write(tmp_path / f"model{k}.json", expression_doc(texts))
         argv = ["abstract", "--model", model, "--out", tmp_path / "out", "--samples", "16"]
         check(argv + PAIR_FLAGS, capsys, {0, 1, 3}, texts)
+
+
+def test_scaled_down_speed_bounds(tmp_path, capsys, monkeypatch):
+    """Each agent's M scaled by 0.05 to 0.5, so that saturations bind and
+    runs fail their raw check: plan, and validate after a plan."""
+    saturated = []
+    for name in ("rk4_dense", "rk4_endpoint"):
+        def counted(rhs, *args, run=getattr(integrate, name)):
+            if not hasattr(rhs, "__wrapped__"):  # not a raw run
+                saturated.append(name)
+            return run(rhs, *args)
+
+        monkeypatch.setattr(integrate, name, counted)
+    rng = np.random.default_rng(29)
+    for k in range(6):
+        doc = pair_doc()
+        for agent in doc["agents"]:
+            agent["M"] *= float(rng.uniform(0.05, 0.5))
+        model = write(tmp_path / f"model{k}.json", doc)
+        argv = ["--model", model, "--out", tmp_path / f"out{k}"] + PAIR_FLAGS
+        if check(["plan"] + argv, capsys, {0, 1, 2, 3}, ("plan", doc)) == 0:
+            check(["validate"] + argv, capsys, {0, 1, 4}, ("validate", doc))
+    assert saturated
 
 
 @pytest.fixture(scope="module")

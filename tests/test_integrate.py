@@ -73,6 +73,14 @@ def test_dense_nodes_match_endpoint_integration():
     np.testing.assert_array_equal(dense.endpoint, endpoint)
 
 
+def audit(rhs, y0, dt, substeps, integ_tol, **kwargs):
+    """check_audit of the substeps-step endpoint run of rhs from y0."""
+    return integrate.check_audit(
+        integrate.rk4_endpoint(rhs, y0, dt, substeps),
+        integrate.rk4_endpoint(rhs, y0, dt, 2 * substeps), integ_tol, **kwargs,
+    )
+
+
 def test_audit_tracks_true_error():
     """The Richardson estimate must bracket the coarse-run endpoint error."""
 
@@ -83,7 +91,7 @@ def test_audit_tracks_true_error():
     coarse = integrate.rk4_endpoint(rhs, np.array([0.0]), 1.0, substeps)
     truth = integrate.rk4_endpoint(rhs, np.array([0.0]), 1.0, 4096)
     actual = abs(coarse[0] - truth[0])
-    estimate = integrate.check_audit(rhs, np.array([0.0]), 1.0, substeps, math.inf)
+    estimate = audit(rhs, np.array([0.0]), 1.0, substeps, math.inf)
     assert 0.5 * actual <= estimate <= 2.0 * actual
 
 
@@ -91,25 +99,26 @@ def test_check_audit_raises_and_returns():
     def rhs(t, y):
         return np.array([math.exp(t) * math.sin(5 * t)])
 
-    err = integrate.check_audit(rhs, np.array([0.0]), 1.0, 200, 1e-6, what="probe")
+    err = audit(rhs, np.array([0.0]), 1.0, 200, 1e-6, what="probe")
     assert err <= 1e-6
     with pytest.raises(IntegrationError, match="probe"):
-        integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-12, what="probe")
-    # a caller holding the coarse endpoint (a dense run's last node) gets the same estimate
+        audit(rhs, np.array([0.0]), 1.0, 4, 1e-12, what="probe")
+    # a dense run's last node is the endpoint run's, so it gives the same estimate
+    fine = integrate.rk4_endpoint(rhs, np.array([0.0]), 1.0, 400)
     coarse = integrate.rk4_dense(rhs, np.array([0.0]), 1.0, 200).endpoint
-    reused = integrate.check_audit(rhs, np.array([0.0]), 1.0, 200, 1e-6, coarse=coarse)
-    assert reused == err
+    assert integrate.check_audit(coarse, fine, 1e-6) == err
     coarse = integrate.rk4_dense(rhs, np.array([0.0]), 1.0, 4).endpoint
+    fine = integrate.rk4_endpoint(rhs, np.array([0.0]), 1.0, 8)
     with pytest.raises(IntegrationError, match="probe"):
-        integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-12, what="probe", coarse=coarse)
+        integrate.check_audit(coarse, fine, 1e-12, what="probe")
 
 
 def test_check_audit_is_per_row():
     def rhs(t, y):
         return np.stack([np.exp(t) * np.sin(5 * t) + 0 * y[..., 0], 0 * y[..., 1]], axis=-1)
 
-    err = integrate.check_audit(rhs, np.zeros((3, 2)), 1.0, 200, 1e-6)
-    single = integrate.check_audit(rhs, np.zeros(2), 1.0, 200, 1e-6)
+    err = audit(rhs, np.zeros((3, 2)), 1.0, 200, 1e-6)
+    single = audit(rhs, np.zeros(2), 1.0, 200, 1e-6)
     assert err.shape == (3,) and np.all(err == single)
 
 
@@ -120,12 +129,12 @@ def test_check_audit_on_a_batch_equals_row_by_row_calls():
         return np.sin(3 * t) * np.cos(y) + 0.5 * y
 
     Y0 = np.random.default_rng(0).uniform(-1, 1, size=(4, 3, 2))
-    err = integrate.check_audit(rhs, Y0, 1.0, 20, 1e-3)
+    err = audit(rhs, Y0, 1.0, 20, 1e-3)
     assert err.shape == (4, 3)
     for k in range(4):
-        assert np.array_equal(err[k], integrate.check_audit(rhs, Y0[k], 1.0, 20, 1e-3))
+        assert np.array_equal(err[k], audit(rhs, Y0[k], 1.0, 20, 1e-3))
         for a in range(3):
-            assert err[k, a] == integrate.check_audit(rhs, Y0[k, a], 1.0, 20, 1e-3)
+            assert err[k, a] == audit(rhs, Y0[k, a], 1.0, 20, 1e-3)
 
 
 def test_check_audit_names_the_lowest_failing_run():
@@ -140,20 +149,20 @@ def test_check_audit_names_the_lowest_failing_run():
         return f"run {k}"
 
     y0 = np.ones((4, 2, 1))
-    err = integrate.check_audit(rhs, y0, 1.0, 8, math.inf, what=what)
+    err = audit(rhs, y0, 1.0, 8, math.inf, what=what)
     worst = err.max(axis=1)
     assert worst[0] == worst[2] < worst[1] < worst[3]
     exceeds = re.escape(f"run 1 audit: step-halving estimate {worst[1]:.3e} exceeds")
     with pytest.raises(IntegrationError, match="^" + exceeds):
-        integrate.check_audit(rhs, y0, 1.0, 8, float(worst[0]), what=what)
+        audit(rhs, y0, 1.0, 8, float(worst[0]), what=what)
     # run 3's non-finite endpoints come after run 1's estimate; alone they fail
     rates[3] = math.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="^" + exceeds):
-            integrate.check_audit(rhs, y0, 1.0, 8, float(worst[0]), what=what)
+            audit(rhs, y0, 1.0, 8, float(worst[0]), what=what)
         with pytest.raises(IntegrationError, match="^run 3 audit: the integrated endpoint is not finite"):
-            integrate.check_audit(rhs, y0, 1.0, 8, math.inf, what=what)
+            audit(rhs, y0, 1.0, 8, math.inf, what=what)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -164,7 +173,7 @@ def test_check_audit_rejects_non_finite_endpoints(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError, match="probe audit: .* not finite"):
-            integrate.check_audit(rhs, np.array([0.0]), 1.0, 4, 1e-6, what="probe")
+            audit(rhs, np.array([0.0]), 1.0, 4, 1e-6, what="probe")
 
 
 def test_reproducibility_is_bitwise():

@@ -39,11 +39,14 @@ def surface_doc():
     """Every dynamics variant, with norm, unary minus, powers and sqrt in
     the expression agent.  Agent 1's goal is claimable only at step 1, so
     the plan makes one step and every agent reaches a Post and the
-    closed loop."""
+    closed loop.  Agent 6's M is halved, so that one of its reference rows
+    binds and runs again saturated."""
     doc = heterogeneous_doc()
     for agent in doc["agents"]:
         if agent["dynamics"]["type"] == "expression":
             agent["dynamics"]["exprs"][1] = "-0.1*norm(x_i)^2 + sqrt(1 + x_j1[2]^2)"
+        if agent["id"] == 6:
+            agent["M"] *= 0.5
     goal = {"box": [[-1.0, -1.0], [1.0, 1.0]], "window": [0.2, 0.3], "relative": False}
     doc["spec"] = {"1": {"goals": [goal]}}
     return doc

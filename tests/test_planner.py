@@ -414,6 +414,53 @@ def test_an_error_ahead_of_its_turn_waits_for_it(starved, five_model, five_param
         assert errors[0][1].startswith("agent 4: sqrt of negative value -")
 
 
+def far_goal_doc(five_model):
+    """five_agents with agent 3 on a singular expression field and agent
+    1's goal box moved 30 along both axes, out of its reach: agent 1
+    never has a satisfying path, whatever its parent 2 chose."""
+    doc = json.loads(json.dumps(five_model.raw))
+    for agent in doc["agents"]:
+        if agent["id"] == 3:
+            agent["dynamics"] = {"type": "expression", "exprs": ["1/(x_i[1]-2)", "0"]}
+    for goal in doc["spec"]["1"]["goals"]:
+        goal["box"] = [[v + 30 for v in corner] for corner in goal["box"]]
+    return doc
+
+
+def test_cascade_backjumps_over_agents_the_failure_does_not_rest_on(five_model, monkeypatch):
+    """Agent 1's failure rests on its parent 2 alone, so it returns to 2
+    and skips agent 4's other paths: agents 3, 2, 4 and 1 are pruned
+    1, 4, 16 and 16 times (not 64 for agent 1), in the same 21 forward
+    passes, with the verdict of chronological backtracking."""
+    model, params, ab = make_stack(far_goal_doc(five_model), lam={1: 0.35, 5: 0.35}, steps=12)
+    with pytest.raises(UnsatisfiableError) as expected:
+        oracles.sequential_cascade(
+            model, abstraction_mod.build_abstraction(model, params), budget=4
+        )
+    calls = {"forward": 0}
+    forward, prune = planner.forward_layers, planner.backward_prune
+
+    def counted_forward(*args):
+        calls["forward"] += 1
+        return forward(*args)
+
+    def counted_prune(ab, agent_id, *args):
+        calls[agent_id] = calls.get(agent_id, 0) + 1
+        return prune(ab, agent_id, *args)
+
+    monkeypatch.setattr(planner, "forward_layers", counted_forward)
+    monkeypatch.setattr(planner, "backward_prune", counted_prune)
+    with pytest.raises(UnsatisfiableError) as info:
+        planner.cascade_synthesize(model, ab, budget=4)
+    assert calls == {"forward": 21, 3: 1, 2: 4, 4: 16, 1: 16}
+    assert str(info.value) == str(expected.value)
+    assert str(info.value) == (
+        "cascade synthesis failed (agent 1: goal 1 was never claimable inside its window; "
+        "agent 2: every tried path starves a downstream agent; agent 3: every tried path "
+        "starves a downstream agent; agent 4: every tried path starves a downstream agent)"
+    )
+
+
 def test_product_cap(pair_stack):
     model, _, ab = pair_stack
     assert issubclass(planner.CapExceededError, UnsatisfiableError)

@@ -1,6 +1,7 @@
 """Closed-loop simulation, validation reports, and trajectory I/O."""
 
 import copy
+import math
 import re
 
 import numpy as np
@@ -18,7 +19,9 @@ from conftest import (
     make_model,
     make_stack,
     per_agent_closed_loop,
+    ring_doc,
     ring_stack,
+    ring_workloads,
     scalar_trajectory_to_csv,
     single_doc,
 )
@@ -212,23 +215,28 @@ def heterogeneous_case():
 
 
 def record_closed_loop(monkeypatch, nan_at=None):
-    """Record the closed loop's coarse runs as (rhs, y0, dense) and its
-    audit estimates; the coarse run of interval ``nan_at`` gets a NaN
-    endpoint.  Reference runs and audits are not recorded."""
+    """Record the closed loop's coarse runs as (rhs, y0, dense), one per
+    interval reached, and its audit estimates; every run of interval
+    ``nan_at`` gets a NaN endpoint.  A raw run's rhs is raw_run's tracked
+    one, which carries the closed loop's name, and the saturated re-run
+    of an interval (from the same start state) replaces its raw run.
+    Reference runs and audits are not recorded."""
     runs, audits = [], []
     rk4_dense, check_audit = integrate.rk4_dense, integrate.check_audit
 
     def dense(rhs, y0, dt, substeps):
         out = rk4_dense(rhs, y0, dt, substeps)
         if "simulate_closed_loop" in rhs.__qualname__:
+            if runs and runs[-1][1] is y0:
+                runs.pop()
             if len(runs) == nan_at:
                 out.ys[-1, 0, 0] = np.nan
             runs.append((rhs, y0, out))
         return out
 
-    def audit(rhs, *args, **kwargs):
-        err = check_audit(rhs, *args, **kwargs)
-        if "simulate_closed_loop" in rhs.__qualname__:
+    def audit(coarse, fine, integ_tol, what="integration", runs=None):
+        err = check_audit(coarse, fine, integ_tol, what=what, runs=runs)
+        if "simulate_closed_loop" in getattr(what, "__qualname__", ""):
             audits.append(err)
         return err
 
@@ -237,27 +245,62 @@ def record_closed_loop(monkeypatch, nan_at=None):
     return runs, audits
 
 
+def saturate_every_stage(monkeypatch):
+    """The per-stage path: every raw run fails its check before it
+    starts, so each run is made on the saturated right-hand side, and
+    model.saturate is the oracle's, which divides on every batch."""
+
+    def no_raw_run(run, rhs, bounds, y0, dt, substeps):
+        return None, np.zeros(np.shape(y0)[:-1], dtype=bool)
+
+    monkeypatch.setattr(controller, "raw_run", no_raw_run)
+    monkeypatch.setattr(model_mod, "saturate", oracles.saturate)
+
+
+def record_raw_runs(monkeypatch):
+    """Record every raw_run as (its rhs's name, y0's shape, ok)."""
+    records = []
+    raw_run = controller.raw_run
+
+    def recorded(run, rhs, bounds, y0, dt, substeps):
+        out, ok = raw_run(run, rhs, bounds, y0, dt, substeps)
+        records.append((rhs.__qualname__, np.shape(y0), ok))
+        return out, ok
+
+    monkeypatch.setattr(controller, "raw_run", recorded)
+    return records
+
+
 def test_batched_audit_equals_per_interval_audits(heterogeneous_case, monkeypatch):
     """One audit over all intervals gives, bit for bit, the estimates of
-    one check_audit per interval on that interval's coarse run."""
+    one check_audit per interval, on that interval's coarse run and a fine
+    run saturated at every stage; so does the run with raw runs."""
     model, ab, schedule, m = heterogeneous_case
-    runs, audits = record_closed_loop(monkeypatch)
+    with monkeypatch.context() as patch:
+        saturate_every_stage(patch)
+        runs, audits = record_closed_loop(patch)
+        sim.simulate_closed_loop(model, ab, schedule, m)
+        assert len(runs) == m and len(audits) == 1
+        assert audits[0].shape == (m, len(model.agents))
+        for k, (rhs, y0, dense) in enumerate(runs):
+            fine = integrate.rk4_endpoint(rhs, y0, ab.params.dt, 2 * ab.substeps)
+            alone = integrate.check_audit(dense.endpoint, fine, ab.integ_tol)
+            assert np.array_equal(audits[0][k], alone)
+    _, raw = record_closed_loop(monkeypatch)
     sim.simulate_closed_loop(model, ab, schedule, m)
-    assert len(runs) == m and len(audits) == 1
-    assert audits[0].shape == (m, len(model.agents))
-    for k, (rhs, y0, dense) in enumerate(runs):
-        alone = integrate.check_audit(
-            rhs, y0, ab.params.dt, ab.substeps, ab.integ_tol, coarse=dense.endpoint
-        )
-        assert np.array_equal(audits[0][k], alone)
+    assert np.array_equal(raw[0], audits[0])
 
 
 def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, monkeypatch):
     """The stacked reference run, its audit and the stage table (in blocks
     of stage times) come first, through the frozen-neighbor field over
-    every reference row; after them every field call is a closed-loop
-    stage over the N network rows, with neighbors read from the state: m
-    coarse runs, one fine audit run and one input call."""
+    every reference row; no reference row binds, so each is one raw run.
+    After them every field call is a closed-loop stage over the N network
+    rows, with neighbors read from the state.  Interval 1's raw run fails
+    its check and runs again saturated, and intervals 2 and 3 run
+    saturated with no raw run: m + 1 coarse runs.  Intervals 1 to 3 fail
+    the check of the fine run, and only they run it again, together.  One
+    input call ends the loop."""
     model, ab, schedule, m = heterogeneous_case
     # a fresh abstraction, so the reference stack is integrated here
     fresh = abstraction_mod.Abstraction(
@@ -271,10 +314,12 @@ def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, m
         return real(self, S)
 
     monkeypatch.setattr(model_mod.NetworkField, "__call__", counting)
+    records = record_raw_runs(monkeypatch)
     sim.simulate_closed_loop(model, fresh, schedule, m)
     substeps, N, dt = ab.substeps, len(model.agents), ab.params.dt
     rows = len(dict.fromkeys((i, step.config) for i in model.agent_ids for step in schedule[i][:m]))
-    run = (4 * substeps + 1) + 8 * substeps
+    coarse, fine = 4 * substeps + 1, 8 * substeps
+    run = coarse + fine
     times = np.unique(np.concatenate((
         integrate.stage_times(dt, substeps, dense=True), integrate.stage_times(dt, 2 * substeps)
     )))
@@ -285,9 +330,15 @@ def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, m
     assert sum(shape[0] for shape in refs[run:]) == len(times)
     assert all(shape[-2] == rows for shape in refs)
     loop = calls[run + table :]
-    assert len(loop) == m * (4 * substeps + 1) + 8 * substeps + 1
+    assert len(loop) == (m + 1) * coarse + 2 * fine + 1
     assert all(not frozen and shape[-2] == N for frozen, shape in loop)
-    assert loop[-1][1][0] == m * substeps + 1
+    # the fine run over the m intervals, its re-run of intervals 1 to 3, the input call
+    tail = [shape[:-2] for _, shape in loop[(m + 1) * coarse :]]
+    assert tail == [(m,)] * fine + [(3,)] * fine + [(m * substeps + 1,)]
+    oks = [ok for _, _, ok in records]
+    assert [ok.shape for ok in oks] == [(rows,), (rows,), (N,), (N,), (m, N)]
+    assert oks[0].all() and oks[1].all() and oks[2].all() and not oks[3].all()
+    assert oks[4].all(axis=1).tolist() == [True, False, False, False]
 
 
 def test_closed_loop_audit_names_the_lowest_failing_interval(heterogeneous_case, monkeypatch):
@@ -327,6 +378,98 @@ def test_earlier_audit_failure_wins_over_a_later_non_finite_endpoint(
     with pytest.raises(IntegrationError, match="^closed-loop interval 1 audit: step-halving"):
         sim.simulate_closed_loop(model, with_integ_tol(ab, 4e-15), schedule, m)
     assert len(runs) == 3
+
+
+def test_a_non_finite_raw_endpoint_runs_again_and_stops_the_closed_loop(
+    heterogeneous_case, monkeypatch
+):
+    """Interval 0's raw run would pass its check; a NaN endpoint fails it,
+    and the saturated re-run's NaN endpoint stops the loop there.  The
+    fine run of interval 0 starts at x0 and passes."""
+    model, ab, schedule, m = heterogeneous_case
+    records = record_raw_runs(monkeypatch)
+    runs, _ = record_closed_loop(monkeypatch, nan_at=0)
+    with pytest.raises(IntegrationError, match=(
+        "^closed-loop interval 0 audit: the integrated endpoint is not finite"
+    )):
+        sim.simulate_closed_loop(model, ab, schedule, m)
+    assert len(runs) == 1 and not hasattr(runs[0][0], "__wrapped__")
+    assert [ok.all() for name, _, ok in records if "simulate_closed_loop" in name] == [False, True]
+
+
+def record_saturated_runs(monkeypatch):
+    """Record the y0 shape of every RK4 run not made by raw_run."""
+    shapes = []
+    for name in ("rk4_dense", "rk4_endpoint"):
+        def recorded(rhs, y0, *args, run=getattr(integrate, name)):
+            if not hasattr(rhs, "__wrapped__"):
+                shapes.append(np.shape(y0))
+            return run(rhs, y0, *args)
+
+        monkeypatch.setattr(integrate, name, recorded)
+    return shapes
+
+
+def test_binding_closed_loop_has_the_bits_of_the_per_stage_path(heterogeneous_case, monkeypatch):
+    """Intervals 1 to 3 bind.  States, inputs and audit estimates of every
+    interval have the bits of the path saturated at every stage with the
+    oracle's saturate.  One raw interval is wasted: interval 1's, which
+    runs again; 2 and 3 run saturated at once; the fine run runs again
+    on the three failing intervals only."""
+    model, ab, schedule, m = heterogeneous_case
+    with monkeypatch.context() as patch:
+        saturate_every_stage(patch)
+        _, expected_err = record_closed_loop(patch)
+        expected = sim.simulate_closed_loop(model, with_integ_tol(ab, ab.integ_tol), schedule, m)
+    records = record_raw_runs(monkeypatch)
+    saturated = record_saturated_runs(monkeypatch)
+    _, err = record_closed_loop(monkeypatch)
+    traj = sim.simulate_closed_loop(model, with_integ_tol(ab, ab.integ_tol), schedule, m)
+    for a, b in ((traj.ts, expected.ts), (traj.states, expected.states),
+                 (traj.inputs, expected.inputs), (err[0], expected_err[0])):
+        assert a.tobytes() == b.tobytes()
+    loop = [ok for name, _, ok in records if "simulate_closed_loop" in name]
+    assert [ok.all(axis=-1).tolist() for ok in loop] == [True, False, [True, False, False, False]]
+    N, n = len(model.agents), model.dim
+    assert saturated == [(N, n)] * 3 + [(3, N, n)]
+
+
+def test_binding_reference_rows_have_the_bits_of_the_per_stage_path(monkeypatch):
+    """A ring whose M is scaled by 0.4: two of nine reference rows bind.
+    The stack, its audit estimates and an endpoint batch have the bits of
+    runs saturated at every stage with the oracle's saturate, and only
+    the two failing rows run again."""
+    workloads = ring_workloads()
+    doc = ring_doc(1)
+    for agent in doc["agents"]:
+        agent["M"] *= 0.4
+    model, params, ab = make_stack(
+        doc, lam={i: workloads.RING_LAMBDA for i in workloads.RING_IDS}, steps=workloads.RING_STEPS
+    )
+    schedule = heterogeneous_schedule(ab, 4, np.random.default_rng(5))
+    pairs = list(dict.fromkeys((i, step.config) for i in model.agent_ids for step in schedule[i]))
+    agents = [model.agent(i) for i, _ in pairs]
+    own, nbr = (np.stack(v) for v in zip(*(ab.config_refs(*pair) for pair in pairs)))
+    field = model_mod.NetworkField(agents, nbr_refs=nbr)
+
+    def g(t, y):
+        return oracles.saturate(field(y), field.M)
+
+    dense = integrate.rk4_dense(g, own, params.dt, ab.substeps)
+    fine = integrate.rk4_endpoint(g, own, params.dt, 2 * ab.substeps)
+    with monkeypatch.context() as patch:
+        records = record_raw_runs(patch)
+        saturated = record_saturated_runs(patch)
+        refs = ab.reference_for(pairs)
+        err = refs.audit(math.inf, model.agent_ids)
+        endpoints = controller.reference_endpoints(agents, own, nbr, params.dt, ab.substeps)
+    assert refs.traj.ys.tobytes() == dense.ys.tobytes()
+    assert refs.traj.ds.tobytes() == dense.ds.tobytes()
+    assert endpoints.tobytes() == dense.endpoint.tobytes()
+    assert err.tobytes() == integrate.check_audit(dense.endpoint, fine, math.inf).tobytes()
+    failing = [np.flatnonzero(~ok).tolist() for _, _, ok in records]
+    assert len(failing) == 3 and len(failing[0]) == 2 and failing[1:] == [failing[0]] * 2
+    assert saturated == [(2, model.dim)] * 3
 
 
 def test_reference_audit_failure_names_the_agent(pair_run):
