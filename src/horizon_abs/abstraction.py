@@ -58,44 +58,80 @@ class Abstraction:
         return controller.r_i(self.params.lam[agent_id], self.params.dt, agent.v_max)
 
     def config_refs(self, agent_id, config):
-        agent = self.model.agent(agent_id)
-        if len(config) != 1 + len(agent.neighbors):
-            raise ModelError(
-                f"agent {agent_id}: configuration needs {1 + len(agent.neighbors)} cells, "
-                f"got {len(config)}"
-            )
-        own = grid.reference_point(self.decs[agent_id], config[0])
-        blocks = [
-            grid.reference_point(self.decs[j], cell)
-            for j, cell in zip(agent.neighbors, config[1:])
-        ]
-        nbr = np.concatenate(blocks) if blocks else np.zeros(0)
-        return own, nbr
+        own, nbr = self._refs(self._by_agent([(agent_id, config)]), 1)
+        return own[0], nbr[0]
 
-    def _stacked_refs(self, pairs):
-        """Reference points of (agent id, configuration) pairs, one row each:
-        the own points as one array and the neighbor blocks as a list."""
-        own = np.empty((len(pairs), self.model.dim))
-        nbr = []
-        for row, (agent_id, config) in enumerate(pairs):
-            own[row], block = self.config_refs(agent_id, config)
-            nbr.append(block)
+    def _by_agent(self, pairs):
+        """Per agent of (agent id, configuration) pairs: its id, the rows
+        of its pairs, the decompositions of its slots (own cell, then the
+        neighbors' in declared order) and its configurations as an int
+        array (rows, slots, dim), or None when one is not a tuple of as
+        many int lattice cells as the agent has slots."""
+        rows = {}
+        for r, (agent_id, _) in enumerate(pairs):
+            rows.setdefault(agent_id, []).append(r)
+        out = []
+        for agent_id, idx in rows.items():
+            slots = (agent_id,) + self.model.agent(agent_id).neighbors
+            try:
+                lattice = np.array([pairs[r][1] for r in idx])
+            except ValueError:  # ragged
+                lattice = np.zeros(0)
+            if lattice.shape != (len(idx), len(slots), self.model.dim) or lattice.dtype.kind != "i":
+                lattice = None
+            out.append((agent_id, idx, [self.decs[j] for j in slots], lattice))
+        return out
+
+    def _refs(self, groups, count):
+        """Reference points of the ``count`` pairs of ``_by_agent``'s
+        ``groups``, one row each: the own points as one array and the
+        neighbor blocks as a list.  One grid.reference_point pass per
+        agent and slot."""
+        own = np.empty((count, self.model.dim))
+        nbr = [None] * count
+        for agent_id, rows, decs, lattice in groups:
+            if lattice is None:
+                raise ModelError(
+                    f"agent {agent_id}: configuration needs {len(decs)} cells of "
+                    f"{self.model.dim} integers"
+                )
+            refs = np.stack([
+                grid.reference_point(dec, lattice[:, s]) for s, dec in enumerate(decs)
+            ], axis=1)
+            own[rows] = refs[:, 0]
+            for r, block in zip(rows, refs[:, 1:].reshape(len(rows), -1)):
+                nbr[r] = block
         return own, nbr
 
     def is_initiating(self, agent_id, config):
-        agent = self.model.agent(agent_id)
-        if config[0] not in self.decs[agent_id].initiating_set:
-            return False
-        return all(
-            cell in self.decs[j].initiating_set
-            for j, cell in zip(agent.neighbors, config[1:])
-        )
+        return bool(self.initiating([(agent_id, config)])[0])
 
-    def _require_initiating(self, agent_id, config):
-        if not self.is_initiating(agent_id, config):
+    def initiating(self, pairs):
+        """Whether each (agent id, configuration) pair is transition-initiating."""
+        return self._initiating(self._by_agent(pairs), len(pairs))
+
+    def _initiating(self, groups, count):
+        """initiating() of ``_by_agent``'s groups, one CellSet.contains_many
+        per agent and slot."""
+        out = np.zeros(count, dtype=bool)
+        for _, rows, decs, lattice in groups:
+            if lattice is not None:
+                out[rows] = np.all([
+                    dec.initiating_set.contains_many(lattice[:, s]) for s, dec in enumerate(decs)
+                ], axis=0)
+        return out
+
+    def _initiating_refs(self, pairs):
+        """Reference points of pairs that must be transition-initiating;
+        the first that is not is a ModelError."""
+        groups = self._by_agent(pairs)
+        ok = self._initiating(groups, len(pairs))
+        if not np.all(ok):
+            agent_id, config = pairs[int(np.argmin(ok))]
             raise ModelError(
                 f"agent {agent_id}: configuration {config} is not transition-initiating"
             )
+        return self._refs(groups, len(pairs))
 
     def endpoint(self, agent_id, config):
         key = (agent_id, config)
@@ -165,9 +201,7 @@ class Abstraction:
         pairs = [pair for pair in dict.fromkeys(pairs) if pair not in self._endpoint_cache]
         if not pairs:
             return
-        for agent_id, config in pairs:
-            self._require_initiating(agent_id, config)
-        own, nbr = self._stacked_refs(pairs)
+        own, nbr = self._initiating_refs(pairs)
         endpoints = controller.reference_endpoints(
             [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps
         )
@@ -186,9 +220,7 @@ class Abstraction:
         pairs = tuple(pairs)
         if self._references is not None and self._references[0] == pairs:
             return self._references[1]
-        for agent_id, config in pairs:
-            self._require_initiating(agent_id, config)
-        own, nbr = self._stacked_refs(pairs)
+        own, nbr = self._initiating_refs(pairs)
         refs = controller.ReferenceStack(
             [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps
         )
@@ -228,7 +260,7 @@ class Abstraction:
         pairs = list(dict.fromkeys(self._endpoint_cache if pairs is None else pairs))
         if not pairs:
             return
-        own, nbr = self._stacked_refs(pairs)
+        own, nbr = self._refs(self._by_agent(pairs), len(pairs))
         controller.audit_references(
             model_mod.NetworkField([self.model.agent(i) for i, _ in pairs], nbr_refs=nbr),
             own, np.array([self.endpoint(i, config) for i, config in pairs]),

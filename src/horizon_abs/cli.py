@@ -339,7 +339,7 @@ def cmd_render(args):
     traj = None
     traj_path = os.path.join(args.out, "trajectory.csv")
     if os.path.exists(traj_path):
-        traj = sim.trajectory_from_csv(_read_text(traj_path).decode("utf-8"))
+        traj = sim.trajectory_from_csv(_read_text(traj_path).decode("utf-8"), model)
     svg = render.render_svg(model, abstraction.families, abstraction.decs, plan=plan, traj=traj)
     _ensure_out(args)
     _write_text(args.out, "figure.svg", svg)
@@ -350,13 +350,10 @@ def cmd_render(args):
 def cmd_chain(args):
     model, _ = _load_model(args.model)
     traj_path = os.path.join(args.out, "trajectory.csv")
-    finals = sim.final_states_from_csv(_read_text(traj_path).decode("utf-8"))
+    finals = sim.final_states_from_csv(_read_text(traj_path).decode("utf-8"), model)
     doc = json.loads(json.dumps(model.raw))
     for entry in doc["agents"]:
-        i = int(entry["id"])
-        if i not in finals:
-            raise ModelError(f"trajectory file has no samples for agent {i}")
-        entry["x0"] = [float(v) for v in finals[i]]
+        entry["x0"] = [float(v) for v in finals[int(entry["id"])]]
     _write_json(args.out, "next_model.json", doc)
     print(f"follow-on model written to {os.path.join(args.out, 'next_model.json')}")
     return 0

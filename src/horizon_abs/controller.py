@@ -106,17 +106,62 @@ def checked_run(run, rhs, exact, bounds, y0, dt, substeps):
     return out
 
 
-def _reference_run(run, field, y0, dt, substeps):
-    """``run`` of a reference field's rows on g = saturate(f, M), through checked_run."""
+def audit_names(name, rerun, labels, agents=None):
+    """The ``what`` of integrate.check_audit for runs named ``name(k)``.
+
+    Only when run k fails is it run again, raw (``rerun(k)`` gives its
+    rhs, bounds, y0, dt and substeps as raw_run takes them, for
+    rk4_endpoint).  If a watched array's norm, labelled by ``labels``,
+    then passed its bound, the name ends in the largest ratio, as
+    " (agent i: label up to x)"; ``agents`` are the agents along the
+    arrays' last axis (None: the one agent ``name`` names).
+    """
+
+    @functools.wraps(name)
+    def what(k):
+        rhs, bounds, y0, dt, substeps = rerun(k)
+        tops = []
+
+        def tracked(t, y):
+            dy, watched = rhs(t, y)
+            norms = [np.sqrt(np.sum(v * v, axis=-1, keepdims=True)) for v in watched]
+            tops[:] = [np.fmax(a, b) for a, b in zip(tops, norms)] if tops else norms
+            return dy
+
+        best, note = 1.0, ""
+        with np.errstate(all="ignore"):
+            try:
+                integrate.rk4_endpoint(tracked, y0, dt, substeps)
+            except HorizonError:
+                tops = []
+            for label, top, bound in zip(labels, tops, bounds):
+                ratio = (top / bound).reshape(-1, len(agents) if agents else 1)
+                r, a = np.unravel_index(np.argmax(np.where(ratio > 1, ratio, 0)), ratio.shape)
+                if ratio[r, a] > best:
+                    best, who = float(ratio[r, a]), f"agent {agents[a]}: " if agents else ""
+                    note = f" ({who}{label} up to {best:.3g})"
+        return name(k) + note
+
+    return what
+
+
+def _raw_reference(field):
+    """raw_run's right-hand side of a reference field: f, watched against M."""
 
     def raw(t, y):
         f = field(y)
         return f, (f,)
 
+    return raw
+
+
+def _reference_run(run, field, y0, dt, substeps):
+    """``run`` of a reference field's rows on g = saturate(f, M), through checked_run."""
+
     def exact(index):
         return _saturated(field if isinstance(index, slice) else field.rows(index))
 
-    return checked_run(run, raw, exact, (field.M,), y0, dt, substeps)
+    return checked_run(run, _raw_reference(field), exact, (field.M,), y0, dt, substeps)
 
 
 def integrate_reference(
@@ -189,14 +234,19 @@ def audit_references(field, own_ref, endpoint, dt, substeps, integ_tol, agent_id
     field: one fine rk4_endpoint run at twice the substeps from
     ``own_ref``, through checked_run, checked against the coarse
     ``endpoint``.  An error names the first agent in ``agent_ids`` with a
-    failing row, with the worst estimate over that agent's rows."""
+    failing row, with the worst estimate over that agent's rows, and with
+    its realized |f_i|/M_i when its raw field went past M."""
     rank = {i: a for a, i in enumerate(agent_ids)}
+    runs = [rank[agent.id] for agent in field.agents]
     fine = _reference_run(integrate.rk4_endpoint, field, own_ref, dt, 2 * substeps)
-    return integrate.check_audit(
-        endpoint, fine, integ_tol,
-        what=lambda a: f"reference of agent {agent_ids[a]}",
-        runs=[rank[agent.id] for agent in field.agents],
-    )
+
+    def rerun(a):
+        rows = [r for r, run in enumerate(runs) if run == a]
+        sub = field.rows(rows)
+        return _raw_reference(sub), (sub.M,), own_ref[rows], dt, 2 * substeps
+
+    what = audit_names(lambda a: f"reference of agent {agent_ids[a]}", rerun, ("|f_i|/M_i",))
+    return integrate.check_audit(endpoint, fine, integ_tol, what=what, runs=runs)
 
 
 def reference_endpoints(agents, own_refs, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):

@@ -46,9 +46,8 @@ class CellSet(collections.abc.Set):
         self.origin = np.array(origin, dtype=int)
         self.mask = mask
         self._len = int(np.count_nonzero(mask))
-        # one byte per box cell, so the mask's byte strides index it
-        self._bits = mask.tobytes()
-        self._axes = tuple(zip(self.origin.tolist(), mask.shape, mask.strides))
+        # the flat index step of each axis of the C-ordered mask
+        self._steps = np.append(np.cumprod(mask.shape[:0:-1], dtype=int)[::-1], 1)
 
     @classmethod
     def _from_iterable(cls, it):
@@ -62,31 +61,26 @@ class CellSet(collections.abc.Set):
 
     def __contains__(self, key):
         hash(key)  # an unhashable key raises, as in a frozenset
-        if not isinstance(key, tuple) or len(key) != len(self._axes):
-            return False
         try:
-            flat = 0
-            for k, (lo, size, stride) in zip(key, self._axes):
-                r = k - lo
-                if not 0 <= r < size:
-                    return False
-                flat += r * stride
-            return self._bits[flat] == 1
-        except TypeError:
-            pass
-        # keys equal to an int tuple, such as (1.0, 2.0), are members too
-        try:
+            # keys equal to an int tuple, such as (1.0, 2.0), are members too
             ints = tuple(int(k) for k in key)
+            return ints == key and len(ints) == self.mask.ndim and self.contains_many([ints])[0]
         except (TypeError, ValueError, OverflowError):
             return False
-        return ints == key and ints in self
+
+    def codes(self, lattice):
+        """The flat index into the mask box of every row of an int lattice
+        array, -1 for a row outside the box; lexicographic order of rows
+        is the order of their codes."""
+        rel = np.asarray(lattice, dtype=int).reshape(-1, self.mask.ndim) - self.origin
+        inbox = np.all((rel >= 0) & (rel < self.mask.shape), axis=-1)
+        return np.where(inbox, rel @ self._steps, -1)
 
     def contains_many(self, lattice):
         """Membership of every row of an int lattice array, in one gather."""
-        rel = np.asarray(lattice, dtype=int).reshape(-1, len(self._axes)) - self.origin
-        inbox = np.all((rel >= 0) & (rel < self.mask.shape), axis=-1)
-        out = np.zeros(len(rel), dtype=bool)
-        out[inbox] = self.mask[tuple(rel[inbox].T)]
+        codes = self.codes(lattice)
+        out = codes >= 0
+        out[out] = self.mask.ravel()[codes[out]]
         return out
 
     def __repr__(self):
@@ -222,7 +216,13 @@ def locate_many(dec, pts):
 
 
 def reference_point(dec, lattice):
-    if lattice not in dec.index_set:
+    """The center of a valid cell, or of every row of an int lattice array;
+    an invalid cell (the first invalid row) is a ModelError."""
+    if isinstance(lattice, np.ndarray):
+        bad = ~dec.index_set.contains_many(lattice)
+        if np.any(bad):
+            raise ModelError(f"invalid cell index {tuple(lattice[np.argmax(bad)].tolist())}")
+    elif lattice not in dec.index_set:
         raise ModelError(f"invalid cell index {lattice}")
     return dec.anchor + dec.side * (np.asarray(lattice, dtype=float) + 0.5)
 

@@ -12,6 +12,7 @@ claim is optional whenever a cell satisfies the pending goal inside the
 window, so the search explores both claiming and waiting.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -71,85 +72,164 @@ def plan_length(abstraction, tables):
     return min(worst, abstraction.params.steps)
 
 
-def _advance(cell, progress, step, table):
-    """All claim chains available on arrival: wait, or claim pending goals."""
-    out = set()
-    stack = [progress]
-    while stack:
-        g, s = stack.pop()
-        if (g, s) in out:
-            continue
-        out.add((g, s))
-        if g < len(table):
-            goal = table[g]
-            base = s if goal.relative else 0
-            if cell in goal.cells and goal.a <= step - base <= goal.b:
-                stack.append((g + 1, step))
-    return out
+class _Goals:
+    """An agent's goal table as arrays, so that the claims of many arrivals
+    are made at once.  Index ``count`` stands for "every goal claimed":
+    no cell is in it and no step falls in its window."""
 
-def _alive(progress, step, table, m):
-    """Whether the pending goal can still be claimed by step m."""
-    g, s = progress
-    if g >= len(table):
-        return True
-    goal = table[g]
-    base = s if goal.relative else 0
-    return step - base <= goal.b and base + goal.a <= m
+    def __init__(self, dec, table, m):
+        self.box = dec.index_set
+        self.count = len(table)
+        self.m = m
+        self.a = np.array([g.a for g in table] + [0])
+        self.b = np.array([g.b for g in table] + [-1])
+        self.relative = np.array([g.relative for g in table] + [False])
+        self.member = np.zeros((len(table) + 1, self.box.mask.size), dtype=bool)
+        for g, goal in enumerate(table):
+            codes = self.box.codes(np.array(list(goal.cells), dtype=int).reshape(-1, dec.dim))
+            self.member[g, codes[codes >= 0]] = True
+
+    def arrive(self, cells, claims, step):
+        """Every claim chain open to arrivals at ``step``: arrival r enters
+        the valid cell ``cells[r]`` with ``claims[r]`` (goals claimed, step
+        of the last claim), then waits or claims its pending goals in turn
+        while the cell and the windows allow.  Only chains whose pending
+        goal can still be claimed by step m are kept.
+
+        Returns the arrival of each chain, ascending, and the chains; per
+        arrival they come in sorted order."""
+        codes = self.box.codes(cells)
+        arrival, chains = [np.arange(len(codes))], [np.asarray(claims).reshape(-1, 2)]
+        while len(arrival[-1]):
+            r, (g, s) = arrival[-1], chains[-1].T
+            since = step - np.where(self.relative[g], s, 0)
+            claim = self.member[g, codes[r]] & (self.a[g] <= since) & (since <= self.b[g])
+            arrival.append(r[claim])
+            chains.append(np.stack([g[claim] + 1, np.full(len(arrival[-1]), step)], axis=1))
+        arrival, chains = np.concatenate(arrival), np.concatenate(chains)
+        g, s = chains.T
+        base = np.where(self.relative[g], s, 0)
+        alive = (g == self.count) | ((step - base <= self.b[g]) & (base + self.a[g] <= self.m))
+        # along a chain the goal count grows, so a stable sort by arrival
+        # leaves each arrival's chains in sorted order
+        order = np.argsort(arrival[alive], kind="stable")
+        return arrival[alive][order], chains[alive][order]
+
+    def codes(self, cells, claims):
+        """Integer codes of states (cells, claims), in the states' sorted order."""
+        return (self.box.codes(cells) * (self.count + 1) + claims[:, 0]) * (self.m + 1) + claims[:, 1]
+
+    def layer(self, cells, claims):
+        """The distinct states among rows (cells, claims), deduplicated as
+        integer codes, as a sorted Layer; and the layer row of each row."""
+        _, first, to = np.unique(self.codes(cells, claims), return_index=True, return_inverse=True)
+        return Layer(cells[first], claims[first]), to
 
 
-def _claim_options(cell, progress, step, table, m):
-    """Sorted claim chains on arrival at step that can still complete by m."""
-    return sorted(p for p in _advance(cell, progress, step, table) if _alive(p, step, table, m))
+# One agent's search states at one step, in sorted order: row r is the
+# cell ``cells[r]`` (an int lattice row) with ``claims[r]`` (goals
+# claimed, step of the last claim).
+Layer = collections.namedtuple("Layer", "cells claims")
+
+
+@dataclass(frozen=True, eq=False)
+class Search:
+    """An agent's forward layers, one per step 0..m, its number of goals,
+    and per step k < m the transitions out of the expanded states:
+    ``edges[k]`` pairs rows of layer k with the rows of layer k + 1."""
+
+    agent_id: int
+    goals: int
+    layers: list
+    edges: list
+
+
+def _ranges(sizes):
+    """For a count per owner, the owner of each counted item, in order,
+    and the item's rank within its owner."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _arrivals(goals, posts, of_row, claims, step):
+    """The successor states of one agent slot over many rows, made the same
+    way for both searches.  Row r enters every cell of the Post
+    ``posts[of_row[r]]`` (a sorted tuple of lattice tuples) with
+    ``claims[r]``, and takes every claim chain of ``goals.arrive``.
+
+    Returns the row of each successor, ascending, and the successors'
+    cells, claims and codes; per row they run in Post order, then in claim
+    order, the order of a product node's picks."""
+    sizes = np.array([len(succ) for succ in posts], dtype=int)
+    cells = np.array(list(itertools.chain.from_iterable(posts)), dtype=int)
+    cells = cells.reshape(-1, goals.box.mask.ndim)
+    rows, rank = _ranges(sizes[of_row])
+    cells = cells[(np.cumsum(sizes) - sizes)[of_row][rows] + rank]
+    arrival, chains = goals.arrive(cells, claims[rows], step)
+    return rows[arrival], cells[arrival], chains, goals.codes(cells[arrival], chains)
+
+
+def _start(abstraction, agent_id, goals):
+    """An agent's cell at step 0, from its x0, and the claim chains open there."""
+    cell = grid.locate(abstraction.decs[agent_id], abstraction.model.agent(agent_id).x0)
+    return cell, goals.arrive(np.array([cell]), np.zeros((1, 2), dtype=int), 0)[1]
+
+
+def _run_starts(cells):
+    """Where each run of equal rows of a sorted int array starts."""
+    start = np.ones(len(cells), dtype=bool)
+    start[1:] = np.any(cells[1:] != cells[:-1], axis=1)
+    return start
 
 
 def forward_layers(abstraction, jobs, m):
-    """Per-step sets of (cell, claimed, last-claim-step) reachable states of
-    several agents, advanced in lockstep.
+    """The forward searches of several agents, advanced in lockstep.
 
     A job is (agent id, parent cells, goal table); its search starts at
     the cell of the agent's x0.  ``parent_cells[k]`` is the tuple of
     neighbor cells during interval k, aligned with the agent's declared
-    neighbor order.  Non-initiating cells are retained but never expanded.
-
-    The Posts every job needs at step k come from one stacked endpoint
-    run (_layer_posts).  Returns, per job, its layers or the HorizonError
+    neighbor order.  Returns, per job, its Search or the HorizonError
     that stopped it.
+
+    A layer is a product layer with frozen parent cells.  Per job and
+    step, initiation is one CellSet.contains_many over the layer's cells
+    (the parent cells are checked once), the Posts of its distinct
+    initiating cells come from one stacked endpoint run for every job
+    (_layer_posts), and the successors of the expanded states are made
+    by _arrivals and deduplicated as integer codes.  States in
+    non-initiating cells are kept but never expanded.
     """
+    goals = [_Goals(abstraction.decs[i], table, m) for i, _, table in jobs]
     out = []
-    for agent_id, _, table in jobs:
-        start = grid.locate(abstraction.decs[agent_id], abstraction.model.agent(agent_id).x0)
-        layers = [set() for _ in range(m + 1)]
-        layers[0] = {(start, g, s) for (g, s) in _claim_options(start, (0, 0), 0, table, m)}
-        out.append(layers)
+    for (agent_id, _, _), job_goals in zip(jobs, goals):
+        cell, claims = _start(abstraction, agent_id, job_goals)
+        layer, _ = job_goals.layer(np.repeat([cell], len(claims), axis=0), claims)
+        out.append(Search(agent_id, job_goals.count, [layer], []))
     for k in range(m):
-        # per live job: its index, its configurations and its states by own cell
+        # per live job: its index, the expanded rows, the configuration of
+        # each and the configurations
         requests = []
         for j, (agent_id, parent_cells, _) in enumerate(jobs):
             if isinstance(out[j], HorizonError):
                 continue
-            parents = tuple(parent_cells[k])
-            grouped = {}
-            for (l, g, s) in out[j][k]:
-                if abstraction.is_initiating(agent_id, (l,) + parents):
-                    grouped.setdefault(l, set()).add((g, s))
-            if grouped:
-                requests.append((j, [(l,) + parents for l in sorted(grouped)], grouped))
-        posts = _layer_posts(abstraction, [(jobs[j][0], configs) for j, configs, _ in requests])
-        for (j, configs, grouped), succs in zip(requests, posts):
+            layer, parents = out[j].layers[k], tuple(parent_cells[k])
+            neighbors = abstraction.model.agent(agent_id).neighbors
+            frozen = all(c in abstraction.decs[p].initiating_set for p, c in zip(neighbors, parents))
+            initiating = abstraction.decs[agent_id].initiating_set.contains_many(layer.cells)
+            rows = np.flatnonzero(initiating & frozen)
+            start = _run_starts(layer.cells[rows])
+            configs = [(tuple(c),) + parents for c in layer.cells[rows[start]].tolist()]
+            requests.append((j, rows, np.cumsum(start) - 1, configs))
+        posts = _layer_posts(abstraction, [(jobs[j][0], configs) for j, _, _, configs in requests])
+        for (j, rows, of_row, _), succs in zip(requests, posts):
             if isinstance(succs, HorizonError):
                 out[j] = succs
                 continue
-            table = jobs[j][2]
-            # with k fixed, the claim options depend only on (cell, progress)
-            options = {}
-            nxt = out[j][k + 1]
-            for l, succ in zip(sorted(grouped), succs):
-                for l2 in succ:
-                    for prog in grouped[l]:
-                        key = (l2, prog)
-                        if key not in options:
-                            options[key] = _claim_options(l2, prog, k + 1, table, m)
-                        nxt.update((l2, g, s) for (g, s) in options[key])
+            claims = out[j].layers[k].claims[rows]
+            r, cells, claims, _ = _arrivals(goals[j], succs, of_row, claims, k + 1)
+            layer, to = goals[j].layer(cells, claims)
+            out[j].layers.append(layer)
+            out[j].edges.append((rows[r], to))
     return out
 
 
@@ -174,69 +254,60 @@ def _layer_posts(abstraction, requests):
     return out
 
 
-def backward_prune(abstraction, agent_id, parent_cells, table, m, layers):
-    """States on at least one goal-satisfying path of length m."""
-    G = len(table)
-    good = [set() for _ in range(m + 1)]
-    good[m] = {(l, g, s) for (l, g, s) in layers[m] if g == G}
+def backward_prune(search):
+    """Per layer of a Search, a mask of its states on at least one
+    goal-satisfying path of length m: the complete states of layer m,
+    then each state with an edge into the mask of the layer after it."""
+    m = len(search.layers) - 1
+    good = [None] * m + [search.layers[m].claims[:, 0] == search.goals]
     for k in range(m - 1, -1, -1):
-        by_cell = {}
-        for (l2, g2, s2) in good[k + 1]:
-            by_cell.setdefault(l2, set()).add((g2, s2))
-        if not by_cell:
-            continue
-        parents = tuple(parent_cells[k])
-        for (l, g, s) in layers[k]:
-            config = (l,) + parents
-            if not abstraction.is_initiating(agent_id, config):
-                continue
-            for l2 in abstraction.post(agent_id, config):
-                progs = by_cell.get(l2)
-                if progs and _advance(l2, (g, s), k + 1, table) & progs:
-                    good[k].add((l, g, s))
-                    break
+        src, dst = search.edges[k]
+        good[k] = np.zeros(len(search.layers[k].cells), dtype=bool)
+        good[k][src[good[k + 1][dst]]] = True
     return good
 
 
-def iter_satisfying_paths(abstraction, agent_id, parent_cells, table, m, good):
-    """Cell paths in lexicographic order, each yielded exactly once."""
-    if not good[0]:
-        return
-    start_cell = next(iter(good[0]))[0]
-    by_cell_layers = []
-    for layer in good:
-        by_cell = {}
-        for (l, g, s) in layer:
-            by_cell.setdefault(l, set()).add((g, s))
-        by_cell_layers.append(by_cell)
+def iter_satisfying_paths(search, good):
+    """Cell paths through the ``good`` states of a Search, in lexicographic
+    order, each yielded exactly once.
 
-    def rec(k, cell, states, prefix):
+    A path's step k holds a set of good states of layer k, all in its
+    cell; their edges reach good states of layer k + 1, and each cell
+    among those, in sorted order, is one way on with its states there.
+    """
+    m = len(search.layers) - 1
+
+    def cell(k, row):
+        return tuple(search.layers[k].cells[row].tolist())
+
+    def rec(k, rows, prefix):
         if k == m:
             yield list(prefix)
             return
-        succ = abstraction.post(agent_id, (cell,) + tuple(parent_cells[k]))
-        for l2 in succ:
-            progs = by_cell_layers[k + 1].get(l2)
-            if not progs:
-                continue
-            reach = set()
-            for prog in states:
-                reach |= _advance(l2, prog, k + 1, table)
-            compatible = reach & progs
-            if compatible:
-                prefix.append(l2)
-                yield from rec(k + 1, l2, compatible, prefix)
-                prefix.pop()
+        src, dst = search.edges[k]
+        reached = np.unique(dst[np.isin(src, rows) & good[k + 1][dst]])
+        starts = np.flatnonzero(_run_starts(search.layers[k + 1].cells[reached]))
+        for group in np.split(reached, starts[1:]):
+            prefix.append(cell(k + 1, group[0]))
+            yield from rec(k + 1, group, prefix)
+            prefix.pop()
 
-    yield from rec(0, start_cell, set(by_cell_layers[0][start_cell]), [start_cell])
+    rows = np.flatnonzero(good[0])
+    if rows.size:
+        yield from rec(0, rows, [cell(0, rows[0])])
 
 
-def _first_failing_goal(layers, table):
-    best = -1
-    for layer in layers:
-        for (_, g, _) in layer:
-            best = max(best, g)
-    if best < len(table):
+def _cells(box, arrays):
+    """The sorted distinct cells, as lattice tuples, among the rows of int
+    lattice arrays inside the box of the CellSet ``box``."""
+    codes = np.unique(box.codes(np.concatenate(arrays)))
+    cells = np.stack(np.unravel_index(codes, box.mask.shape), axis=-1) + box.origin
+    return list(map(tuple, cells.tolist()))
+
+
+def _first_failing_goal(search):
+    best = int(np.max(np.concatenate([layer.claims[:, 0] for layer in search.layers]), initial=-1))
+    if best < search.goals:
         return f"goal {best + 1} was never claimable inside its window"
     return "goals are claimable but no path of the full plan length survives"
 
@@ -305,14 +376,14 @@ def cascade_synthesize(model, abstraction, budget=64):
     satisfying = {}
     chosen = {}
     failure = {}
-    # agent -> (parent cells, layers or the error) of its last forward pass
+    # agent -> (parent cells, Search or the error) of its last forward pass
     passes = {}
 
     def parent_cells_for(i):
         agent = model.agent(i)
         return tuple(tuple(chosen[j][k] for j in agent.neighbors) for k in range(m + 1))
 
-    def layers_for(idx):
+    def search_for(idx):
         i = order[idx]
         if passes.get(i, (None,))[0] != parent_cells_for(i):
             batch = [i] + [
@@ -323,10 +394,10 @@ def cascade_synthesize(model, abstraction, budget=64):
             jobs = [(j, parent_cells_for(j), tables[j]) for j in batch]
             for job, result in zip(jobs, forward_layers(abstraction, jobs, m)):
                 passes[job[0]] = (job[1], result)
-        parent_cells, layers = passes[i]
-        if isinstance(layers, HorizonError):
-            raise layers
-        return parent_cells, layers
+        search = passes[i][1]
+        if isinstance(search, HorizonError):
+            raise search
+        return search
 
     def solve(idx):
         """None when the agents from order[idx] on all get a path, else
@@ -335,16 +406,17 @@ def cascade_synthesize(model, abstraction, budget=64):
         if idx == len(order):
             return None
         i = order[idx]
-        parent_cells, layers = layers_for(idx)
-        good = backward_prune(abstraction, i, parent_cells, tables[i], m, layers)
-        reachable[i] = sorted({l for layer in layers for (l, _, _) in layer})
-        satisfying[i] = sorted({l for layer in good for (l, _, _) in layer})
+        search = search_for(idx)
+        good = backward_prune(search)
+        box = abstraction.decs[i].index_set
+        reachable[i] = _cells(box, [layer.cells for layer in search.layers])
+        satisfying[i] = _cells(box, [layer.cells[g] for layer, g in zip(search.layers, good)])
         # an agent's layers rest on its parents' paths alone
         conflict = set(model.agent(i).neighbors)
-        if not good[0]:
-            failure[i] = _first_failing_goal(layers, tables[i])
+        if not good[0].any():
+            failure[i] = _first_failing_goal(search)
             return conflict
-        paths = iter_satisfying_paths(abstraction, i, parent_cells, tables[i], m, good)
+        paths = iter_satisfying_paths(search, good)
         for path in itertools.islice(paths, budget):
             explored[i] += 1
             chosen[i] = path
@@ -371,65 +443,47 @@ def cascade_synthesize(model, abstraction, budget=64):
 def product_synthesize(model, abstraction, cap=10**6):
     """Layered breadth-first search over the synchronized product.
 
-    A node is (cells, claim progress), one entry per agent.  Layer k + 1
-    maps each node to the first node of layer k, in sorted order, that
-    generates it (_product_successors); the plan follows these parents
-    back from the first complete node.  CapExceededError once the layers
-    hold more than ``cap`` nodes in all.
+    A node is (cells, claim progress), one entry per agent slot; a layer
+    holds its nodes as arrays, rows in sorted order, and the row of each
+    node's parent: the first node of the layer before, in sorted order,
+    that generates it (_product_successors).  The plan follows these
+    parents back from the first complete node.  CapExceededError once
+    the layers hold more than ``cap`` nodes in all.
     """
     ids = model.agent_ids
     tables = {i: goal_table(abstraction, i) for i in ids}
     m_max = plan_length(abstraction, tables)
-    start_cells = tuple(
-        grid.locate(abstraction.decs[i], model.agent(i).x0) for i in ids
-    )
-    init_progress = [
-        _claim_options(start_cells[a], (0, 0), 0, tables[i], m_max)
-        for a, i in enumerate(ids)
-    ]
-    parents = [dict.fromkeys((start_cells, combo) for combo in itertools.product(*init_progress))]
-    generated = len(parents[0])
+    goals = [_Goals(abstraction.decs[i], tables[i], m_max) for i in ids]
+    start_cells, claims = zip(*(_start(abstraction, i, slot) for i, slot in zip(ids, goals)))
+    combos = np.array(list(itertools.product(*(c.tolist() for c in claims))), dtype=int)
+    # per layer: cells (rows, slots, dim), claims (rows, slots, 2), parent rows
+    layers = [(np.repeat([start_cells], len(combos), axis=0), combos, None)]
+    generated = len(combos)
     _check_cap(generated, cap)
-
-    def complete(node):
-        cells, progress = node
-        return all(progress[k][0] == len(tables[i]) for k, i in enumerate(ids))
-
     for k in range(m_max + 1):
-        current = sorted(parents[k])
-        for node in current:
-            if complete(node):
-                return _reconstruct_product(
-                    model, abstraction, parents, k, node, tables, generated
-                )
+        cells, claims, _ = layers[k]
+        complete = np.flatnonzero(np.all(claims[:, :, 0] == [g.count for g in goals], axis=1))
+        if complete.size:
+            return _reconstruct_product(model, abstraction, layers, complete[0], generated)
         if k == m_max:
             break
-        lattice = np.array([node[0] for node in current], dtype=int).reshape(
-            len(current), len(ids), model.dim
-        )
-        initiating = np.ones(len(current), dtype=bool)
-        for a, i in enumerate(ids):
-            initiating &= abstraction.decs[i].initiating_set.contains_many(lattice[:, a])
-        expandable = list(itertools.compress(current, initiating))
-        # one stacked endpoint run for every agent; posts[a][r] belongs to expandable[r]
-        columns = {i: [cells[a] for cells, _ in expandable] for a, i in enumerate(ids)}
-        configs = plan_configs(model, columns, len(expandable))
+        rows = np.flatnonzero(np.all([
+            abstraction.decs[i].initiating_set.contains_many(cells[:, a]) for a, i in enumerate(ids)
+        ], axis=0))
+        # one stacked endpoint run for every agent; posts[a][r] belongs to rows[r]
+        columns = {i: list(map(tuple, cells[rows, a].tolist())) for a, i in enumerate(ids)}
+        configs = plan_configs(model, columns, len(rows))
         posts = _layer_posts(abstraction, [(i, configs[i]) for i in ids])
         for succs in posts:
             if isinstance(succs, HorizonError):
                 raise succs
-        # with k fixed, the claim options depend only on (agent slot, cell, progress)
-        options = {}
-
-        def claim_options(a, cell, prog):
-            key = (a, cell, prog)
-            if key not in options:
-                options[key] = _claim_options(cell, prog, k + 1, tables[ids[a]], m_max)
-            return options[key]
-
-        nxt = _product_successors(expandable, posts, claim_options, generated, cap)
-        generated += len(nxt)
-        parents.append(nxt)
+        slots = [
+            _arrivals(goals[a], succs, np.arange(len(rows)), claims[rows, a], k + 1)
+            for a, succs in enumerate(posts)
+        ]
+        nxt_cells, nxt_claims, parent = _product_successors(len(rows), slots, generated, cap)
+        layers.append((nxt_cells, nxt_claims, rows[parent]))
+        generated += len(parent)
     raise UnsatisfiableError(
         f"no product path of length at most {m_max} satisfies every agent"
     )
@@ -443,77 +497,57 @@ def _check_cap(generated, cap):
 _PICK_BLOCK = 1 << 13  # picks coded at once by _product_successors
 
 
-def _product_successors(expandable, posts, claim_options, generated, cap):
-    """One product layer: each successor node mapped to the first node of
-    ``expandable`` that generates it, in order of generation.
+def _product_successors(count, slots, generated, cap):
+    """One product layer from ``count`` expanded nodes, in sorted order:
+    the cells and claims of its nodes and the node each first comes from.
 
     A node's successors are its picks of one (successor cell, claim) pair
-    per agent slot, in itertools.product order, where ``posts[a][r]`` holds
-    slot a's successor cells of node r and ``claim_options(a, cell,
-    progress)`` the claims on arrival.  Each slot's pairs get integer ids
-    within the layer, and every pick becomes an int code of its ids
-    (_PickCoder).  Blocks of whole nodes, about _PICK_BLOCK picks each,
-    keep memory small; each is deduplicated by one np.unique against the
-    codes of the blocks before it, and only successors met for the first
-    time are decoded into nodes.  CapExceededError is raised as soon as
-    ``generated`` plus the successors found pass ``cap``.
+    per agent slot, in itertools.product order.  ``slots[a]`` holds slot
+    a's pairs as _arrivals returns them: the node of each pair, then the
+    pairs' cells, claims and codes.  Each slot's distinct pairs get ids,
+    and every pick becomes an int code of its ids (_PickCoder).  Blocks of
+    whole nodes, about _PICK_BLOCK picks each, keep memory small; each is
+    deduplicated by one np.unique against the codes of the blocks before
+    it, so a successor keeps the node of its first pick.
+    CapExceededError is raised as soon as ``generated`` plus the
+    successors found pass ``cap``.
     """
-    slots = len(posts)
-    index = [{} for _ in range(slots)]  # per slot: (cell, claim) -> id
-    ids_of = {}  # (slot, successor cells, progress) -> ids of their pairs
-
-    def pair_ids(a, succ, prog):
-        key = (a, succ, prog)
-        if key not in ids_of:
-            pairs = [(cell, p) for cell in succ for p in claim_options(a, cell, prog)]
-            ids_of[key] = [index[a].setdefault(pair, len(index[a])) for pair in pairs]
-        return ids_of[key]
-
-    # per slot, every node's pair ids one after another; per node, its
-    # pick count and the number of pairs of each slot
-    flat = [[] for _ in range(slots)]
-    counts = []
-    picks = []
-    for node, node_posts in zip(expandable, zip(*posts)):
-        row = []
-        for a, (succ, prog) in enumerate(zip(node_posts, node[1])):
-            ids = pair_ids(a, succ, prog)
-            flat[a] += ids
-            row.append(len(ids))
-        counts.append(row)
-        picks.append(math.prod(row))
+    counts, flat, pairs = [], [], []
+    for rows, cells, claims, codes in slots:
+        counts.append(np.bincount(rows, minlength=count))
+        _, first, ids = np.unique(codes, return_index=True, return_inverse=True)
+        flat.append(ids)
+        pairs.append(np.concatenate([cells, claims], axis=1)[first])
+    counts = np.array(counts, dtype=np.int64).reshape(len(slots), count)
+    picks = [math.prod(row) for row in counts.T.tolist()]
     # a node's picks are distinct successors, so the largest one alone may trip the cap
     _check_cap(generated + max(picks, default=0), cap)
-    counts = np.array(counts, dtype=np.int64).reshape(len(picks), slots).T
     starts = np.cumsum(counts, axis=1) - counts
-    flat = [np.array(f, dtype=np.int64) for f in flat]
-    cells = [[cell for cell, _ in ids] for ids in index]
-    claims = [[claim for _, claim in ids] for ids in index]
-    coder = _PickCoder([len(ids) for ids in index], sum(picks))
+    coder = _PickCoder([len(p) for p in pairs], sum(picks))
     seen = np.empty(0, dtype=np.int64)  # codes of the successors found so far
-    nxt = {}
-    for r0, r1 in _blocks(picks, _PICK_BLOCK):
-        sizes = np.array(picks[r0:r1], dtype=np.int64)
-        node_of = np.repeat(np.arange(r0, r1), sizes)
+    found, parent = [], []  # per block: slot pair ids of new successors, their nodes
+    for r0, r1 in _blocks(picks, _PICK_BLOCK) or [(0, 0)]:
+        node_of, q = _ranges(np.array(picks[r0:r1], dtype=np.int64))
+        node_of += r0
         # the rank of each pick among its node's picks, read as a mixed-radix
         # number whose last slot varies fastest, as in itertools.product
-        q = np.arange(len(node_of)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        cols = [None] * slots
-        for a in reversed(range(slots)):
+        cols = [None] * len(slots)
+        for a in reversed(range(len(slots))):
             q, local = np.divmod(q, counts[a][node_of])
             cols[a] = flat[a][starts[a][node_of] + local]
         codes, first = np.unique(coder(cols), return_index=True)
         new = ~np.isin(codes, seen)
         seen = np.concatenate((seen, codes[new]))
-        first = np.sort(first[new])
-        picked = [col[first].tolist() for col in cols]
-        succs = zip(
-            zip(*(map(c.__getitem__, col) for c, col in zip(cells, picked))),
-            zip(*(map(c.__getitem__, col) for c, col in zip(claims, picked))),
-        )
-        nxt.update(zip(succs, map(expandable.__getitem__, node_of[first].tolist())))
-        _check_cap(generated + len(nxt), cap)
-    return nxt
+        found.append([col[first[new]] for col in cols])
+        parent.append(node_of[first[new]])
+        _check_cap(generated + len(seen), cap)
+    # per new successor and slot: (cell, claims), the rows of its pair
+    nodes = np.stack([p[np.concatenate(f)] for p, f in zip(pairs, zip(*found))], axis=1)
+    cells, claims = nodes[:, :, :-2], nodes[:, :, -2:]
+    # sorted as node tuples: every slot's cell, then every slot's claims
+    keys = np.concatenate([a.reshape(len(nodes), -1) for a in (cells, claims)], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    return cells[order], claims[order], np.concatenate(parent)[order]
 
 
 def _blocks(sizes, limit):
@@ -561,21 +595,23 @@ class _PickCoder:
         return code
 
 
-def _reconstruct_product(model, abstraction, parents, k, node, tables, generated):
+def _reconstruct_product(model, abstraction, layers, row, generated):
     ids = model.agent_ids
-    chain = [node]
-    for layer_idx in range(k, 0, -1):
-        chain.append(parents[layer_idx][chain[-1]])
-    chain.reverse()
+    chain = [row]
+    for _, _, parent in layers[:0:-1]:
+        chain.append(parent[chain[-1]])
     chosen = {
-        i: [step[0][a] for step in chain] for a, i in enumerate(ids)
+        i: [tuple(cells[r, a].tolist()) for (cells, _, _), r in zip(layers, chain[::-1])]
+        for a, i in enumerate(ids)
     }
     reachable = {
-        i: sorted({n[0][a] for layer in parents for n in layer}) for a, i in enumerate(ids)
+        i: _cells(abstraction.decs[i].index_set, [cells[:, a] for cells, _, _ in layers])
+        for a, i in enumerate(ids)
     }
     explored = {i: generated for i in ids}
     return _assemble_plan(
-        model, abstraction, chosen, k, "product", explored, reachable, dict(reachable)
+        model, abstraction, chosen, len(chain) - 1, "product", explored, reachable,
+        dict(reachable),
     )
 
 
@@ -636,7 +672,8 @@ def extract_controls(model, abstraction, plan):
     check_plan_lists(model, plan)
     configs = plan_configs(model, plan.cells, plan.m)
     initiating = {
-        i: [c for c in configs[i] if abstraction.is_initiating(i, c)] for i in model.agent_ids
+        i: list(itertools.compress(configs[i], abstraction.initiating([(i, c) for c in configs[i]])))
+        for i in model.agent_ids
     }
     # one stacked reference run for every agent; its endpoints serve the
     # Posts below, and the closed loop reuses it for the same pairs

@@ -165,9 +165,12 @@ def simulate_closed_loop(model, abstraction, schedule, m):
         lambda index: network_rhs(g_ref[:, :r][:, index], k2[:r][index], k3[index]),
         bounds, Y0s, dt, 2 * substeps,
     )
-    integrate.check_audit(
-        coarse, fine, integ_tol, what=lambda k: f"closed-loop interval {k}",
-    )
+    integrate.check_audit(coarse, fine, integ_tol, what=controller.audit_names(
+        lambda k: f"closed-loop interval {k}",
+        lambda k: (raw_rhs(g_ref[:, k:k + 1], k2[k:k + 1], k3[k:k + 1]),
+                   bounds, Y0s[k:k + 1], dt, 2 * substeps),
+        ("|f_i|/M_i", "|kbar_i|/v_max"), ids,
+    ))
     # node j's input is that of the interval starting there, and the last
     # node's is the last interval's; every interval's run has the local
     # time grid dense.ts
@@ -257,47 +260,50 @@ def trajectory_to_csv(traj):
     return buf.getvalue()
 
 
-def trajectory_from_csv(text):
-    """Rebuild a trajectory (states and inputs) from its CSV form."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
+def trajectory_from_csv(text, model):
+    """Rebuild a trajectory (states and inputs) of ``model`` from its CSV
+    form, as trajectory_to_csv lays it out.
+
+    Any other file is a ModelError: a header or row with other than
+    2 + 2 * dim columns, a non-finite value, agent ids other than the
+    model's, a time without one row per agent, or times that do not
+    start at 0 and increase strictly.  The rows are checked as one array.
+    """
+    lines = [ln.split(",") for ln in text.strip().splitlines() if ln]
     if not lines:
         raise ModelError("empty trajectory file")
-    header = lines[0].split(",")
-    if header[:2] != ["t", "agent"] or len(header) < 4 or (len(header) - 2) % 2 != 0:
-        raise ModelError("malformed trajectory header")
-    n = (len(header) - 2) // 2
-    ts = []
-    rows = {}
+    n, ids = model.dim, sorted(model.agent_ids)
+    if lines[0][:2] != ["t", "agent"] or len(lines[0]) != 2 + 2 * n:
+        raise ModelError(f"malformed trajectory header: need t, agent and {2 * n} values")
     try:
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            t = float(parts[0])
-            agent = int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-            if len(vals) != 2 * n:
-                raise ValueError(f"expected {2 * n} values, got {len(vals)}")
-            if not ts or t != ts[-1]:
-                ts.append(t)
-            rows.setdefault(agent, []).append(vals)
-    except (ValueError, IndexError) as e:
+        data = np.array(lines[1:], dtype=float).reshape(len(lines) - 1, 2 + 2 * n)
+    except ValueError as e:
         raise ModelError(f"malformed trajectory row: {e}") from None
-    ids = sorted(rows)
-    count = len(ts)
-    if any(len(rows[i]) != count for i in ids):
-        raise ModelError("trajectory rows are unbalanced across agents")
-    data = np.array([rows[i] for i in ids])
-    states = np.transpose(data[:, :, :n], (1, 0, 2))
-    inputs = np.transpose(data[:, :, n:], (1, 0, 2))
+    if not np.all(np.isfinite(data)):
+        raise ModelError("trajectory holds a non-finite value")
+    found = sorted(set(data[:, 1].tolist()))
+    if found != ids:
+        raise ModelError(f"trajectory agents {found} are not the model's {ids}")
+    # one block of rows per time, one row per agent, all at that time
+    blocks = data.reshape(-1, len(ids), 2 + 2 * n) if len(data) % len(ids) == 0 else None
+    if blocks is None or np.any(np.sort(blocks[:, :, 1], axis=1) != ids) or np.any(
+        blocks[:, :, 0] != blocks[:, :1, 0]
+    ):
+        raise ModelError("trajectory rows are unbalanced: each time needs one row per agent")
+    blocks = np.take_along_axis(blocks, np.argsort(blocks[:, :, 1:2], axis=1), axis=1)
+    ts = blocks[:, 0, 0]
+    if ts[0] != 0 or not np.all(ts[1:] > ts[:-1]):
+        raise ModelError("trajectory times must start at 0 and increase strictly")
     return Trajectory(
-        ts=np.array(ts),
-        states=states,
-        inputs=inputs,
+        ts=ts,
+        states=blocks[:, :, 2:2 + n],
+        inputs=blocks[:, :, 2 + n:],
         agent_ids=tuple(ids),
-        dt=float(ts[-1]) if count > 1 else 0.0,
-        substeps=max(count - 1, 1),
+        dt=float(ts[-1]) if len(ts) > 1 else 0.0,
+        substeps=max(len(ts) - 1, 1),
     )
 
 
-def final_states_from_csv(text):
-    """Last sampled state per agent from a trajectory CSV."""
-    return trajectory_from_csv(text).final_states()
+def final_states_from_csv(text, model):
+    """Last sampled state per agent from a trajectory CSV of ``model``."""
+    return trajectory_from_csv(text, model).final_states()

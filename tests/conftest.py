@@ -14,6 +14,7 @@ forward path, one agent at a time in topological order, which makes
 every generated instance satisfiable by construction.
 """
 
+import copy
 import importlib.util
 import itertools
 import json
@@ -223,9 +224,8 @@ def make_stack(doc, lam=None, steps=None, margin=wellposed.DEFAULT_MARGIN,
 def lex_least_full_path(ab, agent_id, parent_cells, m):
     """First full-length cell path in lexicographic order, or None."""
     table = []
-    (layers,) = planner.forward_layers(ab, [(agent_id, parent_cells, table)], m)
-    good = planner.backward_prune(ab, agent_id, parent_cells, table, m, layers)
-    for path in planner.iter_satisfying_paths(ab, agent_id, parent_cells, table, m, good):
+    (search,) = planner.forward_layers(ab, [(agent_id, parent_cells, table)], m)
+    for path in planner.iter_satisfying_paths(search, planner.backward_prune(search)):
         return path
     return None
 
@@ -444,6 +444,32 @@ def ring_workloads():
     return workloads
 
 
+def star_doc(size):
+    """A star of ``size`` agents around five_agents' agent 3, which keeps
+    its goals: ``size - 1`` copies of agent 2 (``neighbors [3]``, no
+    goals), their x0 evenly spaced on a circle of radius 3 around the
+    leader's.  Plan it with ``--steps 12`` (STAR_FLAGS)."""
+    with open(FIVE_AGENTS) as fh:
+        five = json.load(fh)
+    leader, = (a for a in five["agents"] if a["id"] == 3)
+    follower, = (a for a in five["agents"] if a["id"] == 2)
+    agents = [copy.deepcopy(leader)]
+    ids = [i for i in range(1, size + 1) if i != leader["id"]]
+    for k, i in enumerate(ids):
+        angle = 2 * math.pi * k / len(ids)
+        agent = copy.deepcopy(follower)
+        agent["id"] = i
+        agent["x0"] = [leader["x0"][0] + 3 * math.cos(angle), leader["x0"][1] + 3 * math.sin(angle)]
+        agents.append(agent)
+    doc = {key: value for key, value in five.items() if key not in ("agents", "spec")}
+    doc["agents"] = sorted(agents, key=lambda a: a["id"])
+    doc["spec"] = {"3": five["spec"]["3"]}
+    return doc
+
+
+STAR_FLAGS = ["--steps", "12"]
+
+
 def ring_doc(seed):
     """The benchmark's seeded 3-agent expression ring model document.
 
@@ -586,8 +612,8 @@ def per_combination_product_layers(model, ab):
     def options(a, cell, prog, step):
         table = tables[ids[a]]
         return sorted(
-            p for p in planner._advance(cell, prog, step, table)
-            if planner._alive(p, step, table, m_max)
+            p for p in oracles.advance(cell, prog, step, table)
+            if oracles.alive(p, step, table, m_max)
         )
 
     start = tuple(grid.locate(ab.decs[i], model.agent(i).x0) for i in ids)

@@ -9,8 +9,8 @@ any motion of its neighbors inside their growing tubes
 system for a batch of transitions at once, with ``eval_g`` below and the
 production ``controller.feedback`` and ``integrate_reference``.
 
-Also here: the open-loop simulator, the one-agent-at-a-time cascade, the
-pick-by-pick product layer, the random cell and disturbance samplers, and
+Also here: the open-loop simulator, the tuple-set cascade search and the
+one-agent-at-a-time cascade built on it, the pick-by-pick product layer, the random cell and disturbance samplers, and
 the set, parameter and expression helpers that only tests use.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from horizon_abs import controller, expr, grid, integrate, planner, reach, sim
 from horizon_abs import model as model_mod
-from horizon_abs.errors import ModelError, UnsatisfiableError
+from horizon_abs.errors import HorizonError, ModelError, UnsatisfiableError
 
 DISTURBANCE_KNOTS = 8
 
@@ -383,11 +383,167 @@ def expr_to_string(node):
     return f"({expr_to_string(node.left)} {node.op} {expr_to_string(node.right)})"
 
 
+def advance(cell, progress, step, table):
+    """All claim chains available on arrival: wait, or claim pending goals."""
+    out = set()
+    stack = [progress]
+    while stack:
+        g, s = stack.pop()
+        if (g, s) in out:
+            continue
+        out.add((g, s))
+        if g < len(table):
+            goal = table[g]
+            base = s if goal.relative else 0
+            if cell in goal.cells and goal.a <= step - base <= goal.b:
+                stack.append((g + 1, step))
+    return out
+
+
+def alive(progress, step, table, m):
+    """Whether the pending goal can still be claimed by step m."""
+    g, s = progress
+    if g >= len(table):
+        return True
+    goal = table[g]
+    base = s if goal.relative else 0
+    return step - base <= goal.b and base + goal.a <= m
+
+
+def claim_options(cell, progress, step, table, m):
+    """Sorted claim chains on arrival at step that can still complete by m."""
+    return sorted(p for p in advance(cell, progress, step, table) if alive(p, step, table, m))
+
+
+def forward_layers(ab, jobs, m):
+    """planner.forward_layers as it ran before its layers were arrays: per
+    job, per-step sets of (cell, claimed, last-claim-step) states, with
+    one is_initiating call per state and claim options memoized per
+    (cell, progress).  Returns, per job, its layers or the HorizonError
+    that stopped it."""
+    out = []
+    for agent_id, _, table in jobs:
+        start = grid.locate(ab.decs[agent_id], ab.model.agent(agent_id).x0)
+        layers = [set() for _ in range(m + 1)]
+        layers[0] = {(start, g, s) for (g, s) in claim_options(start, (0, 0), 0, table, m)}
+        out.append(layers)
+    for k in range(m):
+        requests = []
+        for j, (agent_id, parent_cells, _) in enumerate(jobs):
+            if isinstance(out[j], HorizonError):
+                continue
+            parents = tuple(parent_cells[k])
+            grouped = {}
+            for (l, g, s) in out[j][k]:
+                if ab.is_initiating(agent_id, (l,) + parents):
+                    grouped.setdefault(l, set()).add((g, s))
+            if grouped:
+                requests.append((j, [(l,) + parents for l in sorted(grouped)], grouped))
+        posts = planner._layer_posts(ab, [(jobs[j][0], configs) for j, configs, _ in requests])
+        for (j, configs, grouped), succs in zip(requests, posts):
+            if isinstance(succs, HorizonError):
+                out[j] = succs
+                continue
+            table = jobs[j][2]
+            options = {}
+            nxt = out[j][k + 1]
+            for l, succ in zip(sorted(grouped), succs):
+                for l2 in succ:
+                    for prog in grouped[l]:
+                        key = (l2, prog)
+                        if key not in options:
+                            options[key] = claim_options(l2, prog, k + 1, table, m)
+                        nxt.update((l2, g, s) for (g, s) in options[key])
+    return out
+
+
+def backward_prune(ab, agent_id, parent_cells, table, m, layers):
+    """States of tuple-set layers on at least one goal-satisfying path of length m."""
+    G = len(table)
+    good = [set() for _ in range(m + 1)]
+    good[m] = {(l, g, s) for (l, g, s) in layers[m] if g == G}
+    for k in range(m - 1, -1, -1):
+        by_cell = {}
+        for (l2, g2, s2) in good[k + 1]:
+            by_cell.setdefault(l2, set()).add((g2, s2))
+        if not by_cell:
+            continue
+        parents = tuple(parent_cells[k])
+        for (l, g, s) in layers[k]:
+            config = (l,) + parents
+            if not ab.is_initiating(agent_id, config):
+                continue
+            for l2 in ab.post(agent_id, config):
+                progs = by_cell.get(l2)
+                if progs and advance(l2, (g, s), k + 1, table) & progs:
+                    good[k].add((l, g, s))
+                    break
+    return good
+
+
+def iter_satisfying_paths(ab, agent_id, parent_cells, table, m, good):
+    """Cell paths through tuple-set good layers in lexicographic order,
+    each yielded exactly once, with one Post request per step."""
+    if not good[0]:
+        return
+    start_cell = next(iter(good[0]))[0]
+    by_cell_layers = []
+    for layer in good:
+        by_cell = {}
+        for (l, g, s) in layer:
+            by_cell.setdefault(l, set()).add((g, s))
+        by_cell_layers.append(by_cell)
+
+    def rec(k, cell, states, prefix):
+        if k == m:
+            yield list(prefix)
+            return
+        succ = ab.post(agent_id, (cell,) + tuple(parent_cells[k]))
+        for l2 in succ:
+            progs = by_cell_layers[k + 1].get(l2)
+            if not progs:
+                continue
+            reach = set()
+            for prog in states:
+                reach |= advance(l2, prog, k + 1, table)
+            compatible = reach & progs
+            if compatible:
+                prefix.append(l2)
+                yield from rec(k + 1, l2, compatible, prefix)
+                prefix.pop()
+
+    yield from rec(0, start_cell, set(by_cell_layers[0][start_cell]), [start_cell])
+
+
+def first_failing_goal(layers, table):
+    best = -1
+    for layer in layers:
+        for (_, g, _) in layer:
+            best = max(best, g)
+    if best < len(table):
+        return f"goal {best + 1} was never claimable inside its window"
+    return "goals are claimable but no path of the full plan length survives"
+
+
+def state_sets(search, masks=None):
+    """A planner.Search's layers as sets of (cell, claimed, last-claim-step)
+    tuples, or only the states each layer's mask keeps."""
+    out = []
+    for k, layer in enumerate(search.layers):
+        keep = np.ones(len(layer.cells), dtype=bool) if masks is None else masks[k]
+        out.append({
+            (tuple(cell), g, s)
+            for cell, (g, s) in zip(layer.cells[keep].tolist(), layer.claims[keep].tolist())
+        })
+    return out
+
+
 def sequential_cascade(model, ab, budget=64):
-    """The cascade one agent at a time, as planner.cascade_synthesize ran
-    it before agents moved in lockstep and backjumped: every turn of an
-    agent runs its own forward pass, an error is raised as soon as it is
-    met, and a failure returns to the agent just before."""
+    """The cascade one agent at a time on tuple-set layers, as
+    planner.cascade_synthesize ran it before agents moved in lockstep,
+    backjumped and searched arrays: every turn of an agent runs its own
+    forward pass, an error is raised as soon as it is met, and a failure
+    returns to the agent just before."""
     order = planner.topological_order(model)
     tables = {i: planner.goal_table(ab, i) for i in model.agent_ids}
     m = planner.plan_length(ab, tables)
@@ -401,16 +557,16 @@ def sequential_cascade(model, ab, budget=64):
         parent_cells = [
             tuple(chosen[j][k] for j in model.agent(i).neighbors) for k in range(m + 1)
         ]
-        (layers,) = planner.forward_layers(ab, [(i, parent_cells, tables[i])], m)
+        (layers,) = forward_layers(ab, [(i, parent_cells, tables[i])], m)
         if isinstance(layers, Exception):
             raise layers
-        good = planner.backward_prune(ab, i, parent_cells, tables[i], m, layers)
+        good = backward_prune(ab, i, parent_cells, tables[i], m, layers)
         reachable[i] = sorted({l for layer in layers for (l, _, _) in layer})
         satisfying[i] = sorted({l for layer in good for (l, _, _) in layer})
         if not good[0]:
-            failure[i] = planner._first_failing_goal(layers, tables[i])
+            failure[i] = first_failing_goal(layers, tables[i])
             return False
-        paths = planner.iter_satisfying_paths(ab, i, parent_cells, tables[i], m, good)
+        paths = iter_satisfying_paths(ab, i, parent_cells, tables[i], m, good)
         for path in itertools.islice(paths, budget):
             explored[i] += 1
             chosen[i] = path
@@ -428,27 +584,33 @@ def sequential_cascade(model, ab, budget=64):
     )
 
 
-def product_successors(expandable, posts, claim_options, generated, cap):
+def product_successors(count, slots, generated, cap):
     """planner._product_successors as the product search ran it before its
     layers were coded as arrays: every pick of every node is formed as a
     tuple, in itertools.product order, and looked up in the layer, and the
-    cap is checked at each new node."""
+    cap is checked at each new node.  The layer's nodes are then sorted
+    into arrays, beside the node each first came from."""
     nxt = {}
-    for node, node_posts in zip(expandable, zip(*posts)):
-        progress = node[1]
-        # each agent's (successor cell, claim option) pairs; their product
-        # is the set of synchronized successor nodes
-        choices = [
-            [(l2, p) for l2 in succ for p in claim_options(a, l2, progress[a])]
-            for a, succ in enumerate(node_posts)
-        ]
-        for pick in itertools.product(*choices):
+    # per slot and node, its (successor cell, claim option) pairs; their
+    # product is the set of synchronized successor nodes
+    choices = [[[] for _ in range(count)] for _ in slots]
+    for a, (rows, cells, claims, _) in enumerate(slots):
+        for r, cell, claim in zip(rows.tolist(), cells.tolist(), claims.tolist()):
+            choices[a][r].append((tuple(cell), tuple(claim)))
+    for r in range(count):
+        for pick in itertools.product(*(slot[r] for slot in choices)):
             nxt_node = tuple(zip(*pick))
             if nxt_node not in nxt:
-                nxt[nxt_node] = node
+                nxt[nxt_node] = r
                 generated += 1
                 if generated > cap:
                     raise planner.CapExceededError(
                         f"product search exceeded the state cap {cap}"
                     )
-    return nxt
+    nodes = sorted(nxt)
+    dim = slots[0][1].shape[1]
+    return (
+        np.array([cells for cells, _ in nodes], dtype=int).reshape(len(nodes), len(slots), dim),
+        np.array([claims for _, claims in nodes], dtype=int).reshape(len(nodes), len(slots), 2),
+        np.array([nxt[node] for node in nodes], dtype=int),
+    )

@@ -372,21 +372,15 @@ def test_criterion_10_planner_oracle_equivalence():
         ]
         # the three tables advance in lockstep, one job each
         jobs = [(agent_id, parent_cells, table) for table in tables]
-        for table, layers in zip(tables, planner.forward_layers(ab, jobs, m)):
-            good = planner.backward_prune(ab, agent_id, parent_cells, table, m, layers)
+        for table, search in zip(tables, planner.forward_layers(ab, jobs, m)):
+            good = planner.backward_prune(search)
             oracle_good, oracle_paths = brute_force_good_layers(
                 ab, agent_id, parent_cells, table, m
             )
-            mismatched_layers += sum(
-                1 for k in range(m + 1) if set(good[k]) != oracle_good[k]
-            )
+            kept = oracles.state_sets(search, good)
+            mismatched_layers += sum(1 for k in range(m + 1) if kept[k] != oracle_good[k])
             assert oracle_paths  # every table is satisfiable by construction
-            found = [
-                tuple(p)
-                for p in planner.iter_satisfying_paths(
-                    ab, agent_id, parent_cells, table, m, good
-                )
-            ]
+            found = [tuple(p) for p in planner.iter_satisfying_paths(search, good)]
             if found != oracle_paths:
                 path_mismatches += 1
             cases += 1

@@ -12,7 +12,7 @@ import pytest
 from horizon_abs import cli
 from horizon_abs.errors import HorizonError
 
-from conftest import FIVE_AGENTS, pair_doc, ring_doc, ring_workloads, run_cli
+from conftest import FIVE_AGENTS, make_model, pair_doc, ring_doc, ring_workloads, run_cli
 
 PAIR_FLAGS = ["--steps", "5", "--lambda", "1=0.55", "--lambda", "2=0.55"]
 
@@ -111,7 +111,8 @@ def test_chain_patches_initial_states(planned_run):
     res = run_cli(["chain", "--model", model_path, "--out", out] + PAIR_FLAGS)
     assert res.returncode == 0, res.stderr
     assert "next_model.json" in res.stdout
-    finals = sim.final_states_from_csv((out / "trajectory.csv").read_text())
+    model = make_model(json.loads(model_path.read_text()))
+    finals = sim.final_states_from_csv((out / "trajectory.csv").read_text(), model)
     doc = json.loads((out / "next_model.json").read_text())
     original = json.loads(model_path.read_text())
     assert doc["horizon"] == original["horizon"]
@@ -319,9 +320,10 @@ def audit_failing_five_agents(tmp_path):
             "--lambda", "1=0.35", "--lambda", "5=0.35"]
 
 
+# agent 3's singular field runs past its speed bound, and the error says by how much
 AGENT_3_AUDIT_ERROR = (
-    "error: reference of agent 3 audit: step-halving estimate 6.923e-07 exceeds "
-    "tolerance 1.000e-08; raise substeps\n"
+    "error: reference of agent 3 (|f_i|/M_i up to 3.4) audit: step-halving estimate "
+    "6.923e-07 exceeds tolerance 1.000e-08; raise substeps\n"
 )
 
 

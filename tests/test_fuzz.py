@@ -12,12 +12,14 @@ it fails, and raise no warning.  The draws come from
 import copy
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from horizon_abs import cli, integrate
+from horizon_abs.model import parse_model
 
 from conftest import FIVE_AGENTS, pair_doc
 
@@ -126,9 +128,17 @@ def test_garbled_expressions(tmp_path, capsys):
         check(argv + PAIR_FLAGS, capsys, {0, 1, 3}, texts)
 
 
+def names_a_broken_bound(err):
+    """An audit error that names an agent and its realized bound ratio past 1."""
+    found = re.search(r"agent \d+\b.*? up to ([^)]+)\) audit:", err)
+    return found is not None and float(found.group(1)) > 1
+
+
 def test_scaled_down_speed_bounds(tmp_path, capsys, monkeypatch):
     """Each agent's M scaled by 0.05 to 0.5, so that saturations bind and
-    runs fail their raw check: plan, and validate after a plan."""
+    runs fail their raw check: plan, and validate after a plan.  Every
+    run that ends in an audit failure names the agent and the bound
+    ratio it reached."""
     saturated = []
     for name in ("rk4_dense", "rk4_endpoint"):
         def counted(rhs, *args, run=getattr(integrate, name)):
@@ -138,15 +148,23 @@ def test_scaled_down_speed_bounds(tmp_path, capsys, monkeypatch):
 
         monkeypatch.setattr(integrate, name, counted)
     rng = np.random.default_rng(29)
+    audits = []
     for k in range(6):
         doc = pair_doc()
         for agent in doc["agents"]:
             agent["M"] *= float(rng.uniform(0.05, 0.5))
         model = write(tmp_path / f"model{k}.json", doc)
         argv = ["--model", model, "--out", tmp_path / f"out{k}"] + PAIR_FLAGS
-        if check(["plan"] + argv, capsys, {0, 1, 2, 3}, ("plan", doc)) == 0:
-            check(["validate"] + argv, capsys, {0, 1, 4}, ("validate", doc))
-    assert saturated
+        for command, allowed in (("plan", {0, 1, 2, 3}), ("validate", {0, 1, 4})):
+            code, err, caught = run([command] + argv, capsys)
+            assert not caught and code in allowed, (command, doc, code, err)
+            if "audit:" in err:
+                audits.append(err)
+                assert names_a_broken_bound(err), (command, doc, err)
+            if code:
+                assert "error:" in err, (command, err)
+                break
+    assert saturated and audits
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +210,21 @@ def test_garbled_plan_files(pair_run, tmp_path, capsys):
             check(argv, capsys, {0, 1, 4}, (command, text))
 
 
+def check_trajectory_commands(model, out, text, capsys):
+    """chain and render on one trajectory file: a documented exit code,
+    and on exit 0 a follow-on model that parses and a figure with no NaN."""
+    (out / "trajectory.csv").write_text(text)
+    for command in ("chain", "render"):
+        argv = [command, "--model", model, "--out", out]
+        argv += PAIR_FLAGS if command == "render" else []
+        if check(argv, capsys, {0, 1}, (command, text)):
+            continue
+        if command == "chain":
+            parse_model((out / "next_model.json").read_text())
+        else:
+            assert "nan" not in (out / "figure.svg").read_text().lower(), text
+
+
 def test_garbled_trajectory_files(pair_run, tmp_path, capsys):
     model, plan_text, traj_text = pair_run
     rng = np.random.default_rng(23)
@@ -199,12 +232,28 @@ def test_garbled_trajectory_files(pair_run, tmp_path, capsys):
         out = tmp_path / f"out{k}"
         out.mkdir()
         (out / "plan.json").write_text(plan_text)
-        text = garble_bytes(traj_text, rng)
-        (out / "trajectory.csv").write_text(text)
-        for command in ("chain", "render"):
+        check_trajectory_commands(model, out, garble_bytes(traj_text, rng), capsys)
+
+
+def test_reordered_and_non_finite_trajectories_are_refused(pair_run, tmp_path, capsys):
+    """Rows in reverse order once made chain write every agent's initial
+    state as its final one, and a NaN state once reached figure.svg; both
+    commands now exit 1 and write nothing."""
+    model, plan_text, traj_text = pair_run
+    header, *rows = traj_text.splitlines()
+    cells = rows[5].split(",")
+    cells[2] = "nan"
+    variants = [rows[::-1], rows[:5] + [",".join(cells)] + rows[6:]]
+    for k, lines in enumerate(variants):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        (out / "plan.json").write_text(plan_text)
+        (out / "trajectory.csv").write_text("\n".join([header] + lines) + "\n")
+        for command, artifact in (("chain", "next_model.json"), ("render", "figure.svg")):
             argv = [command, "--model", model, "--out", out]
             argv += PAIR_FLAGS if command == "render" else []
-            check(argv, capsys, {0, 1}, (command, text))
+            assert check(argv, capsys, {1}, (command, k)) == 1
+            assert not (out / artifact).exists()
 
 
 OUT_OF_RANGE = {

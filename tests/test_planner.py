@@ -1,6 +1,7 @@
 """Plan synthesis: windows, layered search, both strategies, and plan I/O."""
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import oracles
 from horizon_abs import abstraction as abstraction_mod
-from horizon_abs import controller, grid, planner
+from horizon_abs import controller, grid, planner, wellposed
 from horizon_abs.errors import (
     HorizonError,
     ModelError,
@@ -22,8 +23,10 @@ from conftest import (
     make_stack,
     pair_doc,
     per_combination_product_layers,
+    random_instance,
     ring_stack,
     single_doc,
+    star_doc,
 )
 
 
@@ -88,16 +91,17 @@ def test_layered_search_matches_brute_force():
     ab, table = zero_stack_with_chain()
     m = 4
     parent_cells = [() for _ in range(m + 1)]
-    (layers,) = planner.forward_layers(ab, [(1, parent_cells, table)], m)
-    good = planner.backward_prune(ab, 1, parent_cells, table, m, layers)
+    (search,) = planner.forward_layers(ab, [(1, parent_cells, table)], m)
+    good = planner.backward_prune(search)
+    layers, kept = oracles.state_sets(search), oracles.state_sets(search, good)
     oracle_good, oracle_paths = brute_force_good_layers(ab, 1, parent_cells, table, m)
     for k in range(m + 1):
-        assert good[k] == oracle_good[k]
-        assert good[k] <= layers[k]
-    found = list(planner.iter_satisfying_paths(ab, 1, parent_cells, table, m, good))
+        assert kept[k] == oracle_good[k]
+        assert kept[k] <= layers[k]
+    found = list(planner.iter_satisfying_paths(search, good))
     assert [tuple(p) for p in found] == oracle_paths  # lexicographic, no repeats
-    assert oracles.pruned_cells(good) == [
-        sorted({l for (l, _, _) in layer}) for layer in good
+    assert oracles.pruned_cells(kept) == [
+        sorted({l for (l, _, _) in layer}) for layer in kept
     ]
 
 
@@ -105,13 +109,11 @@ def test_empty_goal_table_keeps_every_full_path():
     ab, _ = zero_stack_with_chain()
     m = 3
     parent_cells = [() for _ in range(m + 1)]
-    (layers,) = planner.forward_layers(ab, [(1, parent_cells, [])], m)
-    good = planner.backward_prune(ab, 1, parent_cells, [], m, layers)
+    (search,) = planner.forward_layers(ab, [(1, parent_cells, [])], m)
+    good = planner.backward_prune(search)
     oracle_good, oracle_paths = brute_force_good_layers(ab, 1, parent_cells, [], m)
-    assert [
-        {(l, g, s) for (l, g, s) in layer} for layer in good
-    ] == oracle_good
-    found = [tuple(p) for p in planner.iter_satisfying_paths(ab, 1, parent_cells, [], m, good)]
+    assert oracles.state_sets(search, good) == oracle_good
+    found = [tuple(p) for p in planner.iter_satisfying_paths(search, good)]
     assert found == oracle_paths
 
 
@@ -256,7 +258,8 @@ def test_product_layers_match_the_pick_by_pick_oracle(case, block, monkeypatch):
     plan = planner.product_synthesize(model, ab)
     assert len(layers) == plan.m
     for got, expected in layers:
-        assert list(got.items()) == list(expected.items())
+        assert len(got) == len(expected) == 3
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
     if case == "ring1":
         assert plan.explored == {1: 7912, 2: 7912, 3: 7912}
     if case == "empty_spec":
@@ -321,6 +324,36 @@ def test_ring_workload_keeps_its_shape(monkeypatch):
     assert plan.explored == {1: 7912, 2: 7912, 3: 7912}
     assert len(calls) <= min(plan.m, m_max)
     assert all(set(rows) == set(model.agent_ids) for rows in calls)
+
+
+@pytest.mark.parametrize("size", [5, 10, 20])
+def test_star_search_works_per_layer_not_per_state(size, monkeypatch):
+    """A star of 4, 9 or 19 followers around one leader searches 3,828,
+    7,780 and 15,652 states.  Its Posts still come in 22 endpoint
+    batches, and the search makes no per-state call: no is_initiating or
+    config_refs, one reference_point per agent slot and batch at most, and
+    one CellSet membership test per parent cell and layer plus one per
+    agent's start cell."""
+    model = make_model(star_doc(size))
+    ab = abstraction_mod.build_abstraction(model, wellposed.synthesize(model, steps=12))
+    batches = count_endpoint_batches(monkeypatch)
+    counts = {}
+    for owner, name in [
+        (abstraction_mod.Abstraction, "is_initiating"),
+        (abstraction_mod.Abstraction, "config_refs"),
+        (grid, "reference_point"),
+        (grid.CellSet, "__contains__"),
+    ]:
+        def counted(*args, real=getattr(owner, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    plan = planner.cascade_synthesize(model, ab)
+    assert plan.m == 12 and len(batches) == 22
+    assert "is_initiating" not in counts and "config_refs" not in counts
+    assert counts["reference_point"] <= 2 * size * (plan.m + 1)
+    assert counts["__contains__"] == (size - 1) * plan.m + size
 
 
 def backtracking_pair_doc():
@@ -444,9 +477,9 @@ def test_cascade_backjumps_over_agents_the_failure_does_not_rest_on(five_model, 
         calls["forward"] += 1
         return forward(*args)
 
-    def counted_prune(ab, agent_id, *args):
-        calls[agent_id] = calls.get(agent_id, 0) + 1
-        return prune(ab, agent_id, *args)
+    def counted_prune(search):
+        calls[search.agent_id] = calls.get(search.agent_id, 0) + 1
+        return prune(search)
 
     monkeypatch.setattr(planner, "forward_layers", counted_forward)
     monkeypatch.setattr(planner, "backward_prune", counted_prune)
@@ -558,3 +591,78 @@ def test_plan_from_doc_rejects_malformed():
         planner.plan_from_doc({"m": 1})
     with pytest.raises(PlanConsistencyError, match="malformed plan document"):
         planner.plan_from_doc({"m": 1, "dt": 0.1, "steps": 2, "agents": {"1": {}}})
+
+
+def oracle_cases(case, five_model):
+    """(model, params, budget) of one cascade compared with the tuple oracle."""
+    lam_five = {1: 0.35, 5: 0.35}
+    if case == "five_agents":
+        return five_model, wellposed.synthesize(five_model, lam=lam_five, steps=12), 64
+    if case == "far_goal":
+        model = make_model(far_goal_doc(five_model))
+        return model, wellposed.synthesize(model, lam=lam_five, steps=12), 2
+    if case == "failing_agent_4":
+        model = make_model(failing_agent_4_doc(five_model))
+        return model, wellposed.synthesize(model, lam=lam_five, steps=12), 2
+    if case.startswith("star"):
+        model = make_model(star_doc(int(case[4:])))
+        return model, wellposed.synthesize(model, steps=12), 64
+    if case.startswith("random"):
+        _, model, params, _ = random_instance(np.random.default_rng(int(case[6:])))
+        return model, params, 64
+    doc = pair_doc() if case == "pair" else backtracking_pair_doc()
+    model = make_model(doc)
+    return model, wellposed.synthesize(model, lam={1: 0.55, 2: 0.55}, steps=5), 64
+
+
+def outcome(synthesize, model, ab, budget):
+    """A cascade's plan lists, or the type and text of its error."""
+    try:
+        plan = synthesize(model, ab, budget=budget)
+    except HorizonError as e:
+        return type(e), str(e)
+    return plan.cells, plan.explored, plan.reachable, plan.satisfying
+
+
+@pytest.mark.parametrize("case", [
+    "five_agents", "pair", "backtracking", "star5", "star10", "random0", "random1",
+    "random2", "far_goal", "failing_agent_4",
+])
+def test_array_cascade_matches_the_tuple_oracle(case, five_model, monkeypatch):
+    """Every forward pass the cascade makes, per agent and layer, holds the
+    states of the tuple-set search it replaced (oracles.forward_layers);
+    its pruned states, its first ``budget`` paths or its error are the
+    oracle's too.  The whole cascade gives the plan, the paths tried and
+    the verdict of the tuple-set sequential cascade."""
+    model, params, budget = oracle_cases(case, five_model)
+    ab, twin = (abstraction_mod.build_abstraction(model, params) for _ in range(2))
+    passes = []
+    forward = planner.forward_layers
+
+    def recorded(ab, jobs, m):
+        out = forward(ab, jobs, m)
+        passes.extend((job, m, result) for job, result in zip(jobs, out))
+        return out
+
+    monkeypatch.setattr(planner, "forward_layers", recorded)
+    got = outcome(planner.cascade_synthesize, model, ab, budget)
+    assert got == outcome(oracles.sequential_cascade, model, twin, budget)
+    assert passes
+    for (i, parent_cells, table), m, search in passes:
+        (layers,) = oracles.forward_layers(twin, [(i, parent_cells, table)], m)
+        if isinstance(search, HorizonError):
+            assert (type(layers), str(layers)) == (type(search), str(search))
+            continue
+        assert search.agent_id == i and oracles.state_sets(search) == layers
+        good = planner.backward_prune(search)
+        expected = oracles.backward_prune(twin, i, parent_cells, table, m, layers)
+        assert oracles.state_sets(search, good) == expected
+        paths = planner.iter_satisfying_paths(search, good)
+        oracle_paths = oracles.iter_satisfying_paths(twin, i, parent_cells, table, m, expected)
+        assert list(itertools.islice(paths, budget)) == list(
+            itertools.islice(oracle_paths, budget)
+        )
+        if not good[0].any():
+            assert planner._first_failing_goal(search) == oracles.first_failing_goal(
+                layers, table
+            )
