@@ -158,7 +158,7 @@ def _arrivals(goals, posts, of_row, claims, step):
     ``claims[r]``, and takes every claim chain of ``goals.arrive``.
 
     Returns the row of each successor, ascending, and the successors'
-    cells, claims and codes; per row they run in Post order, then in claim
+    cells and claims; per row they run in Post order, then in claim
     order, the order of a product node's picks."""
     sizes = np.array([len(succ) for succ in posts], dtype=int)
     cells = np.array(list(itertools.chain.from_iterable(posts)), dtype=int)
@@ -166,7 +166,7 @@ def _arrivals(goals, posts, of_row, claims, step):
     rows, rank = _ranges(sizes[of_row])
     cells = cells[(np.cumsum(sizes) - sizes)[of_row][rows] + rank]
     arrival, chains = goals.arrive(cells, claims[rows], step)
-    return rows[arrival], cells[arrival], chains, goals.codes(cells[arrival], chains)
+    return rows[arrival], cells[arrival], chains
 
 
 def _start(abstraction, agent_id, goals):
@@ -226,7 +226,7 @@ def forward_layers(abstraction, jobs, m):
                 out[j] = succs
                 continue
             claims = out[j].layers[k].claims[rows]
-            r, cells, claims, _ = _arrivals(goals[j], succs, of_row, claims, k + 1)
+            r, cells, claims = _arrivals(goals[j], succs, of_row, claims, k + 1)
             layer, to = goals[j].layer(cells, claims)
             out[j].layers.append(layer)
             out[j].edges.append((rows[r], to))
@@ -285,7 +285,7 @@ def iter_satisfying_paths(search, good):
             yield list(prefix)
             return
         src, dst = search.edges[k]
-        reached = np.unique(dst[np.isin(src, rows) & good[k + 1][dst]])
+        reached = np.unique(dst[np.isin(src, rows) & good[k + 1][dst]], return_index=True)[0]
         starts = np.flatnonzero(_run_starts(search.layers[k + 1].cells[reached]))
         for group in np.split(reached, starts[1:]):
             prefix.append(cell(k + 1, group[0]))
@@ -300,7 +300,8 @@ def iter_satisfying_paths(search, good):
 def _cells(box, arrays):
     """The sorted distinct cells, as lattice tuples, among the rows of int
     lattice arrays inside the box of the CellSet ``box``."""
-    codes = np.unique(box.codes(np.concatenate(arrays)))
+    # unique's no-index path would load numpy.ma
+    codes = np.unique(box.codes(np.concatenate(arrays)), return_index=True)[0]
     cells = np.stack(np.unravel_index(codes, box.mask.shape), axis=-1) + box.origin
     return list(map(tuple, cells.tolist()))
 
@@ -477,10 +478,10 @@ def product_synthesize(model, abstraction, cap=10**6):
         for succs in posts:
             if isinstance(succs, HorizonError):
                 raise succs
-        slots = [
-            _arrivals(goals[a], succs, np.arange(len(rows)), claims[rows, a], k + 1)
-            for a, succs in enumerate(posts)
-        ]
+        slots = []
+        for a, succs in enumerate(posts):
+            pairs = _arrivals(goals[a], succs, np.arange(len(rows)), claims[rows, a], k + 1)
+            slots.append(pairs + (goals[a].codes(*pairs[1:]),))
         nxt_cells, nxt_claims, parent = _product_successors(len(rows), slots, generated, cap)
         layers.append((nxt_cells, nxt_claims, rows[parent]))
         generated += len(parent)
@@ -503,14 +504,14 @@ def _product_successors(count, slots, generated, cap):
 
     A node's successors are its picks of one (successor cell, claim) pair
     per agent slot, in itertools.product order.  ``slots[a]`` holds slot
-    a's pairs as _arrivals returns them: the node of each pair, then the
-    pairs' cells, claims and codes.  Each slot's distinct pairs get ids,
-    and every pick becomes an int code of its ids (_PickCoder).  Blocks of
-    whole nodes, about _PICK_BLOCK picks each, keep memory small; each is
-    deduplicated by one np.unique against the codes of the blocks before
-    it, so a successor keeps the node of its first pick.
-    CapExceededError is raised as soon as ``generated`` plus the
-    successors found pass ``cap``.
+    a's pairs as _arrivals returns them (the node of each pair, then the
+    pairs' cells and claims) and the pairs' state codes.  Each slot's
+    distinct pairs get ids, and every pick becomes an int code of its ids
+    (_PickCoder).  Blocks of whole nodes, about _PICK_BLOCK picks each,
+    keep memory small; each is deduplicated by one np.unique against the
+    codes of the blocks before it, so a successor keeps the node of its
+    first pick.  CapExceededError is raised as soon as ``generated`` plus
+    the successors found pass ``cap``.
     """
     counts, flat, pairs = [], [], []
     for rows, cells, claims, codes in slots:

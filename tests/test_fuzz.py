@@ -210,29 +210,27 @@ def test_garbled_plan_files(pair_run, tmp_path, capsys):
             check(argv, capsys, {0, 1, 4}, (command, text))
 
 
-def check_trajectory_commands(model, out, text, capsys):
-    """chain and render on one trajectory file: a documented exit code,
-    and on exit 0 a follow-on model that parses and a figure with no NaN."""
-    (out / "trajectory.csv").write_text(text)
-    for command in ("chain", "render"):
-        argv = [command, "--model", model, "--out", out]
-        argv += PAIR_FLAGS if command == "render" else []
-        if check(argv, capsys, {0, 1}, (command, text)):
-            continue
-        if command == "chain":
-            parse_model((out / "next_model.json").read_text())
-        else:
-            assert "nan" not in (out / "figure.svg").read_text().lower(), text
-
-
 def test_garbled_trajectory_files(pair_run, tmp_path, capsys):
+    """chain and render on garbled trajectory files end in a documented
+    exit code, and on exit 0 write a follow-on model that parses and a
+    figure with no NaN."""
     model, plan_text, traj_text = pair_run
     rng = np.random.default_rng(23)
     for k in range(30):
         out = tmp_path / f"out{k}"
         out.mkdir()
         (out / "plan.json").write_text(plan_text)
-        check_trajectory_commands(model, out, garble_bytes(traj_text, rng), capsys)
+        text = garble_bytes(traj_text, rng)
+        (out / "trajectory.csv").write_text(text)
+        for command in ("chain", "render"):
+            argv = [command, "--model", model, "--out", out]
+            argv += PAIR_FLAGS if command == "render" else []
+            if check(argv, capsys, {0, 1}, (command, text)):
+                continue
+            if command == "chain":
+                parse_model((out / "next_model.json").read_text())
+            else:
+                assert "nan" not in (out / "figure.svg").read_text().lower(), text
 
 
 def test_reordered_and_non_finite_trajectories_are_refused(pair_run, tmp_path, capsys):
