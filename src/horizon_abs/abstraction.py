@@ -77,7 +77,8 @@ class Abstraction:
                 lattice = np.array([pairs[r][1] for r in idx])
             except ValueError:  # ragged
                 lattice = np.zeros(0)
-            if lattice.shape != (len(idx), len(slots), self.model.dim) or lattice.dtype.kind != "i":
+            shape = (len(idx), len(slots), self.model.dim)
+            if lattice.shape != shape or lattice.dtype.kind != "i":
                 lattice = None
             out.append((agent_id, idx, [self.decs[j] for j in slots], lattice))
         return out

@@ -117,7 +117,8 @@ class _Goals:
 
     def codes(self, cells, claims):
         """Integer codes of states (cells, claims), in the states' sorted order."""
-        return (self.box.codes(cells) * (self.count + 1) + claims[:, 0]) * (self.m + 1) + claims[:, 1]
+        g, s = claims.T
+        return (self.box.codes(cells) * (self.count + 1) + g) * (self.m + 1) + s
 
     def layer(self, cells, claims):
         """The distinct states among rows (cells, claims), deduplicated as
@@ -214,7 +215,9 @@ def forward_layers(abstraction, jobs, m):
                 continue
             layer, parents = out[j].layers[k], tuple(parent_cells[k])
             neighbors = abstraction.model.agent(agent_id).neighbors
-            frozen = all(c in abstraction.decs[p].initiating_set for p, c in zip(neighbors, parents))
+            frozen = all(
+                c in abstraction.decs[p].initiating_set for p, c in zip(neighbors, parents)
+            )
             initiating = abstraction.decs[agent_id].initiating_set.contains_many(layer.cells)
             rows = np.flatnonzero(initiating & frozen)
             start = _run_starts(layer.cells[rows])
@@ -469,7 +472,8 @@ def product_synthesize(model, abstraction, cap=10**6):
         if k == m_max:
             break
         rows = np.flatnonzero(np.all([
-            abstraction.decs[i].initiating_set.contains_many(cells[:, a]) for a, i in enumerate(ids)
+            abstraction.decs[i].initiating_set.contains_many(cells[:, a])
+            for a, i in enumerate(ids)
         ], axis=0))
         # one stacked endpoint run for every agent; posts[a][r] belongs to rows[r]
         columns = {i: list(map(tuple, cells[rows, a].tolist())) for a, i in enumerate(ids)}
@@ -673,7 +677,9 @@ def extract_controls(model, abstraction, plan):
     check_plan_lists(model, plan)
     configs = plan_configs(model, plan.cells, plan.m)
     initiating = {
-        i: list(itertools.compress(configs[i], abstraction.initiating([(i, c) for c in configs[i]])))
+        i: list(itertools.compress(
+            configs[i], abstraction.initiating([(i, c) for c in configs[i]])
+        ))
         for i in model.agent_ids
     }
     # one stacked reference run for every agent; its endpoints serve the

@@ -269,14 +269,17 @@ def trajectory_from_csv(text, model):
     model's, a time without one row per agent, or times that do not
     start at 0 and increase strictly.  The rows are checked as one array.
     """
-    lines = [ln.split(",") for ln in text.strip().splitlines() if ln]
+    lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise ModelError("empty trajectory file")
     n, ids = model.dim, sorted(model.agent_ids)
-    if lines[0][:2] != ["t", "agent"] or len(lines[0]) != 2 + 2 * n:
+    header = lines[0].split(",")
+    if header[:2] != ["t", "agent"] or len(header) != 2 + 2 * n:
         raise ModelError(f"malformed trajectory header: need t, agent and {2 * n} values")
     try:
-        data = np.array(lines[1:], dtype=float).reshape(len(lines) - 1, 2 + 2 * n)
+        # one row of floats at a time: the split strings of every row at once take more memory
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        data = np.array(rows).reshape(len(rows), 2 + 2 * n)
     except ValueError as e:
         raise ModelError(f"malformed trajectory row: {e}") from None
     if not np.all(np.isfinite(data)):

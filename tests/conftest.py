@@ -448,7 +448,7 @@ def star_doc(size):
     """A star of ``size`` agents around five_agents' agent 3, which keeps
     its goals: ``size - 1`` copies of agent 2 (``neighbors [3]``, no
     goals), their x0 evenly spaced on a circle of radius 3 around the
-    leader's.  Plan it with ``--steps 12`` (STAR_FLAGS)."""
+    leader's.  It is planned with ``--steps 12``."""
     with open(FIVE_AGENTS) as fh:
         five = json.load(fh)
     leader, = (a for a in five["agents"] if a["id"] == 3)
@@ -459,15 +459,13 @@ def star_doc(size):
         angle = 2 * math.pi * k / len(ids)
         agent = copy.deepcopy(follower)
         agent["id"] = i
-        agent["x0"] = [leader["x0"][0] + 3 * math.cos(angle), leader["x0"][1] + 3 * math.sin(angle)]
+        x, y = leader["x0"]
+        agent["x0"] = [x + 3 * math.cos(angle), y + 3 * math.sin(angle)]
         agents.append(agent)
     doc = {key: value for key, value in five.items() if key not in ("agents", "spec")}
     doc["agents"] = sorted(agents, key=lambda a: a["id"])
     doc["spec"] = {"3": five["spec"]["3"]}
     return doc
-
-
-STAR_FLAGS = ["--steps", "12"]
 
 
 def ring_doc(seed):

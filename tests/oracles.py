@@ -10,8 +10,9 @@ system for a batch of transitions at once, with ``eval_g`` below and the
 production ``controller.feedback`` and ``integrate_reference``.
 
 Also here: the open-loop simulator, the tuple-set cascade search and the
-one-agent-at-a-time cascade built on it, the pick-by-pick product layer, the random cell and disturbance samplers, and
-the set, parameter and expression helpers that only tests use.
+one-agent-at-a-time cascade built on it, the pick-by-pick product layer,
+the random cell and disturbance samplers, and the set, parameter and
+expression helpers that only tests use.
 """
 
 import itertools

@@ -745,7 +745,9 @@ def test_csv_reader_holds_the_trajectory_contract(pair_run):
             + rows[3 * per_time:],
         ],
         # agent 1 twice at time 0 and agent 2 twice at the next time
-        "one row per agent": [with_value(1, 1, "1")[:per_time] + with_value(per_time, 1, "2")[per_time:]],
+        "one row per agent": [
+            with_value(1, 1, "1")[:per_time] + with_value(per_time, 1, "2")[per_time:]
+        ],
     }
     for match, variants in cases.items():
         for lines in variants:
