@@ -5,9 +5,14 @@ coupling into per-agent finite transition systems on grid cells,
 synthesizes plans for timed reachability goals over those systems,
 extracts the continuous feedback controllers realizing each planned
 transition, and validates the result on the true closed loop.
+
+Only the exceptions are imported with the package.  Every other public
+name loads its module on first access (PEP 562), so a command compiles
+only the modules it runs.
 """
 
-from .abstraction import Abstraction, build_abstraction
+import importlib
+
 from .errors import (
     ExprError,
     HorizonError,
@@ -18,10 +23,22 @@ from .errors import (
     UnsatisfiableError,
     ValidationError,
 )
-from .model import NetworkModel, parse_model, validate_bounds
-from .planner import cascade_synthesize, extract_controls, product_synthesize
-from .sim import simulate_closed_loop, validate_plan
-from .wellposed import DiscretizationParams, synthesize
+
+# public name -> the module defining it
+_LAZY = {
+    "Abstraction": "abstraction",
+    "build_abstraction": "abstraction",
+    "NetworkModel": "model",
+    "parse_model": "model",
+    "validate_bounds": "model",
+    "cascade_synthesize": "planner",
+    "extract_controls": "planner",
+    "product_synthesize": "planner",
+    "simulate_closed_loop": "sim",
+    "validate_plan": "sim",
+    "DiscretizationParams": "wellposed",
+    "synthesize": "wellposed",
+}
 
 __all__ = [
     "Abstraction",
@@ -46,3 +63,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -85,23 +85,24 @@ class Abstraction:
 
     def _refs(self, groups, count):
         """Reference points of the ``count`` pairs of ``_by_agent``'s
-        ``groups``, one row each: the own points as one array and the
-        neighbor blocks as a list.  One grid.reference_point pass per
-        agent and slot."""
-        own = np.empty((count, self.model.dim))
-        nbr = [None] * count
+        ``groups``, one row each: the own points as one array, and the
+        neighbor blocks as one array whose row r starts with row r's
+        block, zero past it (as model.NetworkField takes them).  One
+        grid.reference_point pass per agent and slot."""
+        dim = self.model.dim
+        own = np.empty((count, dim))
+        nbr = np.zeros((count, max((len(g[2]) - 1 for g in groups), default=0) * dim))
         for agent_id, rows, decs, lattice in groups:
             if lattice is None:
                 raise ModelError(
                     f"agent {agent_id}: configuration needs {len(decs)} cells of "
-                    f"{self.model.dim} integers"
+                    f"{dim} integers"
                 )
             refs = np.stack([
                 grid.reference_point(dec, lattice[:, s]) for s, dec in enumerate(decs)
             ], axis=1)
             own[rows] = refs[:, 0]
-            for r, block in zip(rows, refs[:, 1:].reshape(len(rows), -1)):
-                nbr[r] = block
+            nbr[rows, : (len(decs) - 1) * dim] = refs[:, 1:].reshape(len(rows), -1)
         return own, nbr
 
     def is_initiating(self, agent_id, config):
@@ -155,15 +156,18 @@ class Abstraction:
         and intersected with the grid in one batch.  A cached endpoint
         belongs to an initiating configuration, so seed_endpoints rejects
         every other miss, the lowest first."""
-        dec = self.decs[agent_id]
-        missing = sorted({c for c in configs if (agent_id, c) not in self._post_cache})
+        cache = self._post_cache
+        keys = [(agent_id, config) for config in configs]
+        out = [cache.get(key) for key in keys]
+        missing = sorted({key for key, cells in zip(keys, out) if cells is None})
         if missing:
+            dec = self.decs[agent_id]
             # endpoints seeded by seed_endpoints or reference_for are not integrated again
-            self.seed_endpoints([(agent_id, config) for config in missing])
-            endpoints = np.array([self._endpoint_cache[(agent_id, config)] for config in missing])
+            self.seed_endpoints(missing)
+            endpoints = np.array([self._endpoint_cache[key] for key in missing])
             finite = np.all(np.isfinite(endpoints), axis=-1)
             if not np.all(finite):
-                config = missing[int(np.argmin(finite))]
+                config = missing[int(np.argmin(finite))][1]
                 raise IntegrationError(
                     f"agent {agent_id}: the reference endpoint of configuration {config} "
                     "is not finite"
@@ -174,20 +178,21 @@ class Abstraction:
             )
             bad = center_gap + radius > dec.region.radius + ENDPOINT_BALL_SLACK
             if np.any(bad):
-                config = missing[int(np.argmax(bad))]
+                config = missing[int(np.argmax(bad))][1]
                 raise InfeasibleError(
                     f"agent {agent_id}: endpoint ball of configuration {config} leaves "
                     "the reachable region; declared bounds and discretization disagree"
                 )
             posts = grid.cells_intersecting_ball(dec, endpoints, radius)
-            for config, cells in zip(missing, posts):
+            for key, cells in zip(missing, posts):
                 if not cells:
                     raise InfeasibleError(
-                        f"agent {agent_id}: empty Post for configuration {config} "
+                        f"agent {agent_id}: empty Post for configuration {key[1]} "
                         "contradicts well-posedness"
                     )
-                self._post_cache[(agent_id, config)] = tuple(cells)
-        return [self._post_cache[(agent_id, config)] for config in configs]
+                cache[key] = tuple(cells)
+            out = [cache[key] if cells is None else cells for key, cells in zip(keys, out)]
+        return out
 
     def seed_endpoints(self, pairs):
         """Reference endpoints of (agent id, configuration) pairs of any
@@ -199,7 +204,8 @@ class Abstraction:
         the Posts of these configurations integrate nothing more.  Nothing
         is cached when the run raises.
         """
-        pairs = [pair for pair in dict.fromkeys(pairs) if pair not in self._endpoint_cache]
+        cache = self._endpoint_cache
+        pairs = list({pair: None for pair in pairs if pair not in cache})
         if not pairs:
             return
         own, nbr = self._initiating_refs(pairs)

@@ -3,10 +3,12 @@
 Every artifact is serialized with sorted keys and repr floats, so a
 fixed model file, fixed flags, and a fixed seed reproduce the output
 byte for byte.  Wall-clock timings go to stderr only.
+
+Only the modules every command runs are imported here; each command
+imports the rest where it starts, so it compiles no module it never runs.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import time
 
 from . import abstraction as abstraction_mod
 from . import model as model_mod
-from . import integrate, planner, render, sim, wellposed
+from . import integrate, wellposed
 from .errors import (
     HorizonError, ModelError, PlanConsistencyError, UnsatisfiableError, ValidationError,
 )
@@ -84,9 +86,15 @@ def _read_text(path):
 
 
 def _load_model(path):
+    """The parsed model and the file's bytes."""
     data = _read_text(path)
-    model = model_mod.parse_model(data.decode("utf-8"))
-    return model, hashlib.sha256(data).hexdigest()
+    return model_mod.parse_model(data.decode("utf-8")), data
+
+
+def _model_hash(data):
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 def _parse_lambda(model, items):
@@ -232,7 +240,9 @@ def cmd_plan(args):
         raise ModelError(f"--budget must be an integer >= 1, got {args.budget}")
     if args.cap < 1:
         raise ModelError(f"--cap must be an integer >= 1, got {args.cap}")
-    model, model_hash = _load_model(args.model)
+    from . import planner
+
+    model, data = _load_model(args.model)
     params = _synthesize(model, args)
     abstraction = _build(model, params, args)
     strategy = args.strategy
@@ -255,7 +265,7 @@ def cmd_plan(args):
         for i, configs in planner.plan_configs(model, plan.cells, plan.m).items()
         for config in configs
     )
-    plan.model_hash = model_hash
+    plan.model_hash = _model_hash(data)
     _ensure_out(args)
     doc = planner.plan_to_doc(plan)
     doc["params"] = _params_doc(params)
@@ -275,14 +285,16 @@ def cmd_plan(args):
     return 0
 
 
-def _load_plan(args, model, model_hash):
+def _load_plan(args, model, data):
+    from . import planner
+
     path = os.path.join(args.out, "plan.json")
     try:
         doc = json.loads(_read_text(path).decode("utf-8"))
     except ValueError as e:
         raise ModelError(f"cannot parse {path}: {e}") from None
     plan = planner.plan_from_doc(doc)
-    if plan.model_hash and plan.model_hash != model_hash:
+    if plan.model_hash and plan.model_hash != _model_hash(data):
         raise ModelError(
             "plan.json was synthesized from a different model file (hash mismatch)"
         )
@@ -290,17 +302,24 @@ def _load_plan(args, model, model_hash):
     return plan, params, doc
 
 
-def cmd_validate(args):
-    model, model_hash = _load_model(args.model)
-    plan, params, doc = _load_plan(args, model, model_hash)
-    if params is None:
-        params = _synthesize(model, args)
-    substeps, integ_tol = integrate.check_settings(
+def _plan_settings(doc, args):
+    """plan.json's substeps and integ_tol, or the flags' where it has none."""
+    return integrate.check_settings(
         doc.get("substeps", args.substeps),
         doc.get("integ_tol", args.integ_tol),
         names=tuple(f"plan.json {key}" if key in doc else flag
                     for key, flag in (("substeps", "--substeps"), ("integ_tol", "--integ-tol"))),
     )
+
+
+def cmd_validate(args):
+    from . import planner, sim
+
+    model, data = _load_model(args.model)
+    plan, params, doc = _load_plan(args, model, data)
+    if params is None:
+        params = _synthesize(model, args)
+    substeps, integ_tol = _plan_settings(doc, args)
     # the plan's settings, so the re-derived Posts match the ones it was planned on
     abstraction = abstraction_mod.build_abstraction(
         model, params, substeps=substeps, integ_tol=integ_tol
@@ -327,12 +346,15 @@ def cmd_validate(args):
 
 
 def cmd_render(args):
-    model, model_hash = _load_model(args.model)
+    from . import planner, render, sim
+
+    model, data = _load_model(args.model)
     plan = None
     params = None
     if os.path.exists(os.path.join(args.out, "plan.json")):
-        plan, params, _ = _load_plan(args, model, model_hash)
+        plan, params, doc = _load_plan(args, model, data)
         planner.check_plan_lists(model, plan)
+        substeps, _ = _plan_settings(doc, args)
     if params is None:
         params = _synthesize(model, args)
     abstraction = _build(model, params, args)
@@ -340,6 +362,8 @@ def cmd_render(args):
     traj_path = os.path.join(args.out, "trajectory.csv")
     if os.path.exists(traj_path):
         traj = sim.trajectory_from_csv(_read_text(traj_path).decode("utf-8"), model)
+        if plan is not None:
+            sim.check_node_times(traj, params.dt, plan.m, substeps)
     svg = render.render_svg(model, abstraction.families, abstraction.decs, plan=plan, traj=traj)
     _ensure_out(args)
     _write_text(args.out, "figure.svg", svg)
@@ -348,6 +372,8 @@ def cmd_render(args):
 
 
 def cmd_chain(args):
+    from . import sim
+
     model, _ = _load_model(args.model)
     traj_path = os.path.join(args.out, "trajectory.csv")
     finals = sim.final_states_from_csv(_read_text(traj_path).decode("utf-8"), model)

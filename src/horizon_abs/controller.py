@@ -204,7 +204,8 @@ class ReferenceStack:
     """References of many agents' configurations, integrated as one batch.
 
     Row r belongs to ``agents[r]``: it starts at ``own_ref[r]`` and its
-    neighbor block stays frozen at ``nbr_refs[r]``, in one NetworkField
+    neighbor block stays frozen at ``nbr_refs[r]`` (as model.NetworkField
+    takes it), in one NetworkField
     over every row, so it has the bits of ``integrate_reference`` on that
     row alone.  ``field`` evaluates the raw field at any states shaped
     (..., rows, n).  The dense run is made here, through checked_run; the
@@ -214,7 +215,7 @@ class ReferenceStack:
     def __init__(self, agents, own_ref, nbr_refs, dt, substeps=integrate.DEFAULT_SUBSTEPS):
         self.agents = tuple(agents)
         self.own_ref = np.asarray(own_ref, dtype=float)
-        self.nbr_refs = tuple(np.asarray(nbr, dtype=float) for nbr in nbr_refs)
+        self.nbr_refs = nbr_refs
         self.dt, self.substeps = dt, substeps
         self.field = model_mod.NetworkField(self.agents, nbr_refs=self.nbr_refs)
         self.traj = _reference_run(integrate.rk4_dense, self.field, self.own_ref, dt, substeps)

@@ -75,8 +75,11 @@ class HillDynamics:
         x = np.asarray(x_i, dtype=float)
         rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
         coef = self.C * math.pi / self.R
-        # a batch of radial rows only skips the masks, whose expression this is on such rows
-        if rho.size and rho.min() >= _HILL_SERIES_CUTOFF and rho.max() < self.R:
+        # a batch of radial rows only skips the masks, whose expression this is on such rows.
+        # Python's min and max of the few norms a call holds cost less than two reductions;
+        # they may skip a NaN norm, whose row is NaN on either path.
+        norms = rho.ravel().tolist()
+        if norms and min(norms) >= _HILL_SERIES_CUTOFF and max(norms) < self.R:
             return coef * np.sin(math.pi * rho / self.R) / rho * x
         # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
         radial = coef * np.sin(math.pi * rho / self.R) / np.where(rho > 0, rho, 1.0)
@@ -217,9 +220,11 @@ def dynamics_groups(agents):
     same variant, equal parsed parameters and the same neighbor count, so
     one ``dynamics.eval`` call serves the whole group.
     """
-    groups = {}
+    keys, groups = {}, {}
     for r, agent in enumerate(agents):
-        key = (agent.dynamics.variant, agent.dynamics.key(), len(agent.neighbors))
+        key = keys.get(agent)
+        if key is None:
+            key = keys[agent] = (agent.dynamics.variant, agent.dynamics.key(), len(agent.neighbors))
         groups.setdefault(key, (agent, []))[1].append(r)
     return [(agent, np.array(rows)) for agent, rows in groups.values()]
 
@@ -232,7 +237,9 @@ class NetworkField:
     two sources, chosen by the argument passed: the rows
     ``neighbor_rows[r]`` of S, read per neighbor slot k as
     ``S[..., idx_k, :]`` (the closed loop), or a block ``nbr_refs[r]`` of
-    width N_i * n frozen here (references).  Rows are grouped by
+    width N_i * n frozen here (references).  ``nbr_refs`` is a sequence
+    of such blocks, or a 2-D array whose row r starts with row r's block,
+    so that each group's blocks are one slice.  Rows are grouped by
     ``dynamics_groups`` once, here.  Every operation is row-wise, so a row
     has the bits of its one-row field.  ``M`` is the rows' speed bound, for
     callers that saturate: a number when every row shares it, else a
@@ -250,7 +257,10 @@ class NetworkField:
         for agent, rows in dynamics_groups(self.agents):
             ids = list(dict.fromkeys(self.agents[r].id for r in rows))
             if self.frozen:
-                block = np.array([np.asarray(nbr_refs[r], dtype=float) for r in rows])
+                if isinstance(nbr_refs, np.ndarray):
+                    block = np.asarray(nbr_refs[rows, : len(agent.neighbors) * agent.dim], float)
+                else:
+                    block = np.array([np.asarray(nbr_refs[r], dtype=float) for r in rows])
                 slots = [np.ascontiguousarray(b) for b in split_neighbor_block(agent, block)]
             else:
                 slots = [
@@ -278,8 +288,11 @@ class NetworkField:
 
     def rows(self, index):
         """The frozen-neighbor field of the rows at ``index``; each row keeps its bits."""
+        nbr_refs = self.nbr_refs
         return NetworkField(
-            [self.agents[r] for r in index], nbr_refs=[self.nbr_refs[r] for r in index]
+            [self.agents[r] for r in index],
+            nbr_refs=nbr_refs[index] if isinstance(nbr_refs, np.ndarray)
+            else [nbr_refs[r] for r in index],
         )
 
 

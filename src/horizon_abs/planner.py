@@ -245,7 +245,7 @@ def _layer_posts(abstraction, requests):
     Returns, per request, its Posts or the HorizonError it met.
     """
     try:
-        abstraction.seed_endpoints((i, c) for i, configs in requests for c in configs)
+        abstraction.seed_endpoints([(i, c) for i, configs in requests for c in configs])
     except HorizonError:
         pass  # each request below integrates its own misses
     out = []

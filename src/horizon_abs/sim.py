@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller, grid, integrate, model as model_mod
-from .errors import ModelError
+from .errors import ModelError, PlanConsistencyError
 
 MEMBERSHIP_SNAP = 1e-9
 # stage times per array pass of the reference field table; a bounded
@@ -74,12 +74,11 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     N = len(ids)
     n = model.dim
     total = m * substeps + 1
-    ts = np.empty(total)
+    ts = node_times(dt, m, substeps)
     states = np.empty((total, N, n))
     inputs = np.zeros((total, N, n))
     Y = np.stack([agent.x0 for agent in model.agents])
     states[0] = Y
-    ts[0] = 0.0
     if not m:
         return Trajectory(
             ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
@@ -148,7 +147,6 @@ def simulate_closed_loop(model, abstraction, schedule, m):
         if exact:
             dense = integrate.rk4_dense(network_rhs(g_ref[:, k], k2[k], k3), Y, dt, substeps)
         base = k * substeps
-        ts[base + 1 : base + substeps + 1] = k * dt + dense.ts[1:]
         states[base + 1 : base + substeps + 1] = dense.ys[1:]
         reached.append((Y, k3, dense.endpoint))
         Y = dense.endpoint
@@ -181,6 +179,24 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     return Trajectory(
         ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
     )
+
+
+def node_times(dt, m, substeps):
+    """The times of simulate_closed_loop's nodes: 0, then the rk4_dense
+    nodes of each interval k past its start, k * dt + linspace(0, dt,
+    substeps + 1)[1:]."""
+    local = np.linspace(0.0, dt, substeps + 1)[1:]
+    return np.concatenate([[0.0]] + [k * dt + local for k in range(m)])
+
+
+def check_node_times(traj, dt, m, substeps):
+    """A PlanConsistencyError unless ``traj`` holds exactly the node times
+    of a closed loop of m intervals of length dt at ``substeps``."""
+    if not np.array_equal(traj.ts, node_times(dt, m, substeps)):
+        raise PlanConsistencyError(
+            f"trajectory.csv times are not the closed-loop nodes of plan.json "
+            f"(dt {float(dt)!r}, m {m}, substeps {substeps})"
+        )
 
 
 @dataclass

@@ -717,3 +717,52 @@ def test_validate_leaves_numpy_ma_unloaded(planned_run, tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 False"
     assert (run_out / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+
+
+def test_the_package_import_loads_only_the_errors():
+    """Every public name resolves on first access, and dir() and the star
+    import list it, though importing the package loads only errors.  The
+    cli module's own imports leave hashlib unloaded."""
+    code = (
+        "import sys\n"
+        "import horizon_abs\n"
+        "print(sorted(m for m in sys.modules if m.startswith('horizon_abs.')))\n"
+        "names = {name: getattr(horizon_abs, name) for name in horizon_abs.__all__}\n"
+        "print(all(callable(v) for v in names.values()),\n"
+        "      set(horizon_abs.__all__) <= set(dir(horizon_abs)))\n"
+        "star = {}\n"
+        "exec('from horizon_abs import *', star)\n"
+        "print(all(star[name] is value for name, value in names.items()))\n"
+        "print(hasattr(horizon_abs, 'no_such_name'))\n"
+        "import horizon_abs.cli\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["['horizon_abs.errors']", "True True", "True", "False",
+                                       "False"]
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("abstract", ["horizon_abs.planner", "horizon_abs.sim", "horizon_abs.render"]),
+    ("plan", ["horizon_abs.sim", "horizon_abs.render"]),
+    ("chain", ["horizon_abs.planner", "horizon_abs.render", "hashlib"]),
+])
+def test_a_command_leaves_the_modules_it_does_not_run_unloaded(
+    command, unloaded, planned_run, tmp_path
+):
+    """Each command imports the modules past the shared set where it
+    starts.  abstract loads hashlib through numpy.random, which its bounds
+    sampler uses; chain, which records no model hash, leaves it unloaded."""
+    model_path, out, _, _ = planned_run
+    (tmp_path / "trajectory.csv").write_bytes((out / "trajectory.csv").read_bytes())
+    argv = [command, "--model", str(model_path), "--out", str(tmp_path)] + PAIR_FLAGS
+    code = (
+        "import sys\n"
+        "from horizon_abs.cli import main\n"
+        f"status = main({argv!r})\n"
+        f"print(status, [m for m in {unloaded!r} if m in sys.modules])\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 []"

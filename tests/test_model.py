@@ -213,6 +213,7 @@ def hill_batches(R):
     yield edges
     yield np.vstack([inside, edges]).reshape(2, -1, 2)
     yield np.array([[math.nan, 0.0], [1.0, 1.0]])
+    yield np.array([[1.0, 1.0], [math.nan, 0.0], [0.0, math.nan]])
     yield np.zeros((0, 2))
 
 
