@@ -13,7 +13,7 @@ Post sets are memoized per configuration and never enumerated eagerly;
 planning only ever touches reachable configurations.
 """
 
-from dataclasses import dataclass
+import collections
 
 import numpy as np
 
@@ -24,13 +24,9 @@ from .errors import InfeasibleError, IntegrationError, ModelError
 ENDPOINT_BALL_SLACK = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class Action:
-    agent_id: int
-    config: tuple
-    target: tuple
-    point: np.ndarray
-    w: np.ndarray
+# A transition: the agent's configuration, the target cell, the point of
+# the target the feedback steers to, and its free parameter w.
+Action = collections.namedtuple("Action", "agent_id config target point w")
 
 
 class Abstraction:
@@ -56,10 +52,6 @@ class Abstraction:
     def radius(self, agent_id):
         agent = self.model.agent(agent_id)
         return controller.r_i(self.params.lam[agent_id], self.params.dt, agent.v_max)
-
-    def config_refs(self, agent_id, config):
-        own, nbr = self._refs(self._by_agent([(agent_id, config)]), 1)
-        return own[0], nbr[0]
 
     def _by_agent(self, pairs):
         """Per agent of (agent id, configuration) pairs: its id, the rows
@@ -104,9 +96,6 @@ class Abstraction:
             own[rows] = refs[:, 0]
             nbr[rows, : (len(decs) - 1) * dim] = refs[:, 1:].reshape(len(rows), -1)
         return own, nbr
-
-    def is_initiating(self, agent_id, config):
-        return bool(self.initiating([(agent_id, config)])[0])
 
     def initiating(self, pairs):
         """Whether each (agent id, configuration) pair is transition-initiating."""

@@ -240,7 +240,7 @@ def cmd_plan(args):
         raise ModelError(f"--budget must be an integer >= 1, got {args.budget}")
     if args.cap < 1:
         raise ModelError(f"--cap must be an integer >= 1, got {args.cap}")
-    from . import planner
+    from . import plandoc, planner
 
     model, data = _load_model(args.model)
     params = _synthesize(model, args)
@@ -262,12 +262,12 @@ def cmd_plan(args):
     # the plan's own transitions are the Posts plan.json asks anyone to trust
     abstraction.audit_endpoints(
         (i, config)
-        for i, configs in planner.plan_configs(model, plan.cells, plan.m).items()
+        for i, configs in plandoc.plan_configs(model, plan.cells, plan.m).items()
         for config in configs
     )
     plan.model_hash = _model_hash(data)
     _ensure_out(args)
-    doc = planner.plan_to_doc(plan)
+    doc = plandoc.plan_to_doc(plan)
     doc["params"] = _params_doc(params)
     doc["substeps"] = args.substeps
     doc["integ_tol"] = args.integ_tol
@@ -286,14 +286,14 @@ def cmd_plan(args):
 
 
 def _load_plan(args, model, data):
-    from . import planner
+    from . import plandoc
 
     path = os.path.join(args.out, "plan.json")
     try:
         doc = json.loads(_read_text(path).decode("utf-8"))
     except ValueError as e:
         raise ModelError(f"cannot parse {path}: {e}") from None
-    plan = planner.plan_from_doc(doc)
+    plan = plandoc.plan_from_doc(doc)
     if plan.model_hash and plan.model_hash != _model_hash(data):
         raise ModelError(
             "plan.json was synthesized from a different model file (hash mismatch)"
@@ -346,14 +346,14 @@ def cmd_validate(args):
 
 
 def cmd_render(args):
-    from . import planner, render, sim
+    from . import plandoc, render, sim
 
     model, data = _load_model(args.model)
     plan = None
     params = None
     if os.path.exists(os.path.join(args.out, "plan.json")):
         plan, params, doc = _load_plan(args, model, data)
-        planner.check_plan_lists(model, plan)
+        plandoc.check_plan_lists(model, plan)
         substeps, _ = _plan_settings(doc, args)
     if params is None:
         params = _synthesize(model, args)
@@ -371,10 +371,28 @@ def cmd_render(args):
     return 0
 
 
+def _check_validation(out_dir):
+    """A ValidationError when ``out_dir`` holds a validation.json whose run
+    failed, so that no window is chained from it; a ModelError when that
+    file cannot be read.  With no such file there is nothing to check."""
+    path = os.path.join(out_dir, "validation.json")
+    if not os.path.exists(path):
+        return
+    try:
+        passed = json.loads(_read_text(path).decode("utf-8"))["passed"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise ModelError(f"cannot parse {path}: {e}") from None
+    if type(passed) is not bool:
+        raise ModelError(f"cannot parse {path}: 'passed' is {passed!r}, not a boolean")
+    if not passed:
+        raise ValidationError(f"{path} records a failed validation; no follow-on model")
+
+
 def cmd_chain(args):
     from . import sim
 
     model, _ = _load_model(args.model)
+    _check_validation(args.out)
     traj_path = os.path.join(args.out, "trajectory.csv")
     finals = sim.final_states_from_csv(_read_text(traj_path).decode("utf-8"), model)
     doc = json.loads(json.dumps(model.raw))

@@ -10,7 +10,6 @@ the references and evaluates the law; the closed loop (sim) applies it.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +21,14 @@ def r_i(lam, dt, v_max):
     return lam * dt * v_max
 
 
-@dataclass(frozen=True, eq=False)
 class ReferenceTrajectory:
     """One reference, or a batch of them along the leading axes of its arrays."""
 
-    own_ref: np.ndarray
-    nbr_refs: np.ndarray
-    traj: integrate.DenseTrajectory
-    audit_err: object
+    def __init__(self, own_ref, nbr_refs, traj, audit_err):
+        self.own_ref = own_ref
+        self.nbr_refs = nbr_refs
+        self.traj = traj
+        self.audit_err = audit_err
 
     def eval(self, t):
         return self.traj.eval(t)

@@ -286,3 +286,36 @@ def eval_ast(ast, x_i, neighbors):
     for k, block in enumerate(neighbors):
         env[f"x_j{k + 1}"] = np.asarray(block, dtype=float)
     return ast.eval(env)
+
+
+class ExpressionDynamics:
+    """The ``expression`` dynamics variant: one parsed expression per
+    state coordinate.  model._parse_dynamics imports this module only for
+    it, so a model with built-in dynamics never compiles the language."""
+
+    variant = "expression"
+
+    def __init__(self, texts, params):
+        self.texts = tuple(texts)
+        self.params = dict(params)
+        self.asts = []
+        # vector symbol -> highest coordinate read, as in parse_expression
+        self.symbols = {}
+        for text in self.texts:
+            ast, used = parse_expression(text, self.params)
+            self.asts.append(ast)
+            for sym, k in used.items():
+                self.symbols[sym] = max(self.symbols.get(sym, 0), k)
+
+    def key(self):
+        return (self.texts, tuple(sorted(self.params.items())))
+
+    def eval(self, x_i, neighbors):
+        x_i = np.asarray(x_i, dtype=float)
+        # an overflow or an invalid operation yields inf or nan, which the
+        # endpoint and audit checks downstream reject with a HorizonError
+        out = np.empty(x_i.shape[:-1] + (len(self.asts),))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c, ast in enumerate(self.asts):
+                out[..., c] = eval_ast(ast, x_i, neighbors)
+        return out

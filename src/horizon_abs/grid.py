@@ -21,7 +21,6 @@ import collections.abc
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,15 +91,15 @@ def _lattice_tuples(origin, mask):
     return list(map(tuple, (np.argwhere(mask) + origin).tolist()))
 
 
-@dataclass(frozen=True, eq=False)
 class CellDecomposition:
-    agent_id: int
-    anchor: np.ndarray
-    side: float
-    region: reach.Ball
-    inner: reach.Ball
-    index_set: CellSet
-    initiating_set: CellSet
+    def __init__(self, agent_id, anchor, side, region, inner, index_set, initiating_set):
+        self.agent_id = agent_id
+        self.anchor = anchor
+        self.side = side
+        self.region = region
+        self.inner = inner
+        self.index_set = index_set
+        self.initiating_set = initiating_set
 
     @property
     def dim(self):

@@ -7,13 +7,13 @@ declared speed bound M and Lipschitz constants L1 (neighbor block) and
 L2 (own state), the initial state and an optional reachable-set radius.
 """
 
+import collections
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr, reach
+from . import reach
 from .errors import ExprError, ModelError
 
 _HILL_SERIES_CUTOFF = 1e-8
@@ -119,67 +119,34 @@ def _rowwise_product(A, x):
     return np.sum(x[..., None, :] * A, axis=-1)
 
 
-class ExpressionDynamics:
-    variant = "expression"
-
-    def __init__(self, texts, params):
-        self.texts = tuple(texts)
-        self.params = dict(params)
-        self.asts = []
-        # vector symbol -> highest coordinate read, as in expr.parse_expression
-        self.symbols = {}
-        for text in self.texts:
-            ast, used = expr.parse_expression(text, self.params)
-            self.asts.append(ast)
-            for sym, k in used.items():
-                self.symbols[sym] = max(self.symbols.get(sym, 0), k)
-
-    def key(self):
-        return (self.texts, tuple(sorted(self.params.items())))
-
-    def eval(self, x_i, neighbors):
-        x_i = np.asarray(x_i, dtype=float)
-        # an overflow or an invalid operation yields inf or nan, which the
-        # endpoint and audit checks downstream reject with a HorizonError
-        out = np.empty(x_i.shape[:-1] + (len(self.asts),))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c, ast in enumerate(self.asts):
-                out[..., c] = expr.eval_ast(ast, x_i, neighbors)
-        return out
+# A goal box [lo, hi] and its time window, relative to the previous
+# goal's claim or absolute.
+Goal = collections.namedtuple("Goal", "lo hi window relative")
 
 
-@dataclass(frozen=True, eq=False)
-class Goal:
-    lo: np.ndarray
-    hi: np.ndarray
-    window: tuple
-    relative: bool = True
-
-
-@dataclass(frozen=True, eq=False)
 class AgentModel:
-    id: int
-    dim: int
-    neighbors: tuple
-    dynamics: object
-    v_max: float
-    M: float
-    L1: float
-    L2: float
-    x0: np.ndarray
-    reach_radius: float = None
-    goals: tuple = ()
+    def __init__(self, id, dim, neighbors, dynamics, v_max, M, L1, L2, x0,
+                 reach_radius=None, goals=()):
+        self.id = id
+        self.dim = dim
+        self.neighbors = neighbors
+        self.dynamics = dynamics
+        self.v_max = v_max
+        self.M = M
+        self.L1 = L1
+        self.L2 = L2
+        self.x0 = x0
+        self.reach_radius = reach_radius
+        self.goals = goals
 
 
-@dataclass(frozen=True, eq=False)
 class NetworkModel:
-    agents: tuple
-    horizon: float
-    tau: float
-    raw: dict = field(repr=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_id", {a.id: a for a in self.agents})
+    def __init__(self, agents, horizon, tau, raw=None):
+        self.agents = agents
+        self.horizon = horizon
+        self.tau = tau
+        self.raw = raw
+        self._by_id = {a.id: a for a in agents}
 
     def agent(self, agent_id):
         return self._by_id[agent_id]
@@ -451,7 +418,9 @@ def _parse_dynamics(entry, n, neighbors, agent_id):
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"agent {agent_id}: params must be an object")
         params = {k: _scalar(v, f"agent {agent_id}: param {k}") for k, v in params.items()}
-        dyn = ExpressionDynamics(exprs, params)
+        from . import expr
+
+        dyn = expr.ExpressionDynamics(exprs, params)
         for sym, k in sorted(dyn.symbols.items()):
             if sym != "x_i":
                 _require(
@@ -597,10 +566,10 @@ def parse_model(text):
     return NetworkModel(agents=tuple(agents), horizon=T, tau=tau, raw=doc)
 
 
-@dataclass
 class BoundsReport:
-    entries: dict
-    violations: list
+    def __init__(self, entries, violations):
+        self.entries = entries
+        self.violations = violations
 
     @property
     def ok(self):

@@ -15,12 +15,12 @@ window, so the search explores both claiming and waiting.
 import collections
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid
 from .errors import HorizonError, ModelError, PlanConsistencyError, UnsatisfiableError
+from .plandoc import Plan, check_plan_lists, plan_configs
 
 
 class CapExceededError(UnsatisfiableError):
@@ -41,12 +41,9 @@ def window_to_steps(window, dt, steps):
     return a_step, b_step
 
 
-@dataclass(frozen=True)
-class StepGoal:
-    cells: frozenset
-    a: int
-    b: int
-    relative: bool
+# One goal of an agent's table: the cells that satisfy it and its window
+# [a, b] of steps, relative to the previous claim or absolute.
+StepGoal = collections.namedtuple("StepGoal", "cells a b relative")
 
 
 def goal_table(abstraction, agent_id):
@@ -133,16 +130,10 @@ class _Goals:
 Layer = collections.namedtuple("Layer", "cells claims")
 
 
-@dataclass(frozen=True, eq=False)
-class Search:
-    """An agent's forward layers, one per step 0..m, its number of goals,
-    and per step k < m the transitions out of the expanded states:
-    ``edges[k]`` pairs rows of layer k with the rows of layer k + 1."""
-
-    agent_id: int
-    goals: int
-    layers: list
-    edges: list
+# An agent's forward layers, one per step 0..m, its number of goals, and
+# per step k < m the transitions out of the expanded states: ``edges[k]``
+# pairs rows of layer k with the rows of layer k + 1.
+Search = collections.namedtuple("Search", "agent_id goals layers edges")
 
 
 def _ranges(sizes):
@@ -314,21 +305,6 @@ def _first_failing_goal(search):
     if best < search.goals:
         return f"goal {best + 1} was never claimable inside its window"
     return "goals are claimable but no path of the full plan length survives"
-
-
-@dataclass
-class Plan:
-    m: int
-    dt: float
-    steps: int
-    cells: dict
-    w: dict
-    targets: dict
-    strategy: str
-    explored: dict
-    reachable: dict
-    satisfying: dict
-    model_hash: str = None
 
 
 def topological_order(model):
@@ -645,31 +621,6 @@ def _assemble_plan(model, abstraction, chosen, m, strategy, explored, reachable,
     )
 
 
-def check_plan_lists(model, plan):
-    """Every model agent is in the plan with m + 1 cells and m parameters."""
-    for i in model.agent_ids:
-        if i not in plan.cells or i not in plan.w:
-            raise PlanConsistencyError(f"agent {i}: missing from the plan")
-        if len(plan.cells[i]) != plan.m + 1:
-            raise PlanConsistencyError(
-                f"agent {i}: plan lists {len(plan.cells[i])} cells for {plan.m} steps"
-            )
-        if len(plan.w[i]) != plan.m:
-            raise PlanConsistencyError(
-                f"agent {i}: plan lists {len(plan.w[i])} parameters for {plan.m} steps"
-            )
-
-
-def plan_configs(model, cells, m):
-    """Per agent, its configuration at each of the first m steps of the
-    per-agent cell lists ``cells``: its own cell, then its neighbors' in
-    declared order."""
-    return {
-        i: list(zip(cells[i][:m], *(cells[j][:m] for j in model.agent(i).neighbors)))
-        for i in model.agent_ids
-    }
-
-
 def extract_controls(model, abstraction, plan):
     """Re-derive and cross-check the per-step controller parameters of a
     plan; per agent, the Action of each of its m steps."""
@@ -719,63 +670,3 @@ def extract_controls(model, abstraction, plan):
             steps.append(action)
         schedule[i] = steps
     return schedule
-
-
-def plan_to_doc(plan):
-    doc = {
-        "m": plan.m,
-        "dt": plan.dt,
-        "steps": plan.steps,
-        "strategy": plan.strategy,
-        "model_hash": plan.model_hash,
-        "explored": {str(i): n for i, n in sorted(plan.explored.items())},
-        "agents": {},
-    }
-    for i in sorted(plan.cells):
-        doc["agents"][str(i)] = {
-            "cells": [list(c) for c in plan.cells[i]],
-            "w": [[float(v) for v in vec] for vec in plan.w[i]],
-            "targets": [[float(v) for v in vec] for vec in plan.targets[i]],
-            "reachable": [list(c) for c in plan.reachable.get(i, [])],
-            "satisfying": [list(c) for c in plan.satisfying.get(i, [])],
-        }
-    return doc
-
-
-def _cell(c):
-    """A lattice cell of a plan document, which lists it as integers."""
-    if type(c) is not list or not all(type(v) is int for v in c):
-        raise ValueError(f"cell {c!r} is not a list of integers")
-    return tuple(c)
-
-
-def plan_from_doc(doc):
-    try:
-        agents = doc["agents"]
-        cells = {int(i): [_cell(c) for c in entry["cells"]] for i, entry in agents.items()}
-        w = {int(i): [np.asarray(v, dtype=float) for v in entry["w"]] for i, entry in agents.items()}
-        targets = {
-            int(i): [np.asarray(v, dtype=float) for v in entry["targets"]]
-            for i, entry in agents.items()
-        }
-        reachable = {
-            int(i): [_cell(c) for c in entry.get("reachable", [])] for i, entry in agents.items()
-        }
-        satisfying = {
-            int(i): [_cell(c) for c in entry.get("satisfying", [])] for i, entry in agents.items()
-        }
-        return Plan(
-            m=int(doc["m"]),
-            dt=float(doc["dt"]),
-            steps=int(doc["steps"]),
-            cells=cells,
-            w=w,
-            targets=targets,
-            strategy=doc.get("strategy", "unknown"),
-            explored={int(i): n for i, n in doc.get("explored", {}).items()},
-            reachable=reachable,
-            satisfying=satisfying,
-            model_hash=doc.get("model_hash"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
-        raise PlanConsistencyError(f"malformed plan document: {e}") from None

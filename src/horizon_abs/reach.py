@@ -7,43 +7,36 @@ exact radius additions, so the growth law has no overapproximation gap
 of its own.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ModelError
 
 
-@dataclass(frozen=True, eq=False)
 class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ModelError(f"negative ball radius {self.radius}")
+    def __init__(self, center, radius):
+        if radius < 0:
+            raise ModelError(f"negative ball radius {radius}")
+        self.center = np.asarray(center, dtype=float)
+        self.radius = radius
 
     def contains(self, x, slack=0.0):
         x = np.asarray(x, dtype=float)
         return np.sqrt(np.sum((x - self.center) ** 2, axis=-1)) <= self.radius + slack
 
 
-@dataclass(frozen=True)
 class ReachFamily:
     """Time-indexed balls R([0, t]) for t in [T - tau, T]."""
 
-    agent_id: int
-    base: Ball
-    c_rate: float
-    tau: float
-    T: float
-
-    def __post_init__(self):
-        if self.c_rate < 0:
+    def __init__(self, agent_id, base, c_rate, tau, T):
+        if c_rate < 0:
             raise ModelError("negative growth rate")
-        if not 0 < self.tau < self.T:
-            raise ModelError(f"tau must lie in (0, T); got tau={self.tau}, T={self.T}")
+        if not 0 < tau < T:
+            raise ModelError(f"tau must lie in (0, T); got tau={tau}, T={T}")
+        self.agent_id = agent_id
+        self.base = base
+        self.c_rate = c_rate
+        self.tau = tau
+        self.T = T
 
 
 def c_i(family, sigma):

@@ -73,9 +73,10 @@ def _rect(frame, lo, hi, fill=None, stroke=None, width=1.0, opacity=None):
 
 
 def _polyline(frame, points, stroke, width=1.5):
-    coords = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (frame.pt(p) for p in points)
-    )
+    # frame.pt of every point at once: the same operations in the same order
+    xs = ((points[:, 0] - frame.lo[0]) * frame.scale).tolist()
+    ys = (frame.height - (points[:, 1] - frame.lo[1]) * frame.scale).tolist()
+    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in zip(xs, ys))
     return (
         f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
         f'stroke-width="{_fmt(width)}"/>'

@@ -8,7 +8,6 @@ the closed loop coincides with the auxiliary disturbance system.
 """
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +20,14 @@ MEMBERSHIP_SNAP = 1e-9
 TABLE_BLOCK = 64
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory:
-    ts: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    agent_ids: tuple
-    dt: float
-    substeps: int
+    def __init__(self, ts, states, inputs, agent_ids, dt, substeps):
+        self.ts = ts
+        self.states = states
+        self.inputs = inputs
+        self.agent_ids = agent_ids
+        self.dt = dt
+        self.substeps = substeps
 
     def state_at_step(self, agent_idx, k):
         return self.states[k * self.substeps, agent_idx]
@@ -199,11 +198,11 @@ def check_node_times(traj, dt, m, substeps):
         )
 
 
-@dataclass
 class ValidationReport:
-    entries: list
-    min_margin: float
-    passed: bool
+    def __init__(self, entries, min_margin, passed):
+        self.entries = entries
+        self.min_margin = min_margin
+        self.passed = passed
 
     def to_doc(self):
         return {
@@ -267,12 +266,12 @@ def trajectory_to_csv(traj):
     cols = ["t", "agent"] + [f"x{k + 1}" for k in range(n)] + [f"v{k + 1}" for k in range(n)]
     buf.write(",".join(cols) + "\n")
     # tolist() gives Python floats, whose repr is that of float(numpy scalar);
-    # one node at a time keeps few of them alive
+    # one node at a time keeps few of them alive.  A list's repr holds its
+    # floats' reprs, so one repr per row makes every value's.
     for t, states, inputs in zip(traj.ts.tolist(), traj.states, traj.inputs):
         t = repr(t)
         for i, x, v in zip(traj.agent_ids, states.tolist(), inputs.tolist()):
-            row = [t, str(i)] + [repr(c) for c in x] + [repr(c) for c in v]
-            buf.write(",".join(row) + "\n")
+            buf.write(f"{t},{i},{repr(x + v)[1:-1].replace(', ', ',')}\n")
     return buf.getvalue()
 
 
@@ -294,7 +293,7 @@ def trajectory_from_csv(text, model):
         raise ModelError(f"malformed trajectory header: need t, agent and {2 * n} values")
     try:
         # one row of floats at a time: the split strings of every row at once take more memory
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+        rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
         data = np.array(rows).reshape(len(rows), 2 + 2 * n)
     except ValueError as e:
         raise ModelError(f"malformed trajectory row: {e}") from None

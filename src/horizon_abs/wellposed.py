@@ -8,7 +8,6 @@ factor.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InfeasibleError, ModelError
 
@@ -18,14 +17,21 @@ _AUTO_HEADROOM = 0.9
 _STEPS_CAP = 100000  # no step count, requested or derived, is higher
 
 
-@dataclass(frozen=True)
 class DiscretizationParams:
-    dt: float
-    steps: int
-    lam: dict
-    mu: dict
-    d_max: dict
-    margin: float
+    """A discretization; two are equal when every field is."""
+
+    def __init__(self, dt, steps, lam, mu, d_max, margin):
+        self.dt = dt
+        self.steps = steps
+        self.lam = lam
+        self.mu = mu
+        self.d_max = d_max
+        self.margin = margin
+
+    def __eq__(self, other):
+        if type(other) is not DiscretizationParams:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def mu_norm(model, params, agent_id):

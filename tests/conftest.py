@@ -174,7 +174,7 @@ def per_agent_closed_loop(model, ab, schedule, m):
         controls = []
         for a, agent in enumerate(model.agents):
             step = schedule[agent.id][k]
-            own, nbr = ab.config_refs(agent.id, step.config)
+            own, nbr = oracles.config_refs(ab, agent.id, step.config)
             ref = controller.integrate_reference(agent, own, nbr, dt, substeps, ab.integ_tol)
             controls.append(oracles.TransitionControl(
                 agent=agent, reference=ref, x_G=ref.own_ref, x0=Y[a], w=step.w,
@@ -643,7 +643,7 @@ def per_combination_product_layers(model, ab):
                 (assignment[i],) + tuple(assignment[j] for j in model.agent(i).neighbors)
                 for i in ids
             ]
-            if not all(ab.is_initiating(i, c) for i, c in zip(ids, configs)):
+            if not all(oracles.is_initiating(ab, i, c) for i, c in zip(ids, configs)):
                 continue
             posts = [ab.post(i, c) for i, c in zip(ids, configs)]
             for combo in itertools.product(*posts):

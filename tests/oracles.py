@@ -17,7 +17,7 @@ expression helpers that only tests use.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,25 @@ from horizon_abs import model as model_mod
 from horizon_abs.errors import HorizonError, ModelError, UnsatisfiableError
 
 DISTURBANCE_KNOTS = 8
+
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed, as dataclasses.replace
+    makes it: every field of the package's records is an argument of its
+    __init__, under the same name."""
+    return type(record)(**{**vars(record), **changes})
+
+
+def is_initiating(ab, agent_id, config):
+    """Whether one (agent, configuration) pair is transition-initiating."""
+    return bool(ab.initiating([(agent_id, config)])[0])
+
+
+def config_refs(ab, agent_id, config):
+    """The reference points of one configuration: the agent's own, and its
+    neighbors' as one block in declared order."""
+    own, nbr = ab._refs(ab._by_agent([(agent_id, config)]), 1)
+    return own[0], nbr[0]
 
 
 class PiecewiseLinearPath:
@@ -160,8 +179,8 @@ class TransitionControl:
 def reference_rows(ref, index):
     """The references of a batch at ``index``, with their bits."""
     traj = integrate.DenseTrajectory(ref.traj.ts, ref.traj.ys[:, index], ref.traj.ds[:, index])
-    return replace(
-        ref, own_ref=ref.own_ref[index], nbr_refs=ref.nbr_refs[index], traj=traj,
+    return controller.ReferenceTrajectory(
+        own_ref=ref.own_ref[index], nbr_refs=ref.nbr_refs[index], traj=traj,
         audit_err=np.asarray(ref.audit_err)[index],
     )
 
@@ -302,7 +321,7 @@ def transition_batch(pool, draws, substeps):
     """
     _, _, params, ab = pool[draws[0].instance]
     agent = draws[0].agent
-    own, nbr = (np.stack(v) for v in zip(*(ab.config_refs(agent.id, d.config) for d in draws)))
+    own, nbr = (np.stack(v) for v in zip(*(config_refs(ab, agent.id, d.config) for d in draws)))
     per_draw = np.repeat(np.arange(len(draws)), 2)
     ref = reference_rows(
         controller.integrate_reference(agent, own, nbr, params.dt, substeps=substeps), per_draw
@@ -436,7 +455,7 @@ def forward_layers(ab, jobs, m):
             parents = tuple(parent_cells[k])
             grouped = {}
             for (l, g, s) in out[j][k]:
-                if ab.is_initiating(agent_id, (l,) + parents):
+                if is_initiating(ab, agent_id, (l,) + parents):
                     grouped.setdefault(l, set()).add((g, s))
             if grouped:
                 requests.append((j, [(l,) + parents for l in sorted(grouped)], grouped))
@@ -472,7 +491,7 @@ def backward_prune(ab, agent_id, parent_cells, table, m, layers):
         parents = tuple(parent_cells[k])
         for (l, g, s) in layers[k]:
             config = (l,) + parents
-            if not ab.is_initiating(agent_id, config):
+            if not is_initiating(ab, agent_id, config):
                 continue
             for l2 in ab.post(agent_id, config):
                 progs = by_cell.get(l2)

@@ -123,7 +123,7 @@ def test_config_arity_checked(pair_stack):
     _, _, ab = pair_stack
     own = pair_config(ab)[0]
     with pytest.raises(ModelError, match="configuration needs"):
-        ab.config_refs(2, (own,))
+        oracles.config_refs(ab, 2, (own,))
 
 
 def test_successor_action_realizes_each_target(pair_stack):

@@ -289,10 +289,8 @@ def test_criterion_09_boundary_rejection(five_model, five_params, tmp_path):
         second = wellposed.check_params(five_model, scaled, five_model.tau)
         violations_per_agent[agent.id] = first
         assert first == second  # deterministic rejection
-    from dataclasses import replace
-
     sup_dt = min(wellposed.dt_bound(five_model, five_params, a.id) for a in five_model.agents)
-    stretched = replace(five_params, dt=sup_dt * 1.01)
+    stretched = oracles.replace(five_params, dt=sup_dt * 1.01)
     dt_violations = wellposed.check_params(five_model, stretched, five_model.tau)
 
     model_path = tmp_path / "model.json"

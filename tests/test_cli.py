@@ -12,7 +12,9 @@ import pytest
 from horizon_abs import cli
 from horizon_abs.errors import HorizonError
 
-from conftest import FIVE_AGENTS, make_model, pair_doc, ring_doc, ring_workloads, run_cli
+from conftest import (
+    FIVE_AGENTS, heterogeneous_doc, make_model, pair_doc, ring_doc, ring_workloads, run_cli,
+)
 
 PAIR_FLAGS = ["--steps", "5", "--lambda", "1=0.55", "--lambda", "2=0.55"]
 
@@ -668,6 +670,32 @@ def test_hash_mismatch_is_an_input_error(planned_run, tmp_path):
     assert res.returncode == 1 and "hash mismatch" in res.stderr
 
 
+@pytest.mark.parametrize("validation, code, message", [
+    ("failed", 4, "records a failed validation"),
+    ('{"passed": tru', 1, "cannot parse"),
+    ('{"passed": "yes"}', 1, "not a boolean"),
+    (None, 1, "cannot read"),
+], ids=["failed", "truncated", "not-a-boolean", "a-directory"])
+def test_chain_refuses_a_failed_or_unreadable_validation(
+    validation, code, message, planned_run, tmp_path, capsys
+):
+    """chain hands a window on only from a run whose validation.json, if
+    the directory holds one, passed.  A failed one is a ValidationError, an
+    unreadable one a ModelError, and neither writes next_model.json."""
+    model_path, out, _, _ = planned_run
+    (tmp_path / "trajectory.csv").write_bytes((out / "trajectory.csv").read_bytes())
+    if validation is None:
+        (tmp_path / "validation.json").mkdir()
+    else:
+        if validation == "failed":
+            doc = json.loads((out / "validation.json").read_text())
+            validation = json.dumps({**doc, "passed": False})
+        (tmp_path / "validation.json").write_text(validation)
+    assert cli.main(["chain", "--model", str(model_path), "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "next_model.json").exists()
+
+
 def test_chain_requires_a_trajectory(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     res = run_cli(["chain", "--model", model_path, "--out", tmp_path / "empty"])
@@ -743,26 +771,54 @@ def test_the_package_import_loads_only_the_errors():
                                        "False"]
 
 
+# modules no command loads: the records are plain classes, and the pair
+# model's dynamics are built in
+NEVER_LOADED = ["dataclasses", "horizon_abs.expr"]
+
+
 @pytest.mark.parametrize("command, unloaded", [
     ("abstract", ["horizon_abs.planner", "horizon_abs.sim", "horizon_abs.render"]),
     ("plan", ["horizon_abs.sim", "horizon_abs.render"]),
     ("chain", ["horizon_abs.planner", "horizon_abs.render", "hashlib"]),
+    ("validate", ["horizon_abs.render"]),
+    ("render", ["horizon_abs.planner"]),
 ])
 def test_a_command_leaves_the_modules_it_does_not_run_unloaded(
     command, unloaded, planned_run, tmp_path
 ):
     """Each command imports the modules past the shared set where it
     starts.  abstract loads hashlib through numpy.random, which its bounds
-    sampler uses; chain, which records no model hash, leaves it unloaded."""
+    sampler uses; chain, which records no model hash, leaves it unloaded.
+    render reads plan.json through plandoc, without the search."""
     model_path, out, _, _ = planned_run
-    (tmp_path / "trajectory.csv").write_bytes((out / "trajectory.csv").read_bytes())
+    for name in ("plan.json", "trajectory.csv"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
     argv = [command, "--model", str(model_path), "--out", str(tmp_path)] + PAIR_FLAGS
     code = (
         "import sys\n"
         "from horizon_abs.cli import main\n"
         f"status = main({argv!r})\n"
-        f"print(status, [m for m in {unloaded!r} if m in sys.modules])\n"
+        f"print(status, [m for m in {unloaded + NEVER_LOADED!r} if m in sys.modules])\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("doc, flags", [
+    (heterogeneous_doc, ["--steps", "4"]),
+    (lambda: ring_doc(1), ring_workloads().RING_FLAGS),
+], ids=["heterogeneous", "ring"])
+def test_expression_dynamics_run_through_the_expression_module(doc, flags, tmp_path):
+    """A model with an expression agent loads expr when it is parsed."""
+    model_path = write_model(tmp_path / "model.json", doc())
+    argv = ["abstract", "--model", str(model_path), "--out", str(tmp_path / "out")] + flags
+    code = (
+        "import sys\n"
+        "from horizon_abs.cli import main\n"
+        f"status = main({argv!r})\n"
+        "print(status, 'horizon_abs.expr' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 True"

@@ -41,7 +41,7 @@ def pair_config(ab):
 
 
 def single_reference(ab, agent_id, config):
-    own, nbr = ab.config_refs(agent_id, config)
+    own, nbr = oracles.config_refs(ab, agent_id, config)
     return controller.integrate_reference(
         ab.model.agent(agent_id), own, nbr, ab.params.dt, ab.substeps, ab.integ_tol,
     )
@@ -52,7 +52,7 @@ def follower_control(ab, config, rng):
     model = ab.model
     target = ab.post(2, config)[0]
     action = ab.successor_action(2, config, target)
-    own, nbr = ab.config_refs(2, config)
+    own, nbr = oracles.config_refs(ab, 2, config)
     ref = controller.integrate_reference(
         model.agent(2), own[None], nbr[None], ab.params.dt, ab.substeps, ab.integ_tol,
     )
@@ -346,7 +346,7 @@ def test_reference_starts_at_own_point_and_obeys_speed_cap(pair_stack):
     assert ys.shape == (ab.substeps + 1, len(configs), 2)
     assert audit_err.shape == (len(configs),)
     for r, config in enumerate(configs):
-        own, nbr = ab.config_refs(2, config)
+        own, nbr = oracles.config_refs(ab, 2, config)
         assert np.array_equal(ref.traj.eval(0.0)[r], own)
         assert np.array_equal(ref.own_ref[r], own)
         assert np.array_equal(ref.nbr_refs[r], nbr)
@@ -367,7 +367,7 @@ def test_reference_endpoints_match_dense_solution(pair_stack):
         assert np.array_equal(ref.traj.ys[:, r], single.traj.ys)
         assert np.array_equal(ref.traj.ds[:, r], single.traj.ds)
         assert audit_err[r] == single.audit_err
-        own, nbr = ab.config_refs(2, config)
+        own, nbr = oracles.config_refs(ab, 2, config)
         batched = controller.reference_endpoints(
             [model.agent(2)], own[None], nbr[None], params.dt, ab.substeps
         )
@@ -393,7 +393,7 @@ def test_reference_endpoints_of_a_mixed_stack_match_one_row_runs():
     ]
     pairs = [pairs[r] for r in rng.permutation(len(pairs))]
     agents = [model.agent(i) for i, _ in pairs]
-    own, nbr = zip(*(ab.config_refs(*pair) for pair in pairs))
+    own, nbr = zip(*(oracles.config_refs(ab, *pair) for pair in pairs))
     stacked = controller.reference_endpoints(agents, np.stack(own), nbr, params.dt, ab.substeps)
     for row, agent, o, b in zip(stacked, agents, own, nbr):
         alone = controller.reference_endpoints([agent], o[None], [b], params.dt, ab.substeps)
@@ -406,7 +406,8 @@ def test_reference_endpoints_of_a_mixed_stack_match_one_row_runs():
 
 def test_batched_reference_audit_names_the_agent(pair_stack):
     _, params, ab = pair_stack
-    own, nbr = (np.stack(refs) for refs in zip(*(ab.config_refs(2, c) for c in batch_configs(ab))))
+    refs = [oracles.config_refs(ab, 2, c) for c in batch_configs(ab)]
+    own, nbr = (np.stack(v) for v in zip(*refs))
     with pytest.raises(integrate.IntegrationError, match="reference of agent 2 audit"):
         controller.integrate_reference(
             ab.model.agent(2), own, nbr, params.dt, substeps=2, integ_tol=1e-16

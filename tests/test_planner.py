@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from horizon_abs import abstraction as abstraction_mod
-from horizon_abs import controller, grid, planner, wellposed
+from horizon_abs import controller, grid, plandoc, planner, wellposed
 from horizon_abs.errors import (
     HorizonError,
     ModelError,
@@ -330,17 +330,14 @@ def test_ring_workload_keeps_its_shape(monkeypatch):
 def test_star_search_works_per_layer_not_per_state(size, monkeypatch):
     """A star of 4, 9 or 19 followers around one leader searches 3,828,
     7,780 and 15,652 states.  Its Posts still come in 22 endpoint
-    batches, and the search makes no per-state call: no is_initiating or
-    config_refs, one reference_point per agent slot and batch at most, and
-    one CellSet membership test per parent cell and layer plus one per
-    agent's start cell."""
+    batches, and the search makes no per-state call: one reference_point
+    per agent slot and batch at most, and one CellSet membership test per
+    parent cell and layer plus one per agent's start cell."""
     model = make_model(star_doc(size))
     ab = abstraction_mod.build_abstraction(model, wellposed.synthesize(model, steps=12))
     batches = count_endpoint_batches(monkeypatch)
     counts = {}
     for owner, name in [
-        (abstraction_mod.Abstraction, "is_initiating"),
-        (abstraction_mod.Abstraction, "config_refs"),
         (grid, "reference_point"),
         (grid.CellSet, "__contains__"),
     ]:
@@ -351,7 +348,6 @@ def test_star_search_works_per_layer_not_per_state(size, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     plan = planner.cascade_synthesize(model, ab)
     assert plan.m == 12 and len(batches) == 22
-    assert "is_initiating" not in counts and "config_refs" not in counts
     assert counts["reference_point"] <= 2 * size * (plan.m + 1)
     assert counts["__contains__"] == (size - 1) * plan.m + size
 
@@ -571,8 +567,8 @@ def test_plan_doc_round_trip(pair_stack):
     model, _, ab = pair_stack
     plan = planner.cascade_synthesize(model, ab)
     plan.model_hash = "0123abcd"
-    doc = json.loads(json.dumps(planner.plan_to_doc(plan)))
-    back = planner.plan_from_doc(doc)
+    doc = json.loads(json.dumps(plandoc.plan_to_doc(plan)))
+    back = plandoc.plan_from_doc(doc)
     assert (back.m, back.dt, back.steps) == (plan.m, plan.dt, plan.steps)
     assert back.strategy == plan.strategy
     assert back.model_hash == plan.model_hash
@@ -588,9 +584,9 @@ def test_plan_doc_round_trip(pair_stack):
 
 def test_plan_from_doc_rejects_malformed():
     with pytest.raises(PlanConsistencyError, match="malformed plan document"):
-        planner.plan_from_doc({"m": 1})
+        plandoc.plan_from_doc({"m": 1})
     with pytest.raises(PlanConsistencyError, match="malformed plan document"):
-        planner.plan_from_doc({"m": 1, "dt": 0.1, "steps": 2, "agents": {"1": {}}})
+        plandoc.plan_from_doc({"m": 1, "dt": 0.1, "steps": 2, "agents": {"1": {}}})
 
 
 def oracle_cases(case, five_model):

@@ -457,7 +457,7 @@ def test_binding_reference_rows_have_the_bits_of_the_per_stage_path(monkeypatch)
     schedule = heterogeneous_schedule(ab, 4, np.random.default_rng(5))
     pairs = list(dict.fromkeys((i, step.config) for i in model.agent_ids for step in schedule[i]))
     agents = [model.agent(i) for i, _ in pairs]
-    own, nbr = (np.stack(v) for v in zip(*(ab.config_refs(*pair) for pair in pairs)))
+    own, nbr = (np.stack(v) for v in zip(*(oracles.config_refs(ab, *pair) for pair in pairs)))
     field = model_mod.NetworkField(agents, nbr_refs=nbr)
 
     def g(t, y):
@@ -503,7 +503,9 @@ def test_stacked_references_match_per_agent_runs(stack):
     err = refs.audit(ab.integ_tol, model.agent_ids)
     for agent in model.agents:
         rows = [r for r, (i, _) in enumerate(pairs) if i == agent.id]
-        own, nbr = (np.stack(v) for v in zip(*(ab.config_refs(*pairs[r]) for r in rows)))
+        own, nbr = (
+            np.stack(v) for v in zip(*(oracles.config_refs(ab, *pairs[r]) for r in rows))
+        )
         alone = controller.integrate_reference(
             agent, own, nbr, ab.params.dt, ab.substeps, ab.integ_tol
         )

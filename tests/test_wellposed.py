@@ -7,7 +7,6 @@ of the two diameter branches evaluated at dt = 1/6.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -93,7 +92,7 @@ def test_unconstrained_agent_has_infinite_dt_bound():
     params = wellposed.synthesize(model)
     assert math.isinf(wellposed.dt_bound(model, params, 1))
     # L1 = 0 and lam = 0 also kill the denominator
-    zero_lam = replace(params, lam={1: 0.0})
+    zero_lam = oracles.replace(params, lam={1: 0.0})
     assert math.isinf(wellposed.dt_bound(model, zero_lam, 1))
 
 
@@ -168,16 +167,16 @@ def test_check_params_flags_edge_coupling(five_model, five_params):
 
 def test_check_params_flags_bad_scalars(five_model, five_params):
     assert wellposed.check_params(
-        five_model, replace(five_params, dt=0.0), five_model.tau
+        five_model, oracles.replace(five_params, dt=0.0), five_model.tau
     ) == ["dt=0.0 must be positive"]
     violations = wellposed.check_params(
-        five_model, replace(five_params, dt=0.26), five_model.tau
+        five_model, oracles.replace(five_params, dt=0.26), five_model.tau
     )
     assert any("tau" in v for v in violations)
-    bad_lam = replace(five_params, lam={**five_params.lam, 3: 1.0})
+    bad_lam = oracles.replace(five_params, lam={**five_params.lam, 3: 1.0})
     violations = wellposed.check_params(five_model, bad_lam, five_model.tau)
     assert any("lambda" in v for v in violations)
-    big_dt = replace(five_params, dt=0.36)  # above agent 1's bound 13/37
+    big_dt = oracles.replace(five_params, dt=0.36)  # above agent 1's bound 13/37
     violations = wellposed.check_params(five_model, big_dt, five_model.tau)
     assert any("agent 1" in v and "bound" in v for v in violations)
 
