@@ -283,8 +283,5 @@ class Abstraction:
 def build_abstraction(model, params, substeps=integrate.DEFAULT_SUBSTEPS,
                       integ_tol=integrate.DEFAULT_INTEG_TOL):
     families = {a.id: model_mod.reach_family(model, a.id) for a in model.agents}
-    decs = {
-        a.id: grid.build_decomposition(families[a.id], params.d_max[a.id], params.dt)
-        for a in model.agents
-    }
+    decs = grid.build_decompositions(families, params)
     return Abstraction(model, params, families, decs, substeps=substeps, integ_tol=integ_tol)

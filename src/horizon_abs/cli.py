@@ -15,7 +15,6 @@ import os
 import sys
 import time
 
-from . import abstraction as abstraction_mod
 from . import model as model_mod
 from . import integrate, wellposed
 from .errors import (
@@ -182,13 +181,16 @@ def _ensure_out(args):
     os.makedirs(args.out, exist_ok=True)
 
 
-def _build(model, params, args):
-    substeps, integ_tol = integrate.check_settings(
+def _flag_settings(args):
+    return integrate.check_settings(
         args.substeps, args.integ_tol, names=("--substeps", "--integ-tol")
     )
-    return abstraction_mod.build_abstraction(
-        model, params, substeps=substeps, integ_tol=integ_tol
-    )
+
+
+def _build(model, params, substeps, integ_tol):
+    from . import abstraction
+
+    return abstraction.build_abstraction(model, params, substeps=substeps, integ_tol=integ_tol)
 
 
 def _discretization_doc(model, params, abstraction):
@@ -219,7 +221,7 @@ def _discretization_doc(model, params, abstraction):
 def cmd_abstract(args):
     model, _ = _load_model(args.model)
     params = _synthesize(model, args)
-    abstraction = _build(model, params, args)
+    abstraction = _build(model, params, *_flag_settings(args))
     _ensure_out(args)
     _write_json(args.out, "discretization.json", _discretization_doc(model, params, abstraction))
     report = model_mod.validate_bounds(model, samples=args.samples, seed=args.seed)
@@ -244,7 +246,7 @@ def cmd_plan(args):
 
     model, data = _load_model(args.model)
     params = _synthesize(model, args)
-    abstraction = _build(model, params, args)
+    abstraction = _build(model, params, *_flag_settings(args))
     strategy = args.strategy
     if strategy == "auto":
         strategy = "cascade" if planner.topological_order(model) else "product"
@@ -319,11 +321,8 @@ def cmd_validate(args):
     plan, params, doc = _load_plan(args, model, data)
     if params is None:
         params = _synthesize(model, args)
-    substeps, integ_tol = _plan_settings(doc, args)
     # the plan's settings, so the re-derived Posts match the ones it was planned on
-    abstraction = abstraction_mod.build_abstraction(
-        model, params, substeps=substeps, integ_tol=integ_tol
-    )
+    abstraction = _build(model, params, *_plan_settings(doc, args))
     schedule = planner.extract_controls(model, abstraction, plan)
     t0 = time.monotonic()
     traj = sim.simulate_closed_loop(model, abstraction, schedule, plan.m)
@@ -346,7 +345,7 @@ def cmd_validate(args):
 
 
 def cmd_render(args):
-    from . import plandoc, render, sim
+    from . import grid, plandoc, render, sim
 
     model, data = _load_model(args.model)
     plan = None
@@ -357,14 +356,17 @@ def cmd_render(args):
         substeps, _ = _plan_settings(doc, args)
     if params is None:
         params = _synthesize(model, args)
-    abstraction = _build(model, params, args)
+    _flag_settings(args)
+    # no Abstraction: the figure reads regions and the boxes the plan names
+    families = {a.id: model_mod.reach_family(model, a.id) for a in model.agents}
+    decs = grid.build_decompositions(families, params)
     traj = None
     traj_path = os.path.join(args.out, "trajectory.csv")
     if os.path.exists(traj_path):
         traj = sim.trajectory_from_csv(_read_text(traj_path).decode("utf-8"), model)
         if plan is not None:
             sim.check_node_times(traj, params.dt, plan.m, substeps)
-    svg = render.render_svg(model, abstraction.families, abstraction.decs, plan=plan, traj=traj)
+    svg = render.render_svg(model, families, decs, plan=plan, traj=traj)
     _ensure_out(args)
     _write_text(args.out, "figure.svg", svg)
     print(f"figure written to {os.path.join(args.out, 'figure.svg')}")

@@ -7,7 +7,8 @@ state.  A cell index is the integer lattice tuple of its box.
 
 A decomposition stores its cells as boolean masks over the region's
 bounding lattice box, one for valid and one for initiating cells, built
-axis by axis without a per-cell object; ``index_set`` and
+axis by axis without a per-cell object the first time either is read
+(a figure of a plan reads neither); ``index_set`` and
 ``initiating_set`` are read-only set views of those masks.
 
 Grids are built, labeled and intersected with balls one array at a
@@ -92,14 +93,22 @@ def _lattice_tuples(origin, mask):
 
 
 class CellDecomposition:
-    def __init__(self, agent_id, anchor, side, region, inner, index_set, initiating_set):
+    def __init__(self, agent_id, anchor, side, region, inner, origin, shape):
         self.agent_id = agent_id
         self.anchor = anchor
         self.side = side
         self.region = region
         self.inner = inner
-        self.index_set = index_set
-        self.initiating_set = initiating_set
+        # the lattice box of the region: its first index and its extent
+        self.origin = origin
+        self.shape = shape
+
+    def __getattr__(self, name):
+        # index_set and initiating_set, masked the first time either is read
+        if name not in ("index_set", "initiating_set"):
+            raise AttributeError(f"'CellDecomposition' object has no attribute {name!r}")
+        self.index_set, self.initiating_set = _cell_masks(self)
+        return getattr(self, name)
 
     @property
     def dim(self):
@@ -148,20 +157,14 @@ def _sum_axes(values):
 
 
 def build_decomposition(family, d_max, dt):
-    """Mask every grid cell whose box touches the agent's horizon ball.
-
-    The tests are separable, so each runs once per lattice column of an
-    axis and is combined over the box by broadcasting: the squared clamp
-    gaps are summed per cell, and the farthest corner of a box takes the
-    larger squared corner gap on every axis.
-    """
+    """The grid of the agent's horizon ball, with its lattice box checked
+    to fit in int64; its cells are masked when first read."""
     if d_max <= 0:
         raise ModelError(f"d_max must be positive, got {d_max}")
     region = reach.reach_at(family, family.T)
     inner = reach.inner_region(family, dt)
     anchor = np.asarray(family.base.center, dtype=float)
-    n = anchor.shape[0]
-    side = d_max / math.sqrt(n)
+    side = d_max / math.sqrt(anchor.shape[0])
 
     lo = np.floor((region.center - region.radius - anchor) / side)
     hi = np.floor((region.center + region.radius - anchor) / side)
@@ -171,8 +174,26 @@ def build_decomposition(family, d_max, dt):
             f"agent {family.agent_id}: the lattice of its region (radius {region.radius:g}, "
             f"cell side {side:g}) does not fit in int64"
         )
-    origin, top = lo.astype(int), hi.astype(int)
-    los, his = _axis_bounds(anchor, side, origin, top - origin + 1)
+    origin, shape = lo.astype(int), hi.astype(int) - lo.astype(int) + 1
+    return CellDecomposition(family.agent_id, anchor, side, region, inner, origin, shape)
+
+
+def build_decompositions(families, params):
+    """build_decomposition of every agent's reach family, by agent id."""
+    return {i: build_decomposition(f, params.d_max[i], params.dt) for i, f in families.items()}
+
+
+def _cell_masks(dec):
+    """The valid and initiating CellSets of every grid cell whose box
+    touches the agent's horizon ball.
+
+    The tests are separable, so each runs once per lattice column of an
+    axis and is combined over the box by broadcasting: the squared clamp
+    gaps are summed per cell, and the farthest corner of a box takes the
+    larger squared corner gap on every axis.
+    """
+    region, inner, n = dec.region, dec.inner, dec.dim
+    los, his = _axis_bounds(dec.anchor, dec.side, dec.origin, dec.shape)
     clamp = [np.clip(region.center[k], los[k], his[k]) for k in range(n)]
     dist = np.sqrt(_sum_axes([(clamp[k] - region.center[k]) ** 2 for k in range(n)]))
     # boxes tangent to the sphere keep only the closest point; it must
@@ -185,15 +206,7 @@ def build_decomposition(family, d_max, dt):
         for k in range(n)
     ]
     initiating = valid & (np.sqrt(_sum_axes(far)) <= inner.radius)
-    return CellDecomposition(
-        agent_id=family.agent_id,
-        anchor=anchor,
-        side=side,
-        region=region,
-        inner=inner,
-        index_set=CellSet(origin, valid),
-        initiating_set=CellSet(origin, initiating),
-    )
+    return CellSet(dec.origin, valid), CellSet(dec.origin, initiating)
 
 
 def locate(dec, x):

@@ -28,6 +28,12 @@ def _fmt(v):
     return "0.000" if s == "-0.000" else s
 
 
+def _fmt_all(template, values):
+    """``template`` % ``values``, each %.3f field as _fmt writes it (only
+    a field that starts with a minus sign can read -0.000)."""
+    return (template % tuple(values.tolist())).replace("-0.000", "0.000")
+
+
 class _Frame:
     def __init__(self, lo, hi):
         span = max(hi[0] - lo[0], hi[1] - lo[1])
@@ -56,27 +62,26 @@ def _circle(frame, center, radius, stroke, dash=None):
     )
 
 
-def _rect(frame, lo, hi, fill=None, stroke=None, width=1.0, opacity=None):
-    x, y = frame.pt((lo[0], hi[1]))
-    attrs = [
-        f'x="{_fmt(x)}"',
-        f'y="{_fmt(y)}"',
-        f'width="{_fmt(frame.span(hi[0] - lo[0]))}"',
-        f'height="{_fmt(frame.span(hi[1] - lo[1]))}"',
-    ]
+def _rects(frame, lo, hi, fill=None, stroke=None, width=1.0, opacity=None):
+    """One line per box lo[k]..hi[k], with frame.pt and frame.span per array."""
+    x = (lo[:, 0] - frame.lo[0]) * frame.scale
+    y = frame.height - (hi[:, 1] - frame.lo[1]) * frame.scale
+    values = np.stack([x, y, frame.span(hi[:, 0] - lo[:, 0]), frame.span(hi[:, 1] - lo[:, 1])])
+    attrs = ['x="%.3f" y="%.3f" width="%.3f" height="%.3f"']
     attrs.append(f'fill="{fill}"' if fill else 'fill="none"')
     if opacity is not None:
         attrs.append(f'fill-opacity="{opacity}"')
     if stroke:
         attrs.append(f'stroke="{stroke}" stroke-width="{_fmt(width)}"')
-    return "<rect " + " ".join(attrs) + "/>"
+    line = "<rect " + " ".join(attrs) + "/>"
+    return _fmt_all("\n".join([line] * len(lo)), values.T.ravel())
 
 
 def _polyline(frame, points, stroke, width=1.5):
     # frame.pt of every point at once: the same operations in the same order
-    xs = ((points[:, 0] - frame.lo[0]) * frame.scale).tolist()
-    ys = (frame.height - (points[:, 1] - frame.lo[1]) * frame.scale).tolist()
-    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in zip(xs, ys))
+    xs = (points[:, 0] - frame.lo[0]) * frame.scale
+    ys = frame.height - (points[:, 1] - frame.lo[1]) * frame.scale
+    coords = _fmt_all(" ".join(["%.3f,%.3f"] * len(points)), np.stack([xs, ys], 1).ravel())
     return (
         f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
         f'stroke-width="{_fmt(width)}"/>'
@@ -84,11 +89,10 @@ def _polyline(frame, points, stroke, width=1.5):
 
 
 def _cells(frame, dec, lattices, **kw):
-    out = []
-    for lat in sorted(lattices):
-        lo, hi = dec.box(lat)
-        out.append(_rect(frame, lo, hi, **kw))
-    return out
+    if not lattices:
+        return []
+    lo = dec.anchor + dec.side * np.array(sorted(lattices), dtype=float)
+    return [_rects(frame, lo, lo + dec.side, **kw)]
 
 
 def render_svg(model, families, decs, plan=None, traj=None):
@@ -122,7 +126,8 @@ def render_svg(model, families, decs, plan=None, traj=None):
         body.append(_circle(frame, decs[i].inner.center, decs[i].inner.radius, INNER_STROKE, dash="6,4"))
     for i in model.agent_ids:
         for goal in model.agent(i).goals:
-            body.append(_rect(frame, goal.lo, goal.hi, stroke=GOAL_STROKE, width=2.0))
+            body.append(_rects(frame, np.array([goal.lo]), np.array([goal.hi]),
+                               stroke=GOAL_STROKE, width=2.0))
     if traj is not None:
         ids = list(traj.agent_ids)
         for a, i in enumerate(ids):

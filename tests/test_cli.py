@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from horizon_abs import cli
+from horizon_abs import cli, grid
 from horizon_abs.errors import HorizonError
 
 from conftest import (
@@ -17,6 +17,10 @@ from conftest import (
 )
 
 PAIR_FLAGS = ["--steps", "5", "--lambda", "1=0.55", "--lambda", "2=0.55"]
+# figure.svg of the five_agents benchmark run (tests/test_artifact_bytes.py)
+FIVE_AGENTS_FIGURE = "68139c730c656b60ee75653dd50e953a9e8c375aba5f396cc828eeb025102864"
+# figure.svg of the pair model rendered with PAIR_FLAGS and no plan
+PAIR_GRID_FIGURE = "b87d060b0d33c54ec7edc6868432c8da22339945b97bb3892f75835bbd217b03"
 
 
 def write_model(path, doc=None):
@@ -536,12 +540,59 @@ def test_exit_code_4_on_short_plan_lists(tmp_path, mutate, message):
 
 
 @pytest.fixture(scope="module")
-def five_agents_plan(tmp_path_factory):
-    """A five_agents plan document and the flags it was planned with."""
+def five_agents_run(tmp_path_factory):
+    """The output directory of a planned and validated five_agents run
+    and the flags it was run with."""
     out = tmp_path_factory.mktemp("five") / "out"
     flags = ring_workloads().FIVE_AGENTS_FLAGS
-    assert cli.main(["plan", "--model", FIVE_AGENTS, "--out", str(out)] + flags) == 0
+    for command in ("plan", "validate"):
+        assert cli.main([command, "--model", FIVE_AGENTS, "--out", str(out)] + flags) == 0
+    return out, flags
+
+
+@pytest.fixture(scope="module")
+def five_agents_plan(five_agents_run):
+    """A five_agents plan document and the flags it was planned with."""
+    out, flags = five_agents_run
     return json.loads((out / "plan.json").read_text()), flags
+
+
+def _no_masks(dec):
+    raise AssertionError(f"the grid cells of agent {dec.agent_id} were masked")
+
+
+def test_render_with_a_plan_masks_no_grid_cell(five_agents_run, tmp_path, monkeypatch):
+    """The figure draws each agent's regions and the boxes plan.json
+    names, so render masks no grid cell and writes the benchmark's
+    five_agents figure."""
+    out, flags = five_agents_run
+    for name in ("plan.json", "trajectory.csv"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    monkeypatch.setattr(grid, "_cell_masks", _no_masks)
+    assert cli.main(["render", "--model", FIVE_AGENTS, "--out", str(tmp_path)] + flags) == 0
+    figure = (tmp_path / "figure.svg").read_bytes()
+    assert hashlib.sha256(figure).hexdigest() == FIVE_AGENTS_FIGURE
+
+
+def test_render_without_a_plan_masks_and_draws_the_grid(tmp_path, monkeypatch):
+    """With no plan.json the cells of every grid under the draw limit are
+    outlined: the pair model's leader grid, with the bytes it had when
+    every grid was masked as it was built."""
+    masked = []
+
+    def count_masks(dec):
+        masked.append(dec.agent_id)
+        return cell_masks(dec)
+
+    cell_masks = grid._cell_masks
+    monkeypatch.setattr(grid, "_cell_masks", count_masks)
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    assert cli.main(["render", "--model", str(model_path), "--out", str(out)] + PAIR_FLAGS) == 0
+    figure = (out / "figure.svg").read_bytes()
+    assert sorted(masked) == [1, 2]
+    assert figure.count(b'stroke="#dddddd"') == 952
+    assert hashlib.sha256(figure).hexdigest() == PAIR_GRID_FIGURE
 
 
 @pytest.mark.parametrize(
@@ -572,7 +623,7 @@ def test_exit_code_4_on_a_tampered_params_block(
     def no_grid(*args):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(cli.abstraction_mod.grid, "build_decomposition", no_grid)
+    monkeypatch.setattr(grid, "build_decomposition", no_grid)
     capsys.readouterr()
     for command in ("validate", "render"):
         assert cli.main([command, "--model", FIVE_AGENTS, "--out", str(tmp_path)] + flags) == 4
@@ -779,9 +830,10 @@ NEVER_LOADED = ["dataclasses", "horizon_abs.expr"]
 @pytest.mark.parametrize("command, unloaded", [
     ("abstract", ["horizon_abs.planner", "horizon_abs.sim", "horizon_abs.render"]),
     ("plan", ["horizon_abs.sim", "horizon_abs.render"]),
-    ("chain", ["horizon_abs.planner", "horizon_abs.render", "hashlib"]),
+    ("chain", ["horizon_abs.planner", "horizon_abs.render", "hashlib",
+               "horizon_abs.abstraction", "horizon_abs.controller"]),
     ("validate", ["horizon_abs.render"]),
-    ("render", ["horizon_abs.planner"]),
+    ("render", ["horizon_abs.planner", "horizon_abs.abstraction", "horizon_abs.controller"]),
 ])
 def test_a_command_leaves_the_modules_it_does_not_run_unloaded(
     command, unloaded, planned_run, tmp_path
@@ -789,7 +841,8 @@ def test_a_command_leaves_the_modules_it_does_not_run_unloaded(
     """Each command imports the modules past the shared set where it
     starts.  abstract loads hashlib through numpy.random, which its bounds
     sampler uses; chain, which records no model hash, leaves it unloaded.
-    render reads plan.json through plandoc, without the search."""
+    render reads plan.json through plandoc, without the search, and builds
+    its grids without an Abstraction; neither it nor chain integrates."""
     model_path, out, _, _ = planned_run
     for name in ("plan.json", "trajectory.csv"):
         (tmp_path / name).write_bytes((out / name).read_bytes())

@@ -256,6 +256,58 @@ def test_reordered_and_non_finite_trajectories_are_refused(pair_run, tmp_path, c
             assert not (out / artifact).exists()
 
 
+def underscored(row):
+    """``row`` with a PEP 515 underscore between two digits of its first
+    state value, which float() reads as the same number."""
+    cells = row.split(",")
+    value = cells[2]
+    k = next(k for k in range(1, len(value)) if (value[k - 1] + value[k]).isdigit())
+    cells[2] = value[:k] + "_" + value[k:]
+    assert float(cells[2]) == float(value)
+    return ",".join(cells)
+
+
+def lines(header, rows, sep="\n"):
+    return sep.join([header] + rows) + sep
+
+
+# an edit of a trajectory file and the exit code chain and render give it
+TRAJECTORY_EDGES = {
+    "crlf": (lambda header, rows: lines(header, rows, "\r\n"), 0),
+    "blank-lines": (lambda header, rows: "\n\n" + lines(header, rows, "\n\n") + "\n", 0),
+    "whitespace-row": (lambda header, rows: lines(header, rows[:3] + ["  \t"] + rows[3:]), 1),
+    "hash-row": (lambda header, rows: lines(header, rows[:3] + ["# note"] + rows[3:]), 1),
+    "trailing-comma": (lambda header, rows: lines(header, [row + "," for row in rows]), 1),
+    "underscore": (lambda header, rows: lines(header, rows[:-1] + [underscored(rows[-1])]), 1),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(TRAJECTORY_EDGES))
+def test_trajectory_file_edges(pair_run, tmp_path, capsys, edge):
+    """CRLF line ends and blank lines read as the file the writer wrote.
+    A row of only whitespace, a # row, a trailing comma and a PEP 515
+    underscore in a value (which float() reads) are refused with exit 1,
+    and nothing is written."""
+    model, plan_text, traj_text = pair_run
+    header, *rows = traj_text.splitlines()
+    edit, code = TRAJECTORY_EDGES[edge]
+    written = []
+    for k, text in enumerate([traj_text, edit(header, rows)]):
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        (out / "plan.json").write_text(plan_text)
+        (out / "trajectory.csv").write_bytes(text.encode())
+        for command in ("chain", "render"):
+            argv = [command, "--model", model, "--out", out]
+            argv += PAIR_FLAGS if command == "render" else []
+            assert check(argv, capsys, {code if k else 0}, (edge, command)) == (code if k else 0)
+        written.append([
+            (out / name).read_bytes() if (out / name).exists() else None
+            for name in ("next_model.json", "figure.svg")
+        ])
+    assert written[1] == (written[0] if code == 0 else [None, None])
+
+
 def test_trajectory_times_off_the_plan_node_grid_are_refused(pair_run, tmp_path, capsys):
     """Times that start at 0 and increase but are not the closed loop's
     nodes for the plan's dt, m and substeps: every time past 0 shifted,

@@ -1,6 +1,10 @@
 """SVG rendering: structure, layer counts, and byte determinism."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horizon_abs import planner, render, sim
 from horizon_abs.errors import ModelError
@@ -99,3 +103,85 @@ def test_rejects_non_planar_models():
     model, params, ab = make_stack(doc)
     with pytest.raises(ModelError, match="planar"):
         render.render_svg(model, ab.families, ab.decs)
+
+
+def scalar_polyline(frame, points, stroke, width=1.5):
+    """_polyline with frame.pt and _fmt per point, one value at a time."""
+    coords = []
+    for p in points:
+        px, py = frame.pt(p)
+        coords.append(f"{render._fmt(px)},{render._fmt(py)}")
+    return (
+        f'<polyline points="{" ".join(coords)}" fill="none" stroke="{stroke}" '
+        f'stroke-width="{render._fmt(width)}"/>'
+    )
+
+
+def scalar_rect(frame, lo, hi, fill=None, stroke=None, width=1.0, opacity=None):
+    """One rectangle with frame.pt, frame.span and _fmt per value."""
+    x, y = frame.pt((lo[0], hi[1]))
+    attrs = [
+        f'x="{render._fmt(x)}"',
+        f'y="{render._fmt(y)}"',
+        f'width="{render._fmt(frame.span(hi[0] - lo[0]))}"',
+        f'height="{render._fmt(frame.span(hi[1] - lo[1]))}"',
+    ]
+    attrs.append(f'fill="{fill}"' if fill else 'fill="none"')
+    if opacity is not None:
+        attrs.append(f'fill-opacity="{opacity}"')
+    if stroke:
+        attrs.append(f'stroke="{stroke}" stroke-width="{render._fmt(width)}"')
+    return "<rect " + " ".join(attrs) + "/>"
+
+
+# numbers at the rounding edges of %.3f: signed zeros, +-0.0005 and their
+# neighbours, values that print as -0.000, and large magnitudes
+HALVES = [0.0005, -0.0005, 0.0015, -0.0015, 999.9995, -999.9995]
+EDGES = [0.0, -0.0, 1e-300, -1e-300, 1e15, -1e15] + HALVES + [
+    math.nextafter(v, toward) for v in HALVES for toward in (math.inf, -math.inf)
+]
+values = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(-0.0006, 0.0006),
+    st.floats(-1e15, 1e15),
+)
+
+
+def bare_frame(lo, scale, height):
+    """A frame whose pt and span are the identity up to the drawn shift,
+    scale and height, so the drawn values reach the formatting as drawn."""
+    frame = render._Frame([0.0, 0.0], [1.0, 1.0])
+    frame.lo, frame.scale, frame.height = np.array(lo), scale, height
+    return frame
+
+
+frames = st.builds(
+    bare_frame,
+    st.lists(st.sampled_from([0.0, -0.0, 0.0005, -0.0005]), min_size=2, max_size=2),
+    st.sampled_from([1.0, 0.5, 3.0]),
+    st.sampled_from([0.0, -0.0, 0.0005, 1e3]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames, st.lists(st.tuples(values, values), min_size=1, max_size=8))
+def test_bulk_polyline_formats_each_point_as_fmt(frame, points):
+    points = np.array(points)
+    assert render._polyline(frame, points, "#000") == scalar_polyline(frame, points, "#000")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames,
+    st.lists(st.tuples(values, values, values, values), min_size=1, max_size=8),
+    st.sampled_from([
+        {"fill": render.PATH_FILL, "opacity": "0.85"},
+        {"stroke": "#dddddd", "width": 0.5},
+        {"stroke": render.GOAL_STROKE, "width": -0.0001},
+    ]),
+)
+def test_bulk_rectangles_format_each_value_as_fmt(frame, boxes, style):
+    boxes = np.array(boxes)
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    expected = "\n".join(scalar_rect(frame, a, b, **style) for a, b in zip(lo, hi))
+    assert render._rects(frame, lo, hi, **style) == expected
