@@ -579,12 +579,12 @@ def test_render_without_a_plan_masks_and_draws_the_grid(tmp_path, monkeypatch):
     outlined: the pair model's leader grid, with the bytes it had when
     every grid was masked as it was built."""
     masked = []
+    cell_masks = grid._cell_masks
 
     def count_masks(dec):
         masked.append(dec.agent_id)
         return cell_masks(dec)
 
-    cell_masks = grid._cell_masks
     monkeypatch.setattr(grid, "_cell_masks", count_masks)
     model_path = write_model(tmp_path / "model.json")
     out = tmp_path / "out"
