@@ -128,30 +128,24 @@ def _params_doc(params):
 
 def _params_from_doc(model, doc):
     """The discretization of a plan's params block, re-derived from its
-    lam, mu, steps and margin.  A block with any other value is refused
-    before a grid is built, so no recorded d_max sizes a grid."""
+    lam, mu, steps and margin.  A block that differs from the re-derived
+    one's ``_params_doc`` is refused before a grid is built, so no
+    recorded d_max sizes a grid."""
     try:
+        block = doc["params"]
+        lam = {int(i): float(v) for i, v in block["lam"].items()}
         mu = {}
-        for key, v in doc["mu"].items():
+        for key, v in block["mu"].items():
             j, _, i = key.partition("->")
             mu[(int(j), int(i))] = float(v)
-        recorded = wellposed.DiscretizationParams(
-            dt=float(doc["dt"]),
-            steps=int(doc["steps"]),
-            lam={int(i): float(v) for i, v in doc["lam"].items()},
-            mu=mu,
-            d_max={int(i): float(v) for i, v in doc["d_max"].items()},
-            margin=float(doc["margin"]),
-        )
+        steps, margin = int(block["steps"]), float(block["margin"])
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelError(f"malformed discretization block: {e}") from None
     try:
-        params = wellposed.synthesize(
-            model, recorded.lam, recorded.mu, recorded.steps, recorded.margin
-        )
+        params = wellposed.synthesize(model, lam, mu, steps, margin)
     except HorizonError as e:
         raise PlanConsistencyError(f"plan.json params admit no discretization: {e}") from None
-    if params != recorded:
+    if _params_doc(params) != block:
         raise PlanConsistencyError(
             "plan.json params differ from the discretization their lam, mu, steps "
             "and margin give"
@@ -288,6 +282,8 @@ def cmd_plan(args):
 
 
 def _load_plan(args, model, data):
+    """plan.json of ``args.out``: the plan, the discretization it was made
+    on and its integrator settings, each as cmd_plan writes it."""
     from . import plandoc
 
     path = os.path.join(args.out, "plan.json")
@@ -296,33 +292,25 @@ def _load_plan(args, model, data):
     except ValueError as e:
         raise ModelError(f"cannot parse {path}: {e}") from None
     plan = plandoc.plan_from_doc(doc)
-    if plan.model_hash and plan.model_hash != _model_hash(data):
+    if plan.model_hash != _model_hash(data):
         raise ModelError(
             "plan.json was synthesized from a different model file (hash mismatch)"
         )
-    params = _params_from_doc(model, doc["params"]) if "params" in doc else None
-    return plan, params, doc
-
-
-def _plan_settings(doc, args):
-    """plan.json's substeps and integ_tol, or the flags' where it has none."""
-    return integrate.check_settings(
-        doc.get("substeps", args.substeps),
-        doc.get("integ_tol", args.integ_tol),
-        names=tuple(f"plan.json {key}" if key in doc else flag
-                    for key, flag in (("substeps", "--substeps"), ("integ_tol", "--integ-tol"))),
+    params = _params_from_doc(model, doc)
+    settings = integrate.check_settings(
+        doc.get("substeps"), doc.get("integ_tol"),
+        names=("plan.json substeps", "plan.json integ_tol"),
     )
+    return plan, params, settings
 
 
 def cmd_validate(args):
     from . import planner, sim
 
     model, data = _load_model(args.model)
-    plan, params, doc = _load_plan(args, model, data)
-    if params is None:
-        params = _synthesize(model, args)
+    plan, params, settings = _load_plan(args, model, data)
     # the plan's settings, so the re-derived Posts match the ones it was planned on
-    abstraction = _build(model, params, *_plan_settings(doc, args))
+    abstraction = _build(model, params, *settings)
     schedule = planner.extract_controls(model, abstraction, plan)
     t0 = time.monotonic()
     traj = sim.simulate_closed_loop(model, abstraction, schedule, plan.m)
@@ -348,14 +336,11 @@ def cmd_render(args):
     from . import grid, plandoc, render, sim
 
     model, data = _load_model(args.model)
-    plan = None
-    params = None
     if os.path.exists(os.path.join(args.out, "plan.json")):
-        plan, params, doc = _load_plan(args, model, data)
+        plan, params, (substeps, _) = _load_plan(args, model, data)
         plandoc.check_plan_lists(model, plan)
-        substeps, _ = _plan_settings(doc, args)
-    if params is None:
-        params = _synthesize(model, args)
+    else:
+        plan, params = None, _synthesize(model, args)
     _flag_settings(args)
     # no Abstraction: the figure reads regions and the boxes the plan names
     families = {a.id: model_mod.reach_family(model, a.id) for a in model.agents}

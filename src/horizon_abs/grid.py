@@ -13,9 +13,10 @@ axis by axis without a per-cell object the first time either is read
 
 Grids are built, labeled and intersected with balls one array at a
 time: ``cells_intersecting_ball`` tests all cells of a whole batch of
-endpoint balls in one pass, and hands only boundary slivers, where none
-of the exact candidate witnesses lands, to the scalar
-``witness_in_cell_ball`` and its low-discrepancy sweep.
+endpoint balls in one pass, with the candidate witnesses that
+``witness_in_cell_ball`` tries for one cell, and hands only boundary
+slivers, where no candidate lands, to that function's low-discrepancy
+sweep.
 """
 
 import collections.abc
@@ -113,10 +114,6 @@ class CellDecomposition:
     @property
     def dim(self):
         return self.anchor.shape[0]
-
-    @property
-    def d_max(self):
-        return self.side * math.sqrt(self.dim)
 
     def box(self, lattice):
         lo = self.anchor + self.side * np.asarray(lattice, dtype=float)
@@ -228,14 +225,12 @@ def locate_many(dec, pts):
 
 
 def reference_point(dec, lattice):
-    """The center of a valid cell, or of every row of an int lattice array;
-    an invalid cell (the first invalid row) is a ModelError."""
-    if isinstance(lattice, np.ndarray):
-        bad = ~dec.index_set.contains_many(lattice)
-        if np.any(bad):
-            raise ModelError(f"invalid cell index {tuple(lattice[np.argmax(bad)].tolist())}")
-    elif lattice not in dec.index_set:
-        raise ModelError(f"invalid cell index {lattice}")
+    """The center of the valid cell of every row of an int lattice array
+    (of the one cell of a 1-D array); the first invalid row is a ModelError."""
+    bad = ~dec.index_set.contains_many(lattice)
+    if np.any(bad):
+        row = lattice.reshape(-1, dec.dim)[np.argmax(bad)]
+        raise ModelError(f"invalid cell index {tuple(row.tolist())}")
     return dec.anchor + dec.side * (np.asarray(lattice, dtype=float) + 0.5)
 
 
@@ -260,45 +255,56 @@ def _halton(n):
     return out
 
 
+def _clamp(c, lo, hi):
+    """Per row, the clamp point of the ball center c onto the box [lo, hi]
+    and its distance to c, the gap."""
+    q = np.clip(c, lo, hi)
+    return q, np.sqrt(np.sum((q - c) ** 2, axis=-1))
+
+
+def _candidates(dec, c, radius, lo, hi, q, gap):
+    """The three candidate witnesses of each row's cell box [lo, hi) and
+    ball (center c, common radius), stacked along a leading axis, and
+    where each lands in the half-open box and both balls.
+
+    They are the box center, pulled just inside the ball when it lies
+    outside; the clamp point q (``_clamp``); and q moved off the upper
+    faces it sits on by a step below the slack radius - gap.
+    """
+    center = (lo + hi) / 2
+    delta = center - c
+    dn = np.sqrt(np.sum(delta**2, axis=-1))
+    pull = (dn > radius) & (dn > 0)
+    scale = radius * (1 - 1e-12) / np.where(pull, dn, 1.0)
+    pulled = np.where(pull[:, None], c + delta * scale[:, None], center)
+    # at zero slack eps is 0 and off_hi equals q, as if never proposed
+    eps = np.minimum(dec.side * 1e-9, (radius - gap) / (2 * math.sqrt(dec.dim)))
+    off_hi = np.where(q >= hi, hi - eps[:, None], q)
+    points = np.stack([pulled, q, off_hi])
+    lands = (
+        np.all(points >= lo, axis=-1)
+        & np.all(points < hi, axis=-1)
+        & (np.sqrt(np.sum((points - c) ** 2, axis=-1)) <= radius)
+        & dec.region.contains(points)
+    )
+    return points, lands
+
+
 def witness_in_cell_ball(dec, lattice, ball):
     """A point of (cell box, half-open) inside both balls, or None.
 
-    The clamp point of the ball center onto the box settles nearly every
+    The first of the ``_candidates`` that lands settles nearly every
     query exactly; a low-discrepancy sweep backs up the rare sliver
     cases near the region boundary.
     """
     lo, hi = dec.box(lattice)
-    q = np.clip(ball.center, lo, hi)
-    gap = float(np.sqrt(np.sum((q - ball.center) ** 2)))
-    if gap > ball.radius:
+    c = ball.center[None]
+    q, gap = _clamp(c, lo, hi)
+    if gap[0] > ball.radius:
         return None
-    n = dec.dim
-    candidates = []
-    center = (lo + hi) / 2
-    delta = center - ball.center
-    dn = float(np.sqrt(np.sum(delta**2)))
-    if dn > ball.radius and dn > 0:
-        candidates.append(ball.center + delta * (ball.radius * (1 - 1e-12) / dn))
-    else:
-        candidates.append(center)
-    candidates.append(q)
-    slack = ball.radius - gap
-    if slack > 0:
-        eps = min(dec.side * 1e-9, slack / (2 * math.sqrt(n)))
-        q2 = np.array(q)
-        on_hi = q2 >= hi
-        if np.any(on_hi):
-            q2[on_hi] = hi[on_hi] - eps
-            candidates.append(q2)
-    for p in candidates:
-        if (
-            np.all(p >= lo)
-            and np.all(p < hi)
-            and ball.contains(p)
-            and dec.region.contains(p)
-        ):
-            return p
-    return _witness_sweep(dec, lo, hi, ball)
+    points, lands = _candidates(dec, c, ball.radius, lo, hi, q, gap)
+    first = np.flatnonzero(lands[:, 0])
+    return points[first[0], 0] if first.size else _witness_sweep(dec, lo, hi, ball)
 
 
 def _witness_sweep(dec, lo, hi, ball):
@@ -337,11 +343,10 @@ def cells_intersecting_ball(dec, centers, radius):
 
     Row b of ``centers`` is the center of a ball of the common
     ``radius``; the result holds one sorted index list per row.  Every
-    cell of every ball's bounding box is tested in one array pass, with
-    the float expressions of ``witness_in_cell_ball`` in its order: the
-    clamp gap, then its three candidate witnesses.  Only slivers, cells
-    within reach of the ball where no candidate lands, go to that
-    function for its low-discrepancy sweep.
+    cell of every ball's bounding box is tested in one array pass, by the
+    clamp gap and the ``_candidates`` of ``witness_in_cell_ball``.  Only
+    slivers, cells within reach of the ball where no candidate lands, go
+    to that function for its low-discrepancy sweep.
     """
     n = dec.dim
     centers = np.asarray(centers, dtype=float).reshape(-1, n)
@@ -362,32 +367,12 @@ def cells_intersecting_ball(dec, centers, radius):
     c = centers[row]
     lo = dec.anchor + dec.side * lattice.astype(float)
     hi = lo + dec.side
-    q = np.clip(c, lo, hi)
-    gap = np.sqrt(np.sum((q - c) ** 2, axis=-1))
+    q, gap = _clamp(c, lo, hi)
     near = np.flatnonzero(gap <= radius)
     near = near[dec.index_set.contains_many(lattice[near])]
     keys = list(zip(*lattice[near].T.tolist()))
     row, c, lo, hi, q, gap = (a[near] for a in (row, c, lo, hi, q, gap))
-
-    def lands(p):
-        return (
-            np.all(p >= lo, axis=-1)
-            & np.all(p < hi, axis=-1)
-            & (np.sqrt(np.sum((p - c) ** 2, axis=-1)) <= radius)
-            & dec.region.contains(p)
-        )
-
-    center = (lo + hi) / 2
-    delta = center - c
-    dn = np.sqrt(np.sum(delta**2, axis=-1))
-    pull = (dn > radius) & (dn > 0)
-    scale = radius * (1 - 1e-12) / np.where(pull, dn, 1.0)
-    pulled = np.where(pull[:, None], c + delta * scale[:, None], center)
-    # at zero slack eps is 0 and off_hi equals q, as if never proposed
-    slack = radius - gap
-    eps = np.minimum(dec.side * 1e-9, slack / (2 * math.sqrt(n)))
-    off_hi = np.where(q >= hi, hi - eps[:, None], q)
-    hit = lands(pulled) | lands(q) | lands(off_hi)
+    hit = np.any(_candidates(dec, c, radius, lo, hi, q, gap)[1], axis=0)
     for k in np.flatnonzero(~hit):
         ball = reach.Ball(centers[row[k]], radius)
         hit[k] = witness_in_cell_ball(dec, keys[k], ball) is not None

@@ -57,10 +57,6 @@ class DenseTrajectory:
     def endpoint(self):
         return self.ys[-1]
 
-    @property
-    def dt(self):
-        return float(self.ts[-1])
-
     def _weights(self, t):
         """The node k below t and the Hermite weights of ys[k], ds[k],
         ys[k + 1] and ds[k + 1] at t (the derivative weights times h)."""

@@ -203,15 +203,14 @@ class NetworkField:
     n); leading axes are batches.  Its neighbor states come from one of
     two sources, chosen by the argument passed: the rows
     ``neighbor_rows[r]`` of S, read per neighbor slot k as
-    ``S[..., idx_k, :]`` (the closed loop), or a block ``nbr_refs[r]`` of
-    width N_i * n frozen here (references).  ``nbr_refs`` is a sequence
-    of such blocks, or a 2-D array whose row r starts with row r's block,
-    so that each group's blocks are one slice.  Rows are grouped by
-    ``dynamics_groups`` once, here.  Every operation is row-wise, so a row
-    has the bits of its one-row field.  ``M`` is the rows' speed bound, for
-    callers that saturate: a number when every row shares it, else a
-    column.  An expression error names the agents of the group that raised
-    it.
+    ``S[..., idx_k, :]`` (the closed loop), or a block of width N_i * n
+    frozen here (references): row r of the 2-D array ``nbr_refs`` starts
+    with row r's block, zero past it, so each group's blocks are one
+    slice.  Rows are grouped by ``dynamics_groups`` once, here.  Every
+    operation is row-wise, so a row has the bits of its one-row field.
+    ``M`` is the rows' speed bound, for callers that saturate: a number
+    when every row shares it, else a column.  An expression error names
+    the agents of the group that raised it.
     """
 
     def __init__(self, agents, neighbor_rows=None, nbr_refs=None):
@@ -224,10 +223,7 @@ class NetworkField:
         for agent, rows in dynamics_groups(self.agents):
             ids = list(dict.fromkeys(self.agents[r].id for r in rows))
             if self.frozen:
-                if isinstance(nbr_refs, np.ndarray):
-                    block = np.asarray(nbr_refs[rows, : len(agent.neighbors) * agent.dim], float)
-                else:
-                    block = np.array([np.asarray(nbr_refs[r], dtype=float) for r in rows])
+                block = np.asarray(nbr_refs[rows, : len(agent.neighbors) * agent.dim], float)
                 slots = [np.ascontiguousarray(b) for b in split_neighbor_block(agent, block)]
             else:
                 slots = [
@@ -255,12 +251,7 @@ class NetworkField:
 
     def rows(self, index):
         """The frozen-neighbor field of the rows at ``index``; each row keeps its bits."""
-        nbr_refs = self.nbr_refs
-        return NetworkField(
-            [self.agents[r] for r in index],
-            nbr_refs=nbr_refs[index] if isinstance(nbr_refs, np.ndarray)
-            else [nbr_refs[r] for r in index],
-        )
+        return NetworkField([self.agents[r] for r in index], nbr_refs=self.nbr_refs[index])
 
 
 def agents_error(ids, error):

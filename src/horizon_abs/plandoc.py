@@ -67,8 +67,8 @@ def plan_to_doc(plan):
             "cells": [list(c) for c in plan.cells[i]],
             "w": [[float(v) for v in vec] for vec in plan.w[i]],
             "targets": [[float(v) for v in vec] for vec in plan.targets[i]],
-            "reachable": [list(c) for c in plan.reachable.get(i, [])],
-            "satisfying": [list(c) for c in plan.satisfying.get(i, [])],
+            "reachable": [list(c) for c in plan.reachable[i]],
+            "satisfying": [list(c) for c in plan.satisfying[i]],
         }
     return doc
 
@@ -92,10 +92,10 @@ def plan_from_doc(doc):
             for i, entry in agents.items()
         }
         reachable = {
-            int(i): [_cell(c) for c in entry.get("reachable", [])] for i, entry in agents.items()
+            int(i): [_cell(c) for c in entry["reachable"]] for i, entry in agents.items()
         }
         satisfying = {
-            int(i): [_cell(c) for c in entry.get("satisfying", [])] for i, entry in agents.items()
+            int(i): [_cell(c) for c in entry["satisfying"]] for i, entry in agents.items()
         }
         return Plan(
             m=int(doc["m"]),
@@ -104,10 +104,11 @@ def plan_from_doc(doc):
             cells=cells,
             w=w,
             targets=targets,
-            strategy=doc.get("strategy", "unknown"),
-            explored={int(i): n for i, n in doc.get("explored", {}).items()},
+            strategy=doc["strategy"],
+            explored={int(i): n for i, n in doc["explored"].items()},
             reachable=reachable,
             satisfying=satisfying,
+            # a plan without a hash matches no model file
             model_hash=doc.get("model_hash"),
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:

@@ -113,8 +113,8 @@ def render_svg(model, families, decs, plan=None, traj=None):
     for i in model.agent_ids:
         dec = decs[i]
         if plan is not None:
-            reach = set(map(tuple, plan.reachable[i])) if i in plan.reachable else set()
-            sat = set(map(tuple, plan.satisfying[i])) if i in plan.satisfying else set()
+            reach = set(map(tuple, plan.reachable[i]))
+            sat = set(map(tuple, plan.satisfying[i]))
             chosen = set(map(tuple, plan.cells[i]))
             body += _cells(frame, dec, reach - sat, fill=REACHABLE_FILL)
             body += _cells(frame, dec, sat - chosen, fill=SATISFYING_FILL)

@@ -21,12 +21,11 @@ TABLE_BLOCK = 64
 
 
 class Trajectory:
-    def __init__(self, ts, states, inputs, agent_ids, dt, substeps):
+    def __init__(self, ts, states, inputs, agent_ids, substeps):
         self.ts = ts
         self.states = states
         self.inputs = inputs
         self.agent_ids = agent_ids
-        self.dt = dt
         self.substeps = substeps
 
     def state_at_step(self, agent_idx, k):
@@ -82,7 +81,7 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     states[0] = Y
     if not m:
         return Trajectory(
-            ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
+            ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), substeps=substeps
         )
 
     field = model_mod.NetworkField(model.agents, _neighbor_rows(model))
@@ -177,9 +176,7 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     node = np.arange(total) - interval * substeps
     at = np.array([when[t] for t in dense.ts.tolist()])
     inputs = field_and_input(states, g_ref[at[node], interval], k2[interval], k3[interval])[1]
-    return Trajectory(
-        ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), dt=dt, substeps=substeps
-    )
+    return Trajectory(ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), substeps=substeps)
 
 
 def node_times(dt, m, substeps):
@@ -323,7 +320,6 @@ def trajectory_from_csv(text, model):
         states=blocks[:, :, 2:2 + n],
         inputs=blocks[:, :, 2 + n:],
         agent_ids=tuple(ids),
-        dt=float(ts[-1]) if len(ts) > 1 else 0.0,
         substeps=max(len(ts) - 1, 1),
     )
 

@@ -18,7 +18,7 @@ _STEPS_CAP = 100000  # no step count, requested or derived, is higher
 
 
 class DiscretizationParams:
-    """A discretization; two are equal when every field is."""
+    """A discretization's dt, steps, lam, mu, d_max and margin."""
 
     def __init__(self, dt, steps, lam, mu, d_max, margin):
         self.dt = dt
@@ -27,11 +27,6 @@ class DiscretizationParams:
         self.mu = mu
         self.d_max = d_max
         self.margin = margin
-
-    def __eq__(self, other):
-        if type(other) is not DiscretizationParams:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 def mu_norm(model, params, agent_id):

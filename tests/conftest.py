@@ -563,9 +563,47 @@ def scalar_cells_intersecting_ball(dec, ball):
     ):
         if lattice not in dec.index_set:
             continue
-        if grid.witness_in_cell_ball(dec, lattice, ball) is not None:
+        if scalar_witness_in_cell_ball(dec, lattice, ball) is not None:
             hits.append(lattice)
     return sorted(hits)
+
+
+def scalar_witness_in_cell_ball(dec, lattice, ball):
+    """``grid.witness_in_cell_ball`` one candidate witness at a time, as it
+    was written before it shared one array routine with
+    ``grid.cells_intersecting_ball``; the sweep is the package's."""
+    lo, hi = dec.box(lattice)
+    q = np.clip(ball.center, lo, hi)
+    gap = float(np.sqrt(np.sum((q - ball.center) ** 2)))
+    if gap > ball.radius:
+        return None
+    n = dec.dim
+    candidates = []
+    center = (lo + hi) / 2
+    delta = center - ball.center
+    dn = float(np.sqrt(np.sum(delta**2)))
+    if dn > ball.radius and dn > 0:
+        candidates.append(ball.center + delta * (ball.radius * (1 - 1e-12) / dn))
+    else:
+        candidates.append(center)
+    candidates.append(q)
+    slack = ball.radius - gap
+    if slack > 0:
+        eps = min(dec.side * 1e-9, slack / (2 * math.sqrt(n)))
+        q2 = np.array(q)
+        on_hi = q2 >= hi
+        if np.any(on_hi):
+            q2[on_hi] = hi[on_hi] - eps
+            candidates.append(q2)
+    for p in candidates:
+        if (
+            np.all(p >= lo)
+            and np.all(p < hi)
+            and ball.contains(p)
+            and dec.region.contains(p)
+        ):
+            return p
+    return grid._witness_sweep(dec, lo, hi, ball)
 
 
 def scalar_witness_sweep(dec, lo, hi, ball):

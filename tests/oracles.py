@@ -40,6 +40,16 @@ def is_initiating(ab, agent_id, config):
     return bool(ab.initiating([(agent_id, config)])[0])
 
 
+def padded_refs(blocks):
+    """Per-row neighbor blocks as the 2-D array model.NetworkField takes:
+    row r starts with ``blocks[r]``, zero past it."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    out = np.zeros((len(blocks), max(b.size for b in blocks)))
+    for row, b in zip(out, blocks):
+        row[: b.size] = b
+    return out
+
+
 def config_refs(ab, agent_id, config):
     """The reference points of one configuration: the agent's own, and its
     neighbors' as one block in declared order."""
@@ -358,7 +368,6 @@ def simulate_open_loop(model, v_fns, duration, substeps=integrate.DEFAULT_SUBSTE
         states=dense.ys,
         inputs=np.stack([inputs_at(t) for t in dense.ts]),
         agent_ids=tuple(ids),
-        dt=duration,
         substeps=substeps,
     )
 

@@ -367,9 +367,11 @@ MISSING = object()
         ("substeps", 2.5, [], "plan.json substeps must be an integer >= 1"),
         ("integ_tol", "1e-8", [], "plan.json integ_tol must be a finite number > 0"),
         ("integ_tol", -1.0, [], "plan.json integ_tol must be a finite number > 0"),
-        # without the key the flag's value is used, and named as the flag
-        ("substeps", MISSING, ["--substeps", "0"], "--substeps must be an integer >= 1"),
-        ("integ_tol", MISSING, ["--integ-tol", "nan"], "--integ-tol must be a finite number > 0"),
+        # without the key the error is the plan's, and the flag is not read
+        ("substeps", MISSING, ["--substeps", "0"],
+         "plan.json substeps must be an integer >= 1, got None"),
+        ("integ_tol", MISSING, ["--integ-tol", "nan"],
+         "plan.json integ_tol must be a finite number > 0, got None"),
     ],
     ids=["substeps-string", "substeps-0", "substeps-fraction", "integ-tol-string",
          "integ-tol-negative", "substeps-missing-flag-0", "integ-tol-missing-flag-nan"],
@@ -641,8 +643,10 @@ def test_exit_code_4_on_a_tampered_params_block(
         (lambda doc: doc | {"agents": [1]}, 4),
         (lambda doc: doc | {"params": doc["params"] | {"lam": [1]}}, 1),
         (lambda doc: doc | {"params": doc["params"] | {"steps": math.inf}}, 1),
+        # no flag stands in for a missing block
+        (lambda doc: {k: v for k, v in doc.items() if k != "params"}, 1),
     ],
-    ids=["list", "m-infinite", "agents-list", "lam-list", "steps-infinite"],
+    ids=["list", "m-infinite", "agents-list", "lam-list", "steps-infinite", "params-missing"],
 )
 def test_a_plan_document_of_the_wrong_shape_is_an_error_line(
     planned_run, tmp_path, capsys, mutate, code
@@ -719,6 +723,36 @@ def test_hash_mismatch_is_an_input_error(planned_run, tmp_path):
     (mism_out / "plan.json").write_text((out / "plan.json").read_text())
     res = run_cli(["validate", "--model", edited, "--out", mism_out] + PAIR_FLAGS)
     assert res.returncode == 1 and "hash mismatch" in res.stderr
+
+
+@pytest.mark.parametrize("model_hash", ["deleted", "null"])
+def test_a_plan_without_a_model_hash_matches_no_model_file(
+    five_agents_plan, tmp_path, capsys, model_hash
+):
+    """A five_agents plan.json whose model_hash is deleted or null is not
+    validated or rendered against a model with every goal box moved by
+    +50: both exit 1 with the hash-mismatch error and write nothing."""
+    doc, flags = five_agents_plan
+    doc = json.loads(json.dumps(doc))
+    if model_hash == "deleted":
+        del doc["model_hash"]
+    else:
+        doc["model_hash"] = None
+    with open(FIVE_AGENTS) as fh:
+        moved = json.load(fh)
+    for spec in moved["spec"].values():
+        for goal in spec["goals"]:
+            goal["box"] = [[v + 50 for v in corner] for corner in goal["box"]]
+    model_path = write_model(tmp_path / "model.json", moved)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plan.json").write_text(json.dumps(doc))
+    for command in ("validate", "render"):
+        assert cli.main([command, "--model", str(model_path), "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err == (
+            "error: plan.json was synthesized from a different model file (hash mismatch)\n"
+        )
+    assert sorted(os.listdir(out)) == ["plan.json"]
 
 
 @pytest.mark.parametrize("validation, code, message", [

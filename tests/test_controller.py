@@ -258,7 +258,7 @@ def test_an_expression_error_past_the_bound_ends_like_the_saturated_run(x0, rais
     """The raw run reaches x = 1 and raises; from 0 the saturated run stops
     at 0.25 and returns, from 0.4 it passes 0.5 and raises."""
     agent = make_model(wall_doc([x0, 0.0])).agent(1)
-    own, nbr = np.array([[x0, 0.0]]), [np.zeros(0)]
+    own, nbr = np.array([[x0, 0.0]]), oracles.padded_refs([np.zeros(0)])
     field = model_mod.NetworkField([agent], nbr_refs=nbr)
     out, ok = controller.raw_run(
         integrate.rk4_endpoint, lambda t, y: (field(y), (field(y),)), (1.0,), own, 0.25, 8
@@ -394,9 +394,13 @@ def test_reference_endpoints_of_a_mixed_stack_match_one_row_runs():
     pairs = [pairs[r] for r in rng.permutation(len(pairs))]
     agents = [model.agent(i) for i, _ in pairs]
     own, nbr = zip(*(oracles.config_refs(ab, *pair) for pair in pairs))
-    stacked = controller.reference_endpoints(agents, np.stack(own), nbr, params.dt, ab.substeps)
+    stacked = controller.reference_endpoints(
+        agents, np.stack(own), oracles.padded_refs(nbr), params.dt, ab.substeps
+    )
     for row, agent, o, b in zip(stacked, agents, own, nbr):
-        alone = controller.reference_endpoints([agent], o[None], [b], params.dt, ab.substeps)
+        alone = controller.reference_endpoints(
+            [agent], o[None], oracles.padded_refs([b]), params.dt, ab.substeps
+        )
         assert np.array_equal(row, alone[0])
         by_eval_g = integrate.rk4_endpoint(
             lambda t, y: oracles.eval_g(agent, y, b), o, params.dt, ab.substeps

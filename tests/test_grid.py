@@ -14,6 +14,7 @@ from conftest import (
     ring_stack,
     scalar_cells_intersecting_ball,
     scalar_label_cells,
+    scalar_witness_in_cell_ball,
     scalar_witness_sweep,
 )
 
@@ -188,15 +189,15 @@ def test_reference_point_is_the_box_center_within_half_diameter():
     dec = make_dec(center=(1.0, -0.4), base_radius=1.8, c_rate=0.5, d_max=0.8)
     rng = np.random.default_rng(2)
     for lattice in sorted(dec.index_set)[::3]:
-        ref = grid.reference_point(dec, lattice)
+        ref = grid.reference_point(dec, np.array(lattice))
         lo, hi = dec.box(lattice)
         np.testing.assert_allclose(ref, (lo + hi) / 2)
         pts = sample_in_cell(dec, lattice, rng, 500)
         if pts.size:
             worst = np.max(np.linalg.norm(pts - ref, axis=-1))
-            assert worst <= dec.d_max / 2 + 1e-12
+            assert worst <= dec.side * math.sqrt(dec.dim) / 2 + 1e-12
     with pytest.raises(ModelError):
-        grid.reference_point(dec, (999, 999))
+        grid.reference_point(dec, np.array([999, 999]))
 
 
 def test_initiating_cells_lie_inside_the_inner_ball():
@@ -306,8 +307,11 @@ def test_intersection_matches_the_scalar_loop_on_every_post_batch(
         assert_matches_the_scalar_loop(dec, centers, radius)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_intersection_matches_the_scalar_loop_on_faces_corners_and_the_rim(n):
+def faces_corners_and_the_rim(n):
+    """A grid in n dimensions and batches of balls of a common radius
+    centered on its cell corners and faces (shifted by 0 and +-1e-12),
+    tangent to and across the region sphere, and inside the region.
+    Returns (dec, [(centers, radius), ...])."""
     rng = np.random.default_rng(10 + n)
     dec = make_dec(center=rng.uniform(-1, 1, size=n), base_radius=1.1, c_rate=0.7,
                    d_max=0.45 * math.sqrt(n))
@@ -319,15 +323,48 @@ def test_intersection_matches_the_scalar_loop_on_faces_corners_and_the_rim(n):
     grid_points = np.concatenate([on_corners, on_faces])
     directions = np.concatenate([np.eye(n), -np.eye(n), _ball_cloud(rng, 6, n)])
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    batches = []
     for radius in (0.0, 0.3 * side, 0.5 * side, side, 2.5 * side):
         for shift in (-1e-12, 0.0, 1e-12):
-            assert_matches_the_scalar_loop(dec, grid_points + shift, radius)
+            batches.append((grid_points + shift, radius))
         # tangent to the region sphere from inside and outside, and across it
         for reach_out in (-radius, 0.5 * radius, radius, -0.5 * radius):
-            centers = region.center + directions * (region.radius + reach_out)
-            assert_matches_the_scalar_loop(dec, centers, radius)
+            batches.append((region.center + directions * (region.radius + reach_out), radius))
         inside = region.center + _ball_cloud(rng, 20, n) * region.radius
-        assert_matches_the_scalar_loop(dec, inside, radius)
+        batches.append((inside, radius))
+    return dec, batches
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_intersection_matches_the_scalar_loop_on_faces_corners_and_the_rim(n):
+    dec, batches = faces_corners_and_the_rim(n)
+    for centers, radius in batches:
+        assert_matches_the_scalar_loop(dec, centers, radius)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_witness_is_the_scalar_oracles_on_faces_corners_and_the_rim(n):
+    """Bit for bit, or None on both sides, on every valid cell of each
+    ball's bounding box."""
+    dec, batches = faces_corners_and_the_rim(n)
+    found = missed = 0
+    for centers, radius in batches:
+        for center in centers:
+            ball = reach.Ball(center, radius)
+            lo_idx = np.floor((center - radius - dec.anchor) / dec.side).astype(int)
+            hi_idx = np.floor((center + radius - dec.anchor) / dec.side).astype(int)
+            for lattice in itertools.product(*map(range, lo_idx, hi_idx + 1)):
+                if lattice not in dec.index_set:
+                    continue
+                point = grid.witness_in_cell_ball(dec, lattice, ball)
+                expected = scalar_witness_in_cell_ball(dec, lattice, ball)
+                assert (point is None) == (expected is None)
+                if point is None:
+                    missed += 1
+                else:
+                    found += 1
+                    assert point.tobytes() == expected.tobytes()
+    assert found and missed
 
 
 def rim_sliver():

@@ -57,7 +57,7 @@ def test_dense_trajectory_interpolation_accuracy():
         assert traj.eval(t)[0] == pytest.approx(exact, abs=1e-6)
     np.testing.assert_array_equal(traj.eval(0.0), traj.ys[0])
     np.testing.assert_array_equal(traj.eval(1.5), traj.endpoint)
-    assert traj.dt == pytest.approx(1.5)
+    assert traj.ts[-1] == pytest.approx(1.5)
     with pytest.raises(IntegrationError):
         traj.eval(1.5 + 1e-6)
     with pytest.raises(IntegrationError):

@@ -163,14 +163,14 @@ frames = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(frames, st.lists(st.tuples(values, values), min_size=1, max_size=8))
 def test_bulk_polyline_formats_each_point_as_fmt(frame, points):
     points = np.array(points)
     assert render._polyline(frame, points, "#000") == scalar_polyline(frame, points, "#000")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     frames,
     st.lists(st.tuples(values, values, values, values), min_size=1, max_size=8),

@@ -167,7 +167,7 @@ def test_gathered_and_frozen_neighbors_give_equal_bits():
     F = gathered(batch)
     for S, F_S in zip(batch, F):
         frozen = model_mod.NetworkField(
-            model.agents, nbr_refs=[S[idx].reshape(-1) for idx in neighbor_rows]
+            model.agents, nbr_refs=oracles.padded_refs(S[idx].reshape(-1) for idx in neighbor_rows)
         )
         assert np.array_equal(frozen(S), F_S)
         assert np.array_equal(frozen(S), gathered(S))
@@ -690,7 +690,6 @@ def test_csv_writer_matches_the_scalar_writer():
         states=states,
         inputs=rng.choice(values, size=(4, 3, 2)),
         agent_ids=(1, 2, 7),
-        dt=0.1,
         substeps=3,
     )
     text = sim.trajectory_to_csv(traj)
