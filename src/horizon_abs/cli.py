@@ -378,10 +378,14 @@ def _check_validation(out_dir):
 def cmd_chain(args):
     from . import sim
 
-    model, _ = _load_model(args.model)
+    model, data = _load_model(args.model)
     _check_validation(args.out)
+    nodes = None  # with plan.json present, the plan's closed-loop node times
+    if os.path.exists(os.path.join(args.out, "plan.json")):
+        plan, params, (substeps, _) = _load_plan(args, model, data)
+        nodes = (params.dt, plan.m, substeps)
     traj_path = os.path.join(args.out, "trajectory.csv")
-    finals = sim.final_states_from_csv(_read_text(traj_path).decode("utf-8"), model)
+    finals = sim.final_states_from_csv(_read_text(traj_path).decode("utf-8"), model, nodes)
     doc = json.loads(json.dumps(model.raw))
     for entry in doc["agents"]:
         entry["x0"] = [float(v) for v in finals[int(entry["id"])]]

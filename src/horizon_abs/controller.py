@@ -39,43 +39,42 @@ def _saturated(field):
     return lambda t, y: model_mod.saturate(field(y), field.M)
 
 
+def _with_step(rhs, step):
+    """rhs with ``step(K)`` after each step of integrate._run, as a partial: no frame added."""
+    out = functools.update_wrapper(functools.partial(rhs), rhs)
+    out.step = step
+    return out
+
+
 def raw_run(run, rhs, bounds, y0, dt, substeps):
     """``run`` (integrate.rk4_endpoint or integrate.rk4_dense) with no
     stage saturated, and the rows whose result that left unchanged.
 
-    ``rhs(t, y)`` returns the raw derivative and a tuple of the arrays
-    that the saturated run clips at that stage, the k-th at ``bounds[k]``
-    (a number, or a column over the rows).  Each array's elementwise
-    magnitude is kept as a running max over the stages, and
-    ``model.within_bound`` tests it once per row after the run.  ``ok``,
-    one entry per row of y0, holds where every test passed and the
-    endpoint is finite: no stage of the row could have been clipped, so
-    its result has the bits of the saturated run.  The run raises no
-    numpy warning, and a HorizonError in it (at a state only the
-    unclipped run reaches) fails every row, with no result.
-    """
-    tops = []
+    ``rhs`` is in a form of integrate._run.  The saturated run clips the
+    last len(bounds) arrays it writes per stage (a plain rhs: its slope),
+    the k-th at ``bounds[k]`` (a number, or a column over the rows).  A
+    running max of their magnitudes, taken once per step over the stage
+    block, is tested per row by ``model.within_bound`` after the run.
+    ``ok``, one entry per row of y0, holds where every test passed and the
+    endpoint is finite: no stage of the row could have been clipped, so its
+    result has the bits of the saturated run.  The run raises no numpy
+    warning, and a HorizonError in it (at a state only the unclipped run
+    reaches) fails every row, with no result."""
+    watched = len(bounds)
+    top = np.zeros((watched, 4) + np.shape(y0))
 
-    @functools.wraps(rhs)
-    def tracked(t, y):
-        dy, watched = rhs(t, y)
-        if tops:
-            for top, v in zip(tops, watched):
-                np.maximum(top, np.abs(v), out=top)
-        else:
-            tops.extend(np.abs(v) for v in watched)
-        return dy
+    def step(K):
+        np.maximum(top, np.abs(K[-watched:]), out=top)
 
     with np.errstate(all="ignore"):
         try:
-            out = run(tracked, y0, dt, substeps)
+            out = run(_with_step(rhs, step), y0, dt, substeps)
         except HorizonError:
             return None, np.zeros(np.shape(y0)[:-1], dtype=bool)
     endpoint = out.endpoint if isinstance(out, integrate.DenseTrajectory) else out
     ok = np.all(np.isfinite(endpoint), axis=-1)
-    for top, bound in zip(tops, bounds):
-        top = np.max(top, axis=-1, keepdims=True)
-        ok &= model_mod.within_bound(top, endpoint.shape[-1], bound)[..., 0]
+    for row_top, bound in zip(np.max(top, axis=(1, -1)), bounds):
+        ok &= model_mod.within_bound(row_top[..., None], endpoint.shape[-1], bound)[..., 0]
     return out, ok
 
 
@@ -119,20 +118,20 @@ def audit_names(name, rerun, labels, agents=None):
     @functools.wraps(name)
     def what(k):
         rhs, bounds, y0, dt, substeps = rerun(k)
-        tops = []
+        # a norm NaN at every stage stays -inf, which, like NaN, is never over 1
+        tops = np.full((len(bounds),) + np.shape(y0)[:-1] + (1,), -np.inf)
 
-        def tracked(t, y):
-            dy, watched = rhs(t, y)
-            norms = [np.sqrt(np.sum(v * v, axis=-1, keepdims=True)) for v in watched]
-            tops[:] = [np.fmax(a, b) for a, b in zip(tops, norms)] if tops else norms
-            return dy
+        def step(K):
+            v = K[-len(bounds):]
+            norms = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+            np.fmax(tops, np.fmax.reduce(norms, axis=1), out=tops)
 
         best, note = 1.0, ""
         with np.errstate(all="ignore"):
             try:
-                integrate.rk4_endpoint(tracked, y0, dt, substeps)
+                integrate.rk4_endpoint(_with_step(rhs, step), y0, dt, substeps)
             except HorizonError:
-                tops = []
+                tops = ()
             for label, top, bound in zip(labels, tops, bounds):
                 ratio = (top / bound).reshape(-1, len(agents) if agents else 1)
                 r, a = np.unravel_index(np.argmax(np.where(ratio > 1, ratio, 0)), ratio.shape)
@@ -145,12 +144,12 @@ def audit_names(name, rerun, labels, agents=None):
 
 
 def _raw_reference(field):
-    """raw_run's right-hand side of a reference field: f, watched against M."""
+    """raw_run's right-hand side of a reference field: f in place, watched against M."""
 
-    def raw(t, y):
-        f = field(y)
-        return f, (f,)
+    def raw(t, y, out):
+        field(y, out[0])
 
+    raw.width = 1
     return raw
 
 

@@ -310,11 +310,12 @@ class ExpressionDynamics:
     def key(self):
         return (self.texts, tuple(sorted(self.params.items())))
 
-    def eval(self, x_i, neighbors):
+    def eval(self, x_i, neighbors, out=None):
         x_i = np.asarray(x_i, dtype=float)
         # an overflow or an invalid operation yields inf or nan, which the
         # endpoint and audit checks downstream reject with a HorizonError
-        out = np.empty(x_i.shape[:-1] + (len(self.asts),))
+        if out is None:
+            out = np.empty(x_i.shape[:-1] + (len(self.asts),))
         with np.errstate(over="ignore", invalid="ignore"):
             for c, ast in enumerate(self.asts):
                 out[..., c] = eval_ast(ast, x_i, neighbors)

@@ -74,8 +74,8 @@ class CellSet(collections.abc.Set):
         array, -1 for a row outside the box; lexicographic order of rows
         is the order of their codes."""
         rel = np.asarray(lattice, dtype=int).reshape(-1, self.mask.ndim) - self.origin
-        inbox = np.all((rel >= 0) & (rel < self.mask.shape), axis=-1)
-        return np.where(inbox, rel @ self._steps, -1)
+        inbox = reach.row_reduce(np.logical_and, (rel >= 0) & (rel < self.mask.shape))
+        return np.where(inbox, reach.row_reduce(np.add, rel * self._steps), -1)
 
     def contains_many(self, lattice):
         """Membership of every row of an int lattice array, in one gather."""
@@ -134,22 +134,20 @@ def _columns(values):
     return [v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k, v in enumerate(values)]
 
 
-def _all_axes(values):
-    """Per cell of the lattice box, whether the boolean of every axis holds."""
-    cols = _columns(values)
-    out = cols[0]
-    for col in cols[1:]:
-        out = out & col
-    return out
+def _fold_axes(op, values):
+    """Per cell of the lattice box, op of the values of its axes, in axis order."""
+    return functools.reduce(op, _columns(values))
 
 
 def _sum_axes(values):
     """Per cell of the lattice box, the sum of one value per axis.
 
-    The values are laid out along a last axis and summed over it, so they
-    add up in the order of every other squared distance in this module
-    (numpy sums short rows in axis order but rows of 8 or more pairwise).
+    The values add up in the order of every other squared distance in
+    this module (reach.row_reduce): axis by axis below 8 axes, else laid
+    out along a last axis and summed over it pairwise.
     """
+    if len(values) < 8:
+        return _fold_axes(np.add, values)
     return np.sum(np.stack(np.broadcast_arrays(*_columns(values)), axis=-1), axis=-1)
 
 
@@ -195,7 +193,7 @@ def _cell_masks(dec):
     dist = np.sqrt(_sum_axes([(clamp[k] - region.center[k]) ** 2 for k in range(n)]))
     # boxes tangent to the sphere keep only the closest point; it must
     # survive the half-open convention or the clipped cell is empty
-    tangent_ok = _all_axes([clamp[k] < his[k] for k in range(n)])
+    tangent_ok = _fold_axes(np.logical_and, [clamp[k] < his[k] for k in range(n)])
     valid = (dist < region.radius) | ((dist <= region.radius) & tangent_ok)
 
     far = [
@@ -259,7 +257,7 @@ def _clamp(c, lo, hi):
     """Per row, the clamp point of the ball center c onto the box [lo, hi]
     and its distance to c, the gap."""
     q = np.clip(c, lo, hi)
-    return q, np.sqrt(np.sum((q - c) ** 2, axis=-1))
+    return q, np.sqrt(reach.row_reduce(np.add, (q - c) ** 2))
 
 
 def _candidates(dec, c, radius, lo, hi, q, gap):
@@ -273,7 +271,7 @@ def _candidates(dec, c, radius, lo, hi, q, gap):
     """
     center = (lo + hi) / 2
     delta = center - c
-    dn = np.sqrt(np.sum(delta**2, axis=-1))
+    dn = np.sqrt(reach.row_reduce(np.add, delta**2))
     pull = (dn > radius) & (dn > 0)
     scale = radius * (1 - 1e-12) / np.where(pull, dn, 1.0)
     pulled = np.where(pull[:, None], c + delta * scale[:, None], center)
@@ -282,9 +280,8 @@ def _candidates(dec, c, radius, lo, hi, q, gap):
     off_hi = np.where(q >= hi, hi - eps[:, None], q)
     points = np.stack([pulled, q, off_hi])
     lands = (
-        np.all(points >= lo, axis=-1)
-        & np.all(points < hi, axis=-1)
-        & (np.sqrt(np.sum((points - c) ** 2, axis=-1)) <= radius)
+        reach.row_reduce(np.logical_and, (points >= lo) & (points < hi))
+        & (np.sqrt(reach.row_reduce(np.add, (points - c) ** 2)) <= radius)
         & dec.region.contains(points)
     )
     return points, lands
@@ -360,7 +357,7 @@ def cells_intersecting_ball(dec, centers, radius):
     offsets = np.indices(tuple(np.max(span, axis=0) + 1)).reshape(n, -1).T
     row = np.repeat(np.arange(len(centers)), len(offsets))
     offsets = np.tile(offsets, (len(centers), 1))
-    inside = np.all(offsets <= span[row], axis=-1)
+    inside = reach.row_reduce(np.logical_and, offsets <= span[row])
     row = row[inside]
     lattice = lo_idx[row] + offsets[inside]
 
@@ -391,7 +388,8 @@ def label_cells(dec, lo, hi):
     hi = np.asarray(hi, dtype=float)
     cells = dec.index_set
     los, his = _axis_bounds(dec.anchor, dec.side, cells.origin, cells.mask.shape)
-    inside = _all_axes(
-        [(los[k] >= lo[k] - 1e-12) & (his[k] <= hi[k] + 1e-12) for k in range(dec.dim)]
+    inside = _fold_axes(
+        np.logical_and,
+        [(los[k] >= lo[k] - 1e-12) & (his[k] <= hi[k] + 1e-12) for k in range(dec.dim)],
     )
     return _lattice_tuples(cells.origin, cells.mask & inside)

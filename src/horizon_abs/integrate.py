@@ -27,22 +27,48 @@ def check_settings(substeps, integ_tol, names):
     return substeps, float(integ_tol)
 
 
-def _rk4_step(rhs, t, y, h):
-    """One classical RK4 step: the stage-1 slope and the state at t + h."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2, y + (h / 2) * k1)
-    k3 = rhs(t + h / 2, y + (h / 2) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return k1, y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _run(rhs, y0, dt, substeps, dense):
+    """The RK4 loop of rk4_endpoint and, with dense, rk4_dense.
+
+    Stage s of a step writes into K[:, s] of one block K shaped (width, 4)
+    + y.shape.  A plain ``rhs(t, y)`` returns its slope, kept in K[0, s].
+    An rhs with an int ``width`` is called as ``rhs(t, y, K[:, s])`` and
+    writes its slope to K[0, s] and whatever else it keeps to K[1:, s].
+    ``rhs.step(K)``, if present, runs after each step and after rk4_dense's
+    last derivative call, which rewrites K[:, 0] only."""
+    y = np.array(y0, dtype=float)
+    h = dt / substeps
+    stage, width, step = rhs, getattr(rhs, "width", 1), getattr(rhs, "step", lambda K: None)
+    if not hasattr(rhs, "width"):
+        def stage(t, y, out):
+            out[0] = rhs(t, y)
+    # the step's factors as 0-d arrays, which numpy does not convert on every call
+    half, full, sixth, two = (np.array(c) for c in (h / 2, h, h / 6, 2.0))
+    K = np.empty((width, 4) + y.shape)
+    (k1, k2, k3, k4), (o1, o2, o3, o4) = K[0], (K[:, s] for s in range(4))
+    ts = np.linspace(0.0, dt, substeps + 1)
+    ys, ds = np.empty((2, substeps + 1) + y.shape) if dense else (None, None)
+    for j, t in enumerate(ts[:-1].tolist() if dense else [k * h for k in range(substeps)]):
+        stage(t, y, o1)
+        stage(t + h / 2, y + half * k1, o2)
+        stage(t + h / 2, y + half * k2, o3)
+        stage(t + h, y + full * k3, o4)
+        step(K)
+        if dense:
+            ys[j], ds[j] = y, k1
+        y = y + sixth * (k1 + two * k2 + two * k3 + k4)
+    if not dense:
+        return y
+    stage(float(ts[-1]), y, o1)
+    step(K)
+    ys[-1], ds[-1] = y, k1
+    return DenseTrajectory(ts, ys, ds)
 
 
 def rk4_endpoint(rhs, y0, dt, substeps):
-    """Endpoint of y' = rhs(t, y) on [0, dt]; y0 may carry leading batch axes."""
-    y = np.array(y0, dtype=float)
-    h = dt / substeps
-    for k in range(substeps):
-        _, y = _rk4_step(rhs, k * h, y, h)
-    return y
+    """Endpoint of y' = rhs(t, y) on [0, dt], rhs in a form of ``_run``;
+    y0 may carry leading batch axes."""
+    return _run(rhs, y0, dt, substeps, dense=False)
 
 
 class DenseTrajectory:
@@ -100,17 +126,7 @@ def stage_times(dt, substeps, dense=False):
 
 def rk4_dense(rhs, y0, dt, substeps):
     """Integrate and keep every node with its derivative for interpolation."""
-    y = np.array(y0, dtype=float)
-    h = dt / substeps
-    ts = np.linspace(0.0, dt, substeps + 1)
-    ys = np.empty((substeps + 1,) + y.shape)
-    ds = np.empty_like(ys)
-    ys[0] = y
-    for k in range(substeps):
-        ds[k], y = _rk4_step(rhs, ts[k], y, h)
-        ys[k + 1] = y
-    ds[substeps] = rhs(ts[-1], y)
-    return DenseTrajectory(ts, ys, ds)
+    return _run(rhs, y0, dt, substeps, dense=True)
 
 
 def check_audit(coarse, fine, integ_tol, what="integration", runs=None):

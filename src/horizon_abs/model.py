@@ -17,38 +17,31 @@ from . import reach
 from .errors import ExprError, ModelError
 
 _HILL_SERIES_CUTOFF = 1e-8
-
-
-class ZeroDynamics:
-    variant = "zero"
-
-    def key(self):
-        return ()
-
-    def eval(self, x_i, neighbors):
-        return np.zeros_like(np.asarray(x_i, dtype=float))
+# the fields' ufunc factors are 0-d arrays, which numpy does not convert on every call
+_ZERO = np.array(0.0)
 
 
 class ConsensusDynamics:
-    """f = sum_k weight_k * (x_jk - x_i), the standard linear consensus field."""
+    """f = sum_k weight_k * (x_jk - x_i), the linear consensus field (none: ``zero``)."""
 
     variant = "linear-consensus"
 
     def __init__(self, weights):
         self.weights = tuple(float(w) for w in weights)
+        self._factors = tuple(map(np.array, self.weights))
 
     def key(self):
         return self.weights
 
-    def eval(self, x_i, neighbors):
+    def eval(self, x_i, neighbors, out=None):
         x_i = np.asarray(x_i, dtype=float)
         if not self.weights:
             return np.zeros_like(x_i)
         # 0.0 + the first term has the bits of zeros + the first term
-        out = 0.0
-        for w, block in zip(self.weights, neighbors):
-            out = out + w * (np.asarray(block, dtype=float) - x_i)
-        return out
+        total, last = _ZERO, len(self.weights) - 1
+        for k, (w, block) in enumerate(zip(self._factors, neighbors)):
+            total = np.add(total, w * (block - x_i), out=out if k == last else None)
+        return total
 
 
 class HillDynamics:
@@ -67,26 +60,28 @@ class HillDynamics:
             raise ModelError("gradient-hill requires C > 0 and R > 0")
         self.C = float(C)
         self.R = float(R)
+        self._pi, self._R = np.array(math.pi), np.array(self.R)
+        self._coef = np.array(self.C * math.pi / self.R)
 
     def key(self):
         return (self.C, self.R)
 
-    def eval(self, x_i, neighbors):
+    def eval(self, x_i, neighbors, out=None):
         x = np.asarray(x_i, dtype=float)
         rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-        coef = self.C * math.pi / self.R
+        coef = self._coef
         # a batch of radial rows only skips the masks, whose expression this is on such rows.
         # Python's min and max of the few norms a call holds cost less than two reductions;
         # they may skip a NaN norm, whose row is NaN on either path.
         norms = rho.ravel().tolist()
         if norms and min(norms) >= _HILL_SERIES_CUTOFF and max(norms) < self.R:
-            return coef * np.sin(math.pi * rho / self.R) / rho * x
+            return np.multiply(coef * np.sin(self._pi * rho / self._R) / rho, x, out=out)
         # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
         radial = coef * np.sin(math.pi * rho / self.R) / np.where(rho > 0, rho, 1.0)
         series = self.C * (math.pi / self.R) ** 2
         scale = np.where(rho < _HILL_SERIES_CUTOFF, series, radial)
         scale = np.where(rho >= self.R, 0.0, scale)
-        return scale * x
+        return np.multiply(scale, x, out=out)
 
 
 class AffineDynamics:
@@ -106,11 +101,11 @@ class AffineDynamics:
     def key(self):
         return tuple(m.tobytes() for m in (self.A, *self.B_blocks, self.b))
 
-    def eval(self, x_i, neighbors):
-        out = _rowwise_product(self.A, x_i) + self.b
+    def eval(self, x_i, neighbors, out=None):
+        f = _rowwise_product(self.A, x_i) + self.b
         for B, block in zip(self.B_blocks, neighbors):
-            out = out + _rowwise_product(B, block)
-        return out
+            f = f + _rowwise_product(B, block)
+        return f
 
 
 def _rowwise_product(A, x):
@@ -199,18 +194,18 @@ def dynamics_groups(agents):
 class NetworkField:
     """The raw fields f_i of many rows at once, one dynamics.eval per group.
 
-    Row r is ``agents[r]`` at row r of a state array S shaped (..., rows,
-    n); leading axes are batches.  Its neighbor states come from one of
-    two sources, chosen by the argument passed: the rows
-    ``neighbor_rows[r]`` of S, read per neighbor slot k as
-    ``S[..., idx_k, :]`` (the closed loop), or a block of width N_i * n
-    frozen here (references): row r of the 2-D array ``nbr_refs`` starts
-    with row r's block, zero past it, so each group's blocks are one
-    slice.  Rows are grouped by ``dynamics_groups`` once, here.  Every
-    operation is row-wise, so a row has the bits of its one-row field.
-    ``M`` is the rows' speed bound, for callers that saturate: a number
-    when every row shares it, else a column.  An expression error names
-    the agents of the group that raised it.
+    ``field(S, out=None)``: row r is ``agents[r]`` at row r of a state S
+    shaped (..., rows, n); leading axes are batches.  Its neighbor states
+    are either the rows ``neighbor_rows[r]`` of S, taken per neighbor slot
+    (the closed loop), or a block of width N_i * n frozen here
+    (references): row r of the 2-D ``nbr_refs`` starts with row r's
+    block, zero past it.  Rows are grouped by ``dynamics_groups`` once,
+    here.  A group of consecutive rows hands its rows of the result (of
+    ``out``, if given) to its eval, which may write the field there; any
+    other result is copied in.  Every operation is row-wise, so a row has
+    the bits of its one-row field.  ``M`` is the rows' speed bound: a
+    number when every row shares it, else a column.  An expression error
+    names the agents of the group that raised it.
     """
 
     def __init__(self, agents, neighbor_rows=None, nbr_refs=None):
@@ -235,18 +230,20 @@ class NetworkField:
                 rows = slice(int(rows[0]), int(rows[-1]) + 1)
             self.groups.append((agent.dynamics, rows, slots, ids))
 
-    def __call__(self, S):
-        # one group spans every row, so its eval is the field, with no scatter
-        F = None if len(self.groups) == 1 else np.empty(S.shape)
+    def __call__(self, S, out=None):
+        F = np.empty(S.shape) if out is None else out
         for dynamics, rows, slots, ids in self.groups:
-            blocks = slots if self.frozen else [S[..., idx, :] for idx in slots]
+            blocks = slots if self.frozen else [S.take(idx, axis=-2) for idx in slots]
             try:
-                f = dynamics.eval(S[..., rows, :], blocks)
+                if type(rows) is slice:
+                    view = F[..., rows, :]
+                    f = dynamics.eval(S[..., rows, :], blocks, view)
+                    if f is not view:
+                        view[...] = f
+                else:
+                    F[..., rows, :] = dynamics.eval(S.take(rows, axis=-2), blocks)
             except ExprError as e:
                 raise agents_error(ids, e) from None
-            if F is None:
-                return f
-            F[..., rows, :] = f
         return F
 
     def rows(self, index):
@@ -371,7 +368,7 @@ def _parse_dynamics(entry, n, neighbors, agent_id):
     neighbor_count = len(neighbors)
     variant = entry.get("type", entry.get("variant"))
     if variant == "zero":
-        return ZeroDynamics()
+        return ConsensusDynamics(())
     if variant == "linear-consensus":
         weights = entry.get("weights", [1.0] * neighbor_count)
         return ConsensusDynamics(_consensus_weights(weights, neighbors, agent_id))

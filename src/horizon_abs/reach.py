@@ -7,6 +7,8 @@ exact radius additions, so the growth law has no overapproximation gap
 of its own.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import ModelError
@@ -21,7 +23,16 @@ class Ball:
 
     def contains(self, x, slack=0.0):
         x = np.asarray(x, dtype=float)
-        return np.sqrt(np.sum((x - self.center) ** 2, axis=-1)) <= self.radius + slack
+        return np.sqrt(row_reduce(np.add, (x - self.center) ** 2)) <= self.radius + slack
+
+
+def row_reduce(op, a):
+    """op.reduce(a, axis=-1) for op np.add or np.logical_and, with its bits:
+    numpy reduces rows of fewer than 8 entries in axis order, about 17 ns
+    a row, and such rows are reduced here a column at a time instead."""
+    if 0 < a.shape[-1] < 8:
+        return functools.reduce(op, (a[..., k] for k in range(a.shape[-1])))
+    return op.reduce(a, axis=-1)
 
 
 class ReachFamily:

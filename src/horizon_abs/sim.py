@@ -47,24 +47,22 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     configurations (Abstraction.reference_for), audited before the loop.
     They do not depend on the network state, so the reference states and
     their saturated fields are evaluated beforehand in one array pass, at
-    every stage time of every run below.  Each right-hand side evaluation
-    then evaluates the raw field of the N network rows, with one
-    dynamics.eval per group of equal dynamics and each neighbor read
-    straight from the network state.  The network state may carry
-    leading axes.
+    every stage time of every run below.  Each stage then evaluates the
+    raw field of the N network rows (model.NetworkField, with neighbors
+    read from the network state, which may carry leading axes).
 
-    Each run is first made raw (controller.raw_run): the field f and the
-    feedback kbar go unsaturated, and the run is checked once, after it,
-    against M and v_max.  A run that passes has the bits of the saturated
-    one.  Only the coarse run is sequential: it goes interval by interval
-    and stops at the first non-finite endpoint.  An interval whose raw
-    run fails its check runs again saturated at every stage, and so does
-    every later interval, with no raw run first.  The intervals reached
-    are then audited together by one step-halving run with a leading
-    interval axis (controller.checked_run, in which only failing
-    intervals run again), and an audit error names the lowest failing
-    interval.  One more right-hand side call records the inputs at every
-    kept node.
+    Each run is first made raw (controller.raw_run): f and the feedback
+    kbar go unsaturated into the RK4 stage block, and the run is checked
+    once, after it, against M and v_max.  A run that passes has the bits
+    of the saturated one.  Only the coarse run is sequential: it goes
+    interval by interval and stops at the first non-finite endpoint.  An
+    interval whose raw run fails its check runs again saturated at every
+    stage, and so does every later interval, with no raw run first.  The
+    intervals reached are then audited together by one step-halving run
+    with a leading interval axis (controller.checked_run, in which only
+    failing intervals run again), and an audit error names the lowest
+    failing interval.  One more right-hand side call records the inputs
+    at every kept node.
     """
     from . import controller
 
@@ -122,13 +120,14 @@ def simulate_closed_loop(model, abstraction, schedule, m):
             return f + u
         return rhs
 
-    # the same right-hand side with neither saturation: f + kbar, where
-    # kbar = (g - f) + k2 + k3 is feedback's sum with g - f for k1
+    # the same right-hand side with neither saturation: f + kbar, kbar = (g - f) + k2 + k3
+    # as feedback sums it; each stage writes slope, F and kbar, raw_run watches the last two
     def raw_rhs(g_table, k2, k3):
-        def rhs(t, Yt):
-            F = field(Yt)
-            kbar = g_table[when[t]] - F + k2 + k3
-            return F + kbar, (F, kbar)
+        def rhs(t, Yt, out):
+            F = field(Yt, out[1])
+            kbar = np.add(np.add(g_table[when[t]] - F, k2), k3, out=out[2])
+            np.add(F, kbar, out=out[0])
+        rhs.width = 3
         return rhs
 
     bounds = (field.M, v_max)
@@ -324,6 +323,10 @@ def trajectory_from_csv(text, model):
     )
 
 
-def final_states_from_csv(text, model):
-    """Last sampled state per agent from a trajectory CSV of ``model``."""
-    return trajectory_from_csv(text, model).final_states()
+def final_states_from_csv(text, model, nodes=None):
+    """Last sampled state per agent from a trajectory CSV of ``model``, whose
+    times must be check_node_times' for ``nodes`` = (dt, m, substeps) if given."""
+    traj = trajectory_from_csv(text, model)
+    if nodes is not None:
+        check_node_times(traj, *nodes)
+    return traj.final_states()

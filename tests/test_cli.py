@@ -781,6 +781,34 @@ def test_chain_refuses_a_failed_or_unreadable_validation(
     assert not (tmp_path / "next_model.json").exists()
 
 
+@pytest.mark.parametrize("edit, code, message", [
+    ("hash", 1, "hash mismatch"),
+    ("times", 4, "not the closed-loop nodes of plan.json"),
+])
+def test_chain_checks_the_trajectory_against_plan_json(
+    edit, code, message, planned_run, tmp_path, capsys
+):
+    """With plan.json in --out, chain loads it with its hash check and
+    refuses a trajectory whose times are not the plan's closed-loop nodes:
+    a plan of another model file exits 1, times past 0 shifted exit 4, and
+    neither writes next_model.json."""
+    model_path, out, _, _ = planned_run
+    for name in ("plan.json", "trajectory.csv", "validation.json"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    if edit == "hash":
+        doc = json.loads((out / "plan.json").read_text())
+        doc["model_hash"] = hashlib.sha256(b"another model").hexdigest()
+        (tmp_path / "plan.json").write_text(json.dumps(doc))
+    else:
+        header, *rows = (out / "trajectory.csv").read_text().splitlines()
+        rows = [f"{float(t) + 1e-3 if float(t) else 0.0!r},{rest}"
+                for t, rest in (row.split(",", 1) for row in rows)]
+        (tmp_path / "trajectory.csv").write_text("\n".join([header] + rows) + "\n")
+    assert cli.main(["chain", "--model", str(model_path), "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "next_model.json").exists()
+
+
 def test_chain_requires_a_trajectory(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     res = run_cli(["chain", "--model", model_path, "--out", tmp_path / "empty"])
@@ -864,7 +892,7 @@ NEVER_LOADED = ["dataclasses", "horizon_abs.expr"]
 @pytest.mark.parametrize("command, unloaded", [
     ("abstract", ["horizon_abs.planner", "horizon_abs.sim", "horizon_abs.render"]),
     ("plan", ["horizon_abs.sim", "horizon_abs.render"]),
-    ("chain", ["horizon_abs.planner", "horizon_abs.render", "hashlib",
+    ("chain", ["horizon_abs.planner", "horizon_abs.render",
                "horizon_abs.abstraction", "horizon_abs.controller"]),
     ("validate", ["horizon_abs.render"]),
     ("render", ["horizon_abs.planner", "horizon_abs.abstraction", "horizon_abs.controller"]),
@@ -873,9 +901,9 @@ def test_a_command_leaves_the_modules_it_does_not_run_unloaded(
     command, unloaded, planned_run, tmp_path
 ):
     """Each command imports the modules past the shared set where it
-    starts.  abstract loads hashlib through numpy.random, which its bounds
-    sampler uses; chain, which records no model hash, leaves it unloaded.
-    render reads plan.json through plandoc, without the search, and builds
+    starts.  chain checks plan.json's model hash, as render does, so no
+    command leaves hashlib unloaded when plan.json is present.  render
+    reads plan.json through plandoc, without the search, and builds
     its grids without an Abstraction; neither it nor chain integrates."""
     model_path, out, _, _ = planned_run
     for name in ("plan.json", "trajectory.csv"):

@@ -199,8 +199,9 @@ def test_benchmark_plan_and_validate_make_no_saturated_rerun(workload, monkeypat
 
 
 def constant_rows(f):
-    """The raw right-hand side of rows with the constant fields f."""
-    return lambda t, y: (f, (f,))
+    """The raw right-hand side of rows with the constant fields f, in the
+    plain form, whose slope raw_run watches."""
+    return lambda t, y: f
 
 
 # one row each: zero, a magnitude too small for the padded bound, NaN,
@@ -243,6 +244,58 @@ def test_checked_run_runs_only_the_failing_rows_again():
     assert_same_bits(out, expected)
 
 
+def hazard_rhs(call, row, value):
+    """An in-place right-hand side of three rows with a zero slope and one
+    watched array of 0.5, except that at stage call ``call`` (counted
+    from 0 over the run) row ``row`` of the watched array is ``value``."""
+    calls = []
+
+    def rhs(t, y, out):
+        out[0] = 0.0
+        out[1] = 0.5
+        if len(calls) == call:
+            out[1, row] = value
+        calls.append(t)
+
+    rhs.width = 2
+    return rhs, calls
+
+
+@pytest.mark.parametrize("value", [2.0, math.nan, math.inf], ids=["over", "nan", "inf"])
+@pytest.mark.parametrize("run", ["rk4_endpoint", "rk4_dense"])
+def test_raw_run_fails_a_row_clipped_at_any_one_stage(run, value):
+    """A watched value over its bound, NaN or inf at one stage of one step,
+    at each of the four stage positions (and at rk4_dense's last
+    derivative call), fails that row alone; the endpoints stay finite."""
+    substeps, y0 = 3, np.zeros((3, 2))
+    stages = 4 * substeps + (run == "rk4_dense")
+    for call in range(4, 8) if run == "rk4_endpoint" else [4, 5, 6, 7, stages - 1]:
+        rhs, calls = hazard_rhs(call, 1, value)
+        out, ok = controller.raw_run(getattr(integrate, run), rhs, (1.0,), y0, 1.0, substeps)
+        assert len(calls) == stages
+        assert ok.tolist() == [True, False, True], call
+    _, ok = controller.raw_run(getattr(integrate, run), hazard_rhs(-1, 1, value)[0], (1.0,),
+                               y0, 1.0, substeps)
+    assert ok.all()
+
+
+@pytest.mark.parametrize("run, steps", [("rk4_endpoint", 5), ("rk4_dense", 6)])
+def test_raw_run_tracks_its_watched_arrays_once_per_step(run, steps):
+    """The running max is taken once per RK4 step over the whole stage
+    block, and once more after rk4_dense's last derivative call."""
+    blocks = []
+
+    def counting(rhs, y0, dt, substeps):
+        step = rhs.step
+        rhs.step = lambda K: (blocks.append(K.shape), step(K))
+        return getattr(integrate, run)(rhs, y0, dt, substeps)
+
+    rhs, calls = hazard_rhs(-1, 0, 0.0)
+    controller.raw_run(counting, rhs, (1.0,), np.zeros((3, 2)), 1.0, 5)
+    assert blocks == [(2, 4, 3, 2)] * steps
+    assert len(calls) == 4 * 5 + (run == "rk4_dense")
+
+
 def wall_doc(x0):
     """One agent pushed along x at speed 4, saturated at M = 1, whose
     dynamics raise an expression error past x = 0.5."""
@@ -260,9 +313,7 @@ def test_an_expression_error_past_the_bound_ends_like_the_saturated_run(x0, rais
     agent = make_model(wall_doc([x0, 0.0])).agent(1)
     own, nbr = np.array([[x0, 0.0]]), oracles.padded_refs([np.zeros(0)])
     field = model_mod.NetworkField([agent], nbr_refs=nbr)
-    out, ok = controller.raw_run(
-        integrate.rk4_endpoint, lambda t, y: (field(y), (field(y),)), (1.0,), own, 0.25, 8
-    )
+    out, ok = controller.raw_run(integrate.rk4_endpoint, lambda t, y: field(y), (1.0,), own, 0.25, 8)
     assert out is None and ok.tolist() == [False]
 
     def saturated():

@@ -213,7 +213,7 @@ def test_garbled_plan_files(pair_run, tmp_path, capsys):
 def test_garbled_trajectory_files(pair_run, tmp_path, capsys):
     """chain and render on garbled trajectory files end in a documented
     exit code, and on exit 0 write a follow-on model that parses and a
-    figure with no NaN.  render also refuses, with exit 4, times off the
+    figure with no NaN.  Both also refuse, with exit 4, times off the
     plan's node grid, such as those of a file cut short."""
     model, plan_text, traj_text = pair_run
     rng = np.random.default_rng(23)
@@ -226,8 +226,7 @@ def test_garbled_trajectory_files(pair_run, tmp_path, capsys):
         for command in ("chain", "render"):
             argv = [command, "--model", model, "--out", out]
             argv += PAIR_FLAGS if command == "render" else []
-            allowed = {0, 1, 4} if command == "render" else {0, 1}
-            if check(argv, capsys, allowed, (command, text)):
+            if check(argv, capsys, {0, 1, 4}, (command, text)):
                 continue
             if command == "chain":
                 parse_model((out / "next_model.json").read_text())
@@ -311,8 +310,8 @@ def test_trajectory_file_edges(pair_run, tmp_path, capsys, edge):
 def test_trajectory_times_off_the_plan_node_grid_are_refused(pair_run, tmp_path, capsys):
     """Times that start at 0 and increase but are not the closed loop's
     nodes for the plan's dt, m and substeps: every time past 0 shifted,
-    one time moved by one ulp, and the last interval dropped.  chain, which
-    reads no plan, accepts them; render exits 4 and writes nothing."""
+    one time moved by one ulp, and the last interval dropped.  chain and
+    render, which both read the plan, exit 4 and write nothing."""
     model, plan_text, traj_text = pair_run
     header, *rows = traj_text.splitlines()
     agents = len({row.split(",")[1] for row in rows})
@@ -336,11 +335,11 @@ def test_trajectory_times_off_the_plan_node_grid_are_refused(pair_run, tmp_path,
         out.mkdir()
         (out / "plan.json").write_text(plan_text)
         (out / "trajectory.csv").write_text("\n".join([header] + lines) + "\n")
-        assert check(["chain", "--model", model, "--out", out], capsys, {0}, k) == 0
-        argv = ["render", "--model", model, "--out", out] + PAIR_FLAGS
-        code, err, _ = run(argv, capsys)
-        assert code == 4 and "not the closed-loop nodes of plan.json" in err, (k, err)
-        assert not (out / "figure.svg").exists()
+        for command, name in (("chain", "next_model.json"), ("render", "figure.svg")):
+            argv = [command, "--model", model, "--out", out] + PAIR_FLAGS
+            code, err, _ = run(argv, capsys)
+            assert code == 4 and "not the closed-loop nodes of plan.json" in err, (k, err)
+            assert not (out / name).exists()
 
 
 OUT_OF_RANGE = {

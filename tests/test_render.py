@@ -1,10 +1,10 @@
 """SVG rendering: structure, layer counts, and byte determinism."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from horizon_abs import planner, render, sim
 from horizon_abs.errors import ModelError
@@ -140,11 +140,6 @@ HALVES = [0.0005, -0.0005, 0.0015, -0.0015, 999.9995, -999.9995]
 EDGES = [0.0, -0.0, 1e-300, -1e-300, 1e15, -1e15] + HALVES + [
     math.nextafter(v, toward) for v in HALVES for toward in (math.inf, -math.inf)
 ]
-values = st.one_of(
-    st.sampled_from(EDGES),
-    st.floats(-0.0006, 0.0006),
-    st.floats(-1e15, 1e15),
-)
 
 
 def bare_frame(lo, scale, height):
@@ -155,33 +150,53 @@ def bare_frame(lo, scale, height):
     return frame
 
 
-frames = st.builds(
-    bare_frame,
-    st.lists(st.sampled_from([0.0, -0.0, 0.0005, -0.0005]), min_size=2, max_size=2),
-    st.sampled_from([1.0, 0.5, 3.0]),
-    st.sampled_from([0.0, -0.0, 0.0005, 1e3]),
-)
+# every frame of the shifts, scales and heights drawn from
+FRAMES = [
+    (list(lo), scale, height)
+    for lo in itertools.product([0.0, -0.0, 0.0005, -0.0005], repeat=2)
+    for scale in (1.0, 0.5, 3.0)
+    for height in (0.0, -0.0, 0.0005, 1e3)
+]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(frames, st.lists(st.tuples(values, values), min_size=1, max_size=8))
-def test_bulk_polyline_formats_each_point_as_fmt(frame, points):
-    points = np.array(points)
-    assert render._polyline(frame, points, "#000") == scalar_polyline(frame, points, "#000")
+def draw_values(rng, shape):
+    """Values of the given shape, each an edge value, uniform in
+    +-0.0006, or a signed magnitude log-uniform up to 1e15."""
+    edge = np.array(EDGES)[rng.integers(len(EDGES), size=shape)]
+    small = rng.uniform(-0.0006, 0.0006, shape)
+    large = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-12, 15, shape)
+    return np.choose(rng.integers(3, size=shape), [edge, small, large])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    frames,
-    st.lists(st.tuples(values, values, values, values), min_size=1, max_size=8),
-    st.sampled_from([
-        {"fill": render.PATH_FILL, "opacity": "0.85"},
-        {"stroke": "#dddddd", "width": 0.5},
-        {"stroke": render.GOAL_STROKE, "width": -0.0001},
-    ]),
-)
-def test_bulk_rectangles_format_each_value_as_fmt(frame, boxes, style):
-    boxes = np.array(boxes)
-    lo, hi = boxes[:, :2], boxes[:, 2:]
-    expected = "\n".join(scalar_rect(frame, a, b, **style) for a, b in zip(lo, hi))
-    assert render._rects(frame, lo, hi, **style) == expected
+def examples(seed, width, count=300):
+    """(frame, rows) pairs for the bulk formatting tests: every frame with
+    rows that hold every edge value in every column, then ``count``
+    seeded draws of a frame and 1 to 8 rows of ``width`` values."""
+    edges = np.array(EDGES)
+    every = np.stack([np.roll(edges, k) for k in range(width)], axis=1)
+    for choice in FRAMES:
+        yield bare_frame(*choice), every
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        frame = bare_frame(*FRAMES[rng.integers(len(FRAMES))])
+        yield frame, draw_values(rng, (int(rng.integers(1, 9)), width))
+
+
+def test_bulk_polyline_formats_each_point_as_fmt():
+    for frame, points in examples(11, 2):
+        assert render._polyline(frame, points, "#000") == scalar_polyline(frame, points, "#000")
+
+
+STYLES = [
+    {"fill": render.PATH_FILL, "opacity": "0.85"},
+    {"stroke": "#dddddd", "width": 0.5},
+    {"stroke": render.GOAL_STROKE, "width": -0.0001},
+]
+
+
+def test_bulk_rectangles_format_each_value_as_fmt():
+    for style in STYLES:
+        for frame, boxes in examples(12 + STYLES.index(style), 4, count=100):
+            lo, hi = boxes[:, :2], boxes[:, 2:]
+            expected = "\n".join(scalar_rect(frame, a, b, **style) for a, b in zip(lo, hi))
+            assert render._rects(frame, lo, hi, **style) == expected

@@ -156,6 +156,45 @@ def test_network_field_groups_equal_dynamics_only():
         ]
 
 
+@pytest.mark.parametrize("doc", [None, heterogeneous_doc], ids=["five_agents", "heterogeneous"])
+def test_network_field_in_place_has_each_rows_one_row_bits(doc):
+    """Written into a strided slot of a stage block, the field of every
+    row has the bits of model.eval_f on that row alone, sign bits
+    included: with neighbors gathered from the state or frozen, with
+    leading axes, and for five_agents' consensus rows 0, 1, 3 and 4,
+    which are not contiguous.  States hold signed zeros, so that some
+    neighbor differences (-0.0 - 0.0) and a Hill state are -0.0."""
+    if doc is None:
+        with open(FIVE_AGENTS) as fh:
+            model = model_mod.parse_model(fh.read())
+    else:
+        model = make_model(doc())
+    N, n = len(model.agents), model.dim
+    neighbor_rows = sim._neighbor_rows(model)
+    S = np.random.default_rng(5).uniform(-2, 2, size=(3, N, n))
+    S[0], S[0, 2] = 0.0, -0.0
+    S[1, ::2] = -0.0
+    gathered = model_mod.NetworkField(model.agents, neighbor_rows)
+    if doc is None:
+        groups = [rows for _, rows, _, _ in gathered.groups]
+        assert [getattr(r, "tolist", lambda: r)() for r in groups] == [[0, 1, 3, 4], slice(2, 3)]
+    block = np.full((3, 4) + S.shape, np.nan)
+    slot = block[1, 2]
+    assert gathered(S, slot) is slot
+    for b in range(len(S)):
+        frozen = model_mod.NetworkField(model.agents, nbr_refs=oracles.padded_refs(
+            S[b, idx].reshape(-1) for idx in neighbor_rows
+        ))
+        out = np.full((N, n), np.nan)
+        frozen(S[b], out)
+        for r, agent in enumerate(model.agents):
+            one = model_mod.eval_f(agent, S[b, r:r + 1], S[b, neighbor_rows[r]].reshape(1, -1))
+            for got in (block[1, 2, b, r], out[r], gathered(S[b])[r]):
+                assert got.tobytes() == one[0].tobytes(), (b, r)
+    assert np.isnan(block[1, :2]).all() and np.isnan(block[1, 3]).all()
+    assert np.signbit(block[1, 2]).any()
+
+
 def test_gathered_and_frozen_neighbors_give_equal_bits():
     """f_i is one function with two sources for the neighbor states.  Read
     from the state S, or frozen at S's neighbor rows, they give the same
@@ -309,9 +348,9 @@ def test_closed_loop_makes_one_fine_run_and_one_input_call(heterogeneous_case, m
     calls = []
     real = model_mod.NetworkField.__call__
 
-    def counting(self, S):
+    def counting(self, S, out=None):
         calls.append((self.frozen, S.shape))
-        return real(self, S)
+        return real(self, S, out)
 
     monkeypatch.setattr(model_mod.NetworkField, "__call__", counting)
     records = record_raw_runs(monkeypatch)
