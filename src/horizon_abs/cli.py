@@ -341,7 +341,6 @@ def cmd_render(args):
         plandoc.check_plan_lists(model, plan)
     else:
         plan, params = None, _synthesize(model, args)
-    _flag_settings(args)
     # no Abstraction: the figure reads regions and the boxes the plan names
     families = {a.id: model_mod.reach_family(model, a.id) for a in model.agents}
     decs = grid.build_decompositions(families, params)

@@ -70,39 +70,6 @@ def dmax_bound(model, params, agent_id, dt):
     return min(branch_a, branch_b)
 
 
-def _simple_cycles(edges, nodes):
-    adj = {v: sorted(i for (j, i) in edges if j == v) for v in nodes}
-    cycles = []
-
-    def dfs(start, v, path, on_path):
-        for w in adj[v]:
-            if w < start:
-                continue
-            if w == start:
-                cycles.append(tuple(path))
-            elif w not in on_path:
-                on_path.add(w)
-                dfs(start, w, path + [w], on_path)
-                on_path.remove(w)
-
-    for s in sorted(nodes):
-        dfs(s, s, [s], {s})
-    return cycles
-
-
-def check_cycles(model, params):
-    """Every simple coupling cycle must carry a mu-product of at least 1."""
-    violations = []
-    for cycle in _simple_cycles(model.edges(), model.agent_ids):
-        product = 1.0
-        for k, j in enumerate(cycle):
-            i = cycle[(k + 1) % len(cycle)]
-            product *= params.mu[(j, i)]
-        if product < 1:
-            violations.append(f"cycle {cycle}: mu product {product} < 1")
-    return violations
-
-
 def check_params(model, params, tau):
     """Strict re-validation of a parameter choice; returns violation strings."""
     violations = []
@@ -136,7 +103,6 @@ def check_params(model, params, tau):
             violations.append(
                 f"edge ({j} -> {i}): d_max({j})={lhs} exceeds mu*d_max({i})={rhs}"
             )
-    violations.extend(check_cycles(model, params))
     return violations
 
 
@@ -151,19 +117,22 @@ def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN):
         raise ModelError(f"margin must be positive, got {margin}")
     if not math.isfinite(margin):
         raise ModelError(f"margin must be finite, got {margin}")
-    lam = {a.id: DEFAULT_LAMBDA for a in model.agents} | dict(lam or {})
-    mu = {e: 1.0 for e in model.edges()} | dict(mu or {})
+    default_lam = dict.fromkeys(model.agent_ids, DEFAULT_LAMBDA)
+    unit_mu = dict.fromkeys(model.edges(), 1.0)
+    lam = default_lam | dict(lam or {})
+    mu = unit_mu | dict(mu or {})
     for i, value in lam.items():
+        if i not in default_lam:
+            raise ModelError(f"lambda names unknown agent {i!r}")
         if not 0 <= value < 1:
             raise InfeasibleError(f"agent {i}: lambda={value} outside [0, 1)")
     for e, value in mu.items():
-        if value < 0:
-            raise InfeasibleError(f"edge {e}: mu={value} must be nonnegative")
+        if e not in unit_mu:
+            raise ModelError(f"mu names {e!r}, which is no coupling edge (j, i)")
+        if not 0 <= value < math.inf:
+            raise InfeasibleError(f"edge {e}: mu={value} must be finite and nonnegative")
 
     probe = DiscretizationParams(dt=0.0, steps=0, lam=lam, mu=mu, d_max={}, margin=margin)
-    cycle_violations = check_cycles(model, probe)
-    if cycle_violations:
-        raise InfeasibleError("; ".join(cycle_violations))
 
     T = model.horizon
     tau = model.tau
@@ -194,18 +163,32 @@ def synthesize(model, lam=None, mu=None, steps=None, margin=DEFAULT_MARGIN):
     for agent in model.agents:
         d_max[agent.id] = margin * dmax_bound(model, probe, agent.id, dt)
 
-    # propagate the per-edge diameter couplings to a fixed point
-    for _ in range(len(model.agents) ** 2 + 1):
-        changed = False
+    # Bellman-Ford relaxation: with no cycle product below 1 every d_max is
+    # final after N - 1 passes, so a change in pass N means such a cycle,
+    # and N steps back along the edges that last lowered d_max land on it
+    n = len(model.agents)
+    lowered_by = {}
+    for _ in range(n):
+        last = None
         for (j, i) in model.edges():
             cap = mu[(j, i)] * d_max[i]
             if d_max[j] > cap:
                 d_max[j] = cap
-                changed = True
-        if not changed:
+                lowered_by[j] = i
+                last = j
+        if last is None:
             break
     else:
-        raise InfeasibleError("diameter propagation did not reach a fixed point")
+        for _ in range(n):
+            last = lowered_by[last]
+        cycle = [last]
+        while lowered_by[cycle[-1]] != last:
+            cycle.append(lowered_by[cycle[-1]])
+        k = cycle.index(min(cycle))
+        cycle = tuple(cycle[k:] + cycle[:k])
+        product = math.prod((mu[e] for e in zip(cycle, cycle[1:] + cycle[:1])), start=1.0)
+        verdict = "< 1" if product < 1 else "yet rounding shrinks d_max around it"
+        raise InfeasibleError(f"cycle {cycle}: mu product {product} {verdict}")
     for i, value in sorted(d_max.items()):
         if value <= 0:
             raise InfeasibleError(f"agent {i}: propagated d_max collapsed to {value}")

@@ -11,6 +11,7 @@ production ``controller.feedback`` and ``integrate_reference``.
 
 Also here: the open-loop simulator, the tuple-set cascade search and the
 one-agent-at-a-time cascade built on it, the pick-by-pick product layer,
+the enumeration of every simple coupling cycle and its mu product,
 the random cell and disturbance samplers, and the set, parameter and
 expression helpers that only tests use.
 """
@@ -395,6 +396,39 @@ def with_scaled_dmax(params, agent_id, factor):
     d_max = dict(params.d_max)
     d_max[agent_id] = d_max[agent_id] * factor
     return replace(params, d_max=d_max)
+
+
+def _simple_cycles(edges, nodes):
+    adj = {v: sorted(i for (j, i) in edges if j == v) for v in nodes}
+    cycles = []
+
+    def dfs(start, v, path, on_path):
+        for w in adj[v]:
+            if w < start:
+                continue
+            if w == start:
+                cycles.append(tuple(path))
+            elif w not in on_path:
+                on_path.add(w)
+                dfs(start, w, path + [w], on_path)
+                on_path.remove(w)
+
+    for s in sorted(nodes):
+        dfs(s, s, [s], {s})
+    return cycles
+
+
+def check_cycles(model, params):
+    """Every simple coupling cycle must carry a mu-product of at least 1."""
+    violations = []
+    for cycle in _simple_cycles(model.edges(), model.agent_ids):
+        product = 1.0
+        for k, j in enumerate(cycle):
+            i = cycle[(k + 1) % len(cycle)]
+            product *= params.mu[(j, i)]
+        if product < 1:
+            violations.append(f"cycle {cycle}: mu product {product} < 1")
+    return violations
 
 
 def expr_to_string(node):

@@ -103,8 +103,10 @@ def test_render_with_and_without_plan(planned_run, tmp_path):
     svg = (out / "figure.svg").read_text()
     assert svg.startswith("<svg") and "<polyline" in svg
 
+    # render integrates nothing and reads no integrator flag
     bare_out = tmp_path / "bare"
-    res = run_cli(["render", "--model", model_path, "--out", bare_out] + PAIR_FLAGS)
+    res = run_cli(["render", "--model", model_path, "--out", bare_out, "--substeps", "0",
+                   "--integ-tol", "nan"] + PAIR_FLAGS)
     assert res.returncode == 0
     bare = (bare_out / "figure.svg").read_text()
     assert bare.startswith("<svg") and "<polyline" not in bare
@@ -605,8 +607,12 @@ def test_render_without_a_plan_masks_and_draws_the_grid(tmp_path, monkeypatch):
         ("lam", "2", 0.35, "differ from the discretization"),
         ("dt", None, 0.05, "differ from the discretization"),
         ("margin", None, 1.5, "admit no discretization"),
+        ("mu", "99->1", 0.5, "admit no discretization: mu names (99, 1)"),
+        ("mu", "1->3", 0.01, "admit no discretization: mu names (1, 3)"),
+        ("lam", "99", 0.4, "admit no discretization: lambda names unknown agent 99"),
     ],
-    ids=["d_max-tiny", "d_max-large", "lam", "dt", "margin"],
+    ids=["d_max-tiny", "d_max-large", "lam", "dt", "margin", "mu-unknown-agent",
+         "mu-off-graph", "lam-unknown-agent"],
 )
 def test_exit_code_4_on_a_tampered_params_block(
     five_agents_plan, tmp_path, capsys, monkeypatch, key, agent, value, message

@@ -6,8 +6,11 @@ euclidean norm of neighbor speed caps M_j + v_j, and d_max the minimum
 of the two diameter branches evaluated at dt = 1/6.
 """
 
+import collections
 import math
+import re
 
+import numpy as np
 import pytest
 
 import oracles
@@ -25,8 +28,8 @@ def close(a, b):
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
 
-def cycle_doc(mu_unused=None):
-    """Two consensus agents coupled to each other."""
+def consensus_doc(neighbors):
+    """Consensus agents coupled along ``neighbors`` (id -> neighbor ids)."""
     agent = {
         "dim": 2,
         "v_max": 2.0,
@@ -39,13 +42,22 @@ def cycle_doc(mu_unused=None):
         "horizon": 1.0,
         "tau": 0.3,
         "agents": [
-            dict(agent, id=1, neighbors=[2], x0=[0.0, 0.0],
-                 dynamics={"type": "linear-consensus", "weights": {"2": 1.0}}),
-            dict(agent, id=2, neighbors=[1], x0=[1.0, 0.0],
-                 dynamics={"type": "linear-consensus", "weights": {"1": 1.0}}),
+            dict(agent, id=i, neighbors=list(nbrs), x0=[float(i - 1), 0.0],
+                 dynamics={"type": "linear-consensus",
+                           "weights": {str(j): 1.0 for j in nbrs}})
+            for i, nbrs in neighbors.items()
         ],
         "spec": {},
     }
+
+
+def cycle_doc():
+    """Two consensus agents coupled to each other."""
+    return consensus_doc({1: [2], 2: [1]})
+
+
+def all_to_all_doc(n):
+    return consensus_doc({i: [j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)})
 
 
 def test_norms_five_agents(five_model, five_params):
@@ -142,6 +154,14 @@ def test_synthesize_validates_inputs(five_model):
         wellposed.synthesize(five_model, lam={3: 1.0})
     with pytest.raises(InfeasibleError, match="nonnegative"):
         wellposed.synthesize(five_model, mu={(3, 2): -0.1})
+    for value in (math.nan, math.inf):
+        with pytest.raises(InfeasibleError, match="finite and nonnegative"):
+            wellposed.synthesize(five_model, mu={(3, 2): value})
+    # (1, 3) would have agent 1 as a neighbor of agent 3, which has none
+    with pytest.raises(ModelError, match=r"mu names \(1, 3\), which is no coupling edge"):
+        wellposed.synthesize(five_model, mu={(1, 3): 0.01})
+    with pytest.raises(ModelError, match="lambda names unknown agent 99"):
+        wellposed.synthesize(five_model, lam={99: 0.4})
     with pytest.raises(ModelError, match="margin"):
         wellposed.synthesize(five_model, margin=0.0)
 
@@ -191,8 +211,11 @@ def test_cycle_with_unit_mu_product_synthesizes():
 
 def test_cycle_with_shrinking_mu_product_rejected():
     model = make_model(cycle_doc())
-    with pytest.raises(InfeasibleError, match="cycle"):
+    with pytest.raises(InfeasibleError, match=r"^cycle \(1, 2\): mu product 0.5 < 1$"):
         wellposed.synthesize(model, mu={(1, 2): 0.5})
+    # an infeasible step count is found before the cycle
+    with pytest.raises(InfeasibleError, match="agent 1: requested dt=0.5"):
+        wellposed.synthesize(model, mu={(1, 2): 0.5}, steps=2)
 
 
 def test_cycle_propagation_fixed_point():
@@ -200,3 +223,152 @@ def test_cycle_propagation_fixed_point():
     params = wellposed.synthesize(model, mu={(1, 2): 2.0, (2, 1): 0.5})
     assert close(params.d_max[2], 0.5 * params.d_max[1])
     assert wellposed.check_params(model, params, model.tau) == []
+
+
+@pytest.mark.parametrize("gain", [2.0, 10.0, 7.0])
+def test_cycle_with_reciprocal_gains_synthesizes(gain):
+    model = make_model(cycle_doc())
+    for mu in ({(1, 2): gain, (2, 1): 1 / gain}, {(1, 2): 1 / gain, (2, 1): gain}):
+        params = wellposed.synthesize(model, mu=mu)
+        assert wellposed.check_params(model, params, model.tau) == []
+
+
+def test_rounding_that_shrinks_d_max_around_a_unit_product_is_its_own_error():
+    """float(1/3) lies below 1/3, and the propagation still takes an ulp
+    off d_max around the loop in its last pass.  The error names the
+    cycle and its product 1.0, and claims no product below 1."""
+    model = make_model(cycle_doc())
+    for mu in ({(1, 2): 3.0, (2, 1): 1 / 3}, {(1, 2): 1 / 3, (2, 1): 3.0}):
+        with pytest.raises(InfeasibleError) as err:
+            wellposed.synthesize(model, mu=mu)
+        assert str(err.value) == (
+            "cycle (1, 2): mu product 1.0 yet rounding shrinks d_max around it"
+        )
+
+
+def test_a_cycle_through_a_zero_gain_is_refused():
+    """Where the zeros spread around the loop within N passes the
+    propagation settles at 0; otherwise the cycle is named."""
+    model = make_model(cycle_doc())
+    with pytest.raises(InfeasibleError, match=r"^cycle \(1, 2\): mu product 0.0 < 1$"):
+        wellposed.synthesize(model, mu={(1, 2): 0.0})
+    with pytest.raises(InfeasibleError, match="agent 1: propagated d_max collapsed to 0.0"):
+        wellposed.synthesize(model, mu={(2, 1): 0.0})
+
+
+# gains with products of 0, exactly 1, 1 only in exact arithmetic, just below 1
+GAINS = (0.0, 0.5, 1 - 2**-52, 1.0, 1.5, 2.0, 3.0, 7.0, 10.0, 0.1, 1 / 3, 1 / 7)
+RECIPROCAL = {g: 1 / g for g in (2.0, 0.5, 3.0, 1 / 3, 7.0, 1 / 7, 10.0, 0.1)}
+
+
+def random_coupling(rng):
+    """A random digraph of 2 to 6 agents and a gain on each edge.  Half
+    the edges whose reverse carries a reciprocal gain get its partner."""
+    n = int(rng.integers(2, 7))
+    neighbors = {
+        i: [j for j in range(1, n + 1) if j != i and rng.random() < 0.5]
+        for i in range(1, n + 1)
+    }
+    mu = {}
+    for i, nbrs in neighbors.items():
+        for j in nbrs:
+            back = mu.get((i, j))
+            if back in RECIPROCAL and rng.random() < 0.5:
+                mu[(j, i)] = RECIPROCAL[back]
+            else:
+                mu[(j, i)] = GAINS[rng.integers(len(GAINS))]
+    return neighbors, mu
+
+
+def replayed_dmax(model, params):
+    """d_max as the propagation capped at N**2 + 1 passes left it, or None
+    where it did not settle."""
+    d_max = {
+        a.id: params.margin * wellposed.dmax_bound(model, params, a.id, params.dt)
+        for a in model.agents
+    }
+    for _ in range(len(model.agents) ** 2 + 1):
+        changed = False
+        for (j, i) in model.edges():
+            cap = params.mu[(j, i)] * d_max[i]
+            if d_max[j] > cap:
+                d_max[j] = cap
+                changed = True
+        if not changed:
+            return d_max
+    return None
+
+
+def test_the_propagation_agrees_with_cycle_enumeration():
+    """Feasible where every simple cycle's mu product is at least 1, with
+    the d_max of the N**2 + 1-pass propagation; otherwise a cycle the
+    enumeration flags, with its message.  A zero gain may instead
+    collapse d_max, and rounding drift names a cycle whose product is not
+    below 1."""
+    rng = np.random.default_rng(22)
+    steps = 20  # below every agent's dt bound with up to five neighbors
+    seen = collections.Counter()
+    for _ in range(400):
+        neighbors, mu = random_coupling(rng)
+        model = make_model(consensus_doc(neighbors))
+        probe = wellposed.DiscretizationParams(
+            dt=model.horizon / steps, steps=steps,
+            lam=dict.fromkeys(model.agent_ids, wellposed.DEFAULT_LAMBDA), mu=mu,
+            d_max={}, margin=wellposed.DEFAULT_MARGIN,
+        )
+        violations = oracles.check_cycles(model, probe)
+        replay = replayed_dmax(model, probe)
+        try:
+            params = wellposed.synthesize(model, mu=mu, steps=steps)
+        except InfeasibleError as e:
+            message = str(e)
+        else:
+            assert violations == [] and params.d_max == replay
+            seen["feasible"] += 1
+            continue
+        if "collapsed" in message:
+            assert 0.0 in mu.values()
+            assert violations or 0.0 in replay.values()
+            seen["collapsed"] += 1
+        elif message.endswith("< 1"):
+            assert message in violations
+            seen["cycle"] += 1
+        else:
+            named = [
+                c for c in oracles._simple_cycles(model.edges(), model.agent_ids)
+                if message.startswith(f"cycle {c}: ")
+            ]
+            product = re.fullmatch(r"cycle .*: mu product (\S+) yet rounding .*", message)
+            assert len(named) == 1 and float(product[1]) >= 1
+            seen["drift"] += 1
+    assert sorted(seen) == ["collapsed", "cycle", "drift", "feasible"], seen
+
+
+def counted_edges(model):
+    """The calls made to ``model.edges``, counted from now on."""
+    calls = []
+    edges = model.edges
+
+    def counted():
+        calls.append(None)
+        return edges()
+
+    model.edges = counted
+    return calls
+
+
+def test_twelve_coupled_agents_decide_in_at_most_n_passes():
+    """All-to-all coupling of 12 agents has 119,481,284 simple cycles.
+    Each propagation pass reads ``model.edges()`` once; besides them,
+    synthesize reads it for the default gains and check_params once."""
+    n = 12
+    model = make_model(all_to_all_doc(n))
+    calls = counted_edges(model)
+    params = wellposed.synthesize(model)
+    assert len(set(params.d_max.values())) == 1
+    assert len(calls) <= n + 2
+    del calls[:]
+    with pytest.raises(InfeasibleError) as err:
+        wellposed.synthesize(model, mu={(1, 2): 0.5})
+    assert re.fullmatch(r"cycle \(1, 2(, \d+)*\): mu product 0.5 < 1", str(err.value))
+    assert len(calls) <= n + 1
