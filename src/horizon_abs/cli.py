@@ -46,7 +46,9 @@ def _add_common(sp):
                     help="step-halving audit tolerance")
 
 
-def build_parser():
+def build_parser(argv=None):
+    # only the command argv names first gets its flags; with none named, every command does
+    chosen = next((a for a in (sys.argv[1:] if argv is None else argv) if a[:1] != "-"), None)
     p = _Parser(prog="horizon-abs",
                 description="finite-horizon abstractions and plan synthesis "
                             "for coupled multi-agent systems")
@@ -60,6 +62,9 @@ def build_parser():
     ]
     for name, help_text, func in specs:
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
+        if chosen != name and chosen in {spec[0] for spec in specs}:
+            continue
         _add_common(sp)
         if name == "abstract":
             sp.add_argument("--seed", type=int, default=0, help="sampling seed")
@@ -72,7 +77,6 @@ def build_parser():
                             help="parent paths tried per agent in cascade synthesis")
             sp.add_argument("--cap", type=int, default=10**6,
                             help="state cap for product synthesis")
-        sp.set_defaults(func=func)
     return p
 
 
@@ -91,9 +95,12 @@ def _load_model(path):
 
 
 def _model_hash(data):
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
+    # the interpreter's own SHA-256 (_sha2 from 3.12, _sha256 before) loads no OpenSSL
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
 
 
 def _parse_lambda(model, items):
@@ -394,7 +401,7 @@ def cmd_chain(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -35,7 +35,8 @@ def _run(rhs, y0, dt, substeps, dense):
     An rhs with an int ``width`` is called as ``rhs(t, y, K[:, s])`` and
     writes its slope to K[0, s] and whatever else it keeps to K[1:, s].
     ``rhs.step(K)``, if present, runs after each step and after rk4_dense's
-    last derivative call, which rewrites K[:, 0] only."""
+    last derivative call, which rewrites K[:, 0] only.  Stage inputs, the
+    sum ((k1 + 2*k2) + 2*k3) + k4 and y are updated in buffers of the run."""
     y = np.array(y0, dtype=float)
     h = dt / substeps
     stage, width, step = rhs, getattr(rhs, "width", 1), getattr(rhs, "step", lambda K: None)
@@ -46,17 +47,21 @@ def _run(rhs, y0, dt, substeps, dense):
     half, full, sixth, two = (np.array(c) for c in (h / 2, h, h / 6, 2.0))
     K = np.empty((width, 4) + y.shape)
     (k1, k2, k3, k4), (o1, o2, o3, o4) = K[0], (K[:, s] for s in range(4))
+    k23, twice, x, acc = K[0, 1:3], np.empty((2,) + y.shape), np.empty_like(y), np.empty_like(y)
+    two_k2, two_k3 = twice
     ts = np.linspace(0.0, dt, substeps + 1)
     ys, ds = np.empty((2, substeps + 1) + y.shape) if dense else (None, None)
     for j, t in enumerate(ts[:-1].tolist() if dense else [k * h for k in range(substeps)]):
         stage(t, y, o1)
-        stage(t + h / 2, y + half * k1, o2)
-        stage(t + h / 2, y + half * k2, o3)
-        stage(t + h, y + full * k3, o4)
+        stage(t + h / 2, np.add(y, np.multiply(half, k1, out=x), out=x), o2)
+        stage(t + h / 2, np.add(y, np.multiply(half, k2, out=x), out=x), o3)
+        stage(t + h, np.add(y, np.multiply(full, k3, out=x), out=x), o4)
         step(K)
         if dense:
             ys[j], ds[j] = y, k1
-        y = y + sixth * (k1 + two * k2 + two * k3 + k4)
+        np.multiply(two, k23, out=twice)
+        np.add(np.add(np.add(k1, two_k2, out=acc), two_k3, out=acc), k4, out=acc)
+        np.add(y, np.multiply(sixth, acc, out=acc), out=y)
     if not dense:
         return y
     stage(float(ts[-1]), y, o1)

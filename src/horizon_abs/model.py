@@ -8,6 +8,7 @@ L2 (own state), the initial state and an optional reachable-set radius.
 """
 
 import collections
+import itertools
 import json
 import math
 
@@ -68,7 +69,9 @@ class HillDynamics:
 
     def eval(self, x_i, neighbors, out=None):
         x = np.asarray(x_i, dtype=float)
-        rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+        sq, n = x * x, x.shape[-1]  # numpy adds rows of under 8 entries in axis order
+        rho = np.sqrt(sum((sq[..., k:k + 1] for k in range(1, n)), sq[..., :1]) if n < 8
+                      else np.add.reduce(sq, axis=-1, keepdims=True))
         coef = self._coef
         # a batch of radial rows only skips the masks, whose expression this is on such rows.
         # Python's min and max of the few norms a call holds cost less than two reductions;
@@ -174,38 +177,43 @@ def eval_f(agent, x_i, x_j):
         raise agents_error([agent.id], e) from None
 
 
-def dynamics_groups(agents):
-    """Rows with equal dynamics, as (first agent, row indices) pairs in the
-    order of their first row.
+def _group_keys(agents):
+    """Per row, its agent's (variant, parsed parameters, neighbor count)."""
+    keys = {a: (a.dynamics.variant, a.dynamics.key(), len(a.neighbors)) for a in set(agents)}
+    return [keys[agent] for agent in agents]
 
-    Row r is ``agents[r]``.  Rows share a group when their agents have the
-    same variant, equal parsed parameters and the same neighbor count, so
-    one ``dynamics.eval`` call serves the whole group.
-    """
-    keys, groups = {}, {}
-    for r, agent in enumerate(agents):
-        key = keys.get(agent)
-        if key is None:
-            key = keys[agent] = (agent.dynamics.variant, agent.dynamics.key(), len(agent.neighbors))
-        groups.setdefault(key, (agent, []))[1].append(r)
-    return [(agent, np.array(rows)) for agent, rows in groups.values()]
+
+def dynamics_groups(agents):
+    """Maximal runs of consecutive rows with equal _group_keys, as (first
+    agent, slice) pairs; one dynamics.eval serves a run.  Row r is agents[r]."""
+    sizes = [len(list(run)) for _, run in itertools.groupby(_group_keys(agents))]
+    ends = itertools.accumulate(sizes)
+    return [(agents[stop - size], slice(stop - size, stop)) for size, stop in zip(sizes, ends)]
+
+
+def group_order(agents):
+    """``agents`` by dynamics group, groups in the order first met, each in
+    its given order: laid out so, every group is one run."""
+    keys = _group_keys(agents)
+    rank = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    return [agents[r] for r in sorted(range(len(agents)), key=lambda r: rank[keys[r]])]
 
 
 class NetworkField:
-    """The raw fields f_i of many rows at once, one dynamics.eval per group.
+    """The raw fields f_i of many rows at once, one dynamics.eval per run.
 
     ``field(S, out=None)``: row r is ``agents[r]`` at row r of a state S
     shaped (..., rows, n); leading axes are batches.  Its neighbor states
     are either the rows ``neighbor_rows[r]`` of S, taken per neighbor slot
     (the closed loop), or a block of width N_i * n frozen here
     (references): row r of the 2-D ``nbr_refs`` starts with row r's
-    block, zero past it.  Rows are grouped by ``dynamics_groups`` once,
-    here.  A group of consecutive rows hands its rows of the result (of
-    ``out``, if given) to its eval, which may write the field there; any
-    other result is copied in.  Every operation is row-wise, so a row has
-    the bits of its one-row field.  ``M`` is the rows' speed bound: a
-    number when every row shares it, else a column.  An expression error
-    names the agents of the group that raised it.
+    block, zero past it.  Rows are split into ``dynamics_groups`` runs
+    once, here (callers lay rows out in ``group_order``).  A run's eval
+    gets its rows of S and of the result (of ``out``, if given) as views
+    and may write the field there; any other result is copied in.  Every
+    operation is row-wise, so a row has the bits of its one-row field.
+    ``M`` is the rows' speed bound: a number when every row shares it,
+    else a column.  An expression error names the agents of its run.
     """
 
     def __init__(self, agents, neighbor_rows=None, nbr_refs=None):
@@ -216,34 +224,29 @@ class NetworkField:
         self.nbr_refs = nbr_refs
         self.groups = []
         for agent, rows in dynamics_groups(self.agents):
-            ids = list(dict.fromkeys(self.agents[r].id for r in rows))
+            ids = list(dict.fromkeys(a.id for a in self.agents[rows]))
             if self.frozen:
                 block = np.asarray(nbr_refs[rows, : len(agent.neighbors) * agent.dim], float)
                 slots = [np.ascontiguousarray(b) for b in split_neighbor_block(agent, block)]
             else:
                 slots = [
-                    np.array([neighbor_rows[r][k] for r in rows], dtype=int)
+                    np.array([nbrs[k] for nbrs in neighbor_rows[rows]], dtype=int)
                     for k in range(len(agent.neighbors))
                 ]
-            # a run of consecutive rows is read through a view, not a gather
-            if rows[-1] - rows[0] == len(rows) - 1:
-                rows = slice(int(rows[0]), int(rows[-1]) + 1)
             self.groups.append((agent.dynamics, rows, slots, ids))
 
     def __call__(self, S, out=None):
         F = np.empty(S.shape) if out is None else out
+        whole, gather = len(self.groups) == 1, not self.frozen
         for dynamics, rows, slots, ids in self.groups:
-            blocks = slots if self.frozen else [S.take(idx, axis=-2) for idx in slots]
+            blocks = [S.take(idx, axis=-2) for idx in slots] if gather and slots else slots
+            x, view = (S, F) if whole else (S[..., rows, :], F[..., rows, :])
             try:
-                if type(rows) is slice:
-                    view = F[..., rows, :]
-                    f = dynamics.eval(S[..., rows, :], blocks, view)
-                    if f is not view:
-                        view[...] = f
-                else:
-                    F[..., rows, :] = dynamics.eval(S.take(rows, axis=-2), blocks)
+                f = dynamics.eval(x, blocks, view)
             except ExprError as e:
                 raise agents_error(ids, e) from None
+            if f is not view:
+                view[...] = f
         return F
 
     def rows(self, index):

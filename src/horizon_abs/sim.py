@@ -35,11 +35,6 @@ class Trajectory:
         return {i: self.states[-1, a] for a, i in enumerate(self.agent_ids)}
 
 
-def _neighbor_rows(model):
-    pos = {i: a for a, i in enumerate(model.agent_ids)}
-    return [[pos[j] for j in agent.neighbors] for agent in model.agents]
-
-
 def simulate_closed_loop(model, abstraction, schedule, m):
     """Integrate the coupled network under the plan's feedback schedule.
 
@@ -49,7 +44,8 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     their saturated fields are evaluated beforehand in one array pass, at
     every stage time of every run below.  Each stage then evaluates the
     raw field of the N network rows (model.NetworkField, with neighbors
-    read from the network state, which may carry leading axes).
+    read from the network state, which may carry leading axes), its rows
+    in model.group_order; states and inputs are put back in model order.
 
     Each run is first made raw (controller.raw_run): f and the feedback
     kbar go unsaturated into the RK4 stage block, and the run is checked
@@ -73,26 +69,26 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     n = model.dim
     total = m * substeps + 1
     ts = node_times(dt, m, substeps)
+    agents = model_mod.group_order(model.agents)
+    rows = {agent.id: a for a, agent in enumerate(agents)}
+    back = [rows[i] for i in ids]
     states = np.empty((total, N, n))
-    inputs = np.zeros((total, N, n))
-    Y = np.stack([agent.x0 for agent in model.agents])
-    states[0] = Y
+    states[0] = np.stack([agent.x0 for agent in agents])
     if not m:
-        return Trajectory(
-            ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), substeps=substeps
-        )
+        return Trajectory(ts=ts, states=states[:, back], inputs=np.zeros((total, N, n)),
+                          agent_ids=tuple(ids), substeps=substeps)
 
-    field = model_mod.NetworkField(model.agents, _neighbor_rows(model))
-    v_max = np.array([[agent.v_max] for agent in model.agents])
-    lam = np.array([[abstraction.params.lam[i]] for i in ids])
+    field = model_mod.NetworkField(agents, [[rows[j] for j in a.neighbors] for a in agents])
+    v_max = np.array([[agent.v_max] for agent in agents])
+    lam = np.array([[abstraction.params.lam[agent.id]] for agent in agents])
     pairs = list(dict.fromkeys((i, step.config) for i in ids for step in schedule[i][:m]))
     refs = abstraction.reference_for(pairs)
     refs.audit(integ_tol, ids)
-    row = {pair: r for r, pair in enumerate(pairs)}
-    # picks[k, a]: the reference row of agent a on interval k
-    picks = np.array([[row[(i, schedule[i][k].config)] for i in ids] for k in range(m)])
+    row = {pair: r for r, pair in enumerate(abstraction.in_group_order(pairs))}
+    # picks[k, a]: the reference row of network row a on interval k
+    picks = np.array([[row[(a.id, schedule[a.id][k].config)] for a in agents] for k in range(m)])
     x_G = refs.own_ref[picks]
-    k2 = lam * np.array([[schedule[i][k].w for i in ids] for k in range(m)])
+    k2 = lam * np.array([[schedule[a.id][k].w for a in agents] for k in range(m)])
     # g_ref[j, k]: the saturated reference fields on interval k at times[j],
     # for every time the coarse runs, the fine audit run and the input
     # recording evaluate
@@ -136,6 +132,7 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     # does every later one, with no raw run first.
     reached = []
     exact = False
+    Y = states[0]
     for k in range(m):
         k3 = (x_G[k] - Y) / dt
         if not exact:
@@ -166,7 +163,7 @@ def simulate_closed_loop(model, abstraction, schedule, m):
         lambda k: f"closed-loop interval {k}",
         lambda k: (raw_rhs(g_ref[:, k:k + 1], k2[k:k + 1], k3[k:k + 1]),
                    bounds, Y0s[k:k + 1], dt, 2 * substeps),
-        ("|f_i|/M_i", "|kbar_i|/v_max"), ids,
+        ("|f_i|/M_i", "|kbar_i|/v_max"), ids, back,
     ))
     # node j's input is that of the interval starting there, and the last
     # node's is the last interval's; every interval's run has the local
@@ -175,7 +172,8 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     node = np.arange(total) - interval * substeps
     at = np.array([when[t] for t in dense.ts.tolist()])
     inputs = field_and_input(states, g_ref[at[node], interval], k2[interval], k3[interval])[1]
-    return Trajectory(ts=ts, states=states, inputs=inputs, agent_ids=tuple(ids), substeps=substeps)
+    return Trajectory(ts=ts, states=states[:, back], inputs=inputs[:, back],
+                      agent_ids=tuple(ids), substeps=substeps)
 
 
 def node_times(dt, m, substeps):

@@ -1,12 +1,15 @@
 """End-to-end command line runs: artifacts, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from horizon_abs import cli, grid
@@ -313,6 +316,53 @@ def test_a_malformed_flag_names_itself(tmp_path):
     res = run_cli(["plan", "--model", model_path, "--out", tmp_path / "out", "--substeps", "x"])
     assert res.returncode == 1
     assert "error: argument --substeps: invalid int value: 'x'" in res.stderr
+
+
+COMMANDS = ("abstract", "plan", "validate", "render", "chain")
+FILES = ["--model", "m.json", "--out", "out"]
+
+
+def parse(parser, argv):
+    """What parsing argv prints and ends in: (exit code or the parsed
+    flags, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["-x"], ["bogus", "plan"],
+    *([command, "--help"] for command in COMMANDS),
+    *([command, "--bogus", "1"] + FILES for command in COMMANDS),
+    *([command, "--steps", "x"] + FILES for command in COMMANDS),
+    *([command] + FILES + ["--lambda", "1=0.35"] for command in COMMANDS),
+    ["plan"], ["plan", "--strategy", "fastest"] + FILES, ["abstract", "--seed", "1.5"] + FILES,
+    ["validate", "--seed", "1"] + FILES, ["plan"] + FILES + ["--integ-tol", "1e-9", "--cap", "7"],
+], ids=lambda argv: " ".join(argv) or "none")
+def test_the_parser_of_the_command_that_runs_reads_as_the_full_parser(argv):
+    """build_parser gives only the command named by argv's first word
+    its flags; help, usage, errors and parsed flags are byte for byte
+    those of the parser that gives every command its flags (argv with no
+    command word)."""
+    assert parse(cli.build_parser(argv), argv) == parse(cli.build_parser([]), argv)
+
+
+def test_the_parser_gives_only_the_named_command_its_flags():
+    result, _, err = parse(cli.build_parser(["plan"]), ["abstract"] + FILES)
+    assert result == 1 and "unrecognized arguments: --model m.json --out out" in err
+    assert parse(cli.build_parser(["abstract"]), ["abstract"] + FILES)[0]["func"] is cli.cmd_abstract
+
+
+def test_model_hash_is_the_sha256_of_the_model_file():
+    rng = np.random.default_rng(11)
+    with open(FIVE_AGENTS, "rb") as fh:
+        blobs = [fh.read(), b""] + [rng.bytes(size) for size in (1, 55, 56, 64, 4097, 100_003)]
+    for data in blobs:
+        assert cli._model_hash(data) == hashlib.sha256(data).hexdigest()
 
 
 def audit_failing_five_agents(tmp_path):
@@ -897,20 +947,23 @@ NEVER_LOADED = ["dataclasses", "horizon_abs.expr"]
 
 @pytest.mark.parametrize("command, unloaded", [
     ("abstract", ["horizon_abs.planner", "horizon_abs.sim", "horizon_abs.render"]),
-    ("plan", ["horizon_abs.sim", "horizon_abs.render"]),
+    ("plan", ["horizon_abs.sim", "horizon_abs.render", "_hashlib"]),
     ("chain", ["horizon_abs.planner", "horizon_abs.render",
-               "horizon_abs.abstraction", "horizon_abs.controller"]),
-    ("validate", ["horizon_abs.render"]),
-    ("render", ["horizon_abs.planner", "horizon_abs.abstraction", "horizon_abs.controller"]),
+               "horizon_abs.abstraction", "horizon_abs.controller", "_hashlib"]),
+    ("validate", ["horizon_abs.render", "_hashlib"]),
+    ("render", ["horizon_abs.planner", "horizon_abs.abstraction", "horizon_abs.controller",
+                "_hashlib"]),
 ])
 def test_a_command_leaves_the_modules_it_does_not_run_unloaded(
     command, unloaded, planned_run, tmp_path
 ):
     """Each command imports the modules past the shared set where it
-    starts.  chain checks plan.json's model hash, as render does, so no
-    command leaves hashlib unloaded when plan.json is present.  render
-    reads plan.json through plandoc, without the search, and builds
-    its grids without an Abstraction; neither it nor chain integrates."""
+    starts.  plan, validate, render and chain hash the model file with
+    the interpreter's own SHA-256, so none of them loads OpenSSL
+    (_hashlib); abstract's sampler (numpy.random) loads it anyway.
+    render reads plan.json through plandoc, without the search, and
+    builds its grids without an Abstraction; neither it nor chain
+    integrates."""
     model_path, out, _, _ = planned_run
     for name in ("plan.json", "trajectory.csv"):
         (tmp_path / name).write_bytes((out / name).read_bytes())

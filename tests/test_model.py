@@ -228,6 +228,44 @@ def test_hill_has_the_bits_of_the_three_masks_on_every_batch(C, R):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def hill_cases(R, n, rng):
+    """Batches of 1 to 64 rows of dimension n: radial rows only, series
+    rows only, rows past R, each mixed with the others, and rows whose
+    last entry is an edge value (rho = 0 as +-0.0, the series cutoff and
+    its neighbours, R and its neighbours, NaN and +-inf) amid +-0.0."""
+    cut = model_mod._HILL_SERIES_CUTOFF
+    edges = [0.0, -0.0, np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0),
+             np.nextafter(R, 0.0), R, np.nextafter(R, math.inf), math.nan, math.inf, -math.inf]
+    edge_rows = np.zeros((2 * len(edges), n))
+    edge_rows[len(edges):, :-1] = -0.0
+    edge_rows[:, -1] = edges + [-v for v in edges]
+
+    def at_norms(lo, hi, rows):
+        v = rng.normal(size=(rows, n))
+        return v / np.linalg.norm(v, axis=-1, keepdims=True) * rng.uniform(lo, hi, (rows, 1))
+
+    for rows in (1, 2, 7, 8, 9, 33, 64):
+        radial, series = at_norms(10 * cut, 0.9 * R, rows), at_norms(0.0, 0.9 * cut, rows)
+        outside = at_norms(R, 3 * R, rows)
+        yield from (radial, series, outside)
+        yield rng.permutation(np.vstack([radial, series, outside]))[:rows]
+        yield np.vstack([radial, edge_rows])[-rows:]
+    yield edge_rows
+    yield from edge_rows[:, None]
+
+
+@pytest.mark.parametrize("C, R", [(2.0, 2 * math.pi), (0.7, 1.5)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hill_has_the_oracle_bits_in_every_dimension(C, R, n):
+    """The column-summed norm has the bits of np.add.reduce: the field
+    matches oracles.hill_eval bit for bit, NaN and signed zeros included."""
+    dynamics = model_mod.HillDynamics(C, R)
+    for x in hill_cases(R, n, np.random.default_rng(n)):
+        with np.errstate(invalid="ignore"):
+            got, want = dynamics.eval(x, []), oracles.hill_eval(dynamics, x, [])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), x
+
+
 def test_hill_lipschitz_quotients_below_declared():
     C, R = 2.0, 2 * math.pi  # C*pi^2/R^2 = 0.5, declared L2 = 3 leaves slack
     agent = hill_agent(C, R)

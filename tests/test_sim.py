@@ -1,6 +1,7 @@
 """Closed-loop simulation, validation reports, and trajectory I/O."""
 
 import copy
+import json
 import math
 import re
 
@@ -139,21 +140,88 @@ def heterogeneous_schedule(ab, m, rng):
 
 
 def test_network_field_groups_equal_dynamics_only():
+    """In model order, equal dynamics split into runs of consecutive rows;
+    laid out in model.group_order, each group is one run."""
     model = make_model(heterogeneous_doc())
-    field = model_mod.NetworkField(model.agents, sim._neighbor_rows(model))
     N = len(model.agents)
-    groups = sorted(
-        sorted(model.agents[r].id for r in np.arange(N)[rows]) for _, rows, _, _ in field.groups
-    )
+    in_model_order = model_mod.NetworkField(model.agents, oracles.neighbor_rows(model.agents))
+    assert [[a.id for a in model.agents[rows]] for _, rows, _, _ in in_model_order.groups] == [
+        [1], [2], [3], [4], [5], [6], [7], [8], [9], [10]
+    ]
+    agents = model_mod.group_order(model.agents)
+    assert [agent.id for agent in agents] == [1, 10, 2, 3, 4, 5, 9, 6, 7, 8]
+    field = model_mod.NetworkField(agents, oracles.neighbor_rows(agents))
+    groups = [[agent.id for agent in agents[rows]] for _, rows, _, _ in field.groups]
     assert groups == [[1, 10], [2], [3], [4], [5, 9], [6], [7], [8]]
+    assert sum(rows.stop - rows.start for _, rows, _, _ in field.groups) == N
     # one index array per neighbor slot, naming the neighbors' rows of the state
     for dynamics, rows, slots, ids in field.groups:
-        agents = [model.agents[r] for r in np.arange(N)[rows]]
-        assert ids == [agent.id for agent in agents]
+        assert type(rows) is slice
+        assert ids == [agent.id for agent in agents[rows]]
         assert [list(idx) for idx in slots] == [
-            [model.agent_ids.index(agent.neighbors[k]) for agent in agents]
-            for k in range(len(agents[0].neighbors))
+            [[a.id for a in agents].index(agent.neighbors[k]) for agent in agents[rows]]
+            for k in range(len(agents[rows][0].neighbors))
         ]
+
+
+class TakeCounted(np.ndarray):
+    """A state whose ndarray.take calls are counted in ``takes[-1]``."""
+
+    takes = []
+
+    def take(self, *args, **kwargs):
+        TakeCounted.takes[-1] += 1
+        return np.asarray(self).take(*args, **kwargs)
+
+
+def group_key(agent):
+    return (agent.dynamics.variant, agent.dynamics.key(), len(agent.neighbors))
+
+
+@pytest.mark.parametrize("case", ["five_agents", "heterogeneous"])
+def test_plan_and_validate_read_every_group_as_one_run(case, tmp_path, monkeypatch):
+    """In-process plan and validate lay out the rows of every
+    model.NetworkField they build in group order: each dynamics group is
+    one run, a slice.  A closed-loop stage takes each neighbor slot of
+    the state with one ndarray.take and reads its own rows as views."""
+    from horizon_abs import cli
+
+    if case == "five_agents":
+        flags = ["--model", FIVE_AGENTS, "--steps", "12", "--lambda", "1=0.35",
+                 "--lambda", "5=0.35"]
+    else:
+        # agent 1's goal is claimable only at step 1, so the plan makes a step
+        doc = heterogeneous_doc()
+        goal = {"box": [[-1.0, -1.0], [1.0, 1.0]], "window": [0.2, 0.3], "relative": False}
+        doc["spec"] = {"1": {"goals": [goal]}}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        flags = ["--model", str(tmp_path / "model.json"), "--steps", "4"]
+    fields, stages = [], []
+    init, call = model_mod.NetworkField.__init__, model_mod.NetworkField.__call__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fields.append(self)
+
+    def counted(self, S, out=None):
+        if self.frozen:
+            return call(self, S, out)
+        TakeCounted.takes.append(0)
+        F = call(self, S.view(TakeCounted), out)
+        stages.append((TakeCounted.takes.pop(), sum(len(g[2]) for g in self.groups)))
+        return F
+
+    monkeypatch.setattr(model_mod.NetworkField, "__init__", recorded)
+    monkeypatch.setattr(model_mod.NetworkField, "__call__", counted)
+    for command in ("plan", "validate"):
+        assert cli.main([command, "--out", str(tmp_path / "out")] + flags) == 0
+    assert json.loads((tmp_path / "out" / "plan.json").read_text())["m"] >= 1
+    assert any(field.frozen for field in fields) and not all(field.frozen for field in fields)
+    for field in fields:
+        assert all(type(rows) is slice for _, rows, _, _ in field.groups)
+        assert len(field.groups) == len({group_key(agent) for agent in field.agents})
+    assert stages and all(taken == slots for taken, slots in stages)
+    assert stages[0][1] > 0
 
 
 @pytest.mark.parametrize("doc", [None, heterogeneous_doc], ids=["five_agents", "heterogeneous"])
@@ -161,23 +229,24 @@ def test_network_field_in_place_has_each_rows_one_row_bits(doc):
     """Written into a strided slot of a stage block, the field of every
     row has the bits of model.eval_f on that row alone, sign bits
     included: with neighbors gathered from the state or frozen, with
-    leading axes, and for five_agents' consensus rows 0, 1, 3 and 4,
-    which are not contiguous.  States hold signed zeros, so that some
-    neighbor differences (-0.0 - 0.0) and a Hill state are -0.0."""
+    leading axes, and in model order, where five_agents' consensus rows
+    0, 1, 3 and 4 make two runs around the Hill row.  States hold signed
+    zeros, so that some neighbor differences (-0.0 - 0.0) and a Hill
+    state are -0.0."""
     if doc is None:
         with open(FIVE_AGENTS) as fh:
             model = model_mod.parse_model(fh.read())
     else:
         model = make_model(doc())
     N, n = len(model.agents), model.dim
-    neighbor_rows = sim._neighbor_rows(model)
+    neighbor_rows = oracles.neighbor_rows(model.agents)
     S = np.random.default_rng(5).uniform(-2, 2, size=(3, N, n))
     S[0], S[0, 2] = 0.0, -0.0
     S[1, ::2] = -0.0
     gathered = model_mod.NetworkField(model.agents, neighbor_rows)
     if doc is None:
         groups = [rows for _, rows, _, _ in gathered.groups]
-        assert [getattr(r, "tolist", lambda: r)() for r in groups] == [[0, 1, 3, 4], slice(2, 3)]
+        assert groups == [slice(0, 2), slice(2, 3), slice(3, 5)]
     block = np.full((3, 4) + S.shape, np.nan)
     slot = block[1, 2]
     assert gathered(S, slot) is slot
@@ -200,7 +269,7 @@ def test_gathered_and_frozen_neighbors_give_equal_bits():
     from the state S, or frozen at S's neighbor rows, they give the same
     bits, on every dynamics variant and on each state of a batch."""
     model = make_model(heterogeneous_doc())
-    neighbor_rows = sim._neighbor_rows(model)
+    neighbor_rows = oracles.neighbor_rows(model.agents)
     gathered = model_mod.NetworkField(model.agents, neighbor_rows)
     batch = np.random.default_rng(7).uniform(-2, 2, size=(3, len(model.agents), model.dim))
     F = gathered(batch)
@@ -402,6 +471,43 @@ def test_closed_loop_audit_names_the_lowest_failing_interval(heterogeneous_case,
         sim.simulate_closed_loop(model, with_integ_tol(ab, tol), schedule, m)
 
 
+def test_a_tie_in_the_audit_note_names_the_agent_first_in_model_order(monkeypatch):
+    """Agents 2 and 3 sit outside their hills (f = 0) with equal bounds,
+    cells and w, so their realized |kbar_i|/v_max are equal.  The closed
+    loop runs agent 3 with agent 1, its dynamics group, ahead of agent 2;
+    the failing interval's note still names agent 2, first in model order."""
+
+    def hill_agent(i, C, x0):
+        return {"id": i, "dim": 2, "neighbors": [], "v_max": 1.0, "M": 1.0, "L1": 0.0,
+                "L2": 1.0, "x0": x0, "dynamics": {"type": "gradient-hill", "C": C, "R": 4.0}}
+
+    doc = {"horizon": 1.0, "tau": 0.3, "spec": {}, "agents": [
+        hill_agent(1, 1.0, [0.7, -0.4]), hill_agent(2, 0.5, [10.0, 0.0]),
+        hill_agent(3, 1.0, [10.0, 0.0]),
+    ]}
+    model, params, ab = make_stack(doc, lam={1: 0.5, 2: 0.5, 3: 0.5}, steps=5, integ_tol=1e-30)
+    assert [agent.id for agent in model_mod.group_order(model.agents)] == [1, 3, 2]
+    schedule = {}
+    for agent in model.agents:
+        dec = ab.decs[agent.id]
+        cells = sorted(dec.initiating_set, key=lambda c: (
+            float(np.sum((grid.reference_point(dec, c) - agent.x0) ** 2)), c
+        ))
+        # agent 1 steers to its nearest cell with w = 0; 2 and 3 far off, at full w
+        cell = cells[0] if agent.id == 1 else cells[-1]
+        gap = grid.reference_point(dec, cell) - agent.x0
+        w = np.zeros(2) if agent.id == 1 else gap / np.linalg.norm(gap) * agent.v_max
+        schedule[agent.id] = [abstraction_mod.Action(
+            agent_id=agent.id, config=(cell,), target=None, point=None, w=w
+        )]
+    assert ab.decs[2].initiating_set == ab.decs[3].initiating_set
+    skip_reference_audit(monkeypatch)
+    with pytest.raises(IntegrationError, match=re.escape(
+        "closed-loop interval 0 (agent 2: |kbar_i|/v_max up to 8.18) audit"
+    )):
+        sim.simulate_closed_loop(model, ab, schedule, 1)
+
+
 def test_non_finite_coarse_endpoint_stops_the_closed_loop(heterogeneous_case, monkeypatch):
     """Interval 2's NaN endpoint fails its audit; interval 3 is never integrated."""
     model, ab, schedule, m = heterogeneous_case
@@ -540,10 +646,12 @@ def test_stacked_references_match_per_agent_runs(stack):
     ))
     refs = ab.reference_for(pairs)
     err = refs.audit(ab.integ_tol, model.agent_ids)
+    # the stack's rows are the pairs in group order
+    stacked = ab.in_group_order(pairs)
     for agent in model.agents:
-        rows = [r for r, (i, _) in enumerate(pairs) if i == agent.id]
+        rows = [r for r, (i, _) in enumerate(stacked) if i == agent.id]
         own, nbr = (
-            np.stack(v) for v in zip(*(oracles.config_refs(ab, *pairs[r]) for r in rows))
+            np.stack(v) for v in zip(*(oracles.config_refs(ab, *stacked[r]) for r in rows))
         )
         alone = controller.integrate_reference(
             agent, own, nbr, ab.params.dt, ab.substeps, ab.integ_tol
@@ -553,7 +661,7 @@ def test_stacked_references_match_per_agent_runs(stack):
         assert np.array_equal(err[rows], alone.audit_err)
     # the stack is kept and its endpoints serve the Posts
     assert ab.reference_for(pairs) is refs
-    for r, pair in enumerate(pairs):
+    for r, pair in enumerate(stacked):
         assert np.array_equal(ab.endpoint(*pair), refs.endpoint[r])
 
 
@@ -590,7 +698,7 @@ def test_reference_audit_names_the_first_failing_agent_with_its_worst_row(hetero
     refs = ab.reference_for(pairs)
     err = refs.audit(1.0, model.agent_ids)
     tol = float(np.min(err[err > 0])) / 2
-    owner = np.array([i for i, _ in pairs])
+    owner = np.array([i for i, _ in ab.in_group_order(pairs)])
     first = next(i for i in model.agent_ids if np.any(err[owner == i] > tol))
     assert first != pairs[0][0] and len(set(owner[err > tol])) > 1
     with pytest.raises(IntegrationError, match=re.escape(
