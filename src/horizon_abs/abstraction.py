@@ -55,8 +55,7 @@ class Abstraction:
         return controller.r_i(self.params.lam[agent_id], self.params.dt, agent.v_max)
 
     def in_group_order(self, pairs):
-        """(agent id, configuration) pairs in the row order of a batched
-        reference field: by agent in model.group_order, stably."""
+        """Pairs sorted stably by agent in model.group_order: a batched reference field's rows."""
         return sorted(pairs, key=lambda pair: self._rank[pair[0]])
 
     def _by_agent(self, pairs):

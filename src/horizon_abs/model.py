@@ -70,9 +70,10 @@ class HillDynamics:
     def eval(self, x_i, neighbors, out=None):
         x = np.asarray(x_i, dtype=float)
         sq, n = x * x, x.shape[-1]  # numpy adds rows of under 8 entries in axis order
-        rho = np.sqrt(sum((sq[..., k:k + 1] for k in range(1, n)), sq[..., :1]) if n < 8
-                      else np.add.reduce(sq, axis=-1, keepdims=True))
-        coef = self._coef
+        rho = sq[..., :1] if n < 8 else np.add.reduce(sq, axis=-1, keepdims=True)
+        for k in range(1, n if n < 8 else 1):
+            rho = rho + sq[..., k:k + 1]
+        rho, coef = np.sqrt(rho), self._coef
         # a batch of radial rows only skips the masks, whose expression this is on such rows.
         # Python's min and max of the few norms a call holds cost less than two reductions;
         # they may skip a NaN norm, whose row is NaN on either path.
