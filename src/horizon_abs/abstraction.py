@@ -48,15 +48,10 @@ class Abstraction:
         self._post_cache = {}
         self._endpoint_cache = {}
         self._references = None
-        self._rank = {a.id: r for r, a in enumerate(model_mod.group_order(model.agents))}
 
     def radius(self, agent_id):
         agent = self.model.agent(agent_id)
         return controller.r_i(self.params.lam[agent_id], self.params.dt, agent.v_max)
-
-    def in_group_order(self, pairs):
-        """Pairs sorted stably by agent in model.group_order: a batched reference field's rows."""
-        return sorted(pairs, key=lambda pair: self._rank[pair[0]])
 
     def _by_agent(self, pairs):
         """Per agent of (agent id, configuration) pairs: its id, the rows
@@ -118,15 +113,16 @@ class Abstraction:
         return out
 
     def _initiating_refs(self, pairs):
-        """Reference points of pairs that must be transition-initiating,
-        in group order; the first that is not is a ModelError."""
-        ok = self.initiating(pairs)
+        """Reference points of pairs that must be transition-initiating;
+        the first that is not is a ModelError."""
+        groups = self._by_agent(pairs)
+        ok = self._initiating(groups, len(pairs))
         if not np.all(ok):
             agent_id, config = pairs[int(np.argmin(ok))]
             raise ModelError(
                 f"agent {agent_id}: configuration {config} is not transition-initiating"
             )
-        return self._refs(self._by_agent(self.in_group_order(pairs)), len(pairs))
+        return self._refs(groups, len(pairs))
 
     def endpoint(self, agent_id, config):
         key = (agent_id, config)
@@ -202,7 +198,6 @@ class Abstraction:
         if not pairs:
             return
         own, nbr = self._initiating_refs(pairs)
-        pairs = self.in_group_order(pairs)
         endpoints = controller.reference_endpoints(
             [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps
         )
@@ -211,7 +206,7 @@ class Abstraction:
     def reference_for(self, pairs):
         """Dense reference trajectories of (agent id, configuration) pairs,
         integrated as one controller.ReferenceStack; row r belongs to
-        ``in_group_order(pairs)[r]``.  The run is not audited here.
+        ``pairs[r]``.  The run is not audited here.
 
         The rows' endpoints seed the endpoint cache, so the Posts of these
         configurations integrate nothing more.  The last stack is kept and
@@ -222,11 +217,10 @@ class Abstraction:
         if self._references is not None and self._references[0] == pairs:
             return self._references[1]
         own, nbr = self._initiating_refs(pairs)
-        rows = self.in_group_order(pairs)
         refs = controller.ReferenceStack(
-            [self.model.agent(i) for i, _ in rows], own, nbr, self.params.dt, self.substeps
+            [self.model.agent(i) for i, _ in pairs], own, nbr, self.params.dt, self.substeps
         )
-        for pair, endpoint in zip(rows, refs.endpoint.copy()):
+        for pair, endpoint in zip(pairs, refs.endpoint.copy()):
             self._endpoint_cache.setdefault(pair, endpoint)
         self._references = (pairs, refs)
         return refs
@@ -259,7 +253,7 @@ class Abstraction:
         (agent id, configuration) pairs were cut from, default every
         cached endpoint, in one fine run.  An error names the first agent,
         in model order, with a failing row."""
-        pairs = self.in_group_order(dict.fromkeys(self._endpoint_cache if pairs is None else pairs))
+        pairs = list(dict.fromkeys(self._endpoint_cache if pairs is None else pairs))
         if not pairs:
             return
         own, nbr = self._refs(self._by_agent(pairs), len(pairs))

@@ -46,9 +46,8 @@ def _add_common(sp):
                     help="step-halving audit tolerance")
 
 
-def build_parser(argv=None):
-    # only the command argv names first gets its flags; with none named, every command does
-    chosen = next((a for a in (sys.argv[1:] if argv is None else argv) if a[:1] != "-"), None)
+def build_parser(command=None):
+    """The horizon-abs parser; only ``command``, if one is named, gets its flags."""
     p = _Parser(prog="horizon-abs",
                 description="finite-horizon abstractions and plan synthesis "
                             "for coupled multi-agent systems")
@@ -63,7 +62,7 @@ def build_parser(argv=None):
     for name, help_text, func in specs:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        if chosen != name and chosen in {spec[0] for spec in specs}:
+        if command not in (None, name):
             continue
         _add_common(sp)
         if name == "abstract":
@@ -401,7 +400,8 @@ def cmd_chain(args):
 
 
 def main(argv=None):
-    parser = build_parser(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(next((a for a in argv if a[:1] != "-"), None))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -104,15 +104,15 @@ def checked_run(run, rhs, exact, bounds, y0, dt, substeps):
     return out
 
 
-def audit_names(name, rerun, labels, agents=None, columns=slice(None)):
+def audit_names(name, rerun, labels, agents=None):
     """The ``what`` of integrate.check_audit for runs named ``name(k)``.
 
     Only when run k fails is it run again, raw (``rerun(k)`` gives its
     rhs, bounds, y0, dt and substeps as raw_run takes them, for
     rk4_endpoint).  If a watched array's norm, labelled by ``labels``,
     then passed its bound, the name ends in the largest ratio, as
-    " (agent i: label up to x)"; ``agents``, in model order, which breaks
-    ties, are at ``columns`` of the arrays' agent axis (None: one agent).
+    " (agent i: label up to x)"; ``agents`` are the agents along the
+    arrays' last axis (None: the one agent ``name`` names).
     """
 
     @functools.wraps(name)
@@ -133,7 +133,7 @@ def audit_names(name, rerun, labels, agents=None, columns=slice(None)):
             except HorizonError:
                 tops = ()
             for label, top, bound in zip(labels, tops, bounds):
-                ratio = (top / bound).reshape(-1, len(agents) if agents else 1)[:, columns]
+                ratio = (top / bound).reshape(-1, len(agents) if agents else 1)
                 r, a = np.unravel_index(np.argmax(np.where(ratio > 1, ratio, 0)), ratio.shape)
                 if ratio[r, a] > best:
                     best, who = float(ratio[r, a]), f"agent {agents[a]}: " if agents else ""
@@ -154,7 +154,16 @@ def _raw_reference(field):
 
 
 def _reference_run(run, field, y0, dt, substeps):
-    """``run`` of a reference field's rows on g = saturate(f, M), through checked_run."""
+    """``run`` of a reference field's rows on g = saturate(f, M), through
+    checked_run.  The rows run laid out in model.group_order, so that each
+    dynamics group is one run of the field, and come back in its order."""
+    order = model_mod.group_order(field.agents)
+    if order != sorted(order):
+        back = np.argsort(order)
+        out = _reference_run(run, field.rows(order), y0[order], dt, substeps)
+        if isinstance(out, integrate.DenseTrajectory):
+            return integrate.DenseTrajectory(out.ts, out.ys[:, back], out.ds[:, back])
+        return out[back]
 
     def exact(index):
         return _saturated(field if isinstance(index, slice) else field.rows(index))

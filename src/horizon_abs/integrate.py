@@ -48,7 +48,6 @@ def _run(rhs, y0, dt, substeps, dense):
     K = np.empty((width, 4) + y.shape)
     (k1, k2, k3, k4), (o1, o2, o3, o4) = K[0], (K[:, s] for s in range(4))
     k23, twice, x, acc = K[0, 1:3], np.empty((2,) + y.shape), np.empty_like(y), np.empty_like(y)
-    two_k2, two_k3 = twice
     ts = np.linspace(0.0, dt, substeps + 1)
     ys, ds = np.empty((2, substeps + 1) + y.shape) if dense else (None, None)
     for j, t in enumerate(ts[:-1].tolist() if dense else [k * h for k in range(substeps)]):
@@ -60,7 +59,7 @@ def _run(rhs, y0, dt, substeps, dense):
         if dense:
             ys[j], ds[j] = y, k1
         np.multiply(two, k23, out=twice)
-        np.add(np.add(np.add(k1, two_k2, out=acc), two_k3, out=acc), k4, out=acc)
+        np.add(np.add(np.add(k1, twice[0], out=acc), twice[1], out=acc), k4, out=acc)
         np.add(y, np.multiply(sixth, acc, out=acc), out=y)
     if not dense:
         return y

@@ -8,7 +8,6 @@ L2 (own state), the initial state and an optional reachable-set radius.
 """
 
 import collections
-import itertools
 import json
 import math
 
@@ -69,11 +68,8 @@ class HillDynamics:
 
     def eval(self, x_i, neighbors, out=None):
         x = np.asarray(x_i, dtype=float)
-        sq, n = x * x, x.shape[-1]  # numpy adds rows of under 8 entries in axis order
-        rho = sq[..., :1] if n < 8 else np.add.reduce(sq, axis=-1, keepdims=True)
-        for k in range(1, n if n < 8 else 1):
-            rho = rho + sq[..., k:k + 1]
-        rho, coef = np.sqrt(rho), self._coef
+        rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+        coef = self._coef
         # a batch of radial rows only skips the masks, whose expression this is on such rows.
         # Python's min and max of the few norms a call holds cost less than two reductions;
         # they may skip a NaN norm, whose row is NaN on either path.
@@ -187,17 +183,18 @@ def _group_keys(agents):
 def dynamics_groups(agents):
     """Maximal runs of consecutive rows with equal _group_keys, as (first
     agent, slice) pairs; one dynamics.eval serves a run.  Row r is agents[r]."""
-    sizes = [len(list(run)) for _, run in itertools.groupby(_group_keys(agents))]
-    ends = itertools.accumulate(sizes)
-    return [(agents[stop - size], slice(stop - size, stop)) for size, stop in zip(sizes, ends)]
+    keys = _group_keys(agents)
+    starts = [r for r in range(len(keys)) if r == 0 or keys[r] != keys[r - 1]] + [len(keys)]
+    return [(agents[a], slice(a, b)) for a, b in zip(starts, starts[1:])]
 
 
 def group_order(agents):
-    """``agents`` by dynamics group, groups in the order first met, each in
-    its given order: laid out so, every group is one run."""
+    """The rows of ``agents`` by dynamics group, the groups in the order
+    first met, each in its given order: laid out so, every group is one
+    run of dynamics_groups."""
     keys = _group_keys(agents)
     rank = {key: k for k, key in enumerate(dict.fromkeys(keys))}
-    return [agents[r] for r in sorted(range(len(agents)), key=lambda r: rank[keys[r]])]
+    return sorted(range(len(agents)), key=lambda r: rank[keys[r]])
 
 
 class NetworkField:
@@ -209,12 +206,13 @@ class NetworkField:
     (the closed loop), or a block of width N_i * n frozen here
     (references): row r of the 2-D ``nbr_refs`` starts with row r's
     block, zero past it.  Rows are split into ``dynamics_groups`` runs
-    once, here (callers lay rows out in ``group_order``).  A run's eval
-    gets its rows of S and of the result (of ``out``, if given) as views
-    and may write the field there; any other result is copied in.  Every
-    operation is row-wise, so a row has the bits of its one-row field.
-    ``M`` is the rows' speed bound: a number when every row shares it,
-    else a column.  An expression error names the agents of its run.
+    once, here; laid out in ``group_order``, each group is one run.  A
+    run's eval gets its rows of S and of the result (of ``out``, if
+    given) as views and may write the field there; any other result is
+    copied in.  Every operation is row-wise, so a row has the bits of its
+    one-row field.  ``M`` is the rows' speed bound: a number when every
+    row shares it, else a column.  An expression error names the agents
+    of its run.
     """
 
     def __init__(self, agents, neighbor_rows=None, nbr_refs=None):

@@ -35,6 +35,11 @@ class Trajectory:
         return {i: self.states[-1, a] for a, i in enumerate(self.agent_ids)}
 
 
+def _neighbor_rows(agents):
+    pos = {agent.id: a for a, agent in enumerate(agents)}
+    return [[pos[j] for j in agent.neighbors] for agent in agents]
+
+
 def simulate_closed_loop(model, abstraction, schedule, m):
     """Integrate the coupled network under the plan's feedback schedule.
 
@@ -44,8 +49,8 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     their saturated fields are evaluated beforehand in one array pass, at
     every stage time of every run below.  Each stage then evaluates the
     raw field of the N network rows (model.NetworkField, with neighbors
-    read from the network state, which may carry leading axes), its rows
-    in model.group_order; states and inputs are put back in model order.
+    read from the network state, which may carry leading axes), laid out
+    in model.group_order; states, inputs and audit notes are in model order.
 
     Each run is first made raw (controller.raw_run): f and the feedback
     kbar go unsaturated into the RK4 stage block, and the run is checked
@@ -69,22 +74,25 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     n = model.dim
     total = m * substeps + 1
     ts = node_times(dt, m, substeps)
-    agents = model_mod.group_order(model.agents)
-    rows = {agent.id: a for a, agent in enumerate(agents)}
-    back = [rows[i] for i in ids]
+    order = model_mod.group_order(model.agents)
+    agents = [model.agents[r] for r in order]
+    back = np.argsort(order)
     states = np.empty((total, N, n))
-    states[0] = np.stack([agent.x0 for agent in agents])
+    inputs = np.zeros((total, N, n))
+    Y = np.stack([agent.x0 for agent in agents])
+    states[0] = Y
     if not m:
-        return Trajectory(ts=ts, states=states[:, back], inputs=np.zeros((total, N, n)),
-                          agent_ids=tuple(ids), substeps=substeps)
+        return Trajectory(
+            ts=ts, states=states[:, back], inputs=inputs, agent_ids=tuple(ids), substeps=substeps
+        )
 
-    field = model_mod.NetworkField(agents, [[rows[j] for j in a.neighbors] for a in agents])
+    field = model_mod.NetworkField(agents, _neighbor_rows(agents))
     v_max = np.array([[agent.v_max] for agent in agents])
     lam = np.array([[abstraction.params.lam[agent.id]] for agent in agents])
     pairs = list(dict.fromkeys((i, step.config) for i in ids for step in schedule[i][:m]))
     refs = abstraction.reference_for(pairs)
     refs.audit(integ_tol, ids)
-    row = {pair: r for r, pair in enumerate(abstraction.in_group_order(pairs))}
+    row = {pair: r for r, pair in enumerate(pairs)}
     # picks[k, a]: the reference row of network row a on interval k
     picks = np.array([[row[(a.id, schedule[a.id][k].config)] for a in agents] for k in range(m)])
     x_G = refs.own_ref[picks]
@@ -118,7 +126,7 @@ def simulate_closed_loop(model, abstraction, schedule, m):
 
     # the same right-hand side with neither saturation: f + kbar, kbar = (g - f) + k2 + k3
     # as feedback sums it; each stage writes slope, F and kbar, raw_run watches the last two
-    def raw_rhs(g_table, k2, k3):
+    def raw_rhs(g_table, k2, k3, field=field):
         def rhs(t, Yt, out):
             F = field(Yt, out[1])
             kbar = np.add(np.add(g_table[when[t]] - F, k2), k3, out=out[2])
@@ -132,7 +140,6 @@ def simulate_closed_loop(model, abstraction, schedule, m):
     # does every later one, with no raw run first.
     reached = []
     exact = False
-    Y = states[0]
     for k in range(m):
         k3 = (x_G[k] - Y) / dt
         if not exact:
@@ -159,11 +166,15 @@ def simulate_closed_loop(model, abstraction, schedule, m):
         lambda index: network_rhs(g_ref[:, :r][:, index], k2[:r][index], k3[index]),
         bounds, Y0s, dt, 2 * substeps,
     )
+
+    def rerun(k):
+        # in model order, where a tie between agents names the first
+        in_model = model_mod.NetworkField(model.agents, _neighbor_rows(model.agents))
+        rhs = raw_rhs(g_ref[:, k:k + 1, back], k2[k:k + 1, back], k3[k:k + 1, back], in_model)
+        return rhs, (in_model.M, v_max[back]), Y0s[k:k + 1, back], dt, 2 * substeps
+
     integrate.check_audit(coarse, fine, integ_tol, what=controller.audit_names(
-        lambda k: f"closed-loop interval {k}",
-        lambda k: (raw_rhs(g_ref[:, k:k + 1], k2[k:k + 1], k3[k:k + 1]),
-                   bounds, Y0s[k:k + 1], dt, 2 * substeps),
-        ("|f_i|/M_i", "|kbar_i|/v_max"), ids, back,
+        lambda k: f"closed-loop interval {k}", rerun, ("|f_i|/M_i", "|kbar_i|/v_max"), ids,
     ))
     # node j's input is that of the interval starting there, and the last
     # node's is the last interval's; every interval's run has the local

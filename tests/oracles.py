@@ -345,16 +345,10 @@ def transition_batch(pool, draws, substeps):
     return ctrl, PiecewiseLinearPath(ts, np.stack([d.knots for d in draws])[per_draw])
 
 
-def neighbor_rows(agents):
-    """Per row, the rows of its agent's neighbors among ``agents``."""
-    pos = {agent.id: a for a, agent in enumerate(agents)}
-    return [[pos[j] for j in agent.neighbors] for agent in agents]
-
-
 def simulate_open_loop(model, v_fns, duration, substeps=integrate.DEFAULT_SUBSTEPS):
     """Integrate the coupled network under user-supplied admissible inputs."""
     ids = model.agent_ids
-    field = model_mod.NetworkField(model.agents, neighbor_rows(model.agents))
+    field = model_mod.NetworkField(model.agents, sim._neighbor_rows(model.agents))
 
     def inputs_at(t):
         return np.stack([np.asarray(v_fns[i](t), dtype=float) for i in ids])

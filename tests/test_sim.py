@@ -144,13 +144,13 @@ def test_network_field_groups_equal_dynamics_only():
     laid out in model.group_order, each group is one run."""
     model = make_model(heterogeneous_doc())
     N = len(model.agents)
-    in_model_order = model_mod.NetworkField(model.agents, oracles.neighbor_rows(model.agents))
+    in_model_order = model_mod.NetworkField(model.agents, sim._neighbor_rows(model.agents))
     assert [[a.id for a in model.agents[rows]] for _, rows, _, _ in in_model_order.groups] == [
         [1], [2], [3], [4], [5], [6], [7], [8], [9], [10]
     ]
-    agents = model_mod.group_order(model.agents)
+    agents = [model.agents[r] for r in model_mod.group_order(model.agents)]
     assert [agent.id for agent in agents] == [1, 10, 2, 3, 4, 5, 9, 6, 7, 8]
-    field = model_mod.NetworkField(agents, oracles.neighbor_rows(agents))
+    field = model_mod.NetworkField(agents, sim._neighbor_rows(agents))
     groups = [[agent.id for agent in agents[rows]] for _, rows, _, _ in field.groups]
     assert groups == [[1, 10], [2], [3], [4], [5, 9], [6], [7], [8]]
     assert sum(rows.stop - rows.start for _, rows, _, _ in field.groups) == N
@@ -180,10 +180,11 @@ def group_key(agent):
 
 @pytest.mark.parametrize("case", ["five_agents", "heterogeneous"])
 def test_plan_and_validate_read_every_group_as_one_run(case, tmp_path, monkeypatch):
-    """In-process plan and validate lay out the rows of every
-    model.NetworkField they build in group order: each dynamics group is
-    one run, a slice.  A closed-loop stage takes each neighbor slot of
-    the state with one ndarray.take and reads its own rows as views."""
+    """Every model.NetworkField that an RK4 stage of in-process plan and
+    validate calls, reference or closed loop, has its rows laid out in
+    group order: each dynamics group is one run.  A closed-loop stage
+    takes each neighbor slot of the state with one ndarray.take and reads
+    its own rows as views."""
     from horizon_abs import cli
 
     if case == "five_agents":
@@ -196,14 +197,20 @@ def test_plan_and_validate_read_every_group_as_one_run(case, tmp_path, monkeypat
         doc["spec"] = {"1": {"goals": [goal]}}
         (tmp_path / "model.json").write_text(json.dumps(doc))
         flags = ["--model", str(tmp_path / "model.json"), "--steps", "4"]
-    fields, stages = [], []
-    init, call = model_mod.NetworkField.__init__, model_mod.NetworkField.__call__
+    running, fields, stages = [], [], []
+    run, call = integrate._run, model_mod.NetworkField.__call__
 
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        fields.append(self)
+    def marked(*args, **kwargs):
+        running.append(True)
+        try:
+            return run(*args, **kwargs)
+        finally:
+            running.pop()
 
     def counted(self, S, out=None):
+        if not running:
+            return call(self, S, out)
+        fields.append(self)
         if self.frozen:
             return call(self, S, out)
         TakeCounted.takes.append(0)
@@ -211,17 +218,17 @@ def test_plan_and_validate_read_every_group_as_one_run(case, tmp_path, monkeypat
         stages.append((TakeCounted.takes.pop(), sum(len(g[2]) for g in self.groups)))
         return F
 
-    monkeypatch.setattr(model_mod.NetworkField, "__init__", recorded)
+    monkeypatch.setattr(integrate, "_run", marked)
     monkeypatch.setattr(model_mod.NetworkField, "__call__", counted)
     for command in ("plan", "validate"):
         assert cli.main([command, "--out", str(tmp_path / "out")] + flags) == 0
     assert json.loads((tmp_path / "out" / "plan.json").read_text())["m"] >= 1
     assert any(field.frozen for field in fields) and not all(field.frozen for field in fields)
     for field in fields:
-        assert all(type(rows) is slice for _, rows, _, _ in field.groups)
         assert len(field.groups) == len({group_key(agent) for agent in field.agents})
     assert stages and all(taken == slots for taken, slots in stages)
     assert stages[0][1] > 0
+    assert any(field.frozen and len(field.groups) > 1 for field in fields)
 
 
 @pytest.mark.parametrize("doc", [None, heterogeneous_doc], ids=["five_agents", "heterogeneous"])
@@ -239,7 +246,7 @@ def test_network_field_in_place_has_each_rows_one_row_bits(doc):
     else:
         model = make_model(doc())
     N, n = len(model.agents), model.dim
-    neighbor_rows = oracles.neighbor_rows(model.agents)
+    neighbor_rows = sim._neighbor_rows(model.agents)
     S = np.random.default_rng(5).uniform(-2, 2, size=(3, N, n))
     S[0], S[0, 2] = 0.0, -0.0
     S[1, ::2] = -0.0
@@ -269,7 +276,7 @@ def test_gathered_and_frozen_neighbors_give_equal_bits():
     from the state S, or frozen at S's neighbor rows, they give the same
     bits, on every dynamics variant and on each state of a batch."""
     model = make_model(heterogeneous_doc())
-    neighbor_rows = oracles.neighbor_rows(model.agents)
+    neighbor_rows = sim._neighbor_rows(model.agents)
     gathered = model_mod.NetworkField(model.agents, neighbor_rows)
     batch = np.random.default_rng(7).uniform(-2, 2, size=(3, len(model.agents), model.dim))
     F = gathered(batch)
@@ -486,7 +493,7 @@ def test_a_tie_in_the_audit_note_names_the_agent_first_in_model_order(monkeypatc
         hill_agent(3, 1.0, [10.0, 0.0]),
     ]}
     model, params, ab = make_stack(doc, lam={1: 0.5, 2: 0.5, 3: 0.5}, steps=5, integ_tol=1e-30)
-    assert [agent.id for agent in model_mod.group_order(model.agents)] == [1, 3, 2]
+    assert [model.agents[r].id for r in model_mod.group_order(model.agents)] == [1, 3, 2]
     schedule = {}
     for agent in model.agents:
         dec = ab.decs[agent.id]
@@ -646,12 +653,10 @@ def test_stacked_references_match_per_agent_runs(stack):
     ))
     refs = ab.reference_for(pairs)
     err = refs.audit(ab.integ_tol, model.agent_ids)
-    # the stack's rows are the pairs in group order
-    stacked = ab.in_group_order(pairs)
     for agent in model.agents:
-        rows = [r for r, (i, _) in enumerate(stacked) if i == agent.id]
+        rows = [r for r, (i, _) in enumerate(pairs) if i == agent.id]
         own, nbr = (
-            np.stack(v) for v in zip(*(oracles.config_refs(ab, *stacked[r]) for r in rows))
+            np.stack(v) for v in zip(*(oracles.config_refs(ab, *pairs[r]) for r in rows))
         )
         alone = controller.integrate_reference(
             agent, own, nbr, ab.params.dt, ab.substeps, ab.integ_tol
@@ -661,7 +666,7 @@ def test_stacked_references_match_per_agent_runs(stack):
         assert np.array_equal(err[rows], alone.audit_err)
     # the stack is kept and its endpoints serve the Posts
     assert ab.reference_for(pairs) is refs
-    for r, pair in enumerate(stacked):
+    for r, pair in enumerate(pairs):
         assert np.array_equal(ab.endpoint(*pair), refs.endpoint[r])
 
 
@@ -698,7 +703,7 @@ def test_reference_audit_names_the_first_failing_agent_with_its_worst_row(hetero
     refs = ab.reference_for(pairs)
     err = refs.audit(1.0, model.agent_ids)
     tol = float(np.min(err[err > 0])) / 2
-    owner = np.array([i for i, _ in ab.in_group_order(pairs)])
+    owner = np.array([i for i, _ in pairs])
     first = next(i for i in model.agent_ids if np.any(err[owner == i] > tol))
     assert first != pairs[0][0] and len(set(owner[err > tol])) > 1
     with pytest.raises(IntegrationError, match=re.escape(
