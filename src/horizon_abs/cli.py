@@ -47,7 +47,7 @@ def _add_common(sp):
 
 
 def build_parser(command=None):
-    """The horizon-abs parser; only ``command``, if one is named, gets its flags."""
+    """The horizon-abs parser; only ``command``, the one argparse runs, gets its flags."""
     p = _Parser(prog="horizon-abs",
                 description="finite-horizon abstractions and plan synthesis "
                             "for coupled multi-agent systems")
@@ -62,7 +62,7 @@ def build_parser(command=None):
     for name, help_text, func in specs:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        if command not in (None, name):
+        if name != command:
             continue
         _add_common(sp)
         if name == "abstract":

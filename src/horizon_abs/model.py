@@ -189,9 +189,8 @@ def dynamics_groups(agents):
 
 
 def group_order(agents):
-    """The rows of ``agents`` by dynamics group, the groups in the order
-    first met, each in its given order: laid out so, every group is one
-    run of dynamics_groups."""
+    """The rows of ``agents`` by dynamics group, groups in the order first met and
+    rows in their given order; laid out so, each group is one run of dynamics_groups."""
     keys = _group_keys(agents)
     rank = {key: k for k, key in enumerate(dict.fromkeys(keys))}
     return sorted(range(len(agents)), key=lambda r: rank[keys[r]])
@@ -206,13 +205,12 @@ class NetworkField:
     (the closed loop), or a block of width N_i * n frozen here
     (references): row r of the 2-D ``nbr_refs`` starts with row r's
     block, zero past it.  Rows are split into ``dynamics_groups`` runs
-    once, here; laid out in ``group_order``, each group is one run.  A
-    run's eval gets its rows of S and of the result (of ``out``, if
-    given) as views and may write the field there; any other result is
-    copied in.  Every operation is row-wise, so a row has the bits of its
-    one-row field.  ``M`` is the rows' speed bound: a number when every
-    row shares it, else a column.  An expression error names the agents
-    of its run.
+    once, here (in ``group_order``, each group is one run).  A run's eval
+    gets its rows of S and of the result (of ``out``, if given) as views
+    and may write the field there; any other result is copied in.  Every
+    operation is row-wise, so a row has the bits of its one-row field.
+    ``M`` is the rows' speed bound: a number when every row shares it,
+    else a column.  An expression error names the agents of its run.
     """
 
     def __init__(self, agents, neighbor_rows=None, nbr_refs=None):

@@ -322,6 +322,13 @@ COMMANDS = ("abstract", "plan", "validate", "render", "chain")
 FILES = ["--model", "m.json", "--out", "out"]
 
 
+class EveryCommand(str):
+    """Equal to every command name: build_parser gives each command its flags."""
+
+    def __ne__(self, other):
+        return False
+
+
 def parse(parser, argv):
     """What parsing argv prints and ends in: (exit code or the parsed
     flags, stdout, stderr)."""
@@ -346,9 +353,9 @@ def parse(parser, argv):
 def test_the_parser_of_the_command_that_runs_reads_as_the_full_parser(argv):
     """main gives only the command named by argv's first word its flags;
     help, usage, errors and parsed flags are byte for byte those of the
-    parser that gives every command its flags (no command named)."""
+    parser that gives every command its flags."""
     word = next((a for a in argv if a[:1] != "-"), None)
-    assert parse(cli.build_parser(word), argv) == parse(cli.build_parser(), argv)
+    assert parse(cli.build_parser(word), argv) == parse(cli.build_parser(EveryCommand()), argv)
 
 
 def test_the_parser_gives_only_the_named_command_its_flags():

@@ -257,8 +257,8 @@ def hill_cases(R, n, rng):
 @pytest.mark.parametrize("C, R", [(2.0, 2 * math.pi), (0.7, 1.5)])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hill_has_the_oracle_bits_in_every_dimension(C, R, n):
-    """The column-summed norm has the bits of np.add.reduce: the field
-    matches oracles.hill_eval bit for bit, NaN and signed zeros included."""
+    """In every branch and at every edge norm the field matches
+    oracles.hill_eval bit for bit, NaN and signed zeros included."""
     dynamics = model_mod.HillDynamics(C, R)
     for x in hill_cases(R, n, np.random.default_rng(n)):
         with np.errstate(invalid="ignore"):
