@@ -154,14 +154,7 @@ def _raw_reference(field):
 
 
 def _reference_run(run, field, y0, dt, substeps):
-    """``run`` of a reference field's rows on g = saturate(f, M), through checked_run;
-    the rows run in model.group_order and come back in the field's order."""
-    order = model_mod.group_order(field.agents)
-    if order != sorted(order):
-        out, back = _reference_run(run, field.rows(order), y0[order], dt, substeps), np.argsort(order)
-        if isinstance(out, integrate.DenseTrajectory):
-            return integrate.DenseTrajectory(out.ts, out.ys[:, back], out.ds[:, back])
-        return out[back]
+    """``run`` of a reference field's rows on g = saturate(f, M), through checked_run."""
 
     def exact(index):
         return _saturated(field if isinstance(index, slice) else field.rows(index))

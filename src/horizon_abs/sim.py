@@ -228,11 +228,19 @@ def validate_plan(model, abstraction, plan, traj):
     """
     entries = []
     min_margin = None
+    passed = True
     for a, i in enumerate(model.agent_ids):
         dec = abstraction.decs[i]
         planned0 = tuple(plan.cells[i][0])
         located0 = grid.locate(dec, traj.state_at_step(a, 0))
-        entries.append({"step": 0, "agent": i, "planned": list(planned0), "ok": located0 == planned0})
+        if located0 != planned0:
+            passed = False
+        entries.append({
+            "step": 0,
+            "agent": i,
+            "planned": list(planned0),
+            "ok": located0 == planned0,
+        })
         for k in range(1, plan.m + 1):
             x = traj.state_at_step(a, k)
             planned = tuple(plan.cells[i][k])
@@ -240,6 +248,8 @@ def validate_plan(model, abstraction, plan, traj):
             margin = float(min(np.min(x - lo), np.min(hi - x)))
             ok = margin > -MEMBERSHIP_SNAP
             snapped = ok and margin <= 0
+            if not ok:
+                passed = False
             min_margin = margin if min_margin is None else min(min_margin, margin)
             entry = {
                 "step": k,
@@ -253,7 +263,6 @@ def validate_plan(model, abstraction, plan, traj):
             if not ok:
                 entry["located"] = list(int(v) for v in grid.locate_many(dec, x[None])[0])
             entries.append(entry)
-    passed = all(entry["ok"] for entry in entries)
     return ValidationReport(entries=entries, min_margin=min_margin, passed=passed)
 
 

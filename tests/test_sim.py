@@ -181,10 +181,11 @@ def group_key(agent):
 @pytest.mark.parametrize("case", ["five_agents", "heterogeneous"])
 def test_plan_and_validate_read_every_group_as_one_run(case, tmp_path, monkeypatch):
     """Every model.NetworkField that an RK4 stage of in-process plan and
-    validate calls, reference or closed loop, has its rows laid out in
-    group order: each dynamics group is one run.  A closed-loop stage
-    takes each neighbor slot of the state with one ndarray.take and reads
-    its own rows as views."""
+    validate calls, reference or closed loop, reads its rows as maximal
+    runs (slices that tile the rows, neighbors of unequal dynamics).  The
+    closed loop lays its rows out in group order, so each dynamics group
+    is one run; its stage takes each neighbor slot of the state with one
+    ndarray.take and reads its own rows as views."""
     from horizon_abs import cli
 
     if case == "five_agents":
@@ -225,7 +226,14 @@ def test_plan_and_validate_read_every_group_as_one_run(case, tmp_path, monkeypat
     assert json.loads((tmp_path / "out" / "plan.json").read_text())["m"] >= 1
     assert any(field.frozen for field in fields) and not all(field.frozen for field in fields)
     for field in fields:
-        assert len(field.groups) == len({group_key(agent) for agent in field.agents})
+        runs = [rows for _, rows, _, _ in field.groups]
+        assert all(type(rows) is slice for rows in runs)
+        assert [rows.start for rows in runs] == [0] + [rows.stop for rows in runs[:-1]]
+        assert runs[-1].stop == len(field.agents)
+        keys = [group_key(field.agents[rows.start]) for rows in runs]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
+        if not field.frozen:
+            assert len(keys) == len(set(keys))
     assert stages and all(taken == slots for taken, slots in stages)
     assert stages[0][1] > 0
     assert any(field.frozen and len(field.groups) > 1 for field in fields)
