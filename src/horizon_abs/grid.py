@@ -152,8 +152,8 @@ def _sum_axes(values):
 
 
 def build_decomposition(family, d_max, dt):
-    """The grid of the agent's horizon ball, with its lattice box checked
-    to fit in int64; its cells are masked when first read."""
+    """The grid of the agent's horizon ball; its lattice box must fit in int64
+    and 2**26 cells, with distinct faces in +-2**500.  Cells are masked when first read."""
     if d_max <= 0:
         raise ModelError(f"d_max must be positive, got {d_max}")
     region = reach.reach_at(family, family.T)
@@ -170,6 +170,12 @@ def build_decomposition(family, d_max, dt):
             f"cell side {side:g}) does not fit in int64"
         )
     origin, shape = lo.astype(int), hi.astype(int) - lo.astype(int) + 1
+    # masking peaks at about 28 bytes a cell; past 2**500 a squared gap can overflow
+    if math.prod(shape.tolist()) > 2**26 or not all(
+            np.all(np.diff(lo) > 0) and np.all(hi > lo) and max(-lo[0], hi[-1]) <= 2.0**500
+            for lo, hi in zip(*_axis_bounds(anchor, side, origin, shape))):
+        raise ModelError(f"agent {family.agent_id}: its {'x'.join(map(str, shape))} lattice box "
+                         "has over 2**26 cells, faces past +-2**500 or cells under a float step")
     return CellDecomposition(family.agent_id, anchor, side, region, inner, origin, shape)
 
 

@@ -62,6 +62,12 @@ class HillDynamics:
         self.R = float(R)
         self._pi, self._R = np.array(math.pi), np.array(self.R)
         self._coef = np.array(self.C * math.pi / self.R)
+        try:  # a float power past the largest float raises; a product is inf
+            self._series = self.C * (math.pi / self.R) ** 2
+            if not (np.isfinite(self._coef) and math.isfinite(self._series)):
+                raise OverflowError
+        except OverflowError:
+            raise ModelError("gradient-hill requires a finite C*pi/R and C*(pi/R)**2") from None
 
     def key(self):
         return (self.C, self.R)
@@ -78,8 +84,7 @@ class HillDynamics:
             return np.multiply(coef * np.sin(self._pi * rho / self._R) / rho, x, out=out)
         # rho = 0 divides by 1 instead; the series branch below replaces that row anyway
         radial = coef * np.sin(math.pi * rho / self.R) / np.where(rho > 0, rho, 1.0)
-        series = self.C * (math.pi / self.R) ** 2
-        scale = np.where(rho < _HILL_SERIES_CUTOFF, series, radial)
+        scale = np.where(rho < _HILL_SERIES_CUTOFF, self._series, radial)
         scale = np.where(rho >= self.R, 0.0, scale)
         return np.multiply(scale, x, out=out)
 
@@ -257,21 +262,31 @@ def agents_error(ids, error):
     return ExprError(f"{label}: {error}")
 
 
+def _norms(v):
+    """sqrt(sum v_k**2) of every row, last axis kept, with no warning; a row whose
+    sum overflows while its entries are finite is max|v_k| * |v / max|v_k||."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+        top = np.max(np.abs(v), axis=-1, keepdims=True)
+        scaled = top * np.sqrt(np.add.reduce((v / top) ** 2, axis=-1, keepdims=True))
+    return np.where(np.isinf(norms) & np.isfinite(top), scaled, norms)
+
+
 def saturate(v, bound):
     """Radial projection onto the closed ball of the given radius (bound >= 0).
 
     ``bound`` is a number, or an array of bounds broadcasting against the
     rows' norms.  Only a batch with a row over its bound is divided."""
     v = np.asarray(v, dtype=float)
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    over = norms > bound
-    # with no row over its bound every factor is 1, and v has the bits of v * 1.0
-    if not over.any():
-        return v
-    # rows at or under the bound keep the factor 1 and never divide, so a zero norm is never read
-    factor = np.empty_like(norms)
-    factor.fill(1.0)
-    return v * np.divide(bound, norms, out=factor, where=over)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # with no row over its bound every factor is 1, and v has the bits of v * 1.0
+        if not (np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True)) > bound).any():
+            return v
+        norms = _norms(v)
+        # rows at or under the bound keep the factor 1 and never divide: no zero norm is read
+        factor = np.empty_like(norms)
+        factor.fill(1.0)
+        return v * np.divide(bound, norms, out=factor, where=norms > bound)
 
 
 def within_bound(top, n, bound):
@@ -592,7 +607,7 @@ def validate_bounds(model, samples, seed=0):
         nbrs = [_ball_samples(rng, regions[j], samples) for j in agent.neighbors]
         block = np.concatenate(nbrs, axis=-1) if nbrs else np.zeros((samples, 0))
         f = eval_f(agent, own, block)
-        sup_f = float(np.max(np.sqrt(np.sum(f * f, axis=-1))))
+        sup_f = float(np.max(_norms(f)))
         ratio_M = sup_f / agent.M if agent.M > 0 else (0.0 if sup_f == 0 else math.inf)
 
         g = saturate(f, agent.M)

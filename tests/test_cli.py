@@ -1,11 +1,14 @@
 """End-to-end command line runs: artifacts, determinism, exit codes."""
 
+import atexit
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -247,6 +250,28 @@ def test_a_region_past_the_int64_lattice_is_a_model_error(tmp_path, key, value):
     assert res.stderr.startswith("error: agent 1: the lattice of its region (radius ")
     assert res.stderr.endswith(") does not fit in int64\n")
     assert "Warning" not in res.stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("reach_radius", 1e12), ("v_max", 1e300), ("x0", [1e308, 1e308]), ("x0", [1e16, 0.0]),
+])
+def test_a_region_that_cannot_be_gridded_is_a_model_error(tmp_path, key, value):
+    """A lattice box of more than 2**26 cells (its masks would not fit in
+    memory), one with faces past +-2**500 (its squared gaps overflow) and
+    one whose cells are thinner than the float step at their coordinates
+    name the agent and its box, for abstract and plan alike; nothing is
+    written and nothing warns."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    doc["agents"][0][key] = value
+    model_path = write_model(tmp_path / "model.json", doc)
+    for command in ("abstract", "plan"):
+        res = run_cli([command, "--model", model_path, "--out", tmp_path / "out", "--steps", "12",
+                       "--lambda", "1=0.35", "--lambda", "5=0.35"])
+        assert res.returncode == 1, res.stderr
+        assert re.fullmatch(r"error: agent 1: its \d+x\d+ lattice box has over 2\*\*26 cells, "
+                            r"faces past \+-2\*\*500 or cells under a float step\n", res.stderr)
+        assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_3_on_infeasible_discretization(tmp_path):
@@ -1003,3 +1028,50 @@ def test_expression_dynamics_run_through_the_expression_module(doc, flags, tmp_p
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 True"
+
+
+def test_main_leaves_the_collector_alone_while_the_process_lives(tmp_path, monkeypatch):
+    """main registers gc.freeze to run at exit, once however often it
+    runs: in the process that calls it, the collector stays on and
+    nothing is frozen."""
+    exit_funcs = []
+
+    def unregister(func):
+        exit_funcs[:] = [f for f in exit_funcs if f != func]
+
+    monkeypatch.setattr(atexit, "register", exit_funcs.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    argv = ["abstract", "--model", str(write_model(tmp_path / "model.json")),
+            "--out", str(tmp_path / "out"), "--samples", "8"] + PAIR_FLAGS
+    for _ in range(2):
+        assert cli.main(argv) == 0
+    assert exit_funcs == [gc.freeze]
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+# main run as the console script runs it; then the types of the cyclic
+# garbage that is a file or has a finalizer
+GARBAGE_CHECK = (
+    "import gc, io, sys\n"
+    "from horizon_abs.cli import main\n"
+    "status = main(sys.argv[1:])\n"
+    "gc.set_debug(gc.DEBUG_SAVEALL)\n"
+    "gc.collect()\n"
+    "print(status, sorted({type(o).__name__ for o in gc.garbage\n"
+    "                      if isinstance(o, io.IOBase) or hasattr(type(o), '__del__')}))\n"
+)
+
+
+def test_a_command_leaves_no_garbage_that_needs_finalizing(tmp_path):
+    """Objects alive at exit are frozen and skip finalization's
+    collections.  Each command on five_agents, run as the benchmark runs
+    it, leaves no cyclic garbage that is a file or defines __del__, so no
+    file goes unclosed and no finalizer unrun."""
+    flags = ring_workloads().FIVE_AGENTS_FLAGS
+    for command, extra in (("abstract", ["--seed", "1"]), ("plan", ["--strategy", "cascade"]),
+                           ("validate", []), ("render", []), ("chain", [])):
+        argv = [command, "--model", FIVE_AGENTS, "--out", str(tmp_path)] + flags + extra
+        res = subprocess.run([sys.executable, "-c", GARBAGE_CHECK] + argv,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 []", (command, res.stdout)

@@ -151,14 +151,28 @@ def test_saturate_has_the_bits_of_the_divide_on_every_batch(v, bound):
     ([math.inf, -math.inf], 1.0),
     # over the sup-norm check's range: the squares overflow
     ([1e200, 1e200], 1e300),
+    ([1e200, 0.0], 2.5),
+    ([-3e200, 4e200], 1e100),
 ])
-def test_saturate_of_an_infinite_norm_warns_and_has_the_oracles_bits(row, bound):
+def test_saturate_of_an_infinite_norm_warns_nothing(row, bound):
+    """A row with an infinite entry has the oracle's bits, NaN where it
+    is past the bound.  A finite row whose squares overflow is measured as
+    max|v_k| * |v / max|v_k||, so that it is projected onto the bound,
+    not zeroed; the oracle, which zeroes it, warns.  Other rows keep the
+    oracle's bits."""
     v = np.array([row, [0.1, 0.2]])
-    for saturate in (model_mod.saturate, oracles.saturate):
-        with pytest.raises(RuntimeWarning):
-            saturate(v, bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = model_mod.saturate(v, bound)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_same_bits(model_mod.saturate(v, bound), oracles.saturate(v, bound))
+        expected = oracles.saturate(v, bound)
+    if np.all(np.isfinite(row)):
+        top = float(np.max(np.abs(row)))
+        norm = top * math.hypot(*(x / top for x in row))
+        expected[0] = v[0] * min(1.0, bound / norm)
+        np.testing.assert_allclose(out[0], expected[0], rtol=1e-15)
+        out[0] = expected[0]
+    assert_same_bits(out, expected)
 
 
 def count_runs(monkeypatch):

@@ -98,6 +98,47 @@ def test_mutated_five_agent_fields(tmp_path, capsys):
         check(argv + FIVE_FLAGS, capsys, {0, 1, 3}, (path, value))
 
 
+# values whose squares, products or grids overflow: agent 3's hill
+# constants, and agent 1's consensus weight, affine A (1e300 * I), initial
+# state, reach radius and speed bound
+OVERFLOWS = {
+    "hill-C": (("agents", 2, "dynamics", "C"), 1e300),
+    "hill-R": (("agents", 2, "dynamics", "R"), 1e-300),
+    "consensus-weight": (("agents", 0, "dynamics", "weights"), [1e300]),
+    "affine-A": (("agents", 0, "dynamics"), {"type": "affine", "A": [[1e300, 0.0], [0.0, 1e300]]}),
+    "x0": (("agents", 0, "x0"), [1e308, 1e308]),
+    "reach_radius": (("agents", 0, "reach_radius"), 1e12),
+    "v_max": (("agents", 0, "v_max"), 1e300),
+}
+# the artifact each command writes last
+WRITES = {"abstract": "bounds.json", "plan": "plan.json", "validate": "validation.json",
+          "render": "figure.svg"}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_overflowing_five_agent_values(name, tmp_path, capsys):
+    """abstract and plan, and validate and render after a plan, end in a
+    documented exit code with no warning: a huge field is saturated onto
+    its bound, not zeroed, so plan may find the spec unsatisfiable (exit
+    2); hill constants and regions that overflow are model errors (exit
+    1), and a failed command writes nothing of its own."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    model = write(tmp_path / "model.json", mutated(doc, *OVERFLOWS[name]))
+    out = tmp_path / "out"
+    # the fields overflow in the Posts of the first paths the cascade tries; at the
+    # default budget of 64 it spends about 100 s finding affine-A unsatisfiable
+    extra = {"abstract": ["--samples", "64"], "plan": ["--budget", "2"]}
+    for command, allowed in (("abstract", {0, 1}), ("plan", {0, 1, 2}), ("validate", {0, 1, 4}),
+                             ("render", {0, 1})):
+        argv = [command, "--model", model, "--out", out] + FIVE_FLAGS + extra.get(command, [])
+        code = check(argv, capsys, allowed, (name, command))
+        if code:
+            assert not (out / WRITES[command]).exists(), (name, command)
+        if command == "plan" and code:
+            break
+
+
 def expression_doc(texts):
     doc = pair_doc()
     doc["agents"][1]["dynamics"] = {"type": "expression", "exprs": texts}

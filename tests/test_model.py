@@ -189,6 +189,17 @@ def test_hill_bound_zero_tail_and_origin():
     assert f_small[0] == pytest.approx(C * (math.pi / R) ** 2 * small[0], rel=1e-6)
 
 
+@pytest.mark.parametrize("C, R", [(2.0, 1e-300), (1e308, 1.0), (1e300, 1e-5)])
+def test_hill_constants_that_overflow_are_a_model_error(C, R):
+    """The slopes of the radial and the series branch, C*pi/R and
+    C*(pi/R)**2, must be finite: the float power of the first case raises
+    OverflowError, the products of the other two are infinite."""
+    doc = single_doc()
+    doc["agents"][0]["dynamics"] = {"type": "gradient-hill", "C": C, "R": R}
+    with pytest.raises(ModelError, match=re.escape("requires a finite C*pi/R and C*(pi/R)**2")):
+        make_model(doc)
+
+
 def hill_rows(R):
     """Points at and around the branch edges of a hill of radius R: rho = 0,
     the series cutoff and R itself, each as [rho, 0], whose computed norm
@@ -398,6 +409,19 @@ def test_validate_bounds_report():
     report = model_mod.validate_bounds(make_model(doc), samples=2000, seed=0)
     assert not report.ok
     assert any("exceeds M" in v for v in report.violations)
+
+
+def test_validate_bounds_measures_a_field_whose_squares_overflow():
+    """A hill of C = 1e300 reaches |f| of about 5e299, whose squares
+    overflow: sup_f is that norm, not inf, and the field saturated onto M
+    is a projection, so the sampled state quotient is not 0, as it was
+    when such rows were zeroed."""
+    doc = single_doc()
+    doc["agents"][0]["dynamics"] = {"type": "gradient-hill", "C": 1e300, "R": 2 * math.pi}
+    doc["agents"][0].update(M=2.5, L1=0.0, L2=3.0)
+    entry = model_mod.validate_bounds(make_model(doc), samples=200, seed=0).entries[1]
+    assert 1e298 < entry["sup_f"] <= 1e300 * math.pi / (2 * math.pi)
+    assert entry["worst_L2"] > 0
 
 
 def test_validate_bounds_reports_non_finite_values_as_none():
