@@ -123,7 +123,7 @@ def audit_names(name, rerun, labels, agents=None):
 
         def step(K):
             v = K[-len(bounds):]
-            norms = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+            norms = model_mod._norms(v)
             np.fmax(tops, np.fmax.reduce(norms, axis=1), out=tops)
 
         best, note = 1.0, ""

@@ -4,17 +4,17 @@ One expression per state coordinate, written over the vector symbols
 ``x_i`` (own state) and ``x_j1``, ``x_j2``, ... (neighbor states in the
 agent's declared order).  Coordinates are picked with 1-based indexing,
 ``x_i[1]``.  Supported functions: sin, cos, exp, sqrt, abs (scalar) and
-norm (vector).  Operator precedence, high to low::
-
-    ^  (right associative)
-    unary -
-    * /
-    + -
+norm (vector).  Operators take Python's precedence, ``^`` read as
+``**``: it binds tighter than unary minus and groups to the right, then
+come ``* /`` and ``+ -``, grouping to the left.
 
 Constants (``pi`` and any user parameters) are substituted at parse
 time, so evaluation touches no symbol table.
 """
 
+import ast
+import bisect
+import keyword
 import math
 import re
 
@@ -50,7 +50,7 @@ def _tokenize(text):
             raise ExprError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
         if kind == "num":
-            tokens.append(("num", float(m.group().strip()), m.start()))
+            tokens.append(("num", float(m.group().strip()), m.start("num")))
         elif kind == "name":
             tokens.append(("name", m.group("name"), m.start("name")))
         else:
@@ -147,129 +147,88 @@ class Bin:
         return np.power(a, b)
 
 
-class _Parser:
-    def __init__(self, tokens, params):
-        self.tokens = tokens
-        self.i = 0
-        self.params = dict(params)
-        self.params.setdefault("pi", math.pi)
-        # vector symbol -> highest 1-based coordinate read (0: only norm())
-        self.symbols = {}
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, op):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ExprError(f"expected {op!r}, found {value!r}", pos)
-        return self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected trailing token {value!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
-                self.advance()
-                node = Bin(value, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("*", "/"):
-                self.advance()
-                node = Bin(value, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            # right associative; exponent may carry its own unary minus
-            return Bin("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, value, pos = self.advance()
-        if kind == "num":
-            return Num(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if kind == "name":
-            return self.name_atom(value, pos)
-        raise ExprError(f"unexpected token {value!r}", pos)
-
-    def name_atom(self, name, pos):
-        nxt_kind, nxt_value, _ = self.peek()
-        if name in _FUNCTIONS or name == "norm":
-            if not (nxt_kind == "op" and nxt_value == "("):
-                raise ExprError(f"function {name} requires an argument", pos)
-            self.advance()
-            if name == "norm":
-                kind, sym, sym_pos = self.advance()
-                if kind != "name" or _VECTOR_RE.match(sym) is None:
-                    raise ExprError("norm takes a vector symbol argument", sym_pos)
-                self.expect(")")
-                self.symbols.setdefault(sym, 0)
-                return Norm(sym)
-            node = Call(name, self.expr())
-            self.expect(")")
-            return node
-        if _VECTOR_RE.match(name):
-            if nxt_kind == "op" and nxt_value == "[":
-                self.advance()
-                kind, idx, idx_pos = self.advance()
-                if kind != "num" or idx != int(idx):
-                    raise ExprError("coordinate index must be an integer", idx_pos)
-                if idx < 1:
-                    raise ExprError("coordinate indices are 1-based", idx_pos)
-                self.expect("]")
-                self.symbols[name] = max(self.symbols.get(name, 0), int(idx))
-                return Coord(name, int(idx) - 1)
-            raise ExprError(
-                f"vector symbol {name} needs [k] indexing or a norm() wrapper", pos
-            )
-        if name in self.params:
-            return Num(self.params[name])
-        raise ExprError(f"unknown identifier {name!r}", pos)
+_MAX_DEPTH = 200  # Python's own limit on nested parentheses
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse_expression(text, params=None):
     """Parse one expression into an AST.
 
+    Python's parser reads the tokens as one line of source, ``^`` written
+    as ``**`` and each number as a literal of its value; its tree is
+    translated, never evaluated, and refused past 200 levels.
+
     Returns (ast, symbols): ``symbols`` maps every vector symbol the
     expression reads to the highest 1-based coordinate it reads, or to 0
     when it reads the symbol only through norm().
     """
-    parser = _Parser(_tokenize(text), params or {})
-    ast = parser.parse()
-    return ast, parser.symbols
+    params = {"pi": math.pi, **(params or {})}
+    symbols = {}
+    pieces, spans, col = [], [], 0  # source texts, (column, position in text) pairs
+    for kind, value, pos in _tokenize(text):
+        if kind == "name" and keyword.iskeyword(value):
+            raise ExprError(f"{value!r} is a reserved word", pos)
+        if kind == "num":  # a literal past the largest float parses to inf
+            value = repr(value) if value < math.inf else "1e999"
+        pieces.append("**" if value == "^" else value)
+        spans.append((col, pos))
+        col += len(pieces[-1]) + 1
+
+    def at(col):
+        """The position in ``text`` of the token at column ``col`` of the source."""
+        return spans[max(bisect.bisect_right(spans, (col, math.inf)) - 1, 0)][1]
+
+    def unexpected(pos):
+        found = _TOKEN_RE.match(text, pos)  # None at the end
+        return ExprError(f"unexpected token {found.group().strip() if found else ''!r}", pos)
+
+    def translate(node, depth):
+        pos, down = at(node.col_offset), depth + 1
+        if depth > _MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
+        if isinstance(node, ast.Constant):  # a float: keywords are refused
+            return Num(node.value)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(translate(node.operand, down))
+        if isinstance(node, ast.BinOp):  # + - * / ** are all the tokens can spell
+            return Bin(_BINARY[type(node.op)], translate(node.left, down), translate(node.right, down))
+        if isinstance(node, ast.Name):
+            if node.id in _FUNCTIONS or node.id == "norm":
+                raise ExprError(f"function {node.id} requires an argument", pos)
+            if _VECTOR_RE.match(node.id):
+                raise ExprError(f"vector symbol {node.id} needs [k] indexing or a norm() wrapper", pos)
+            if node.id not in params:
+                raise ExprError(f"unknown identifier {node.id!r}", pos)
+            return Num(params[node.id])
+        name = getattr(getattr(node, "func", getattr(node, "value", None)), "id", "")
+        if isinstance(node, ast.Call) and (name in _FUNCTIONS or name == "norm"):
+            if len(node.args) != 1:  # none, or a ** one
+                raise ExprError(f"function {name} takes one argument", pos)
+            arg = node.args[0]
+            if name != "norm":
+                return Call(name, translate(arg, down))
+            if not (isinstance(arg, ast.Name) and _VECTOR_RE.match(arg.id)):
+                raise ExprError("norm takes a vector symbol argument", at(arg.col_offset))
+            symbols.setdefault(arg.id, 0)
+            return Norm(arg.id)
+        if isinstance(node, ast.Subscript) and _VECTOR_RE.match(name):
+            k, pos = node.slice, at(node.slice.col_offset)
+            if not (isinstance(k, ast.Constant) and k.value.is_integer()):
+                raise ExprError("coordinate index must be an integer", pos)
+            if k.value < 1:
+                raise ExprError("coordinate indices are 1-based", pos)
+            symbols[name] = max(symbols.get(name, 0), int(k.value))
+            return Coord(name, int(k.value) - 1)
+        raise unexpected(pos)
+
+    try:
+        return translate(ast.parse(" ".join(pieces), mode="eval").body, 1), symbols
+    except SyntaxError as e:
+        # offset 0 is the end; a message on brackets names no Python syntax
+        pos = at(e.offset - 1 if e.offset else col)
+        raise (ExprError(e.msg, pos) if "'" in e.msg or "paren" in e.msg else unexpected(pos)) from None
+    except (RecursionError, MemoryError):  # too deep for Python's parser: its stacks overflow
+        raise ExprError(f"expression nested deeper than {_MAX_DEPTH} levels", spans[0][1]) from None
 
 
 def eval_ast(ast, x_i, neighbors):

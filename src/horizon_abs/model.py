@@ -284,9 +284,12 @@ def saturate(v, bound):
             return v
         norms = _norms(v)
         # rows at or under the bound keep the factor 1 and never divide: no zero norm is read
-        factor = np.empty_like(norms)
-        factor.fill(1.0)
-        return v * np.divide(bound, norms, out=factor, where=norms > bound)
+        factor = np.ones_like(norms)
+        out = v * np.divide(bound, norms, out=factor, where=norms > bound)
+        if np.isinf(norms).any():  # a finite row past the largest float is scaled first
+            top = np.max(np.abs(v), axis=-1, keepdims=True)
+            out = np.where(np.isinf(norms) & np.isfinite(top), v / top * (bound / _norms(v / top)), out)
+        return out
 
 
 def within_bound(top, n, bound):
@@ -381,7 +384,7 @@ def _consensus_weights(weights, neighbors, agent_id):
 def _parse_dynamics(entry, n, neighbors, agent_id):
     _require(isinstance(entry, dict), f"agent {agent_id}: dynamics must be an object")
     neighbor_count = len(neighbors)
-    variant = entry.get("type", entry.get("variant"))
+    variant = entry.get("type")
     if variant == "zero":
         return ConsensusDynamics(())
     if variant == "linear-consensus":
@@ -415,15 +418,18 @@ def _parse_dynamics(entry, n, neighbors, agent_id):
     if variant == "expression":
         exprs = entry.get("exprs")
         _require(
-            isinstance(exprs, list) and len(exprs) == n,
-            f"agent {agent_id}: expression dynamics needs {n} coordinate expressions",
+            isinstance(exprs, list) and len(exprs) == n and all(isinstance(t, str) for t in exprs),
+            f"agent {agent_id}: expression dynamics needs {n} coordinate expression strings",
         )
         params = entry.get("params", {})
         _require(isinstance(params, dict), f"agent {agent_id}: params must be an object")
         params = {k: _scalar(v, f"agent {agent_id}: param {k}") for k, v in params.items()}
         from . import expr
 
-        dyn = expr.ExpressionDynamics(exprs, params)
+        try:
+            dyn = expr.ExpressionDynamics(exprs, params)
+        except ExprError as e:
+            raise agents_error([agent_id], e) from None
         for sym, k in sorted(dyn.symbols.items()):
             if sym != "x_i":
                 _require(

@@ -12,8 +12,9 @@ production ``controller.feedback`` and ``integrate_reference``.
 Also here: the open-loop simulator, the tuple-set cascade search and the
 one-agent-at-a-time cascade built on it, the pick-by-pick product layer,
 the enumeration of every simple coupling cycle and its mu product,
-the random cell and disturbance samplers, and the set, parameter and
-expression helpers that only tests use.
+the hand-written recursive-descent expression parser, the random cell
+and disturbance samplers, and the set, parameter and expression helpers
+that only tests use.
 """
 
 import itertools
@@ -24,7 +25,8 @@ import numpy as np
 
 from horizon_abs import controller, expr, grid, integrate, planner, reach, sim
 from horizon_abs import model as model_mod
-from horizon_abs.errors import HorizonError, ModelError, UnsatisfiableError
+from horizon_abs.errors import ExprError, HorizonError, ModelError, UnsatisfiableError
+from horizon_abs.expr import _FUNCTIONS, _VECTOR_RE, Bin, Call, Coord, Neg, Norm, Num, _tokenize
 
 DISTURBANCE_KNOTS = 8
 
@@ -444,6 +446,128 @@ def expr_to_string(node):
     if isinstance(node, expr.Neg):
         return f"(-{expr_to_string(node.arg)})"
     return f"({expr_to_string(node.left)} {node.op} {expr_to_string(node.right)})"
+
+
+class _Parser:
+    def __init__(self, tokens, params):
+        self.tokens = tokens
+        self.i = 0
+        self.params = dict(params)
+        self.params.setdefault("pi", math.pi)
+        # vector symbol -> highest 1-based coordinate read (0: only norm())
+        self.symbols = {}
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, op):
+        kind, value, pos = self.peek()
+        if kind != "op" or value != op:
+            raise ExprError(f"expected {op!r}, found {value!r}", pos)
+        return self.advance()
+
+    def parse(self):
+        node = self.expr()
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise ExprError(f"unexpected trailing token {value!r}", pos)
+        return node
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("+", "-"):
+                self.advance()
+                node = Bin(value, node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in ("*", "/"):
+                self.advance()
+                node = Bin(value, node, self.unary())
+            else:
+                return node
+
+    def unary(self):
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            # right associative; exponent may carry its own unary minus
+            return Bin("^", base, self.unary())
+        return base
+
+    def atom(self):
+        kind, value, pos = self.advance()
+        if kind == "num":
+            return Num(value)
+        if kind == "op" and value == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        if kind == "name":
+            return self.name_atom(value, pos)
+        raise ExprError(f"unexpected token {value!r}", pos)
+
+    def name_atom(self, name, pos):
+        nxt_kind, nxt_value, _ = self.peek()
+        if name in _FUNCTIONS or name == "norm":
+            if not (nxt_kind == "op" and nxt_value == "("):
+                raise ExprError(f"function {name} requires an argument", pos)
+            self.advance()
+            if name == "norm":
+                kind, sym, sym_pos = self.advance()
+                if kind != "name" or _VECTOR_RE.match(sym) is None:
+                    raise ExprError("norm takes a vector symbol argument", sym_pos)
+                self.expect(")")
+                self.symbols.setdefault(sym, 0)
+                return Norm(sym)
+            node = Call(name, self.expr())
+            self.expect(")")
+            return node
+        if _VECTOR_RE.match(name):
+            if nxt_kind == "op" and nxt_value == "[":
+                self.advance()
+                kind, idx, idx_pos = self.advance()
+                if kind != "num" or idx != int(idx):
+                    raise ExprError("coordinate index must be an integer", idx_pos)
+                if idx < 1:
+                    raise ExprError("coordinate indices are 1-based", idx_pos)
+                self.expect("]")
+                self.symbols[name] = max(self.symbols.get(name, 0), int(idx))
+                return Coord(name, int(idx) - 1)
+            raise ExprError(
+                f"vector symbol {name} needs [k] indexing or a norm() wrapper", pos
+            )
+        if name in self.params:
+            return Num(self.params[name])
+        raise ExprError(f"unknown identifier {name!r}", pos)
+
+
+def parse_expression(text, params=None):
+    """The expression parser before expr.parse_expression handed the tokens
+    to Python's parser: hand-written recursive descent over expr._tokenize,
+    the reference for the language expr.parse_expression reads."""
+    parser = _Parser(_tokenize(text), params or {})
+    ast = parser.parse()
+    return ast, parser.symbols
 
 
 def advance(cell, progress, step, table):

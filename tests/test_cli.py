@@ -527,6 +527,31 @@ def test_abstract_names_the_agent_of_an_expression_error(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: agent 3: sqrt of negative value -")
 
 
+@pytest.mark.parametrize("text", [
+    "-" * 3000 + "x_i[1]",
+    "(" * 300 + "x_i[1]" + ")" * 300,
+    " + ".join(["x_i[1]"] * 5000),
+    "x_i[1e400]",
+], ids=["unary-minuses", "parentheses", "long-sum", "overflowing-index"])
+def test_a_too_deep_or_overflowing_expression_is_a_model_error(tmp_path, text):
+    """Expressions that once ended abstract in a traceback (RecursionError
+    while parsing or evaluating, OverflowError on the index) end in one
+    error line that names the agent, and nothing is written."""
+    with open(FIVE_AGENTS) as fh:
+        doc = json.load(fh)
+    for agent in doc["agents"]:
+        if agent["id"] == 3:
+            agent["dynamics"] = {"type": "expression", "exprs": [text, "0"]}
+    model_path = write_model(tmp_path / "model.json", doc)
+    out = tmp_path / "out"
+    res = run_cli(["abstract", "--model", model_path, "--out", out, "--steps", "12",
+                   "--lambda", "1=0.35", "--lambda", "5=0.35"])
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: agent 3: "), res.stderr
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_an_error_ahead_of_its_agents_turn_leaves_the_verdict_alone(tmp_path):
     """Agent 4's field fails on every state and agent 2 can never claim its
     first goal.  Agent 4 advances in lockstep with agent 2, but the cascade

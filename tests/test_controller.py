@@ -175,6 +175,33 @@ def test_saturate_of_an_infinite_norm_warns_nothing(row, bound):
     assert_same_bits(out, expected)
 
 
+@pytest.mark.parametrize("row", [[1.7e308, -1.7e308], [1e308, 1e308, 1e308, -1e308], [1.3e308, 1.3e308]])
+def test_saturate_lands_a_row_whose_norm_is_past_the_largest_float_on_the_bound(row):
+    """Rescaled by max|v_k|, the norm of such a row is still inf; the row
+    is projected onto the bound, not zeroed, with no warning.  Rows next
+    to it keep the oracle's bits."""
+    v = np.zeros((3, len(row)))
+    v[0], v[1, 0], v[2, -1] = row, 3.0, 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = model_mod.saturate(v, 2.0)
+    top = max(abs(x) for x in row)
+    np.testing.assert_allclose(out[0], [2.0 * (x / top) / math.sqrt(len(row)) for x in row],
+                               rtol=1e-15)
+    assert_same_bits(out[1:], oracles.saturate(v[1:], 2.0))
+
+
+def test_an_audit_note_measures_a_field_whose_squares_overflow():
+    """The realized |f|/M in a failed audit's name is finite for a finite
+    field past 1.3e154, where the sum of squares overflows."""
+    def rerun(k):
+        return lambda t, y: np.full_like(y, 3e200), (1e100,), np.zeros((2, 2)), 0.1, 4
+
+    what = controller.audit_names(lambda k: f"reference {k}", rerun, ["|f_i|/M_i"])
+    note = re.fullmatch(r"reference 1 \(\|f_i\|/M_i up to (.+)\)", what(1))
+    assert note is not None and float(note.group(1)) == pytest.approx(3e100 * math.sqrt(2), 1e-3)
+
+
 def count_runs(monkeypatch):
     """Count the package's RK4 runs: "raw" on raw_run's tracked right-hand
     side (which wraps the raw one), "saturated" on any other."""

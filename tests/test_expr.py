@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -101,3 +103,186 @@ def test_errors():
         ev("sqrt(x_i[1])", (-1.0, 0.0))
     with pytest.raises(ExprError):
         ev("x_i[3]", (0.0, 0.0))
+
+
+# The parser reads the language of the hand-written recursive descent it
+# replaced, oracles.parse_expression, on printed random trees and garbled
+# copies of them.  The three documented differences are checked by hand
+# below.
+PARAMS = {"mu": 0.5, "k2": -2.0, "a_b": 1e300, "pi": 3.0}
+LEAVES = ["mu", "k2", "a_b", "pi"]
+NUMBERS = ["0", "3", "007", "2.5", ".5", "3.", "1e3", "2.5E-2", "1e400", "4e-320", "12345678901234567890"]
+INDICES = ["1", "2", "3", "2.0", "1e0", "30"]
+SYMBOLS = ["x_i", "x_j1", "x_j2", "x_j10"]
+FUNCTIONS = ["sin", "cos", "exp", "sqrt", "abs"]
+GARBLE = list("x_ij12[]()+-*/^.e ") + ["sin", "norm", "if", "lambda", "True", "$", "1e", "**", ",", "mu"]
+SPACES = ["", "", " ", "  ", "\t"]
+# for each binary operator: its precedence, and the least precedence of a
+# left and of a right operand printed without parentheses.  Unary minus is
+# 3 and an atom 5; ^ takes an atom on its left and a unary on its right.
+BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": (4, 5, 3)}
+
+
+def random_tokens(rng, depth):
+    """The tokens of a random well-formed expression, and its precedence."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            [rng.choice(NUMBERS)],
+            [rng.choice(LEAVES)],
+            [rng.choice(SYMBOLS), "[", rng.choice(INDICES), "]"],
+            ["norm", "(", rng.choice(SYMBOLS), ")"],
+        ]), 5
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [rng.choice(FUNCTIONS), "("] + random_tokens(rng, depth - 1)[0] + [")"], 5
+    if kind == 1:
+        return ["-"] + operand(rng, depth - 1, 3), 3
+    op = rng.choice(list(BINARY))
+    level, left, right = BINARY[op]
+    return operand(rng, depth - 1, left) + [op] + operand(rng, depth - 1, right), level
+
+
+def operand(rng, depth, least):
+    """A random operand in parentheses when its precedence is below
+    ``least``, and now and then when not (never around one token)."""
+    tokens, level = random_tokens(rng, depth)
+    if level < least or (len(tokens) > 1 and rng.random() < 0.1):
+        return ["("] + tokens + [")"]
+    return tokens
+
+
+def random_text(rng):
+    tokens, _ = random_tokens(rng, rng.randrange(1, 6))
+    return "".join(rng.choice(SPACES) + t for t in tokens) + rng.choice(SPACES)
+
+
+def garble(text, rng):
+    """One to three edits: delete, insert, swap, repeat a stretch or cut the rest."""
+    for _ in range(rng.randrange(1, 4)):
+        k = rng.randrange(len(text) + 1)
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:k] + text[k + 1:]
+        elif edit == 1:
+            text = text[:k] + rng.choice(GARBLE) + text[k:]
+        elif edit == 2:
+            text = text[:k] + text[k + 1:k + 2] + text[k:k + 1] + text[k + 2:]
+        elif edit == 3:
+            text = text[:k] + text[k // 2:k] + text[k:]
+        else:
+            text = text[:k]
+    return text
+
+
+def same_tree(a, b):
+    """Equal node types and fields, numbers equal bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, expr.Num):
+        return a.value.hex() == b.value.hex()
+    fields = [(getattr(a, f), getattr(b, f)) for f in type(a).__slots__]
+    return all(same_tree(x, y) if hasattr(x, "eval") else x == y for x, y in fields)
+
+
+def test_the_language_is_the_old_parsers():
+    """Where the old parser returns, the new one returns an equal tree
+    and the same symbols; where it raises anything, the new one raises
+    an ExprError with a position."""
+    rng = random.Random(25)
+    parsed = 0
+    for k in range(20_000):
+        text = random_text(rng)
+        if k % 2:
+            text = garble(text, rng)
+        try:
+            want = oracles.parse_expression(text, PARAMS)
+        except Exception:
+            with pytest.raises(ExprError) as refused:
+                expr.parse_expression(text, PARAMS)
+            assert refused.value.position is not None, text
+            continue
+        got = expr.parse_expression(text, PARAMS)
+        assert same_tree(got[0], want[0]) and got[1] == want[1], text
+        parsed += 1
+    assert parsed >= 10_000 and 20_000 - parsed >= 5_000
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("(x_i)[1]", "x_i[1]"),
+    ("((x_j1))[2] - 1", "x_j1[2] - 1"),
+    ("x_i[(2)]", "x_i[2]"),
+    ("(sin)(x_i[1])", "sin(x_i[1])"),
+    ("(norm)(x_i)", "norm(x_i)"),
+    ("norm((x_j1)) * 2", "norm(x_j1) * 2"),
+])
+def test_redundant_parentheses_around_a_name_or_an_index_are_accepted(text, plain):
+    """The first difference: parentheses the old parser refused around a
+    vector symbol, its index, a function name or norm's argument."""
+    with pytest.raises(ExprError):
+        oracles.parse_expression(text)
+    got, want = expr.parse_expression(text), oracles.parse_expression(plain)
+    assert same_tree(got[0], want[0]) and got[1] == want[1]
+
+
+@pytest.mark.parametrize("name", ["if", "lambda", "True", "None", "not", "and", "in"])
+def test_a_parameter_named_like_a_python_keyword_cannot_be_read(name):
+    """The second difference: the old parser read any parameter name."""
+    text, params = f"x_i[1] * {name}", {name: 2.0}
+    assert isinstance(oracles.parse_expression(text, params)[0], expr.Bin)
+    with pytest.raises(ExprError, match=re.escape(f"{name!r} is a reserved word (at position 9)")):
+        expr.parse_expression(text, params)
+
+
+def test_a_tree_deeper_than_200_levels_is_refused():
+    """The third difference: the old parser read any depth its recursion
+    reached.  At 200 levels both parsers give the same tree."""
+    for text in ("-" * 199 + "x_i[1]", " + ".join(["x_i[1]"] * 200)):
+        got, want = expr.parse_expression(text), oracles.parse_expression(text)
+        assert same_tree(got[0], want[0]) and got[1] == want[1]
+    assert isinstance(expr.parse_expression("sin(" * 199 + "1" + ")" * 199)[0], expr.Call)
+    for text, position in (("-" * 200 + "x_i[1]", 200), ("sin(" * 200 + "1" + ")" * 200, 800),
+                           (" + ".join(["x_i[1]"] * 201), 0)):
+        with pytest.raises(ExprError, match=re.escape(f"200 levels (at position {position})")):
+            expr.parse_expression(text)
+    # parentheses alone make no level; Python reads at most 200 of them nested
+    assert expr.parse_expression("(" * 200 + "2" + ")" * 200)[0].value == 2.0
+    with pytest.raises(ExprError, match=re.escape("parentheses (at position 200)")):
+        expr.parse_expression("(" * 201 + "2" + ")" * 201)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-" * 3000 + "x_i[1]", "expression nested deeper than 200 levels (at position 0)"),
+    ("(" * 300 + "x_i[1]" + ")" * 300, "too many nested parentheses (at position 200)"),
+    (" + ".join(["x_i[1]"] * 5000), "expression nested deeper than 200 levels (at position 0)"),
+    ("x_i[1e400]", "coordinate index must be an integer (at position 4)"),
+    # Python's parser overflows its own stack on these
+    ("2 ^ " * 3000 + "2", "expression nested deeper than 200 levels (at position 0)"),
+    ("-" * 10000 + "1", "expression nested deeper than 200 levels (at position 0)"),
+])
+def test_texts_that_crashed_the_old_parser_are_expression_errors(text, message):
+    """The old parser raised OverflowError on the index and RecursionError
+    on the others but the long sum, which it read and whose evaluation
+    then ran out of recursion."""
+    with pytest.raises(ExprError, match=re.escape(message)):
+        expr.parse_expression(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x_i[1] +", "unexpected token '' (at position 8)"),
+    ("(x_i[1] + 2", "'(' was never closed (at position 0)"),
+    ("x_i[1]]", "unmatched ']' (at position 6)"),
+    ("x_i[1 + 2)", "closing parenthesis ')' does not match opening parenthesis '['"),
+    ("2 ^ ^ 3", "unexpected token '^' (at position 4)"),
+    ("(^ 3)", "unexpected token '^' (at position 1)"),
+    ("sin(^ x_i[1])", "function sin takes one argument (at position 0)"),
+    ("x_i[1] x_i[2]", "unexpected token 'x_i' (at position 7)"),
+    ("+x_i[1]", "unexpected token '+' (at position 0)"),
+    ("sin(*x_i)", "unexpected token '*' (at position 4)"),
+    ("x_i[1][2]", "unexpected token 'x_i' (at position 0)"),
+    ("mu(2)", "unexpected token 'mu' (at position 0)"),
+    ("()", "unexpected token '(' (at position 0)"),
+    ("1 *  2e3(1)", "unexpected token '2e3' (at position 5)"),
+])
+def test_a_parse_error_names_the_token_at_its_position(text, message):
+    with pytest.raises(ExprError, match=re.escape(message)):
+        expr.parse_expression(text, {"mu": 1.0})

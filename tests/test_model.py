@@ -83,6 +83,9 @@ def test_goal_forms_and_relative_default():
         ),
         lambda d: d.update(spec={"1": {"goals": [{"box": [[0, 0], [1, 1]], "window": [0.2, True]}]}}),
         lambda d: d.update(spec={"1": {"goals": [{"box": [["0", 0], [1, 1]], "window": [0.2, 0.9]}]}}),
+        # "variant" is not a spelling of "type"
+        lambda d: d["agents"][0].update(dynamics={"variant": "zero"}),
+        lambda d: d["agents"][0].update(dynamics={"type": "expression", "exprs": [1, "0"]}),
     ],
 )
 def test_parse_rejections(mutate):
@@ -99,6 +102,13 @@ def test_an_expression_coordinate_past_the_dimension_names_agent_and_symbol(text
     with pytest.raises(ModelError, match=re.escape(
         f"agent 2: expression reads {symbol} but the state dimension is 2"
     )):
+        make_model(doc)
+
+
+def test_an_expression_parse_error_names_the_agent():
+    doc = pair_doc()
+    doc["agents"][1]["dynamics"] = {"type": "expression", "exprs": ["0", "x_i[1] +"]}
+    with pytest.raises(ExprError, match=re.escape("agent 2: unexpected token '' (at position 8)")):
         make_model(doc)
 
 
