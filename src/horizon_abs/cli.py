@@ -221,6 +221,12 @@ def _discretization_doc(model, params, abstraction):
 
 
 def cmd_abstract(args):
+    if args.seed < 0:
+        raise ModelError(f"--seed must be an integer >= 0, got {args.seed}")
+    if not 1 <= args.samples <= model_mod.MAX_SAMPLES:
+        raise ModelError(
+            f"--samples must be an integer from 1 to {model_mod.MAX_SAMPLES}, got {args.samples}"
+        )
     model, _ = _load_model(args.model)
     params = _synthesize(model, args)
     abstraction = _build(model, params, *_flag_settings(args))

@@ -61,7 +61,8 @@ class HillDynamics:
         self.C = float(C)
         self.R = float(R)
         self._pi, self._R = np.array(math.pi), np.array(self.R)
-        self._coef = np.array(self.C * math.pi / self.R)
+        self._coef_f = self.C * math.pi / self.R
+        self._coef = np.array(self._coef_f)
         try:  # a float power past the largest float raises; a product is inf
             self._series = self.C * (math.pi / self.R) ** 2
             if not (np.isfinite(self._coef) and math.isfinite(self._series)):
@@ -74,6 +75,16 @@ class HillDynamics:
 
     def eval(self, x_i, neighbors, out=None):
         x = np.asarray(x_i, dtype=float)
+        if x.size == x.shape[-1] <= 7:
+            # one radial row on Python floats: below 8 terms numpy's reduction sums the
+            # squares left to right too, and np.sin keeps the array path's sine
+            s = 0.0
+            for c in x.ravel().tolist():
+                s += c * c
+            rho = math.sqrt(s)
+            if _HILL_SERIES_CUTOFF <= rho < self.R:
+                scale = self._coef_f * float(np.sin(math.pi * rho / self.R)) / rho
+                return np.multiply(scale, x, out=out)
         rho = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
         coef = self._coef
         # a batch of radial rows only skips the masks, whose expression this is on such rows.
@@ -591,6 +602,11 @@ _SAMPLED_LABELS = {
     "worst_L1": "neighbor quotient",
     "worst_L2": "state quotient",
 }
+
+
+# validate_bounds holds about a dozen (samples, n) or (samples, N_i * n) arrays per
+# agent; at this many samples a five_agents abstract peaks at about 290 MB
+MAX_SAMPLES = 10**6
 
 
 def validate_bounds(model, samples, seed=0):

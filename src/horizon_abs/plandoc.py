@@ -28,18 +28,27 @@ class Plan:
 
 
 def check_plan_lists(model, plan):
-    """Every model agent is in the plan with m + 1 cells and m parameters."""
+    """Every model agent is in the plan with m + 1 cells, m parameters and
+    m targets, and every cell it lists has the model's dimension."""
     for i in model.agent_ids:
-        if i not in plan.cells or i not in plan.w:
+        if any(i not in lists for lists in (plan.cells, plan.w, plan.targets)):
             raise PlanConsistencyError(f"agent {i}: missing from the plan")
         if len(plan.cells[i]) != plan.m + 1:
             raise PlanConsistencyError(
                 f"agent {i}: plan lists {len(plan.cells[i])} cells for {plan.m} steps"
             )
-        if len(plan.w[i]) != plan.m:
-            raise PlanConsistencyError(
-                f"agent {i}: plan lists {len(plan.w[i])} parameters for {plan.m} steps"
-            )
+        for name, lists in (("parameters", plan.w), ("targets", plan.targets)):
+            if len(lists[i]) != plan.m:
+                raise PlanConsistencyError(
+                    f"agent {i}: plan lists {len(lists[i])} {name} for {plan.m} steps"
+                )
+        for name, lists in (("cells", plan.cells), ("reachable", plan.reachable),
+                            ("satisfying", plan.satisfying)):
+            for c in lists.get(i, ()):
+                if len(c) != model.dim:
+                    raise PlanConsistencyError(
+                        f"agent {i}: {name} lists {list(c)}, not a cell of dimension {model.dim}"
+                    )
 
 
 def plan_configs(model, cells, m):

@@ -330,11 +330,11 @@ def cascade_synthesize(model, abstraction, budget=64):
     An agent's forward layers depend only on its parents' chosen paths.
     So when an agent's turn needs its layers, every later agent whose
     parents all have a chosen path is advanced with it in lockstep
-    (forward_layers).  Each agent keeps the result of its last forward
-    pass, keyed by its parent paths; the depth-first order, the paths
-    tried and every verdict stay those of one agent at a time.  An error
-    met ahead of an agent's turn is raised only when its turn comes with
-    the same parent paths.
+    (forward_layers).  Every forward pass is kept, keyed by its agent and
+    parent paths, so a pass is never made twice; the depth-first order,
+    the paths tried and every verdict stay those of one agent at a time.
+    An error met ahead of an agent's turn is raised only when its turn
+    comes with the same parent paths.
 
     A failure returns to the latest agent in its conflict set (the
     failing agent's parents, plus the conflict sets of the failures below
@@ -352,29 +352,27 @@ def cascade_synthesize(model, abstraction, budget=64):
     tables = {i: goal_table(abstraction, i) for i in model.agent_ids}
     m = plan_length(abstraction, tables)
     explored = {i: 0 for i in model.agent_ids}
-    reachable = {}
-    satisfying = {}
+    pruned = {}  # agent -> (Search, backward_prune mask) of its latest turn
     chosen = {}
     failure = {}
-    # agent -> (parent cells, Search or the error) of its last forward pass
+    # (agent, parent cells) -> the Search or the error of its forward pass
     passes = {}
 
-    def parent_cells_for(i):
+    def job_key(i):
         agent = model.agent(i)
-        return tuple(tuple(chosen[j][k] for j in agent.neighbors) for k in range(m + 1))
+        return i, tuple(tuple(chosen[j][k] for j in agent.neighbors) for k in range(m + 1))
 
     def search_for(idx):
-        i = order[idx]
-        if passes.get(i, (None,))[0] != parent_cells_for(i):
-            batch = [i] + [
-                j for j in order[idx + 1:]
+        key = job_key(order[idx])
+        if key not in passes:
+            later = [
+                job_key(j) for j in order[idx + 1:]
                 if all(p in chosen for p in model.agent(j).neighbors)
-                and passes.get(j, (None,))[0] != parent_cells_for(j)
             ]
-            jobs = [(j, parent_cells_for(j), tables[j]) for j in batch]
-            for job, result in zip(jobs, forward_layers(abstraction, jobs, m)):
-                passes[job[0]] = (job[1], result)
-        search = passes[i][1]
+            jobs = [(j, cells, tables[j]) for j, cells in [key] + later if (j, cells) not in passes]
+            for (j, cells, _), result in zip(jobs, forward_layers(abstraction, jobs, m)):
+                passes[j, cells] = result
+        search = passes[key]
         if isinstance(search, HorizonError):
             raise search
         return search
@@ -388,9 +386,7 @@ def cascade_synthesize(model, abstraction, budget=64):
         i = order[idx]
         search = search_for(idx)
         good = backward_prune(search)
-        box = abstraction.decs[i].index_set
-        reachable[i] = _cells(box, [layer.cells for layer in search.layers])
-        satisfying[i] = _cells(box, [layer.cells[g] for layer, g in zip(search.layers, good)])
+        pruned[i] = search, good
         # an agent's layers rest on its parents' paths alone
         conflict = set(model.agent(i).neighbors)
         if not good[0].any():
@@ -415,6 +411,11 @@ def cascade_synthesize(model, abstraction, budget=64):
     if solve(0) is not None:
         detail = "; ".join(f"agent {i}: {msg}" for i, msg in sorted(failure.items()))
         raise UnsatisfiableError(f"cascade synthesis failed ({detail})")
+    reachable, satisfying = {}, {}
+    for i, (search, good) in pruned.items():
+        box = abstraction.decs[i].index_set
+        reachable[i] = _cells(box, [layer.cells for layer in search.layers])
+        satisfying[i] = _cells(box, [layer.cells[g] for layer, g in zip(search.layers, good)])
     return _assemble_plan(
         model, abstraction, chosen, m, "cascade", explored, reachable, satisfying
     )
@@ -621,6 +622,15 @@ def _assemble_plan(model, abstraction, chosen, m, strategy, explored, reachable,
     )
 
 
+def _agrees(stored, derived, scale):
+    """A stored vector within 1e-9 * max(1, scale) of the derived one in every
+    entry; a NaN or a wrong shape disagrees."""
+    stored = np.asarray(stored, dtype=float)
+    return stored.shape == derived.shape and bool(
+        np.max(np.abs(stored - derived)) <= 1e-9 * max(1.0, scale)
+    )
+
+
 def extract_controls(model, abstraction, plan):
     """Re-derive and cross-check the per-step controller parameters of a
     plan; per agent, the Action of each of its m steps."""
@@ -659,14 +669,14 @@ def extract_controls(model, abstraction, plan):
                     f"agent {i}, step {k}: {target} is not a successor of {config}"
                 )
             action = abstraction.successor_action(i, config, target)
-            stored_w = np.asarray(plan.w[i][k], dtype=float)
-            # a NaN or a wrong shape disagrees too
-            if stored_w.shape != action.w.shape or not (
-                np.max(np.abs(stored_w - action.w)) <= 1e-9 * max(1.0, agent.v_max)
+            for name, stored, derived, scale in (
+                ("w", plan.w[i][k], action.w, agent.v_max),
+                ("target", plan.targets[i][k], action.point, np.max(np.abs(action.point))),
             ):
-                raise PlanConsistencyError(
-                    f"agent {i}, step {k}: stored w disagrees with the re-derived value"
-                )
+                if not _agrees(stored, derived, scale):
+                    raise PlanConsistencyError(
+                        f"agent {i}, step {k}: stored {name} disagrees with the re-derived value"
+                    )
             steps.append(action)
         schedule[i] = steps
     return schedule

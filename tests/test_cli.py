@@ -608,6 +608,27 @@ def test_exit_code_1_on_an_out_of_range_cap(tmp_path, cap):
     assert not (out / "plan.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        (["--samples", "0"], "--samples must be an integer from 1 to 1000000, got 0"),
+        (["--samples", "1000001"], "--samples must be an integer from 1 to 1000000, got 1000001"),
+        (["--samples", "100000000000"],
+         "--samples must be an integer from 1 to 1000000, got 100000000000"),
+    ],
+    ids=["seed-negative", "samples-0", "samples-past-max", "samples-huge"],
+)
+def test_exit_code_1_on_out_of_range_seed_or_samples(tmp_path, flags, message):
+    """abstract checks its own flags before it writes anything."""
+    model_path = write_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    res = run_cli(["abstract", "--model", model_path, "--out", out] + PAIR_FLAGS + flags)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_a_command_rejects_a_flag_it_does_not_read(tmp_path):
     model_path = write_model(tmp_path / "model.json")
     res = run_cli(["validate", "--model", model_path, "--out", tmp_path / "out", "--seed", "1"])
@@ -634,10 +655,17 @@ def follower_first_doc():
         (lambda a: a["2"].update(cells=a["2"]["cells"][:-2]), "agent 2: plan lists"),
         (lambda a: a["1"].update(w=a["1"]["w"][:-1]), "agent 1: plan lists"),
         (lambda a: a.pop("2"), "agent 2: missing from the plan"),
+        (lambda a: a["1"].update(targets=a["1"]["targets"][:-1]), "agent 1: plan lists"),
+        (lambda a: a["2"]["cells"].__setitem__(1, [3]), "agent 2: cells lists [3], not a cell"),
+        (lambda a: a["1"]["reachable"].append([3, 5, 7]),
+         "agent 1: reachable lists [3, 5, 7], not a cell of dimension 2"),
+        (lambda a: a["2"]["satisfying"].insert(0, [3]), "agent 2: satisfying lists [3], not a"),
     ],
-    ids=["short-neighbor-cells", "short-w", "missing-agent"],
+    ids=["short-neighbor-cells", "short-w", "missing-agent", "short-targets", "cell-of-length-1",
+         "reachable-cell-of-length-3", "satisfying-cell-of-length-1"],
 )
 def test_exit_code_4_on_short_plan_lists(tmp_path, mutate, message):
+    """validate and render both refuse the plan with one error line."""
     model_path = write_model(tmp_path / "model.json", follower_first_doc())
     out = tmp_path / "out"
     res = run_cli(["plan", "--model", model_path, "--out", out] + PAIR_FLAGS)
@@ -645,9 +673,11 @@ def test_exit_code_4_on_short_plan_lists(tmp_path, mutate, message):
     doc = json.loads((out / "plan.json").read_text())
     mutate(doc["agents"])
     (out / "plan.json").write_text(json.dumps(doc))
-    res = run_cli(["validate", "--model", model_path, "--out", out] + PAIR_FLAGS)
-    assert res.returncode == 4 and "error:" in res.stderr and message in res.stderr
-    assert "Traceback" not in res.stderr
+    for command in ("validate", "render"):
+        res = run_cli([command, "--model", model_path, "--out", out] + PAIR_FLAGS)
+        assert res.returncode == 4 and "error:" in res.stderr and message in res.stderr
+        assert "Traceback" not in res.stderr
+    assert sorted(os.listdir(out)) == ["discretization.json", "plan.json", "synth_log.json"]
 
 
 @pytest.fixture(scope="module")

@@ -126,8 +126,10 @@ def test_overflowing_five_agent_values(name, tmp_path, capsys):
         doc = json.load(fh)
     model = write(tmp_path / "model.json", mutated(doc, *OVERFLOWS[name]))
     out = tmp_path / "out"
-    # the fields overflow in the Posts of the first paths the cascade tries; at the
-    # default budget of 64 it spends about 100 s finding affine-A unsatisfiable
+    # the fields overflow in the Posts of the first paths the cascade tries; on a 2-core
+    # VM affine-A's case takes about 2.5 s, while its plan at the default budget of 64
+    # takes about 12 s to be found unsatisfiable (auditing every cached Post and
+    # walking the satisfying paths)
     extra = {"abstract": ["--samples", "64"], "plan": ["--budget", "2"]}
     for command, allowed in (("abstract", {0, 1}), ("plan", {0, 1, 2}), ("validate", {0, 1, 4}),
                              ("render", {0, 1})):
@@ -389,17 +391,25 @@ OUT_OF_RANGE = {
     "--margin": ["nan", "inf", "-inf", "-0.5", "0", "1.5", "x"],
     "--budget": ["0", "-3", "x", "2.5"],
     "--cap": ["0", "-1", "x", "1e6"],
+    # abstract's own flags; a sample count past model.MAX_SAMPLES asks for arrays past memory
+    "--seed": ["-1", "-100", "x", "1.5", ""],
+    "--samples": ["0", "-5", "1000001", "100000000000", "x", "1e3"],
 }
 
 
 @pytest.mark.parametrize("flag", sorted(OUT_OF_RANGE))
 def test_out_of_range_flags(flag, pair_run, tmp_path, capsys):
     """An out-of-range value is a usage error (exit 1); a margin past 1
-    asks for more than the open bounds allow (exit 3, infeasible)."""
+    asks for more than the open bounds allow (exit 3, infeasible).  The
+    flags only abstract reads are given to abstract, which then writes
+    nothing; the others to plan, which writes no plan.json."""
     model, _, _ = pair_run
+    command, written = "plan", "plan.json"
+    if flag in ("--seed", "--samples"):
+        command, written = "abstract", "discretization.json"
     for value in OUT_OF_RANGE[flag]:
         out = tmp_path / "out"
-        argv = ["plan", "--model", model, "--out", out, f"{flag}={value}"] + PAIR_FLAGS
+        argv = [command, "--model", model, "--out", out, f"{flag}={value}"] + PAIR_FLAGS
         allowed = {1, 3} if flag == "--margin" else {1}
         check(argv, capsys, allowed, (flag, value))
-        assert not (out / "plan.json").exists(), (flag, value)
+        assert not (out / written).exists(), (flag, value)

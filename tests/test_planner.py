@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -459,8 +460,9 @@ def far_goal_doc(five_model):
 def test_cascade_backjumps_over_agents_the_failure_does_not_rest_on(five_model, monkeypatch):
     """Agent 1's failure rests on its parent 2 alone, so it returns to 2
     and skips agent 4's other paths: agents 3, 2, 4 and 1 are pruned
-    1, 4, 16 and 16 times (not 64 for agent 1), in the same 21 forward
-    passes, with the verdict of chronological backtracking."""
+    1, 4, 16 and 16 times (not 64 for agent 1), in 9 forward passes, one
+    per (agent, parent paths), with the verdict of chronological
+    backtracking."""
     model, params, ab = make_stack(far_goal_doc(five_model), lam={1: 0.35, 5: 0.35}, steps=12)
     with pytest.raises(UnsatisfiableError) as expected:
         oracles.sequential_cascade(
@@ -481,7 +483,7 @@ def test_cascade_backjumps_over_agents_the_failure_does_not_rest_on(five_model, 
     monkeypatch.setattr(planner, "backward_prune", counted_prune)
     with pytest.raises(UnsatisfiableError) as info:
         planner.cascade_synthesize(model, ab, budget=4)
-    assert calls == {"forward": 21, 3: 1, 2: 4, 4: 16, 1: 16}
+    assert calls == {"forward": 9, 3: 1, 2: 4, 4: 16, 1: 16}
     assert str(info.value) == str(expected.value)
     assert str(info.value) == (
         "cascade synthesis failed (agent 1: goal 1 was never claimable inside its window; "
@@ -561,6 +563,13 @@ def test_extract_controls_cross_checks(pair_stack):
     truncated.cells[1] = truncated.cells[1][:-1]
     with pytest.raises(PlanConsistencyError, match="lists"):
         planner.extract_controls(model, ab, truncated)
+
+    # a moved, NaN or wrongly shaped target disagrees
+    for target in (plan.targets[2][0] + 1e-6, [math.nan, 0.0], [5.0, 5.0], [5.0]):
+        retargeted = copy.deepcopy(plan)
+        retargeted.targets[2][0] = np.asarray(target, dtype=float)
+        with pytest.raises(PlanConsistencyError, match="stored target disagrees"):
+            planner.extract_controls(model, ab, retargeted)
 
 
 def test_plan_doc_round_trip(pair_stack):
