@@ -8,8 +8,9 @@ norm (vector).  Operators take Python's precedence, ``^`` read as
 ``**``: it binds tighter than unary minus and groups to the right, then
 come ``* /`` and ``+ -``, grouping to the left.
 
-Constants (``pi`` and any user parameters) are substituted at parse
-time, so evaluation touches no symbol table.
+Each expression compiles once to code that reads no name but the vector
+symbols and the helpers of ``_NAMESPACE``; ``pi`` and any user parameters
+become float literals.
 """
 
 import ast
@@ -27,14 +28,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>\^|\*|/|\+|-|\(|\)|\[|\]))"
 )
-
-_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
 
 _VECTOR_RE = re.compile(r"^x_(i|j[1-9][0-9]*)$")
 
@@ -60,105 +53,58 @@ def _tokenize(text):
     return tokens
 
 
-class Num:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    def eval(self, env):
-        return self.value
+def _div(a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise ExprError("division by zero")
+    return a / b
 
 
-class Coord:
-    """One coordinate of a vector symbol, 1-based index frozen to 0-based."""
-
-    __slots__ = ("symbol", "k")
-
-    def __init__(self, symbol, k):
-        self.symbol = symbol
-        self.k = k
-
-    def eval(self, env):
-        vec = env[self.symbol]
-        if self.k >= vec.shape[-1]:
-            raise ExprError(f"index {self.k + 1} out of range for {self.symbol}")
-        return vec[..., self.k]
+def _sqrt(value):
+    value = np.asarray(value)
+    negative = value[value < 0]
+    if negative.size:
+        raise ExprError(f"sqrt of negative value {float(negative[0])!r}")
+    return np.sqrt(value)
 
 
-class Norm:
-    __slots__ = ("symbol",)
-
-    def __init__(self, symbol):
-        self.symbol = symbol
-
-    def eval(self, env):
-        return np.sqrt(np.sum(env[self.symbol] ** 2, axis=-1))
+def _coord(vec, k, symbol):
+    """Coordinate k (0-based) of a vector symbol."""
+    if k >= vec.shape[-1]:
+        raise ExprError(f"index {k + 1} out of range for {symbol}")
+    return vec[..., k]
 
 
-class Call:
-    __slots__ = ("name", "arg")
-
-    def __init__(self, name, arg):
-        self.name = name
-        self.arg = arg
-
-    def eval(self, env):
-        value = self.arg.eval(env)
-        if self.name == "sqrt":
-            value = np.asarray(value)
-            negative = value[value < 0]
-            if negative.size:
-                raise ExprError(f"sqrt of negative value {float(negative[0])!r}")
-        return _FUNCTIONS[self.name](value)
+def _norm(vec):
+    return np.sqrt(np.sum(vec ** 2, axis=-1))
 
 
-class Neg:
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def eval(self, env):
-        return -self.arg.eval(env)
-
-
-class Bin:
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op, left, right):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def eval(self, env):
-        a = self.left.eval(env)
-        b = self.right.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise ExprError("division by zero")
-            return a / b
-        return np.power(a, b)
-
-
+# Every name compiled code reads besides the vector symbols.  The compiler
+# folds only + - * and unary minus on float literals, to the IEEE result
+# evaluation gives; every other operation is a helper call, never folded.
+_NAMESPACE = {
+    "__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs,
+    "_sqrt": _sqrt, "_norm": _norm, "_coord": _coord, "_div": _div, "_pow": np.power,
+}
+# a function of the language -> the name its compiled call reads
+_CALLEES = {"sin": "sin", "cos": "cos", "exp": "exp", "sqrt": "_sqrt", "abs": "abs", "norm": "_norm"}
+_HELPER_OPS = {ast.Div: "_div", ast.Pow: "_pow"}
 _MAX_DEPTH = 200  # Python's own limit on nested parentheses
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+
+
+def _call(name, *args):
+    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
 
 
 def parse_expression(text, params=None):
-    """Parse one expression into an AST.
+    """Compile one expression.
 
     Python's parser reads the tokens as one line of source, ``^`` written
-    as ``**`` and each number as a literal of its value; its tree is
-    translated, never evaluated, and refused past 200 levels.
+    as ``**`` and each number as a literal of its value.  Its tree is
+    refused past 200 levels and translated into a new one of float
+    literals, unary minus, ``+ - *``, loads of the vector symbols and calls
+    of the helpers in ``_NAMESPACE``, which is compiled.
 
-    Returns (ast, symbols): ``symbols`` maps every vector symbol the
+    Returns (code, symbols): ``symbols`` maps every vector symbol the
     expression reads to the highest 1-based coordinate it reads, or to 0
     when it reads the symbol only through norm().
     """
@@ -187,30 +133,32 @@ def parse_expression(text, params=None):
         if depth > _MAX_DEPTH:
             raise ExprError(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
         if isinstance(node, ast.Constant):  # a float: keywords are refused
-            return Num(node.value)
+            return ast.Constant(float(node.value))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return Neg(translate(node.operand, down))
+            return ast.UnaryOp(ast.USub(), translate(node.operand, down))
         if isinstance(node, ast.BinOp):  # + - * / ** are all the tokens can spell
-            return Bin(_BINARY[type(node.op)], translate(node.left, down), translate(node.right, down))
+            left, right = translate(node.left, down), translate(node.right, down)
+            helper = _HELPER_OPS.get(type(node.op))
+            return _call(helper, left, right) if helper else ast.BinOp(left, node.op, right)
         if isinstance(node, ast.Name):
-            if node.id in _FUNCTIONS or node.id == "norm":
+            if node.id in _CALLEES:
                 raise ExprError(f"function {node.id} requires an argument", pos)
             if _VECTOR_RE.match(node.id):
                 raise ExprError(f"vector symbol {node.id} needs [k] indexing or a norm() wrapper", pos)
             if node.id not in params:
                 raise ExprError(f"unknown identifier {node.id!r}", pos)
-            return Num(params[node.id])
+            return ast.Constant(float(params[node.id]))
         name = getattr(getattr(node, "func", getattr(node, "value", None)), "id", "")
-        if isinstance(node, ast.Call) and (name in _FUNCTIONS or name == "norm"):
+        if isinstance(node, ast.Call) and name in _CALLEES:
             if len(node.args) != 1:  # none, or a ** one
                 raise ExprError(f"function {name} takes one argument", pos)
             arg = node.args[0]
             if name != "norm":
-                return Call(name, translate(arg, down))
+                return _call(_CALLEES[name], translate(arg, down))
             if not (isinstance(arg, ast.Name) and _VECTOR_RE.match(arg.id)):
                 raise ExprError("norm takes a vector symbol argument", at(arg.col_offset))
             symbols.setdefault(arg.id, 0)
-            return Norm(arg.id)
+            return _call("_norm", ast.Name(arg.id, ast.Load()))
         if isinstance(node, ast.Subscript) and _VECTOR_RE.match(name):
             k, pos = node.slice, at(node.slice.col_offset)
             if not (isinstance(k, ast.Constant) and k.value.is_integer()):
@@ -218,11 +166,13 @@ def parse_expression(text, params=None):
             if k.value < 1:
                 raise ExprError("coordinate indices are 1-based", pos)
             symbols[name] = max(symbols.get(name, 0), int(k.value))
-            return Coord(name, int(k.value) - 1)
+            vec = ast.Name(name, ast.Load())
+            return _call("_coord", vec, ast.Constant(int(k.value) - 1), ast.Constant(name))
         raise unexpected(pos)
 
     try:
-        return translate(ast.parse(" ".join(pieces), mode="eval").body, 1), symbols
+        tree = ast.Expression(translate(ast.parse(" ".join(pieces), mode="eval").body, 1))
+        return compile(ast.fix_missing_locations(tree), "<expression>", "eval"), symbols
     except SyntaxError as e:
         # offset 0 is the end; a message on brackets names no Python syntax
         pos = at(e.offset - 1 if e.offset else col)
@@ -231,8 +181,8 @@ def parse_expression(text, params=None):
         raise ExprError(f"expression nested deeper than {_MAX_DEPTH} levels", spans[0][1]) from None
 
 
-def eval_ast(ast, x_i, neighbors):
-    """Evaluate an AST at a state.
+def eval_ast(code, x_i, neighbors):
+    """Evaluate a compiled expression at a state.
 
     Parameters
     ----------
@@ -244,11 +194,11 @@ def eval_ast(ast, x_i, neighbors):
     env = {"x_i": np.asarray(x_i, dtype=float)}
     for k, block in enumerate(neighbors):
         env[f"x_j{k + 1}"] = np.asarray(block, dtype=float)
-    return ast.eval(env)
+    return eval(code, _NAMESPACE, env)
 
 
 class ExpressionDynamics:
-    """The ``expression`` dynamics variant: one parsed expression per
+    """The ``expression`` dynamics variant: one compiled expression per
     state coordinate.  model._parse_dynamics imports this module only for
     it, so a model with built-in dynamics never compiles the language."""
 
@@ -257,12 +207,12 @@ class ExpressionDynamics:
     def __init__(self, texts, params):
         self.texts = tuple(texts)
         self.params = dict(params)
-        self.asts = []
+        self.codes = []
         # vector symbol -> highest coordinate read, as in parse_expression
         self.symbols = {}
         for text in self.texts:
-            ast, used = parse_expression(text, self.params)
-            self.asts.append(ast)
+            code, used = parse_expression(text, self.params)
+            self.codes.append(code)
             for sym, k in used.items():
                 self.symbols[sym] = max(self.symbols.get(sym, 0), k)
 
@@ -274,8 +224,8 @@ class ExpressionDynamics:
         # an overflow or an invalid operation yields inf or nan, which the
         # endpoint and audit checks downstream reject with a HorizonError
         if out is None:
-            out = np.empty(x_i.shape[:-1] + (len(self.asts),))
+            out = np.empty(x_i.shape[:-1] + (len(self.codes),))
         with np.errstate(over="ignore", invalid="ignore"):
-            for c, ast in enumerate(self.asts):
-                out[..., c] = eval_ast(ast, x_i, neighbors)
+            for c, code in enumerate(self.codes):
+                out[..., c] = eval_ast(code, x_i, neighbors)
         return out

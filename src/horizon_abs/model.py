@@ -125,9 +125,9 @@ class AffineDynamics:
 
 
 def _rowwise_product(A, x):
-    """A @ x for every row x of the batch."""
+    """A @ x for every row x of the batch, with np.sum's bits."""
     x = np.asarray(x, dtype=float)
-    return np.sum(x[..., None, :] * A, axis=-1)
+    return reach.row_reduce(np.add, x[..., None, :] * A)
 
 
 # A goal box [lo, hi] and its time window, relative to the previous
@@ -406,10 +406,12 @@ def _parse_dynamics(entry, n, neighbors, agent_id):
             "C" in entry and "R" in entry,
             f"agent {agent_id}: gradient-hill needs C and R",
         )
-        return HillDynamics(
-            _scalar(entry["C"], f"agent {agent_id}: C"),
-            _scalar(entry["R"], f"agent {agent_id}: R"),
-        )
+        C = _scalar(entry["C"], f"agent {agent_id}: C")
+        R = _scalar(entry["R"], f"agent {agent_id}: R")
+        try:
+            return HillDynamics(C, R)
+        except ModelError as e:
+            raise ModelError(f"agent {agent_id}: {e}") from None
     if variant == "affine":
         zeros = [[0.0] * n] * n
         A = _floats(entry.get("A", zeros), f"agent {agent_id} affine A")

@@ -12,9 +12,9 @@ production ``controller.feedback`` and ``integrate_reference``.
 Also here: the open-loop simulator, the tuple-set cascade search and the
 one-agent-at-a-time cascade built on it, the pick-by-pick product layer,
 the enumeration of every simple coupling cycle and its mu product,
-the hand-written recursive-descent expression parser, the random cell
-and disturbance samplers, and the set, parameter and expression helpers
-that only tests use.
+the hand-written recursive-descent expression parser and the
+interpreter of its trees, the random cell and disturbance samplers,
+and the set, parameter and expression helpers that only tests use.
 """
 
 import itertools
@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from horizon_abs import controller, expr, grid, integrate, planner, reach, sim
+from horizon_abs import controller, grid, integrate, planner, reach, sim
 from horizon_abs import model as model_mod
 from horizon_abs.errors import ExprError, HorizonError, ModelError, UnsatisfiableError
-from horizon_abs.expr import _FUNCTIONS, _VECTOR_RE, Bin, Call, Coord, Neg, Norm, Num, _tokenize
+from horizon_abs.expr import _VECTOR_RE, _tokenize
 
 DISTURBANCE_KNOTS = 8
 
@@ -433,17 +433,122 @@ def check_cycles(model, params):
     return violations
 
 
+_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+
+
+class Num:
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def eval(self, env):
+        return self.value
+
+
+class Coord:
+    """One coordinate of a vector symbol, 1-based index frozen to 0-based."""
+
+    __slots__ = ("symbol", "k")
+
+    def __init__(self, symbol, k):
+        self.symbol = symbol
+        self.k = k
+
+    def eval(self, env):
+        vec = env[self.symbol]
+        if self.k >= vec.shape[-1]:
+            raise ExprError(f"index {self.k + 1} out of range for {self.symbol}")
+        return vec[..., self.k]
+
+
+class Norm:
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol):
+        self.symbol = symbol
+
+    def eval(self, env):
+        return np.sqrt(np.sum(env[self.symbol] ** 2, axis=-1))
+
+
+class Call:
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name, arg):
+        self.name = name
+        self.arg = arg
+
+    def eval(self, env):
+        value = self.arg.eval(env)
+        if self.name == "sqrt":
+            value = np.asarray(value)
+            negative = value[value < 0]
+            if negative.size:
+                raise ExprError(f"sqrt of negative value {float(negative[0])!r}")
+        return _FUNCTIONS[self.name](value)
+
+
+class Neg:
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        self.arg = arg
+
+    def eval(self, env):
+        return -self.arg.eval(env)
+
+
+class Bin:
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op, left, right):
+        self.op = op
+        self.left = left
+        self.right = right
+
+    def eval(self, env):
+        a = self.left.eval(env)
+        b = self.right.eval(env)
+        if self.op == "+":
+            return a + b
+        if self.op == "-":
+            return a - b
+        if self.op == "*":
+            return a * b
+        if self.op == "/":
+            if np.any(np.asarray(b) == 0.0):
+                raise ExprError("division by zero")
+            return a / b
+        return np.power(a, b)
+
+
+def eval_tree(tree, x_i, neighbors):
+    """The expression interpreter expr.eval_ast was before expressions
+    were compiled: a tree of the six node classes above, at a state."""
+    env = {"x_i": np.asarray(x_i, dtype=float)}
+    for k, block in enumerate(neighbors):
+        env[f"x_j{k + 1}"] = np.asarray(block, dtype=float)
+    return tree.eval(env)
+
+
 def expr_to_string(node):
     """Expression text that parses back to an equal tree."""
-    if isinstance(node, expr.Num):
+    if isinstance(node, Num):
         return f"({node.value!r})" if node.value < 0 else repr(node.value)
-    if isinstance(node, expr.Coord):
+    if isinstance(node, Coord):
         return f"{node.symbol}[{node.k + 1}]"
-    if isinstance(node, expr.Norm):
+    if isinstance(node, Norm):
         return f"norm({node.symbol})"
-    if isinstance(node, expr.Call):
+    if isinstance(node, Call):
         return f"{node.name}({expr_to_string(node.arg)})"
-    if isinstance(node, expr.Neg):
+    if isinstance(node, Neg):
         return f"(-{expr_to_string(node.arg)})"
     return f"({expr_to_string(node.left)} {node.op} {expr_to_string(node.right)})"
 
@@ -563,8 +668,9 @@ class _Parser:
 
 def parse_expression(text, params=None):
     """The expression parser before expr.parse_expression handed the tokens
-    to Python's parser: hand-written recursive descent over expr._tokenize,
-    the reference for the language expr.parse_expression reads."""
+    to Python's parser: hand-written recursive descent over expr._tokenize
+    into a tree of the node classes above, the reference for the language
+    expr.parse_expression reads and, with eval_tree, for what it computes."""
     parser = _Parser(_tokenize(text), params or {})
     ast = parser.parse()
     return ast, parser.symbols

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 import re
 
@@ -11,8 +13,8 @@ from horizon_abs.errors import ExprError
 
 
 def ev(text, x_i=(0.0, 0.0), neighbors=(), params=None):
-    ast, _ = expr.parse_expression(text, params=params)
-    return expr.eval_ast(ast, np.asarray(x_i, float), [np.asarray(v, float) for v in neighbors])
+    code, _ = expr.parse_expression(text, params=params)
+    return expr.eval_ast(code, np.asarray(x_i, float), [np.asarray(v, float) for v in neighbors])
 
 
 def test_precedence_and_associativity():
@@ -59,31 +61,25 @@ def test_scientific_notation_and_whitespace():
 
 
 def test_roundtrip_precision():
-    rng = np.random.default_rng(3)
+    """The printed oracle tree of a text compiles to the text's code."""
     texts = [
         "2*x_i[1] + sin(x_j1[2]) - 0.5",
         "norm(x_j1) / (1 + x_i[2]^2)",
         "-x_i[1] * exp(-norm(x_i)) + pi",
     ]
     for text in texts:
-        ast, _ = expr.parse_expression(text)
-        back, _ = expr.parse_expression(oracles.expr_to_string(ast))
-        for _ in range(100):
-            x = rng.normal(size=2)
-            y = rng.normal(size=2)
-            a = expr.eval_ast(ast, x, [y])
-            b = expr.eval_ast(back, x, [y])
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        back = oracles.expr_to_string(oracles.parse_expression(text)[0])
+        assert expr.parse_expression(back) == expr.parse_expression(text)
 
 
 def test_batched_evaluation_matches_loop():
-    ast, _ = expr.parse_expression("x_i[1] * x_j1[2] + norm(x_i)")
+    code, _ = expr.parse_expression("x_i[1] * x_j1[2] + norm(x_i)")
     rng = np.random.default_rng(5)
     X = rng.normal(size=(40, 2))
     Y = rng.normal(size=(40, 2))
-    batched = expr.eval_ast(ast, X, [Y])
+    batched = expr.eval_ast(code, X, [Y])
     for k in range(40):
-        assert batched[k] == pytest.approx(expr.eval_ast(ast, X[k], [Y[k]]), abs=1e-14)
+        assert batched[k] == pytest.approx(expr.eval_ast(code, X[k], [Y[k]]), abs=1e-14)
 
 
 def test_errors():
@@ -97,12 +93,30 @@ def test_errors():
         expr.parse_expression("unknown_name")
     with pytest.raises(ExprError):
         expr.parse_expression("sin()")
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match=r"^division by zero$"):
         ev("1 / x_i[1]", (0.0, 1.0))
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match=r"^sqrt of negative value -1\.0$"):
         ev("sqrt(x_i[1])", (-1.0, 0.0))
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError, match=r"^index 3 out of range for x_i$"):
         ev("x_i[3]", (0.0, 0.0))
+
+
+def test_only_expr_compiles_and_its_code_reads_only_helpers_and_symbols():
+    """No other module of the package calls eval, exec or compile, and
+    what expr compiles reads no name but its helpers and vector symbols."""
+    package = pathlib.Path(expr.__file__).parent
+    callers = sorted(
+        (path.name, node.func.id)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("eval", "exec", "compile")
+    )
+    assert callers == [("expr.py", "compile"), ("expr.py", "eval")]
+    text = "sin(x_i[1]) / cos(x_j2[2]) ^ exp(-abs(x_j10[1])) - sqrt(norm(x_j1)) * pi"
+    code, symbols = expr.parse_expression(text)
+    assert set(code.co_names) == set(expr._NAMESPACE) - {"__builtins__"} | set(symbols)
+    assert expr._NAMESPACE["__builtins__"] == {}
 
 
 # The parser reads the language of the hand-written recursive descent it
@@ -174,22 +188,50 @@ def garble(text, rng):
     return text
 
 
-def same_tree(a, b):
-    """Equal node types and fields, numbers equal bit for bit."""
-    if type(a) is not type(b):
+# Seeded states of dimension 3 for x_i and x_j1 to x_j10, one row and a
+# batch of four: indices past 3 are out of range.
+STATE_RNG = np.random.default_rng(28)
+STATES = [
+    [STATE_RNG.normal(scale=2.0, size=shape) for _ in range(11)]
+    for shape in ((3,), (4, 3))
+]
+IN_STATES = {"x_i"} | {f"x_j{k}" for k in range(1, 11)}
+
+
+def outcome(evaluate, tree):
+    """What evaluating a tree gives at each state: the type, shape and
+    bytes of the value, or the text of the ExprError."""
+    out = []
+    for x_i, *neighbors in STATES:
+        try:
+            with np.errstate(all="ignore"):
+                value = evaluate(tree, x_i, neighbors)
+        except ExprError as e:
+            out.append(str(e))
+        else:
+            out.append((type(value), np.shape(value), np.asarray(value).tobytes()))
+    return out
+
+
+def same_function(got, want):
+    """A compiled expression and an oracle tree that compute the same:
+    equal symbols and, where the states hold them all, evaluations with
+    equal bytes or equal errors."""
+    if got[1] != want[1]:
         return False
-    if isinstance(a, expr.Num):
-        return a.value.hex() == b.value.hex()
-    fields = [(getattr(a, f), getattr(b, f)) for f in type(a).__slots__]
-    return all(same_tree(x, y) if hasattr(x, "eval") else x == y for x, y in fields)
+    if not got[1].keys() <= IN_STATES:
+        return True
+    return outcome(expr.eval_ast, got[0]) == outcome(oracles.eval_tree, want[0])
 
 
 def test_the_language_is_the_old_parsers():
-    """Where the old parser returns, the new one returns an equal tree
-    and the same symbols; where it raises anything, the new one raises
-    an ExprError with a position."""
+    """Where the old parser returns, the new one compiles code that
+    reads the same symbols and evaluates to the bytes, or raises the
+    error, of the old interpreter; where the old parser raises anything,
+    the new one raises an ExprError with a position."""
     rng = random.Random(25)
-    parsed = 0
+    parsed = evaluated = 0
+    helpers = expr._NAMESPACE.keys() - {"__builtins__"}
     for k in range(20_000):
         text = random_text(rng)
         if k % 2:
@@ -202,9 +244,10 @@ def test_the_language_is_the_old_parsers():
             assert refused.value.position is not None, text
             continue
         got = expr.parse_expression(text, PARAMS)
-        assert same_tree(got[0], want[0]) and got[1] == want[1], text
+        assert same_function(got, want) and set(got[0].co_names) <= helpers | got[1].keys(), text
         parsed += 1
-    assert parsed >= 10_000 and 20_000 - parsed >= 5_000
+        evaluated += got[1].keys() <= IN_STATES
+    assert parsed >= 10_000 and 20_000 - parsed >= 5_000 and evaluated >= 0.99 * parsed
 
 
 @pytest.mark.parametrize("text, plain", [
@@ -220,32 +263,34 @@ def test_redundant_parentheses_around_a_name_or_an_index_are_accepted(text, plai
     vector symbol, its index, a function name or norm's argument."""
     with pytest.raises(ExprError):
         oracles.parse_expression(text)
-    got, want = expr.parse_expression(text), oracles.parse_expression(plain)
-    assert same_tree(got[0], want[0]) and got[1] == want[1]
+    assert expr.parse_expression(text) == expr.parse_expression(plain)
+    assert same_function(expr.parse_expression(text), oracles.parse_expression(plain))
 
 
 @pytest.mark.parametrize("name", ["if", "lambda", "True", "None", "not", "and", "in"])
 def test_a_parameter_named_like_a_python_keyword_cannot_be_read(name):
     """The second difference: the old parser read any parameter name."""
     text, params = f"x_i[1] * {name}", {name: 2.0}
-    assert isinstance(oracles.parse_expression(text, params)[0], expr.Bin)
+    assert isinstance(oracles.parse_expression(text, params)[0], oracles.Bin)
     with pytest.raises(ExprError, match=re.escape(f"{name!r} is a reserved word (at position 9)")):
         expr.parse_expression(text, params)
 
 
 def test_a_tree_deeper_than_200_levels_is_refused():
     """The third difference: the old parser read any depth its recursion
-    reached.  At 200 levels both parsers give the same tree."""
+    reached.  At 200 levels both compute the same."""
     for text in ("-" * 199 + "x_i[1]", " + ".join(["x_i[1]"] * 200)):
-        got, want = expr.parse_expression(text), oracles.parse_expression(text)
-        assert same_tree(got[0], want[0]) and got[1] == want[1]
-    assert isinstance(expr.parse_expression("sin(" * 199 + "1" + ")" * 199)[0], expr.Call)
+        assert same_function(expr.parse_expression(text), oracles.parse_expression(text))
+    value = 1.0
+    for _ in range(199):
+        value = np.sin(value)
+    assert ev("sin(" * 199 + "1" + ")" * 199) == value
     for text, position in (("-" * 200 + "x_i[1]", 200), ("sin(" * 200 + "1" + ")" * 200, 800),
                            (" + ".join(["x_i[1]"] * 201), 0)):
         with pytest.raises(ExprError, match=re.escape(f"200 levels (at position {position})")):
             expr.parse_expression(text)
     # parentheses alone make no level; Python reads at most 200 of them nested
-    assert expr.parse_expression("(" * 200 + "2" + ")" * 200)[0].value == 2.0
+    assert ev("(" * 200 + "2" + ")" * 200) == 2.0
     with pytest.raises(ExprError, match=re.escape("parentheses (at position 200)")):
         expr.parse_expression("(" * 201 + "2" + ")" * 201)
 

@@ -199,15 +199,33 @@ def test_hill_bound_zero_tail_and_origin():
     assert f_small[0] == pytest.approx(C * (math.pi / R) ** 2 * small[0], rel=1e-6)
 
 
-@pytest.mark.parametrize("C, R", [(2.0, 1e-300), (1e308, 1.0), (1e300, 1e-5)])
+@pytest.mark.parametrize("C, R", [(2.0, 1e-300), (1e308, 1.0), (1e300, 1e-5), (0.0, 1.0), (1.0, -1.0)])
 def test_hill_constants_that_overflow_are_a_model_error(C, R):
     """The slopes of the radial and the series branch, C*pi/R and
     C*(pi/R)**2, must be finite: the float power of the first case raises
-    OverflowError, the products of the other two are infinite."""
+    OverflowError, the products of the next two are infinite.  C and R
+    must be positive.  The error names the agent."""
     doc = single_doc()
     doc["agents"][0]["dynamics"] = {"type": "gradient-hill", "C": C, "R": R}
-    with pytest.raises(ModelError, match=re.escape("requires a finite C*pi/R and C*(pi/R)**2")):
+    if C > 0 and R > 0:
+        message = "agent 1: gradient-hill requires a finite C*pi/R and C*(pi/R)**2"
+    else:
+        message = "agent 1: gradient-hill requires C > 0 and R > 0"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         make_model(doc)
+
+
+def test_rowwise_product_has_the_bits_of_np_sum():
+    """A @ x for every row, summed a column at a time below 8 columns,
+    is np.sum's reduction bit for bit."""
+    rng = np.random.default_rng(28)
+    for n in range(1, 10):
+        for shape in ((n,), (1, n), (7, n), (33, n), (3, 5, n)):
+            for _ in range(20):
+                A = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-8, 9, size=(n, n))
+                x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+                want = np.sum(x[..., None, :] * A, axis=-1)
+                assert model_mod._rowwise_product(A, x).tobytes() == want.tobytes(), (n, shape)
 
 
 def hill_rows(R):
